@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError
-from .quadrature import QuadratureConfig, gauss_hermite, weighted_phi_table
+from .quadrature import QuadratureConfig, contract_even, gauss_hermite, weighted_phi_table
 
 _I = 1j
 
@@ -160,23 +160,19 @@ def _s_plus_eval(
 ) -> np.ndarray:
     x, _ = gauss_hermite(n_nodes)
     table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
-    pair = [table[n[a]] * table[nhat[a]] for a in range(3)]
-    x2 = x * x
-    base = np.add.outer(x2, x2) + m * m
-    i_m = i_e = i_1 = i_2 = i_3 = 0j
-    xp2 = x * pair[1]
-    xp3 = x * pair[2]
-    for i in range(n_nodes):
-        e_grid = np.sqrt(base + x2[i])
-        osc = np.exp((-_I * dt) * e_grid)
-        kern = osc / (2.0 * e_grid)
-        row = pair[1] @ kern
-        t_m = row @ pair[2]
-        i_m += pair[0][i] * t_m
-        i_1 += pair[0][i] * x[i] * t_m
-        i_2 += pair[0][i] * ((xp2 @ kern) @ pair[2])
-        i_3 += pair[0][i] * (row @ xp3)
-        i_e += pair[0][i] * 0.5 * ((pair[1] @ osc) @ pair[2])
+    p1, p2, p3 = (table[n[a]] * table[nhat[a]] for a in range(3))
+    # E, e^{-iE dt} and both kernels are even in every axis, so they are
+    # built on the x >= 0 half grid only (see contract_even)
+    x2 = x[n_nodes // 2:] ** 2
+    e_grid = np.sqrt((np.add.outer(x2, x2) + m * m)[None, :, :] + x2[:, None, None])
+    osc = np.exp((-_I * dt) * e_grid)
+    i_m, i_1, i_2, i_3 = contract_even(
+        np.stack([p1, x * p1, p1, p1]),
+        np.stack([p2, p2, x * p2, p2]),
+        np.stack([p3, p3, p3, x * p3]),
+        osc / (2.0 * e_grid),
+    )
+    i_e = 0.5 * contract_even(p1, p2, p3, osc)[0]
     g1, g2, g3, g4 = _gamma_matrices()
     phase = _I ** ((sum(n) - sum(nhat)) % 4)
     scale = phase * math.pi ** -1.5

@@ -39,6 +39,7 @@ from .errors import DomainError, NonconvergenceError
 from .hermite import phi_at_zero, phi_row
 from .quadrature import (
     QuadratureConfig,
+    contract_even,
     gauss_hermite,
     gauss_laguerre_half,
     gauss_legendre,
@@ -90,8 +91,9 @@ def _index3(n) -> tuple[int, int, int]:
     return tuple(out)
 
 
-# dense inverse-denominator tensors 1/(x_i^2+x_j^2+x_l^2+mu^2); a few tens of
-# MB each at 128 nodes, so keep only the most recent handful
+# inverse-denominator tensors 1/(x_i^2+x_j^2+x_l^2+mu^2) on the x >= 0 half
+# of the Gauss-Hermite grid (contract_even folds the rest onto it); 2 MB at
+# 128 nodes, and the few most recent masses are kept
 _DENOM_CACHE: OrderedDict[tuple[float, int], np.ndarray] = OrderedDict()
 _DENOM_CACHE_MAX = 6
 
@@ -112,11 +114,8 @@ def _inv_denominators(mu: float, n_nodes: int) -> np.ndarray:
         _DENOM_CACHE.move_to_end(key)
         return hit
     x, _ = gauss_hermite(n_nodes)
-    x2 = x * x
-    base = np.add.outer(x2, x2) + mu * mu
-    inv = np.empty((n_nodes, n_nodes, n_nodes))
-    for i in range(n_nodes):
-        np.add(base, x2[i], out=inv[i])
+    x2 = x[n_nodes // 2:] ** 2
+    inv = (np.add.outer(x2, x2) + mu * mu)[None, :, :] + x2[:, None, None]
     np.reciprocal(inv, out=inv)
     inv.setflags(write=False)
     _DENOM_CACHE[key] = inv
@@ -134,16 +133,9 @@ def _ball_exact(mu: float) -> float:
 def _ball_quad_moments(mu: float, n_nodes: int) -> tuple[float, float]:
     # Gauss-Hermite estimates of the zeroth and first-axis-second moments
     # of 1/(k.k+mu^2) under the Gaussian weight
-    inv = _inv_denominators(mu, n_nodes)
     x, w = gauss_hermite(n_nodes)
-    x2w = x * x * w
-    b0 = 0.0
-    b2 = 0.0
-    for i in range(n_nodes):
-        t = w @ inv[i] @ w
-        b0 += w[i] * t
-        b2 += x2w[i] * t
-    return b0, b2
+    b0, b2 = contract_even(np.stack([w, x * x * w]), w, w, _inv_denominators(mu, n_nodes))
+    return float(b0), float(b2)
 
 
 def _ball_defects(mu: float, n_nodes: int) -> tuple[float, float]:
@@ -153,6 +145,21 @@ def _ball_defects(mu: float, n_nodes: int) -> tuple[float, float]:
     b0 = _ball_exact(mu)
     b2 = (math.pi ** 1.5 - mu * mu * b0) / 3.0
     return b0 - b0q, b2 - b2q
+
+
+def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
+    """pi^{-3/2} integral d^3k a(k_1) b(k_2) c(k_3) e^{-k.k} / (k.k + mu^2)
+    for factorized integrands, one value per row of a, b and c.
+
+    a, b and c hold each axis factor at the n_nodes Gauss-Hermite nodes with
+    the weights already applied.  c0 and c2 (one per row) are the value and
+    the summed per-axis half-second-derivatives at the origin of the
+    polynomial product a b c: the quadratic pole model whose quadrature
+    defect (_ball_defects) is added back in closed form.
+    """
+    acc = contract_even(a, b, c, _inv_denominators(mu, n_nodes))
+    d0, d2 = _ball_defects(mu, n_nodes)
+    return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
 
 
 def _pole_model(n: int, nhat: int) -> tuple[float, float]:
@@ -169,27 +176,13 @@ def _pole_model(n: int, nhat: int) -> tuple[float, float]:
 
 
 def _g_eval(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -> complex:
-    inv = _inv_denominators(mu, n_nodes)
     table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
-    p1 = table[n[0]] * table[nhat[0]]
-    p2 = table[n[1]] * table[nhat[1]]
-    p3 = table[n[2]] * table[nhat[2]]
-    acc = 0.0
-    for i in range(n_nodes):
-        acc += p1[i] * (p2 @ inv[i] @ p3)
-    q0 = []
-    q2 = []
-    for a in range(3):
-        v0, v2 = _pole_model(n[a], nhat[a])
-        q0.append(v0)
-        q2.append(v2)
-    c0 = q0[0] * q0[1] * q0[2]
-    c2 = (q2[0] * q0[1] * q0[2] + q0[0] * q2[1] * q0[2] + q0[0] * q0[1] * q2[2])
-    if c0 != 0.0 or c2 != 0.0:
-        d0, d2 = _ball_defects(mu, n_nodes)
-        acc += c0 * d0 + c2 * d2
+    (q0a, q2a), (q0b, q2b), (q0c, q2c) = (_pole_model(n[a], nhat[a]) for a in range(3))
+    c0 = q0a * q0b * q0c
+    c2 = q2a * q0b * q0c + q0a * q2b * q0c + q0a * q0b * q2c
+    val = green_contract(*(table[n[a]] * table[nhat[a]] for a in range(3)), c0, c2, mu, n_nodes)
     phase = 1j ** ((sum(n) - sum(nhat)) % 4)
-    return complex(phase * acc * math.pi ** -1.5)
+    return complex(phase * val[0])
 
 
 def _g_raw(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -> complex:
@@ -302,16 +295,41 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     return GreensValue(complex(fine), err)
 
 
+# Depth of the continued fraction in _gamma_cf.  The fraction converges
+# fastest for large x; at x = 1, its slowest point, 90 levels already reach
+# the double-precision limit.
+_CF_DEPTH = 100
+
+
+def _gamma_cf(x: float) -> float:
+    """x^{1/2} e^x Gamma(-1/2, x) for x >= 1.
+
+    Evaluates the even contraction of Legendre's continued fraction for the
+    incomplete gamma function (DLMF 8.9.2),
+    1/(x + 3/2 - (1*3/2)/(x + 7/2 - (2*5/2)/(x + 11/2 - ...))), bottom-up at
+    a fixed depth; that direction keeps the rounding to a few ulps.  No
+    exponential is formed, so nothing overflows or cancels at large x.
+    """
+    t = 0.0
+    for n in range(_CF_DEPTH, 0, -1):
+        t = -n * (n + 0.5) / (x + 1.5 + 2.0 * n + t)
+    return 1.0 / (x + 1.5 + t)
+
+
 def incomplete_gamma_neg_half(x: float) -> float:
     """Gamma(-1/2, x) = integral_x^inf w^{-3/2} e^{-w} dw for x > 0.
 
-    Uses the closed identity 2 e^{-x}/sqrt(x) - 2 sqrt(pi) erfc(sqrt(x))
-    with the standard-library erfc; accurate to ~14 digits across the whole
-    domain including the x -> 0 blowup.
+    Below x = 1 uses the closed identity 2 e^{-x}/sqrt(x) - 2 sqrt(pi)
+    erfc(sqrt(x)), which holds the x -> 0 blowup; from x = 1 on, where the
+    two terms would cancel, e^{-x} x^{-1/2} times the continued fraction
+    (_gamma_cf).  Accurate to a few parts in 1e15 relative wherever the value
+    is a normal double.
     """
     if not x > 0:
         raise DomainError(f"argument must be positive, got {x}")
     s = math.sqrt(x)
+    if x >= 1.0:
+        return math.exp(-x) / s * _gamma_cf(x)
     return 2.0 * math.exp(-x) / s - 2.0 * _SQRT_PI * math.erfc(s)
 
 
@@ -320,10 +338,14 @@ def yukawa_coincidence(mu: float) -> float:
 
     Finite for every mu > 0 and -> 2 as mu -> 0+; the continuum kernel
     diverges at coincidence, this is the formalism's headline finite number.
+    Below mu = 1 it is 2 (1 - sqrt(pi) mu erfcx(mu)); from mu = 1 on, the
+    continued fraction _gamma_cf(mu^2), in which e^{mu^2} has cancelled.
     """
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mu}")
-    return mu * math.exp(mu * mu) * incomplete_gamma_neg_half(mu * mu)
+    if mu >= 1.0:
+        return _gamma_cf(mu * mu)
+    return 2.0 * (1.0 - _SQRT_PI * mu * float(erfcx(mu)))
 
 
 def coulomb_even(n1: int) -> float:

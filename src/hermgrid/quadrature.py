@@ -1,9 +1,12 @@
-"""Quadrature rules and cached basis tables.
+"""Quadrature rules, cached basis tables, and the one 3D contraction kernel.
 
 All rules are cached by node count and returned as read-only arrays: the
 first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
-instead of rebuilding them.
+instead of rebuilding them.  Every 3D Gauss-Hermite sum in the package
+(Green's function, exchange element, fermion propagator) has a kernel that
+is even in each axis and goes through contract_even, which works on the
+x >= 0 half of the grid.
 """
 
 from __future__ import annotations
@@ -113,6 +116,37 @@ def gauss_laguerre_half(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x = eigh_tridiagonal(diag, off, eigvals_only=True)
     w = _christoffel_weights(x, diag, off, math.gamma(alpha + 1.0))
     return _freeze(x, w)
+
+
+def fold_even(v: np.ndarray) -> np.ndarray:
+    """Fold vectors on a mirror-symmetric grid onto its x >= 0 half.
+
+    Entry k of the result is v at the k-th nonnegative node plus v at its
+    mirror node; the centre node of an odd-sized grid is counted once.  Sums
+    of v against any kernel that is even in x are then sums over the half
+    grid.  Gauss-Hermite nodes and weights are symmetric to the last bit, so
+    the fold of an odd vector is exactly zero.
+    """
+    n = v.shape[-1]
+    h = n // 2
+    out = np.array(v[..., h:])
+    out[..., n - 2 * h:] += v[..., h - 1::-1]
+    return out
+
+
+def contract_even(a: np.ndarray, b: np.ndarray, c: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Mode-product contraction sum_ijk a_i b_j c_k K_ijk for each row of a,
+    b and c (one vector, or a stack of them), over a mirror-symmetric grid.
+
+    K must be even in each axis; ``kernel`` holds it on the half grid only,
+    as the (H, H, H) tensor over the nodes x >= 0, H = ceil(n/2).  The
+    vectors are folded (fold_even), contracted on the first axis by one
+    matrix product and on the other two by one einsum.
+    """
+    fa, fb, fc = (fold_even(np.atleast_2d(v)) for v in (a, b, c))
+    rows, h = fa.shape[0], kernel.shape[0]
+    t = fa @ kernel.reshape(h, h * h)
+    return np.einsum("bjk,bj,bk->b", t.reshape(rows, h, h), fb, fc)
 
 
 @lru_cache(maxsize=None)

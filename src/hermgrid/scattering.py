@@ -17,9 +17,14 @@ and B likewise from the second fermion line.  Because both coefficient
 families factorize over axes, the double sum collapses to a single 3D
 quadrature of per-axis profile polynomials against the shared denominator;
 that is an exact algebraic identity, not an approximation, and turns an
-O(n_max^6) sum into an O(nodes^3) contraction.  An independent
-sum-the-vertices-first evaluation lives in the checks module and serves as
-the correctness oracle.
+O(n_max^6) sum into an O(nodes^3) contraction.  That contraction is
+greens.green_contract, the one the Green's function route uses: the
+denominator is even in every axis, so it folds the profiles onto the
+x >= 0 half grid and sums them against the cached half-grid tensor,
+pole correction included.  The element and its copy with the top
+coefficient shell dropped, which measures truncation, go through it as one
+batch of two.  An independent sum-the-vertices-first evaluation lives in
+the checks module and serves as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, TruncationWarning
-from .greens import _ball_defects, _inv_denominators
-from .hermite import phi_at_zero, phi_row, xi_axis
+from .greens import green_contract
+from .hermite import phi_row, xi_axis
 from .quadrature import QuadratureConfig, gauss_hermite
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -151,63 +157,59 @@ class MollerKinematics:
         return (self.g ** 2 / (4.0 * math.pi)) * self.m ** 2 / math.sqrt(e1o * e2o * e1 * e2)
 
 
-def _pair_coefficients(n_max: int, p: float, p_out: float) -> np.ndarray:
-    # xi_n(p) conj(xi_n(p_out)): the i^n phases cancel within the pair,
-    # leaving the real coefficient phi_n(p) phi_n(p_out) e^{-(p^2+p_out^2)/2}/sqrt(pi)
-    vals = phi_row(n_max, np.array([p, p_out]))
-    return vals[:, 0] * vals[:, 1] * (math.exp(-0.5 * (p * p + p_out * p_out)) / _SQRT_PI)
+def _pair_coefficients(n_max: int, p: np.ndarray, p_out: np.ndarray) -> np.ndarray:
+    # xi_n(p) conj(xi_n(p_out)) for each momentum pair (one column per pair):
+    # the i^n phases cancel within the pair, leaving the real coefficient
+    # phi_n(p) phi_n(p_out) e^{-(p^2+p_out^2)/2}/sqrt(pi)
+    vals = phi_row(n_max, np.concatenate([p, p_out]))
+    return vals[:, :p.size] * vals[:, p.size:] * (np.exp(-0.5 * (p * p + p_out * p_out)) / _SQRT_PI)
 
 
-def _profiles(kin: MollerKinematics, n_max: int, x: np.ndarray) -> tuple[list, list]:
-    """Per-axis node profiles L_a(x_i), R_a(x_i) such that the double
-    coefficient sum against the Green's integrand becomes
-    prod_a L_a(k_a) R_a(k_a) / (k.k + mu^2) under the Gaussian weight."""
-    ipow = 1j ** (np.arange(n_max + 1) % 4)
-    rows = phi_row(n_max, x)
-    left, right = [], []
-    for a in range(3):
-        acoef = _pair_coefficients(n_max, kin.p1[a], kin.p1_out[a])
-        bcoef = _pair_coefficients(n_max, kin.p2[a], kin.p2_out[a])
-        left.append((acoef * ipow) @ rows)
-        right.append((bcoef * ipow.conj()) @ rows)
-    return left, right
-
-
-def _profile_origin_moments(coef: np.ndarray, phases: np.ndarray) -> tuple[complex, complex, complex]:
-    # value, first, and second derivative at k = 0 of sum_n coef_n phase_n phi_n(k)
-    n_max = coef.size - 1
-    z0 = np.array([phi_at_zero(j) for j in range(n_max + 1)])
-    z_shift = np.zeros(n_max + 1)
-    z_shift[1:] = z0[:-1]
+@lru_cache(maxsize=64)
+def _origin_derivatives(n_max: int) -> np.ndarray:
+    # columns phi_n(0), phi_n'(0) = sqrt(2n) phi_{n-1}(0) and
+    # phi_n''(0) = -2n phi_n(0) for n <= n_max
+    z0 = phi_row(n_max, np.zeros(1))[:, 0]
     narr = np.arange(n_max + 1)
-    c = coef * phases
-    return complex(c @ z0), complex(c @ (np.sqrt(2.0 * narr) * z_shift)), complex(c @ (-2.0 * narr * z0))
+    z1 = np.zeros(n_max + 1)
+    z1[1:] = np.sqrt(2.0 * narr[1:]) * z0[:-1]
+    out = np.stack([z0, z1, -2.0 * narr * z0], axis=1)
+    out.setflags(write=False)
+    return out
 
 
-def _contract(kin: MollerKinematics, n_max: int, n_nodes: int) -> complex:
+def _contract(kin: MollerKinematics, n_max: int, n_nodes: int) -> np.ndarray:
+    """The coefficient double sum at cutoff n_max and with the top shell
+    n_max dropped, as one batch of two Green's contractions.
+
+    Per axis, the phased coefficients of both fermion lines give node
+    profiles L_a(x_i), R_a(x_i) such that the double sum becomes
+    prod_a L_a(k_a) R_a(k_a) / (k.k + mu^2) under the Gaussian weight; the
+    profiles' Taylor data at the origin feed the same quadratic pole
+    correction the Green's function route applies.
+    """
     x, w = gauss_hermite(n_nodes)
-    inv = _inv_denominators(kin.mu, n_nodes)
-    left, right = _profiles(kin, n_max, x)
-    q = [w * left[a] * right[a] for a in range(3)]
-    acc = 0j
-    for i in range(n_nodes):
-        acc += q[0][i] * (q[1] @ inv[i] @ q[2])
-    # same quadratic pole correction the Green's function route applies,
-    # factorized through the per-axis profile Taylor data at the origin
+    rows = phi_row(n_max, x)
+    origin = _origin_derivatives(n_max)
     ipow = 1j ** (np.arange(n_max + 1) % 4)
-    g0 = []
-    g2 = []
+    keep = np.ones((2, n_max + 1))
+    keep[1, -1] = 0.0
+    # columns 0-2: the axes of the first fermion line, 3-5: the second
+    coef = _pair_coefficients(n_max, np.array(kin.p1 + kin.p2), np.array(kin.p1_out + kin.p2_out))
+    q, g0, g2 = [], [], []
     for a in range(3):
-        l0, l1, l2 = _profile_origin_moments(
-            _pair_coefficients(n_max, kin.p1[a], kin.p1_out[a]), ipow)
-        r0, r1, r2 = _profile_origin_moments(
-            _pair_coefficients(n_max, kin.p2[a], kin.p2_out[a]), ipow.conj())
+        lc = keep * (coef[:, a] * ipow)
+        rc = keep * (coef[:, 3 + a] * ipow.conj())
+        # the imaginary part of L R comes from odd orders only, so it is odd
+        # in x and integrates to zero against the even denominator
+        q.append(w * ((lc @ rows) * (rc @ rows)).real)
+        l0, l1, l2 = (lc @ origin).T
+        r0, r1, r2 = (rc @ origin).T
         g0.append(l0 * r0)
         g2.append(0.5 * (l2 * r0 + 2.0 * l1 * r1 + l0 * r2))
-    d0, d2 = _ball_defects(kin.mu, n_nodes)
-    acc += d0 * g0[0] * g0[1] * g0[2]
-    acc += d2 * (g2[0] * g0[1] * g0[2] + g0[0] * g2[1] * g0[2] + g0[0] * g0[1] * g2[2])
-    return complex(acc * math.pi ** -1.5)
+    c0 = g0[0] * g0[1] * g0[2]
+    c2 = g2[0] * g0[1] * g0[2] + g0[0] * g2[1] * g0[2] + g0[0] * g0[1] * g2[2]
+    return green_contract(q[0], q[1], q[2], c0, c2, kin.mu, n_nodes)
 
 
 def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
@@ -217,8 +219,8 @@ def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
     Exactly zero on any spin mismatch.  The coefficient double sum is
     evaluated through the factorized profile contraction described in the
     module docstring, sharing the denominator tensor and pole handling with
-    the Green's function route.  Truncation health is estimated by
-    re-contracting with the top coefficient shell dropped: when that last
+    the Green's function route.  Truncation health is estimated from the
+    same contraction with the top coefficient shell dropped: when that last
     included shell moves the element by more than cfg.tol, a
     TruncationWarning is issued (the first dropped shell is comparable to
     the last included one for the slowly decaying sums this models).
@@ -228,18 +230,17 @@ def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
     if not kin.mu > 0:
         raise DomainError(f"the exchange element needs mu > 0, got {kin.mu}")
     n_nodes = 2 * cfg.gh_nodes if cfg.refine else cfg.gh_nodes
-    full = _contract(kin, trunc.n_max, n_nodes)
-    if trunc.n_max >= 1:
-        dropped = abs(full - _contract(kin, trunc.n_max - 1, n_nodes)) * kin.prefactor
-        trunc.tail_report = float(dropped)
-        if dropped > cfg.tol:
-            warnings.warn(
-                f"last included coefficient shell moved the element by {dropped:.3e} "
-                f"(> tol {cfg.tol:.3e}); raise n_max past {trunc.n_max}",
-                TruncationWarning,
-                stacklevel=2,
-            )
-    return kin.prefactor * full
+    full, dropped = _contract(kin, trunc.n_max, n_nodes)
+    shift = abs(full - dropped) * kin.prefactor
+    trunc.tail_report = float(shift)
+    if shift > cfg.tol:
+        warnings.warn(
+            f"last included coefficient shell moved the element by {shift:.3e} "
+            f"(> tol {cfg.tol:.3e}); raise n_max past {trunc.n_max}",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return kin.prefactor * complex(full)
 
 
 def continuum_moller_reduced(kin: MollerKinematics) -> complex:

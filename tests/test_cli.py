@@ -6,8 +6,13 @@ fault-injection tests can monkeypatch the check registry.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import hermgrid
 
 from hermgrid import checks, cli, dirac
 from hermgrid.greens import coulomb_even, yukawa_coincidence
@@ -97,6 +102,17 @@ def test_yukawa_high_order_small_mass(capsys):
     assert len(rows) == 41
     even = [float(r["w_sharp"]) for r in rows[::2]]
     assert all(0.0 < b < a for a, b in zip(even, even[1:]))
+
+
+def test_yukawa_large_mass(capsys):
+    # the closed coincidence value used to form e^{mu^2}, which overflows
+    # from mu = 27 on
+    rc, out, err = run_cli(capsys, "yukawa", "--mu", "30", "--n-max", "2")
+    assert rc == 0 and err == ""
+    header, _, rows = parse_table(out)
+    closed = float(header["coincidence_closed_form"])
+    assert closed == yukawa_coincidence(30.0)
+    assert float(rows[0]["w_sharp"]) == pytest.approx(closed, rel=1e-13)
 
 
 def test_coulomb_table_and_gnuplot_sidecar(capsys, tmp_path):
@@ -239,3 +255,29 @@ def test_check_failure_exit_code(capsys, monkeypatch):
     assert "FAILED: dirac_clifford" in err
     summary = json.loads(out.splitlines()[-1])
     assert summary["failed"] == 1
+
+
+README_COMMANDS = (
+    ["greens", "--mu", "1", "--n-max", "6"],
+    ["moller", "--p1", "0.1,0,0", "--p2=-0.1,0,0", "--p1-out", "0.08,0.06,0",
+     "--p2-out=-0.08,-0.06,0", "--mu", "1", "--vertex-n-max", "32"],
+)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
+def test_tables_identical_across_thread_counts(argv):
+    # the tensor contractions go through BLAS, whose reduction order could
+    # follow the thread count; the tables must not
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrid.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    outs = []
+    for threads in ("1", "2"):
+        env["HERMGRID_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-m", "hermgrid.cli", *argv],
+                             capture_output=True, env=env)
+        assert run.returncode == 0
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]

@@ -138,6 +138,32 @@ def test_incomplete_gamma_asymptotic_band():
         assert abs(ratio - 1.0) <= 2.0 / x
 
 
+def test_incomplete_gamma_matches_mpmath():
+    # log grid across the branch switch at x = 1, up to where the value
+    # leaves the normal double range
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for x in np.logspace(-6, math.log10(700.0), 241):
+            want = mp.gammainc(-0.5, mp.mpf(float(x)))
+            got = incomplete_gamma_neg_half(float(x))
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-14
+
+
+def test_yukawa_coincidence_matches_mpmath():
+    # past mu = 27 the old closed form overflowed in e^{mu^2}
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for mu in np.logspace(-6, 4, 241):
+            x = mp.mpf(float(mu)) ** 2
+            want = mp.mpf(float(mu)) * mp.exp(x) * mp.gammainc(-0.5, x)
+            got = yukawa_coincidence(float(mu))
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-14
+
+
 def test_coincidence_monotone_decreasing_in_mass():
     mus = np.linspace(0.1, 4.0, 14)
     vals = [yukawa_coincidence(float(m)) for m in mus]
