@@ -8,7 +8,8 @@ that round-trips to the same double (at most 17 significant digits), so
 identical flags always produce byte-identical files.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage or flag-validation
-error, 3 numerical nonconvergence.
+error (also any domain or arithmetic error the flags lead to), 3 numerical
+nonconvergence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .checks import run_suite
-from .errors import NonconvergenceError
+from .errors import HermgridError, NonconvergenceError
 from .greens import (
     continuum_yukawa,
     continuum_yukawa_oracle,
@@ -128,6 +129,8 @@ def _run_config(args, command: str) -> RunConfig:
         x_map=args.x_map,
         format=args.format,
     )
+    for flag, value in (("--mu", cfg.mu), ("--m", cfg.m), ("--g", cfg.g), ("--tol", cfg.tol)):
+        _require(math.isfinite(value), flag, "a finite real", value)
     _require(cfg.mu >= 0, "--mu", "mu >= 0", cfg.mu)
     _require(cfg.m > 0, "--m", "m > 0", cfg.m)
     _require(cfg.n_max >= 0, "--n-max", "n_max >= 0", cfg.n_max)
@@ -225,12 +228,14 @@ def cmd_greens(args) -> int:
 
 def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"{flag}: accepted range is three comma-separated reals, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        triple = tuple(float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"{flag}: accepted range is three comma-separated reals, got {text!r}") from None
+        triple = ()
+    # nan and inf parse as floats but are not reals
+    _require(len(triple) == 3 and all(map(math.isfinite, triple)),
+             flag, "three comma-separated reals", repr(text))
+    return triple
 
 
 def cmd_moller(args) -> int:
@@ -380,6 +385,11 @@ def main(argv: list[str] | None = None) -> int:
     except NonconvergenceError as exc:
         print(f"error: quadrature did not converge: {exc}", file=sys.stderr)
         return 3
+    except (HermgridError, ValueError, ArithmeticError) as exc:
+        # inputs past what the arithmetic can represent (for example an
+        # overflowing --m) are still bad flags, not failed checks
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError
-from .quadrature import QuadratureConfig, contract_even, gauss_hermite, weighted_phi_table
+from .greens import _index3
+from .quadrature import (
+    QuadratureConfig,
+    _triple_rank,
+    _triple_sums,
+    contract_even,
+    gauss_hermite,
+    weighted_phi_table,
+)
 
 _I = 1j
 
@@ -161,18 +169,20 @@ def _s_plus_eval(
     x, _ = gauss_hermite(n_nodes)
     table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
     p1, p2, p3 = (table[n[a]] * table[nhat[a]] for a in range(3))
-    # E, e^{-iE dt} and both kernels are even in every axis, so they are
-    # built on the x >= 0 half grid only (see contract_even)
-    x2 = x[n_nodes // 2:] ** 2
-    e_grid = np.sqrt((np.add.outer(x2, x2) + m * m)[None, :, :] + x2[:, None, None])
-    osc = np.exp((-_I * dt) * e_grid)
+    # E, e^{-iE dt} and both kernels are even in every axis and symmetric
+    # under any permutation of the axes, so they are evaluated once per
+    # sorted triple of half-grid nodes and gathered into the (H, H, H)
+    # tensor that contract_even takes
+    e = np.sqrt(_triple_sums(n_nodes) + m * m)
+    osc = np.exp((-_I * dt) * e)
+    rank = _triple_rank(n_nodes - n_nodes // 2)
     i_m, i_1, i_2, i_3 = contract_even(
         np.stack([p1, x * p1, p1, p1]),
         np.stack([p2, p2, x * p2, p2]),
         np.stack([p3, p3, p3, x * p3]),
-        osc / (2.0 * e_grid),
+        (osc / (2.0 * e))[rank],
     )
-    i_e = 0.5 * contract_even(p1, p2, p3, osc)[0]
+    i_e = 0.5 * contract_even(p1, p2, p3, osc[rank])[0]
     g1, g2, g3, g4 = _gamma_matrices()
     phase = _I ** ((sum(n) - sum(nhat)) % 4)
     scale = phase * math.pi ** -1.5
@@ -194,14 +204,18 @@ def s_plus_green(
     Gauss-Hermite quadrature with the Gaussian weight taken from the basis
     functions.  The oscillatory time factor is smooth and stays inside.
     """
-    if not m > 0:
-        raise DomainError(f"mass must be positive, got {m}")
+    n = _index3(n)
+    nhat = _index3(nhat)
+    if not (m > 0 and math.isfinite(m)):
+        raise DomainError(f"mass must be positive and finite, got {m}")
+    if not math.isfinite(dt):
+        raise DomainError(f"time separation must be finite, got {dt}")
     coarse = _s_plus_eval(n, nhat, dt, m, cfg.gh_nodes)
     if not cfg.refine:
         return coarse
     fine = _s_plus_eval(n, nhat, dt, m, 2 * cfg.gh_nodes)
     defect = float(np.max(np.abs(fine - coarse)))
-    if defect > cfg.tol:
+    if not defect <= cfg.tol:
         raise NonconvergenceError(
             f"fermionic Green's function refinement defect {defect:.3e} exceeds tol {cfg.tol:.3e}"
         )

@@ -6,7 +6,9 @@ so every integral in the package contracts against these shared tables
 instead of rebuilding them.  Every 3D Gauss-Hermite sum in the package
 (Green's function, exchange element, fermion propagator) has a kernel that
 is even in each axis and goes through contract_even, which works on the
-x >= 0 half of the grid.
+x >= 0 half of the grid.  A kernel of x_i^2 + x_j^2 + x_k^2 alone needs one
+value per sorted index triple; _triple_sums and _triple_rank hold that list
+and its map back to the half-grid tensor.
 """
 
 from __future__ import annotations
@@ -132,6 +134,36 @@ def fold_even(v: np.ndarray) -> np.ndarray:
     out = np.array(v[..., h:])
     out[..., n - 2 * h:] += v[..., h - 1::-1]
     return out
+
+
+# A kernel f(x_i^2 + x_j^2 + x_k^2) on the half grid is symmetric in
+# (i, j, k), so it takes one value per sorted triple lo <= mid <= hi:
+# H(H+1)(H+2)/6 of them instead of H^3.  The triple of rank
+# C(hi+2, 3) + C(mid+1, 2) + lo is the rank-th in lexicographic (hi, mid, lo)
+# order.
+
+@lru_cache(maxsize=None)
+def _triple_rank(h: int) -> np.ndarray:
+    """(H, H, H) map from each half-grid index triple to the rank of its
+    sorted triple; gathering a per-triple list through it expands the list
+    to the tensor that contract_even takes."""
+    a, b, c = np.ix_(*(np.arange(h, dtype=np.intp),) * 3)
+    hi = np.maximum(np.maximum(a, b), c)
+    lo = np.minimum(np.minimum(a, b), c)
+    mid = a + b + c - hi - lo
+    rank = hi * (hi + 1) * (hi + 2) // 6 + mid * (mid + 1) // 2 + lo
+    return _freeze(rank)[0]
+
+
+@lru_cache(maxsize=None)
+def _triple_sums(n_nodes: int) -> np.ndarray:
+    """x_lo^2 + x_mid^2 + x_hi^2 over the half-grid nodes of the n-node
+    Gauss-Hermite rule, one entry per sorted triple, in rank order."""
+    x, _ = gauss_hermite(n_nodes)
+    x2 = x[n_nodes // 2:] ** 2
+    a, b, c = np.ix_(*(np.arange(x2.size),) * 3)
+    hi, mid, lo = np.nonzero((a >= b) & (b >= c))
+    return _freeze((x2[lo] + x2[mid]) + x2[hi])[0]
 
 
 def contract_even(a: np.ndarray, b: np.ndarray, c: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -4,13 +4,18 @@ Everything runs in-process through cli.main so coverage tracks it and the
 fault-injection tests can monkeypatch the check registry.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hermgrid
 
@@ -58,6 +63,37 @@ def test_flag_validation_exit_codes(capsys):
     rc, _, err = run_cli(capsys, "yukawa", "--mu", "1", "--gh-nodes", "4")
     assert rc == 2
     assert "--gh-nodes: accepted range is gh_nodes >= 8, got 4" in err
+
+
+MOLLER_KINEMATICS = ["--p1", "0.1,0,0", "--p2=-0.1,0,0",
+                     "--p1-out", "0.08,0.06,0", "--p2-out=-0.08,-0.06,0"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["greens", "--mu", "inf"], "--mu"),
+    (["moller", *MOLLER_KINEMATICS, "--mu", "1", "--g", "nan"], "--g"),
+    (["moller", *MOLLER_KINEMATICS, "--mu", "1", "--m", "inf"], "--m"),
+    (["moller", "--p1", "nan,0,0", *MOLLER_KINEMATICS[2:], "--mu", "1"], "--p1"),
+    (["moller", *MOLLER_KINEMATICS, "--p2-out", "0,inf,0", "--mu", "1"], "--p2-out"),
+    (["yukawa", "--mu", "1", "--tol", "inf"], "--tol"),
+])
+def test_non_finite_flags_exit_2(capsys, argv, flag):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: accepted range is ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("flag", ["--m", "--mu"])
+def test_overflowing_mass_exits_2_with_one_line(capsys, flag):
+    # 1e300 is finite, but its square is not; the message names the error
+    rc, out, err = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1",
+                           "--vertex-n-max", "8", flag, "1e300")
+    assert rc == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: OverflowError: ")
 
 
 def test_nonconvergence_exit_code(capsys):
@@ -281,3 +317,62 @@ def test_tables_identical_across_thread_counts(argv):
         assert run.returncode == 0
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300)
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_SANE = {"--mu": "1.0", "--g": "1.0", "--m": "1.0", "--tol": "1e-08",
+         "--p1": "0.1,0,0", "--p2": "-0.1,0,0", "--p1-out": "0.08,0.06,0",
+         "--p2-out": "-0.08,-0.06,0"}
+_FLOAT_FLAGS = {
+    "yukawa": ("--mu", "--tol"),
+    "coulomb": ("--tol",),
+    "continuum": ("--mu", "--g", "--tol"),
+    "greens": ("--mu", "--tol"),
+    "moller": ("--mu", "--g", "--m", "--tol", "--p1", "--p2", "--p1-out", "--p2-out"),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    # one or two float flags take extreme or arbitrary values and the rest
+    # keep working ones, so most examples get past validation into the
+    # numerics; values go in the --flag=value form, as "-inf" would
+    # otherwise read as a flag
+    command = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
+    flags = _FLOAT_FLAGS[command]
+    wild = draw(st.sets(st.sampled_from(flags), min_size=1, max_size=2))
+    argv = [command]
+    for flag in flags:
+        if flag not in wild:
+            value = _SANE[flag]
+        elif flag.startswith("--p"):
+            value = ",".join(repr(draw(st.one_of(st.just(0.05), _ANY_FLOAT))) for _ in range(3))
+        else:
+            value = repr(draw(_ANY_FLOAT))
+        argv.append(f"{flag}={value}")
+    order_flag = "--vertex-n-max" if command == "moller" else "--n-max"
+    argv.append(f"{order_flag}={draw(st.integers(-1, 8 if command == 'moller' else 4))}")
+    # node counts below 8 are rejected before any rule is built; accepted
+    # ones stay small, so no example allocates a large tensor
+    argv.append(f"--gh-nodes={draw(st.sampled_from((0, 7, 8, 16)))}")
+    argv.append(f"--radial-nodes={draw(st.sampled_from((7, 8, 64)))}")
+    if draw(st.booleans()):
+        argv.append("--no-refine")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_cli_argv())
+def test_cli_fuzz_exit_codes_without_traceback(argv):
+    # in process, a traceback would be an exception escaping main()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hermgrid
 from hermgrid import dirac
 from hermgrid.errors import DomainError, NonconvergenceError
 from hermgrid.hermite import xi
-from hermgrid.quadrature import QuadratureConfig, gauss_hermite
+from hermgrid.quadrature import QuadratureConfig, gauss_hermite, weighted_phi_table
 
 
 def test_gamma_entries():
@@ -157,3 +161,79 @@ def test_s_plus_nonconvergence_gate():
     with pytest.raises(NonconvergenceError):
         dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, 1.0,
                            QuadratureConfig(gh_nodes=8, tol=1e-15))
+
+
+def _s_plus_full_grid(n, nhat, dt, m, n_nodes):
+    # the five integrals as sums over every term of the whole N^3 grid, with
+    # E built per node triple; no fold, no sorted-triple table.  The terms
+    # are summed exactly (math.fsum), so the reference adds no rounding of
+    # its own beyond that of each term
+    x, _ = gauss_hermite(n_nodes)
+    table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
+    p = [table[n[a]] * table[nhat[a]] for a in range(3)]
+    x2 = x * x
+    e = np.sqrt(x2[:, None, None] + x2[None, :, None] + x2[None, None, :] + m * m)
+    osc = np.exp(-1j * dt * e)
+
+    def integral(kernel, axis=None):
+        v = [x * p[a] if a == axis else p[a] for a in range(3)]
+        terms = (v[0][:, None, None] * v[1][None, :, None] * v[2][None, None, :] * kernel).ravel()
+        return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+    g1, g2, g3, g4 = (dirac.gamma_set()[a] for a in range(1, 5))
+    i_1, i_2, i_3 = (integral(osc / (2 * e), axis) for axis in range(3))
+    core = (1j * (g1 * i_1 + g2 * i_2 + g3 * i_3) - 1j * g4 * 0.5 * integral(osc)
+            - m * integral(osc / (2 * e)) * np.eye(4))
+    return 1j * 1j ** ((sum(n) - sum(nhat)) % 4) * math.pi ** -1.5 * core
+
+
+@pytest.mark.parametrize("gh_nodes", (9, 33))
+def test_s_plus_matches_full_grid_at_odd_node_counts(gh_nodes):
+    # odd rules put a node at x = 0, which the fold counts once
+    cfg = QuadratureConfig(gh_nodes=gh_nodes, refine=False)
+    for n, nhat, dt, m in [((1, 0, 0), (0, 0, 0), 0.4, 1.0), ((1, 1, 2), (0, 1, 0), 0.8, 1.0),
+                           ((2, 2, 0), (0, 0, 2), 1.3, 0.6), ((0, 0, 0), (0, 0, 0), 0.0, 2.0)]:
+        got = dirac.s_plus_green(n, nhat, dt, m, cfg)
+        want = _s_plus_full_grid(n, nhat, dt, m, gh_nodes)
+        assert float(np.max(np.abs(got - want))) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [(-1, 0, 0), (0, 0, -2), (0.5, 0, 0), (0, 0)])
+def test_s_plus_rejects_bad_indices(bad):
+    cfg = QuadratureConfig(gh_nodes=8, refine=False)
+    with pytest.raises(ValueError):
+        dirac.s_plus_green(bad, (0, 0, 0), 0.1, 1.0, cfg)
+    with pytest.raises(ValueError):
+        dirac.s_plus_green((0, 0, 0), bad, 0.1, 1.0, cfg)
+
+
+@pytest.mark.parametrize("dt, m", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                   (0.1, math.inf)])
+def test_s_plus_rejects_non_finite_time_and_mass(dt, m):
+    for refine in (True, False):
+        with pytest.raises(DomainError):
+            dirac.s_plus_green((0, 0, 0), (0, 0, 0), dt, m, QuadratureConfig(gh_nodes=8, refine=refine))
+
+
+def test_s_plus_nan_defect_trips_the_gate():
+    # m * m overflows, so every kernel entry is NaN and so is the defect
+    with pytest.raises(NonconvergenceError), np.errstate(invalid="ignore"):
+        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, 1e200, QuadratureConfig(gh_nodes=8))
+
+
+def test_s_plus_identical_across_thread_counts():
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrid.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, hermgrid; sys.stdout.buffer.write(hermgrid.s_plus_green("
+            "(1, 0, 2), (0, 1, 0), 0.37, 1.0, hermgrid.QuadratureConfig()).tobytes())")
+    outs = []
+    for threads in ("1", "2"):
+        env["HERMGRID_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert run.returncode == 0
+        outs.append(run.stdout)
+    assert len(outs[0]) == 16 * 16
+    assert outs[0] == outs[1]

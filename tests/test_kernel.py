@@ -4,13 +4,23 @@ contract_even sums vectors against a kernel that is even in each axis,
 given on the x >= 0 half of a mirror-symmetric grid.  The reference here
 expands that half tensor to the whole grid and contracts it with a plain
 einsum.  Odd node counts exercise the centre node, which the fold must
-count once.
+count once.  The sorted-triple tables, from which kernels of x_i^2 + x_j^2 +
+x_k^2 are gathered, are checked against the half-grid tensors they replace.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from hermgrid.quadrature import contract_even, fold_even, gauss_hermite, weighted_phi_table
+from hermgrid.quadrature import (
+    _triple_rank,
+    _triple_sums,
+    contract_even,
+    fold_even,
+    gauss_hermite,
+    weighted_phi_table,
+)
 
 NODE_COUNTS = (8, 9, 33, 64)
 
@@ -84,3 +94,64 @@ def test_fold_counts_centre_once(n):
     if n % 2:
         assert folded[0] == v[h]
     assert folded.sum() == v.sum()
+
+
+TRIPLE_NODE_COUNTS = (8, 9, 33, 64, 128)
+
+
+def _half_squares(n):
+    x, _ = gauss_hermite(n)
+    return x[n // 2:] ** 2
+
+
+@pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
+def test_triple_rank_is_a_bijection_onto_sorted_triples(n):
+    h = n - n // 2
+    rank = _triple_rank(h)
+    assert rank.shape == (h, h, h)
+    assert rank.dtype == np.intp
+    assert not rank.flags.writeable
+    assert _triple_rank(h) is rank
+    # the sorted triples i <= j <= k take each rank 0..T-1 exactly once
+    i, j, k = np.indices((h, h, h))
+    on_sorted = rank[(i <= j) & (j <= k)]
+    assert np.array_equal(np.sort(on_sorted), np.arange(h * (h + 1) * (h + 2) // 6))
+    # and every other triple takes the rank of its sorted permutation
+    lo, mid, hi = np.sort(np.stack([i, j, k]), axis=0)
+    assert np.array_equal(rank, rank[lo, mid, hi])
+
+
+@pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
+def test_triple_sums_match_full_half_grid_build(n):
+    sums = _triple_sums(n)
+    h = n - n // 2
+    assert sums.shape == (h * (h + 1) * (h + 2) // 6,)
+    assert not sums.flags.writeable
+    x2 = _half_squares(n)
+    full = (x2[:, None, None] + x2[None, :, None]) + x2[None, None, :]
+    gathered = sums[_triple_rank(h)]
+    # the centre node of an odd rule is exactly 0, so only the all-centre
+    # triple sums to 0; both builds give exactly 0 there
+    nonzero = full > 0
+    assert np.count_nonzero(~nonzero) == n % 2
+    assert np.all(gathered[~nonzero] == 0)
+    rel = np.abs(gathered[nonzero] - full[nonzero]) / full[nonzero]
+    assert np.max(rel) <= 1e-15
+
+
+@pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
+def test_gathered_kernel_is_exactly_symmetric_under_axis_permutations(n):
+    m = 0.7
+    kernel = np.sqrt(_triple_sums(n) + m * m)[_triple_rank(n - n // 2)]
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(kernel.transpose(perm), kernel)
+
+
+def test_full_grid_build_is_not_symmetric_to_the_bit():
+    # what the gathered kernel gains: a build that sums the squares in axis
+    # order rounds differently under some permutation
+    m = 0.7
+    x2 = _half_squares(128)
+    old = np.sqrt((np.add.outer(x2, x2) + m * m)[None, :, :] + x2[:, None, None])
+    assert any(not np.array_equal(old.transpose(perm), old)
+               for perm in itertools.permutations(range(3)))
