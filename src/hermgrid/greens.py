@@ -22,6 +22,13 @@ exact in the massless limit.  The reduced route drops the subtraction once
 mu is large enough that the pole no longer limits the rule, because the
 continuation factor grows exponentially with mu^2 there and would only add
 cancellation noise.
+
+The reduced route integrates over y = cos(theta) with a Gauss-Legendre rule
+of more than n1/2 nodes, which is exact for the even polynomial
+phi_{n1}(k y) of degree n1.  The angular moment at each radial node
+(_angular_moment) therefore does not depend on mu and is cached per order
+and node count, so each mass costs one radial sum; the massless 2D
+quadrature reads the same moments on its Gauss-Hermite radii.
 """
 
 from __future__ import annotations
@@ -101,10 +108,11 @@ _RAW_MEMO: dict[tuple, complex] = {}
 
 
 def clear_caches() -> None:
-    """Drop memoized Green's values and denominator tensors."""
+    """Drop memoized Green's values, denominator tensors and angular moments."""
     _RAW_MEMO.clear()
     _DENOM_CACHE.clear()
     _ball_quad_moments.cache_clear()
+    _angular_moment.cache_clear()
 
 
 def _inv_denominators(mu: float, n_nodes: int) -> np.ndarray:
@@ -193,6 +201,28 @@ def _g_raw(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -
     return hit
 
 
+def _refined(evaluate, cfg: QuadratureConfig, where: str, *where_args) -> GreensValue:
+    """The one refinement gate of the quadrature routes.
+
+    evaluate(k) integrates at k times the configured node counts.  With
+    refinement on, the value at k = 2 is returned and |value(2) - value(1)|
+    is its err_estimate.  A defect above 100*tol raises NonconvergenceError;
+    the comparison is written so that a NaN defect raises too.  The message
+    names the value by where.format(*where_args), built only on failure.
+    """
+    coarse = evaluate(1)
+    if not cfg.refine:
+        return GreensValue(complex(coarse), math.nan)
+    fine = evaluate(2)
+    err = abs(fine - coarse)
+    if not err <= 100.0 * cfg.tol:
+        raise NonconvergenceError(
+            f"{where.format(*where_args)}: refinement defect {err:.3e} "
+            f"exceeds 100*tol = {100.0 * cfg.tol:.3e}"
+        )
+    return GreensValue(complex(fine), err)
+
+
 def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """Tensor Gauss-Hermite evaluation of the 3D Green's function integral.
 
@@ -206,17 +236,10 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     nhat = _index3(nhat)
     if not mu > 0:
         raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
-    coarse = _g_raw(n, nhat, mu, cfg.gh_nodes)
-    if not cfg.refine:
-        return GreensValue(coarse, math.nan)
-    fine = _g_raw(n, nhat, mu, 2 * cfg.gh_nodes)
-    err = abs(fine - coarse)
-    if err > 100.0 * cfg.tol:
-        raise NonconvergenceError(
-            f"Green's function at n={n}, nhat={nhat}, mu={mu}: refinement defect "
-            f"{err:.3e} exceeds 100*tol = {100.0 * cfg.tol:.3e}"
-        )
-    return GreensValue(fine, err)
+    if not math.isfinite(mu * mu):
+        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
+    return _refined(lambda k: _g_raw(n, nhat, mu, k * cfg.gh_nodes), cfg,
+                    "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
 
 
 def _phi_imag_axis(n1: int, t: np.ndarray) -> np.ndarray:
@@ -244,20 +267,38 @@ def _phi_imag_axis(n1: int, t: np.ndarray) -> np.ndarray:
 _AXIS_SUBTRACT_MAX_MU = 1.0
 
 
+@lru_cache(maxsize=256)
+def _angular_moment(n1: int, rule, radial_nodes: int, ang_nodes: int) -> np.ndarray:
+    """s_i = sum_j wy_j phi_{n1}(k_i y_j) at each radius k_i of a radial rule,
+    with the ang_nodes-point Gauss-Legendre rule in y = cos(theta).
+
+    rule is gauss_laguerre_half, whose nodes are x = k^2, or gauss_hermite,
+    whose nodes are k.  No mass enters, so one read-only vector per order
+    and node count serves every mu.  For even n1, phi_{n1}(k y) is an even
+    polynomial of degree n1 in y, which the angular rule integrates exactly
+    once ang_nodes > n1 / 2.
+    """
+    x, _ = rule(radial_nodes)
+    k = np.sqrt(x) if rule is gauss_laguerre_half else x
+    y, wy = gauss_legendre(ang_nodes)
+    s = phi_row(n1, np.outer(k, y).ravel())[n1].reshape(radial_nodes, ang_nodes) @ wy
+    s.setflags(write=False)
+    return s
+
+
 # At high n1, phi_{n1}(sqrt(x) y) grows fast over the far radial nodes, so
 # the axis route relies on half-Laguerre weights that are accurate to
 # relative precision there, not only to absolute precision.
 def _axis_eval(n1: int, mu: float, radial_nodes: int, ang_nodes: int) -> float:
     xr, wr = gauss_laguerre_half(radial_nodes)
-    y, wy = gauss_legendre(ang_nodes)
-    ph = phi_row(n1, (np.sqrt(xr)[:, None] * y[None, :]).ravel())[n1].reshape(radial_nodes, ang_nodes)
+    s = _angular_moment(n1, gauss_laguerre_half, radial_nodes, ang_nodes)
     if mu <= _AXIS_SUBTRACT_MAX_MU:
-        pole = _phi_imag_axis(n1, mu * y)
-        core = (ph - pole[None, :]) / (xr[:, None] + mu * mu)
+        y, wy = gauss_legendre(ang_nodes)
+        pole = _phi_imag_axis(n1, mu * y) @ wy
         tail = _SQRT_PI - math.pi * mu * float(erfcx(mu))
-        val = wr @ (core @ wy) + (pole @ wy) * tail
+        val = wr @ ((s - pole) / (xr + mu * mu)) + pole * tail
     else:
-        val = wr @ ((ph / (xr[:, None] + mu * mu)) @ wy)
+        val = wr @ (s / (xr + mu * mu))
     sign = -1.0 if (n1 // 2) % 2 else 1.0
     return float(sign * val / _SQRT_PI)
 
@@ -273,6 +314,13 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     _AXIS_SUBTRACT_MAX_MU).  Either way the result is machine-accurate
     uniformly in mu.  Odd orders vanish by angular parity and are returned
     as exact zeros.
+
+    The angular rule has max(8, n1/2 + 2) nodes at the coarse level and
+    twice that at the fine one, so it is exact for the even polynomial
+    phi_{n1}(sqrt(x) y) at both; its result, the angular moment at each
+    radial node, is mu-independent and cached.  A call then costs the pole
+    moment (below the switch) and one radial sum per level; the refinement
+    defect still compares the two radial rules.
     """
     n1 = int(n1)
     if n1 < 0:
@@ -282,17 +330,8 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     if n1 % 2 == 1:
         return GreensValue(0j, 0.0)
     ang = max(8, n1 // 2 + 2)
-    coarse = _axis_eval(n1, mu, cfg.radial_nodes, ang)
-    if not cfg.refine:
-        return GreensValue(complex(coarse), math.nan)
-    fine = _axis_eval(n1, mu, 2 * cfg.radial_nodes, 2 * ang)
-    err = abs(fine - coarse)
-    if err > 100.0 * cfg.tol:
-        raise NonconvergenceError(
-            f"axis Green's function at n1={n1}, mu={mu}: refinement defect {err:.3e} "
-            f"exceeds 100*tol = {100.0 * cfg.tol:.3e}"
-        )
-    return GreensValue(complex(fine), err)
+    return _refined(lambda k: _axis_eval(n1, mu, k * cfg.radial_nodes, k * ang), cfg,
+                    "axis Green's function at n1={}, mu={}", n1, mu)
 
 
 # Depth of the continued fraction in _gamma_cf.  The fraction converges
@@ -371,12 +410,10 @@ def coulomb_even(n1: int) -> float:
 
 
 def _coulomb_eval(n1: int, gh_nodes: int, ang_nodes: int) -> complex:
-    x, w = gauss_hermite(gh_nodes)
-    y, wy = gauss_legendre(ang_nodes)
-    ph = phi_row(n1, np.outer(x, y).ravel())[n1].reshape(gh_nodes, ang_nodes)
+    _, w = gauss_hermite(gh_nodes)
     # half-line radial integral folded onto the full line by joint
     # (k, y) -> (-k, -y) symmetry of the integrand
-    val = (w @ ph @ wy) / _SQRT_PI
+    val = (w @ _angular_moment(n1, gauss_hermite, gh_nodes, ang_nodes)) / _SQRT_PI
     phase = 1j ** (n1 % 4)
     return complex(phase * val)
 
@@ -394,17 +431,8 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
     if n1 < 0:
         raise ValueError(f"order must be nonnegative, got {n1}")
     ang = max(8, n1 // 2 + 2)
-    coarse = _coulomb_eval(n1, cfg.gh_nodes, ang)
-    if not cfg.refine:
-        return GreensValue(coarse, math.nan)
-    fine = _coulomb_eval(n1, 2 * cfg.gh_nodes, 2 * ang)
-    err = abs(fine - coarse)
-    if err > 100.0 * cfg.tol:
-        raise NonconvergenceError(
-            f"massless quadrature at index {n1}: refinement defect {err:.3e} "
-            f"exceeds 100*tol = {100.0 * cfg.tol:.3e}"
-        )
-    return GreensValue(fine, err)
+    return _refined(lambda k: _coulomb_eval(n1, k * cfg.gh_nodes, k * ang), cfg,
+                    "massless quadrature at index {}", n1)
 
 
 def euler_beta(a: float, b: float) -> float:
@@ -420,7 +448,10 @@ def continuum_yukawa(r: float, mu: float, g: float) -> float:
         raise DomainError(f"r must be positive, got {r}")
     if mu < 0:
         raise DomainError(f"mu must be nonnegative, got {mu}")
-    return -(g * g) / (4.0 * math.pi) * math.exp(-mu * r) / r
+    val = -(g * g) / (4.0 * math.pi) * math.exp(-mu * r) / r
+    if not math.isfinite(val):
+        raise DomainError(f"potential at r={r}, mu={mu}, g={g} is not a finite double: {val}")
+    return val
 
 
 def continuum_yukawa_oracle(r: float, mu: float, cfg: QuadratureConfig) -> float:
@@ -433,8 +464,9 @@ def continuum_yukawa_oracle(r: float, mu: float, cfg: QuadratureConfig) -> float
     """
     if not r > 0:
         raise DomainError(f"r must be positive, got {r}")
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    if not (mu > 0 and mu * mu > 0):
+        # k / (k^2 + mu^2) is 0/0 at k = 0 once mu^2 underflows
+        raise DomainError(f"mu must be positive with a nonzero square, got {mu}")
     val, _ = quad(
         lambda k: k / (k * k + mu * mu),
         0.0,

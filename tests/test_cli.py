@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import hermgrid
 
 from hermgrid import checks, cli, dirac
-from hermgrid.greens import coulomb_even, yukawa_coincidence
+from hermgrid.greens import clear_caches, coulomb_even, yukawa_coincidence
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +101,53 @@ def test_nonconvergence_exit_code(capsys):
                          "--tol", "1e-12")
     assert rc == 3
     assert "did not converge" in err
+
+
+def _run_fresh(*argv, threads="1"):
+    # a new interpreter, so nothing is cached and warnings reach stderr
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrid.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["HERMGRID_THREADS"] = threads
+    return subprocess.run([sys.executable, "-m", "hermgrid.cli", *argv],
+                          capture_output=True, env=env, text=True)
+
+
+@pytest.mark.parametrize("argv", [
+    # mu^2 overflows: the tensor route used to print nan cells and exit 0
+    ["greens", "--mu", "1e300", "--n-max", "0"],
+    # g^2 overflows: the table used to carry -inf and nan and exit 0
+    ["continuum", "--mu", "1", "--g", "1e300"],
+    # mu^2 underflows: the oracle used to die in a bare ZeroDivisionError
+    ["continuum", "--mu", "1e-300"],
+], ids=["greens-mu", "continuum-g", "continuum-mu"])
+def test_unrepresentable_inputs_exit_with_one_line(argv):
+    run = _run_fresh(*argv)
+    assert run.returncode in (2, 3)
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: ") and "DomainError" in line
+
+
+def test_yukawa_table_independent_of_earlier_calls(capsys):
+    # the axis route caches mass-independent moments; the table bytes must
+    # not depend on what the process computed before
+    argv = ("yukawa", "--mu", "0.7", "--n-max", "40")
+    first = _run_fresh(*argv)
+    assert first.returncode == 0 and first.stderr == ""
+    clear_caches()
+    cfg = hermgrid.QuadratureConfig()
+    for mu in (0.25, 1.0, 1.3, 4.0):
+        for n1 in range(0, 41, 3):
+            hermgrid.g_sharp_axis(n1, mu, cfg)
+    hermgrid.coulomb_quadrature(12, cfg)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert out == first.stdout
+    rc, again, _ = run_cli(capsys, *argv)
+    assert again == first.stdout
 
 
 def test_yukawa_table(capsys):

@@ -7,6 +7,8 @@ from hermgrid.errors import DomainError, NonconvergenceError
 from hermgrid.greens import (
     GreensValue,
     MassParam,
+    _angular_moment,
+    _refined,
     clear_caches,
     continuum_yukawa,
     continuum_yukawa_oracle,
@@ -21,7 +23,8 @@ from hermgrid.greens import (
     w_sharp,
     yukawa_coincidence,
 )
-from hermgrid.quadrature import QuadratureConfig
+from hermgrid.hermite import phi_row
+from hermgrid.quadrature import QuadratureConfig, gauss_hermite, gauss_laguerre_half, gauss_legendre
 
 CFG = QuadratureConfig()
 
@@ -250,3 +253,62 @@ def test_clear_caches_is_idempotent_and_preserves_values():
     clear_caches()
     after = g_sharp((2, 1, 0), (0, 1, 0), 1.3, CFG).value
     assert before == after
+
+
+def test_angular_moment_is_cached_read_only_and_cleared():
+    clear_caches()
+    assert _angular_moment.cache_info().currsize == 0
+    g_sharp_axis(10, 0.5, CFG)
+    g_sharp_axis(10, 2.0, CFG)
+    coulomb_quadrature(4, CFG)
+    # one moment per level and radial rule, whatever the mass
+    assert _angular_moment.cache_info().currsize == 4
+    s = _angular_moment(10, gauss_laguerre_half, CFG.radial_nodes, 8)
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0] = 1.0
+    assert not _angular_moment(4, gauss_hermite, CFG.gh_nodes, 8).flags.writeable
+    clear_caches()
+    assert _angular_moment.cache_info().currsize == 0
+
+
+def test_angular_moment_matches_the_full_grid_sum():
+    # the moment is the angular half of the old per-call grid sum
+    x, _ = gauss_laguerre_half(64)
+    y, wy = gauss_legendre(12)
+    for n1 in (0, 6, 20):
+        grid = phi_row(n1, np.outer(np.sqrt(x), y).ravel())
+        want = np.array([math.fsum(row) for row in grid[n1].reshape(64, 12) * wy])
+        got = _angular_moment(n1, gauss_laguerre_half, 64, 12)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_refinement_gate_trips_on_nan_defect():
+    with pytest.raises(NonconvergenceError, match="defect nan"):
+        _refined(lambda k: (1.0, math.nan)[k - 1], CFG, "probe")
+    with pytest.raises(NonconvergenceError):
+        _refined(lambda k: math.nan, CFG, "probe")
+    assert math.isnan(_refined(lambda k: math.nan, QuadratureConfig(refine=False), "probe").err_estimate)
+    assert _refined(lambda k: 1.0, CFG, "probe") == GreensValue(1 + 0j, 0.0)
+
+
+def test_overflowing_mass_square_is_a_domain_error():
+    with pytest.raises(DomainError):
+        g_sharp((0, 0, 0), (0, 0, 0), 1e300, CFG)
+    with pytest.raises(DomainError):
+        g_sharp((2, 0, 0), (0, 0, 0), math.inf, CFG)
+    # the axis route stays finite there: the value underflows to 0
+    assert g_sharp_axis(0, 1e300, CFG) == GreensValue(0j, 0.0)
+
+
+def test_continuum_rejects_non_finite_results_and_underflowing_mass():
+    with pytest.raises(DomainError):
+        continuum_yukawa(1.0, 1.0, 1e300)
+    with pytest.raises(DomainError):
+        continuum_yukawa(1e-320, 0.0, 1.0)
+    assert math.isfinite(continuum_yukawa(1.0, 1.0, 1e150))
+    for mu in (1e-300, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            continuum_yukawa_oracle(1.0, mu, CFG)
+    assert continuum_yukawa_oracle(1.0, 1e-100, CFG) == pytest.approx(
+        continuum_yukawa(1.0, 0.0, 1.0), rel=1e-9)
