@@ -27,7 +27,7 @@ from .errors import (
     TruncationWarning,
 )
 from .quadrature import QuadratureConfig
-from .hermite import hermite_poly, xi, xi_delta_sharp, xi_product
+from .hermite import hermite_poly, xi, xi_delta_sharp
 from .grid import (
     GridBox,
     GridFunction,
@@ -54,13 +54,11 @@ from .dirac import (
 )
 from .greens import (
     GreensValue,
-    MassParam,
     continuum_yukawa,
     continuum_yukawa_oracle,
     coulomb_even,
     coulomb_quadrature,
     difference_equation_residual,
-    euler_beta,
     g_sharp,
     g_sharp_axis,
     incomplete_gamma_neg_half,
@@ -89,7 +87,6 @@ __all__ = [
     "hermite_poly",
     "xi",
     "xi_delta_sharp",
-    "xi_product",
     "GridBox",
     "GridFunction",
     "delta_bwd",
@@ -111,13 +108,11 @@ __all__ = [
     "spinor_u",
     "spinor_v",
     "GreensValue",
-    "MassParam",
     "continuum_yukawa",
     "continuum_yukawa_oracle",
     "coulomb_even",
     "coulomb_quadrature",
     "difference_equation_residual",
-    "euler_beta",
     "g_sharp",
     "g_sharp_axis",
     "incomplete_gamma_neg_half",

@@ -30,7 +30,7 @@ from .greens import (
     g_sharp_axis,
     yukawa_coincidence,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import GH_NODES_MAX, QuadratureConfig
 from .scattering import MollerKinematics, VertexTruncation, moller_reduced_element, continuum_moller_reduced
 
 
@@ -135,6 +135,7 @@ def _run_config(args, command: str) -> RunConfig:
     _require(cfg.m > 0, "--m", "m > 0", cfg.m)
     _require(cfg.n_max >= 0, "--n-max", "n_max >= 0", cfg.n_max)
     _require(cfg.gh_nodes >= 8, "--gh-nodes", "gh_nodes >= 8", cfg.gh_nodes)
+    _require(cfg.gh_nodes <= GH_NODES_MAX, "--gh-nodes", f"gh_nodes <= {GH_NODES_MAX}", cfg.gh_nodes)
     _require(cfg.radial_nodes >= 8, "--radial-nodes", "radial_nodes >= 8", cfg.radial_nodes)
     _require(cfg.tol > 0, "--tol", "tol > 0", cfg.tol)
     return cfg

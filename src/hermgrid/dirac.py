@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonconvergenceError
-from .greens import _index3
+from .errors import DomainError
 from .quadrature import (
     QuadratureConfig,
-    _triple_rank,
-    _triple_sums,
     contract_even,
     gauss_hermite,
+    index3,
+    refined,
+    triple_rank,
+    triple_sums,
     weighted_phi_table,
 )
 
@@ -173,9 +174,9 @@ def _s_plus_eval(
     # under any permutation of the axes, so they are evaluated once per
     # sorted triple of half-grid nodes and gathered into the (H, H, H)
     # tensor that contract_even takes
-    e = np.sqrt(_triple_sums(n_nodes) + m * m)
+    e = np.sqrt(triple_sums(n_nodes) + m * m)
     osc = np.exp((-_I * dt) * e)
-    rank = _triple_rank(n_nodes - n_nodes // 2)
+    rank = triple_rank(n_nodes - n_nodes // 2)
     i_m, i_1, i_2, i_3 = contract_even(
         np.stack([p1, x * p1, p1, p1]),
         np.stack([p2, p2, x * p2, p2]),
@@ -203,20 +204,15 @@ def s_plus_green(
     basis-pair product times e^{-iE dt} over momentum, by tensor
     Gauss-Hermite quadrature with the Gaussian weight taken from the basis
     functions.  The oscillatory time factor is smooth and stays inside.
+    The refinement gate (quadrature.refined) is tol on the largest entry
+    defect.
     """
-    n = _index3(n)
-    nhat = _index3(nhat)
+    n = index3(n)
+    nhat = index3(nhat)
     if not (m > 0 and math.isfinite(m)):
         raise DomainError(f"mass must be positive and finite, got {m}")
     if not math.isfinite(dt):
         raise DomainError(f"time separation must be finite, got {dt}")
-    coarse = _s_plus_eval(n, nhat, dt, m, cfg.gh_nodes)
-    if not cfg.refine:
-        return coarse
-    fine = _s_plus_eval(n, nhat, dt, m, 2 * cfg.gh_nodes)
-    defect = float(np.max(np.abs(fine - coarse)))
-    if not defect <= cfg.tol:
-        raise NonconvergenceError(
-            f"fermionic Green's function refinement defect {defect:.3e} exceeds tol {cfg.tol:.3e}"
-        )
-    return fine
+    value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * cfg.gh_nodes), cfg, cfg.tol,
+                       "fermionic Green's function at n={}, nhat={}", n, nhat)
+    return value

@@ -42,14 +42,16 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from .errors import DomainError, NonconvergenceError
-from .hermite import phi_at_zero, phi_row
+from .errors import DomainError
+from .hermite import phi, phi_row
 from .quadrature import (
     QuadratureConfig,
     contract_even,
     gauss_hermite,
     gauss_laguerre_half,
     gauss_legendre,
+    index3,
+    refined,
     weighted_phi_table,
 )
 
@@ -61,41 +63,14 @@ class GreensValue:
     """A Green's function sample plus the honest refinement-based error bar.
 
     err_estimate is |value(N) - value(2N)| under node doubling when the
-    config asked for refinement, exactly 0.0 for results that are exact by
+    config asked for refinement (a defect above 100*tol raises, see
+    quadrature.refined), exactly 0.0 for results that are exact by
     construction (parity zeros, closed forms), and NaN when refinement was
     disabled so no estimate exists.
     """
 
     value: complex
     err_estimate: float
-
-
-@dataclass(frozen=True)
-class MassParam:
-    """Physical parameters: boson mass mu, fermion mass m, coupling g."""
-
-    mu: float
-    m: float
-    g: float
-
-    def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
-
-
-def _index3(n) -> tuple[int, int, int]:
-    t = tuple(n)
-    if len(t) != 3:
-        raise ValueError(f"grid index needs three components, got {n!r}")
-    out = []
-    for v in t:
-        iv = int(v)
-        if iv != v or iv < 0:
-            raise ValueError(f"grid index components must be nonnegative integers, got {n!r}")
-        out.append(iv)
-    return tuple(out)
 
 
 # inverse-denominator tensors 1/(x_i^2+x_j^2+x_l^2+mu^2) on the x >= 0 half
@@ -165,21 +140,24 @@ def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
     polynomial product a b c: the quadratic pole model whose quadrature
     defect (_ball_defects) is added back in closed form.
     """
+    if not math.isfinite(mu * mu):
+        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
     acc = contract_even(a, b, c, _inv_denominators(mu, n_nodes))
     d0, d2 = _ball_defects(mu, n_nodes)
     return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
 
 
+@lru_cache(maxsize=1024)
 def _pole_model(n: int, nhat: int) -> tuple[float, float]:
     """Value and half-second-derivative at the origin of the one-axis pair
     polynomial phi_n phi_nhat, from the Hermite differential relations
-    phi_n'(0) = sqrt(2n) phi_{n-1}(0) and phi_n''(0) = -2n phi_n(0)."""
-    z_n = phi_at_zero(n)
-    z_h = phi_at_zero(nhat)
-    q0 = z_n * z_h
+    phi_n'(0) = sqrt(2n) phi_{n-1}(0) and phi_n''(0) = -2n phi_n(0).
+    Cached: every mass and node count asks for the same few pairs."""
+    z = phi_row(max(n, nhat), np.zeros(1))[:, 0].tolist()
+    q0 = z[n] * z[nhat]
     cross = 0.0
     if n >= 1 and nhat >= 1:
-        cross = 2.0 * math.sqrt(n * nhat) * phi_at_zero(n - 1) * phi_at_zero(nhat - 1)
+        cross = 2.0 * math.sqrt(n * nhat) * z[n - 1] * z[nhat - 1]
     return q0, -(n + nhat) * q0 + cross
 
 
@@ -201,28 +179,6 @@ def _g_raw(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -
     return hit
 
 
-def _refined(evaluate, cfg: QuadratureConfig, where: str, *where_args) -> GreensValue:
-    """The one refinement gate of the quadrature routes.
-
-    evaluate(k) integrates at k times the configured node counts.  With
-    refinement on, the value at k = 2 is returned and |value(2) - value(1)|
-    is its err_estimate.  A defect above 100*tol raises NonconvergenceError;
-    the comparison is written so that a NaN defect raises too.  The message
-    names the value by where.format(*where_args), built only on failure.
-    """
-    coarse = evaluate(1)
-    if not cfg.refine:
-        return GreensValue(complex(coarse), math.nan)
-    fine = evaluate(2)
-    err = abs(fine - coarse)
-    if not err <= 100.0 * cfg.tol:
-        raise NonconvergenceError(
-            f"{where.format(*where_args)}: refinement defect {err:.3e} "
-            f"exceeds 100*tol = {100.0 * cfg.tol:.3e}"
-        )
-    return GreensValue(complex(fine), err)
-
-
 def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """Tensor Gauss-Hermite evaluation of the 3D Green's function integral.
 
@@ -232,14 +188,13 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     nhat) phase makes parity-allowed values real (sign (-1)^(diff/2)); pairs
     violating per-axis parity integrate to zero by node symmetry.
     """
-    n = _index3(n)
-    nhat = _index3(nhat)
+    n = index3(n)
+    nhat = index3(nhat)
     if not mu > 0:
         raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
-    if not math.isfinite(mu * mu):
-        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
-    return _refined(lambda k: _g_raw(n, nhat, mu, k * cfg.gh_nodes), cfg,
-                    "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
+    value, err = refined(lambda k: _g_raw(n, nhat, mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol,
+                         "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
+    return GreensValue(complex(value), err)
 
 
 def _phi_imag_axis(n1: int, t: np.ndarray) -> np.ndarray:
@@ -281,7 +236,7 @@ def _angular_moment(n1: int, rule, radial_nodes: int, ang_nodes: int) -> np.ndar
     x, _ = rule(radial_nodes)
     k = np.sqrt(x) if rule is gauss_laguerre_half else x
     y, wy = gauss_legendre(ang_nodes)
-    s = phi_row(n1, np.outer(k, y).ravel())[n1].reshape(radial_nodes, ang_nodes) @ wy
+    s = phi(n1, np.outer(k, y)) @ wy
     s.setflags(write=False)
     return s
 
@@ -330,8 +285,9 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     if n1 % 2 == 1:
         return GreensValue(0j, 0.0)
     ang = max(8, n1 // 2 + 2)
-    return _refined(lambda k: _axis_eval(n1, mu, k * cfg.radial_nodes, k * ang), cfg,
-                    "axis Green's function at n1={}, mu={}", n1, mu)
+    value, err = refined(lambda k: _axis_eval(n1, mu, k * cfg.radial_nodes, k * ang), cfg,
+                         100.0 * cfg.tol, "axis Green's function at n1={}, mu={}", n1, mu)
+    return GreensValue(complex(value), err)
 
 
 # Depth of the continued fraction in _gamma_cf.  The fraction converges
@@ -431,15 +387,9 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
     if n1 < 0:
         raise ValueError(f"order must be nonnegative, got {n1}")
     ang = max(8, n1 // 2 + 2)
-    return _refined(lambda k: _coulomb_eval(n1, k * cfg.gh_nodes, k * ang), cfg,
-                    "massless quadrature at index {}", n1)
-
-
-def euler_beta(a: float, b: float) -> float:
-    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b), via log-gamma."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"beta function needs positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    value, err = refined(lambda k: _coulomb_eval(n1, k * cfg.gh_nodes, k * ang), cfg,
+                         100.0 * cfg.tol, "massless quadrature at index {}", n1)
+    return GreensValue(complex(value), err)
 
 
 def continuum_yukawa(r: float, mu: float, g: float) -> float:
@@ -487,8 +437,8 @@ def difference_equation_residual(n, nhat, mu: float, cfg: QuadratureConfig) -> f
     vanishes).  The Green's function inverts the operator with a negative
     Kronecker source, so adding the delta should cancel to quadrature noise.
     """
-    n = _index3(n)
-    nhat = _index3(nhat)
+    n = index3(n)
+    nhat = index3(nhat)
     lhs = 0j
     center = 0.0
     for ax in range(3):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -57,16 +56,6 @@ class GridFunction:
             raise ValueError(f"origin {self.origin} incompatible with box {self.box.extents}")
         if self.values.shape != spans:
             raise ValueError(f"values shape {self.values.shape} != valid spans {spans}")
-
-    @classmethod
-    def from_callable(cls, box: GridBox, fn: Callable[[int, int, int], complex]) -> "GridFunction":
-        e1, e2, e3 = box.extents
-        vals = np.empty((e1, e2, e3), dtype=complex)
-        for a in range(e1):
-            for b in range(e2):
-                for c in range(e3):
-                    vals[a, b, c] = fn(a, b, c)
-        return cls(box, vals)
 
 
 def _axis0(axis: int) -> int:

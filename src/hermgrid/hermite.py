@@ -7,13 +7,14 @@ The basis function of order n is
 where H_n is the physicists' Hermite polynomial.  Everything in this package
 that integrates over momentum expands in this basis, so the evaluation here
 must stay accurate for orders in the hundreds.  Factorials and raw H_n values
-overflow long before that, which is why all evaluation goes through normalized
-three-term recurrences.
+overflow long before that, which is why all evaluation goes through one
+normalized three-term recurrence, _phi_rows.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -47,53 +48,49 @@ def hermite_poly(n: int, k: float) -> float:
     return h
 
 
+def _phi_rows(x, seed):
+    """Yield seed phi_0(x), seed phi_1(x), ... without end.
+
+    The one copy of the normalized recurrence
+    phi_{j+1} = sqrt(2/(j+1)) x phi_j - sqrt(j/(j+1)) phi_{j-1}, which never
+    forms H_n or n! and is overflow-free for all n.  x and seed may be
+    floats or arrays; a seed that carries the Gaussian factor keeps the
+    values of the basis functions in range at any k.
+    """
+    prev, cur = 0.0, seed
+    j = 0
+    while True:
+        yield cur
+        prev, cur = cur, math.sqrt(2.0 / (j + 1)) * x * cur - math.sqrt(j / (j + 1.0)) * prev
+        j += 1
+
+
+# i^n by n mod 4
+_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
 def xi(n: int, k: float) -> complex:
-    """Scaled Hermite basis function xi_n(k).
+    """Scaled Hermite basis function xi_n(k) = i^n e^{-k^2/2} phi_n(k) / pi^{1/4}.
 
-    Computed by the normalized recurrence
-
-        xi_{n+1} = i k sqrt(2/(n+1)) xi_n + sqrt(n/(n+1)) xi_{n-1}
-
-    which never forms H_n or n! explicitly and is overflow-free for all n.
-    The i^n phase is carried inside the value, so even orders are real and
-    odd orders purely imaginary.
+    The recurrence runs on the real factor e^{-k^2/2} phi_n(k) / pi^{1/4}
+    and the i^n phase is applied last, so even orders are real and odd orders
+    purely imaginary.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    cur = complex(math.exp(-0.5 * k * k) / _PI_QUARTER)
-    if n == 0:
-        return cur
-    prev = 0j
-    ik = 1j * k
-    for j in range(n):
-        prev, cur = cur, ik * math.sqrt(2.0 / (j + 1)) * cur + math.sqrt(j / (j + 1.0)) * prev
-    return cur
+    val = next(islice(_phi_rows(k, math.exp(-0.5 * k * k) / _PI_QUARTER), n, None))
+    return _I_POW[n % 4] * val
 
 
 def xi_axis(n_max: int, k: float) -> np.ndarray:
-    """All of xi_0(k) .. xi_{n_max}(k) as one complex vector.
-
-    Same recurrence as :func:`xi`; used by every mode sum in the package.
+    """All of xi_0(k) .. xi_{n_max}(k) as one complex vector, by the same
+    recurrence as :func:`xi`; used by every mode sum in the package.
     """
     if n_max < 0:
         raise ValueError(f"order must be nonnegative, got {n_max}")
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = math.exp(-0.5 * k * k) / _PI_QUARTER
-    if n_max == 0:
-        return out
-    ik = 1j * k
-    out[1] = ik * math.sqrt(2.0) * out[0]
-    for j in range(1, n_max):
-        out[j + 1] = ik * math.sqrt(2.0 / (j + 1)) * out[j] + math.sqrt(j / (j + 1.0)) * out[j - 1]
-    return out
-
-
-def xi_product(n: tuple[int, int, int], k: tuple[float, float, float]) -> complex:
-    """Product over the three axes, prod_j xi_{n_j}(k_j)."""
-    value = 1 + 0j
-    for nj, kj in zip(n, k, strict=True):
-        value *= xi(nj, kj)
-    return value
+    count = n_max + 1
+    vals = np.fromiter(_phi_rows(k, math.exp(-0.5 * k * k) / _PI_QUARTER), float, count)
+    return vals * np.array(_I_POW)[np.arange(count) % 4]
 
 
 def xi_delta_sharp(n: int, k: float) -> complex:
@@ -118,22 +115,14 @@ def phi_row(n_max: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows = np.empty((n_max + 1, x.size))
-    rows[0] = 1.0
-    if n_max >= 1:
-        rows[1] = math.sqrt(2.0) * x
-    for j in range(1, n_max):
-        rows[j + 1] = math.sqrt(2.0 / (j + 1)) * x * rows[j] - math.sqrt(j / (j + 1.0)) * rows[j - 1]
+    for row, val in zip(rows, _phi_rows(x, 1.0)):
+        row[...] = val
     return rows
 
 
-def phi_at_zero(n: int) -> float:
-    """phi_n(0), nonzero only for even n.  Needed by pole subtractions."""
+def phi(n: int, x: np.ndarray) -> np.ndarray:
+    """phi_n(x) alone: row n of phi_row(n, x), without storing the rows below it."""
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    if n % 2 == 1:
-        return 0.0
-    val = 1.0
-    # phi_{j+1}(0) = -sqrt(j/(j+1)) phi_{j-1}(0), stepping over even orders
-    for j in range(1, n, 2):
-        val *= -math.sqrt(j / (j + 1.0))
-    return val
+    x = np.asarray(x, dtype=float)
+    return next(islice(_phi_rows(x, np.ones(x.shape)), n, None))

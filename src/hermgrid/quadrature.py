@@ -7,8 +7,9 @@ instead of rebuilding them.  Every 3D Gauss-Hermite sum in the package
 (Green's function, exchange element, fermion propagator) has a kernel that
 is even in each axis and goes through contract_even, which works on the
 x >= 0 half of the grid.  A kernel of x_i^2 + x_j^2 + x_k^2 alone needs one
-value per sorted index triple; _triple_sums and _triple_rank hold that list
-and its map back to the half-grid tensor.
+value per sorted index triple; triple_sums and triple_rank hold that list
+and its map back to the half-grid tensor.  Every quadrature value in the
+package passes the one refinement gate, refined.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_hermite, roots_legendre
 
+from .errors import NonconvergenceError
 from .hermite import phi_row
+
+# The fine refinement level runs at twice gh_nodes, and the tensor routes
+# build (gh_nodes)^3 half-grid tensors there: s_plus_green holds an intp
+# rank map and two complex kernels of that shape, about 0.7 GB at 256
+# nodes.  Larger counts would exhaust the memory of a typical host.
+GH_NODES_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -29,8 +37,9 @@ class QuadratureConfig:
     """Node counts and tolerances shared by every integral evaluation.
 
     refine=True evaluates each quadrature at the configured node count and
-    at double that count; the difference is reported as the error estimate.
-    With refine=False no estimate exists and NaN is reported instead.
+    at double that count; the difference is reported as the error estimate
+    and tested against a gate (see refined).  With refine=False no estimate
+    exists and NaN is reported instead.
     """
 
     gh_nodes: int = 64
@@ -41,10 +50,52 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.gh_nodes < 8:
             raise ValueError(f"gh_nodes must be >= 8, got {self.gh_nodes}")
+        if self.gh_nodes > GH_NODES_MAX:
+            raise ValueError(f"gh_nodes must be <= {GH_NODES_MAX}, got {self.gh_nodes}")
         if self.radial_nodes < 8:
             raise ValueError(f"radial_nodes must be >= 8, got {self.radial_nodes}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+
+
+def index3(n) -> tuple[int, int, int]:
+    """A grid index triple as three nonnegative ints; ValueError otherwise."""
+    t = tuple(n)
+    if len(t) != 3:
+        raise ValueError(f"grid index needs three components, got {n!r}")
+    out = []
+    for v in t:
+        iv = int(v)
+        if iv != v or iv < 0:
+            raise ValueError(f"grid index components must be nonnegative integers, got {n!r}")
+        out.append(iv)
+    return tuple(out)
+
+
+def refined(evaluate, cfg: QuadratureConfig, gate: float, where: str, *where_args):
+    """The one refinement gate of every quadrature value: (value, err_estimate).
+
+    evaluate(k) integrates at k times the configured node counts and returns
+    a number or an array.  With refinement off, (evaluate(1), NaN) is
+    returned.  Otherwise the value at k = 2 is returned with the defect
+    max |value(2) - value(1)| (plain |.| for a number) as its err_estimate,
+    and a defect above gate raises NonconvergenceError.  The comparison is
+    written so that a NaN defect raises too.  Green's values pass 100*tol as
+    the gate, the fermion projector tol.  The message names the value by
+    where.format(*where_args), built only on failure.
+    """
+    coarse = evaluate(1)
+    if not cfg.refine:
+        return coarse, math.nan
+    fine = evaluate(2)
+    err = abs(fine - coarse)
+    if isinstance(err, np.ndarray):
+        err = float(err.max())
+    if not err <= gate:
+        raise NonconvergenceError(
+            f"{where.format(*where_args)}: refinement defect {err:.3e} exceeds the gate {gate:.3e}"
+        )
+    return fine, err
 
 
 def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -143,7 +194,7 @@ def fold_even(v: np.ndarray) -> np.ndarray:
 # order.
 
 @lru_cache(maxsize=None)
-def _triple_rank(h: int) -> np.ndarray:
+def triple_rank(h: int) -> np.ndarray:
     """(H, H, H) map from each half-grid index triple to the rank of its
     sorted triple; gathering a per-triple list through it expands the list
     to the tensor that contract_even takes."""
@@ -156,7 +207,7 @@ def _triple_rank(h: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triple_sums(n_nodes: int) -> np.ndarray:
+def triple_sums(n_nodes: int) -> np.ndarray:
     """x_lo^2 + x_mid^2 + x_hi^2 over the half-grid nodes of the n-node
     Gauss-Hermite rule, one entry per sorted triple, in rank order."""
     x, _ = gauss_hermite(n_nodes)

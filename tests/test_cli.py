@@ -64,6 +64,10 @@ def test_flag_validation_exit_codes(capsys):
     assert rc == 2
     assert "--gh-nodes: accepted range is gh_nodes >= 8, got 4" in err
 
+    rc, _, err = run_cli(capsys, "greens", "--mu", "1", "--gh-nodes", "257")
+    assert rc == 2
+    assert "--gh-nodes: accepted range is gh_nodes <= 256, got 257" in err
+
 
 MOLLER_KINEMATICS = ["--p1", "0.1,0,0", "--p2=-0.1,0,0",
                      "--p1-out", "0.08,0.06,0", "--p2-out=-0.08,-0.06,0"]
@@ -84,16 +88,17 @@ def test_non_finite_flags_exit_2(capsys, argv, flag):
     assert err.startswith(f"error: {flag}: accepted range is ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("flag", ["--m", "--mu"])
-def test_overflowing_mass_exits_2_with_one_line(capsys, flag):
-    # 1e300 is finite, but its square is not; the message names the error
-    rc, out, err = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1",
-                           "--vertex-n-max", "8", flag, "1e300")
-    assert rc == 2
-    assert out == ""
-    (line,) = err.splitlines()
-    assert line.startswith("error: OverflowError: ")
+def test_overflowing_mass_exits_2_with_one_line(flag):
+    # 1e300 is finite, but its square is not; the message names the error.
+    # A fresh interpreter shows any numpy warning printed on the way.
+    run = _run_fresh("moller", *MOLLER_KINEMATICS, "--mu", "1",
+                     "--vertex-n-max", "8", flag, "1e300")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    error = {"--m": "OverflowError", "--mu": "DomainError"}[flag]
+    assert line.startswith(f"error: {error}: ")
 
 
 def test_nonconvergence_exit_code(capsys):
@@ -400,9 +405,10 @@ def _cli_argv(draw):
         argv.append(f"{flag}={value}")
     order_flag = "--vertex-n-max" if command == "moller" else "--n-max"
     argv.append(f"{order_flag}={draw(st.integers(-1, 8 if command == 'moller' else 4))}")
-    # node counts below 8 are rejected before any rule is built; accepted
-    # ones stay small, so no example allocates a large tensor
-    argv.append(f"--gh-nodes={draw(st.sampled_from((0, 7, 8, 16)))}")
+    # node counts below 8 or past the budget are rejected before any rule
+    # is built; accepted ones stay small, so no example allocates a large
+    # tensor
+    argv.append(f"--gh-nodes={draw(st.sampled_from((0, 7, 8, 16, 257, 500, 10 ** 6)))}")
     argv.append(f"--radial-nodes={draw(st.sampled_from((7, 8, 64)))}")
     if draw(st.booleans()):
         argv.append("--no-refine")

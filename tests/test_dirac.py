@@ -161,6 +161,16 @@ def test_s_plus_nonconvergence_gate():
     with pytest.raises(NonconvergenceError):
         dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, 1.0,
                            QuadratureConfig(gh_nodes=8, tol=1e-15))
+    # the gate is tol itself on the largest entry defect, not the 100*tol
+    # of the Green's values
+    args = ((0, 0, 0), (0, 0, 0), 0.5, 1.0)
+    coarse, fine = (dirac.s_plus_green(*args, QuadratureConfig(gh_nodes=g, refine=False))
+                    for g in (8, 16))
+    defect = float(np.max(np.abs(fine - coarse)))
+    assert defect > 0
+    assert np.array_equal(dirac.s_plus_green(*args, QuadratureConfig(gh_nodes=8, tol=defect)), fine)
+    with pytest.raises(NonconvergenceError):
+        dirac.s_plus_green(*args, QuadratureConfig(gh_nodes=8, tol=defect / 10))
 
 
 def _s_plus_full_grid(n, nhat, dt, m, n_nodes):

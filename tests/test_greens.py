@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,39 +7,35 @@ import pytest
 from hermgrid.errors import DomainError, NonconvergenceError
 from hermgrid.greens import (
     GreensValue,
-    MassParam,
     _angular_moment,
-    _refined,
     clear_caches,
     continuum_yukawa,
     continuum_yukawa_oracle,
     coulomb_even,
     coulomb_quadrature,
     difference_equation_residual,
-    euler_beta,
     g_sharp,
     g_sharp_axis,
+    green_contract,
     incomplete_gamma_neg_half,
     v_sharp,
     w_sharp,
     yukawa_coincidence,
 )
 from hermgrid.hermite import phi_row
-from hermgrid.quadrature import QuadratureConfig, gauss_hermite, gauss_laguerre_half, gauss_legendre
+from hermgrid.quadrature import (
+    QuadratureConfig,
+    gauss_hermite,
+    gauss_laguerre_half,
+    gauss_legendre,
+    refined,
+)
 
 CFG = QuadratureConfig()
 
 # mu e^{mu^2} Gamma(-1/2, mu^2) at mu = 1, pinned against the erfc identity
 # and an independent adaptive quadrature
 COINCIDENCE_AT_1 = 0.4842556877173759
-
-
-def test_mass_param_validation():
-    MassParam(0.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        MassParam(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        MassParam(1.0, 0.0, 1.0)
 
 
 def test_greens_value_is_frozen():
@@ -199,13 +196,16 @@ def test_coulomb_quadrature_examples():
 
 
 def test_euler_beta():
-    assert euler_beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert euler_beta(2.0, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-    n = 1
-    assert 2.0 ** (2 * n + 1) * euler_beta(n + 1.0, n + 1.0) == pytest.approx(
-        4.0 / 3.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        euler_beta(0.0, 1.0)
+    # the paper's claim: the divergence-free Coulomb value between two
+    # fermions is an Euler beta value, B(n+1, 1/2) sqrt((2n-1)!!/(2n)!!).
+    # Up to n = 85 coulomb_even works with exact factorials; past that it
+    # sums log-gammas of size ~2000, which costs about 2.5e-13 relative
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for n in range(200):
+            want = mp.beta(n + 1, mp.mpf(1) / 2) * mp.sqrt(mp.fac2(2 * n - 1) / mp.fac2(2 * n))
+            rel = 1e-14 if n <= 85 else 1e-12
+            assert abs(coulomb_even(n) - want) <= rel * want, n
 
 
 def test_continuum_potential_values():
@@ -284,17 +284,51 @@ def test_angular_moment_matches_the_full_grid_sum():
 
 
 def test_refinement_gate_trips_on_nan_defect():
+    gate = 100.0 * CFG.tol
     with pytest.raises(NonconvergenceError, match="defect nan"):
-        _refined(lambda k: (1.0, math.nan)[k - 1], CFG, "probe")
+        refined(lambda k: (1.0, math.nan)[k - 1], CFG, gate, "probe")
     with pytest.raises(NonconvergenceError):
-        _refined(lambda k: math.nan, CFG, "probe")
-    assert math.isnan(_refined(lambda k: math.nan, QuadratureConfig(refine=False), "probe").err_estimate)
-    assert _refined(lambda k: 1.0, CFG, "probe") == GreensValue(1 + 0j, 0.0)
+        refined(lambda k: math.nan, CFG, gate, "probe")
+    assert math.isnan(refined(lambda k: math.nan, QuadratureConfig(refine=False), gate, "probe")[1])
+    assert refined(lambda k: 1.0, CFG, gate, "probe") == (1.0, 0.0)
+
+
+def test_refinement_gate_takes_the_largest_entry_defect():
+    # a matrix value is gated on max |fine - coarse|; the estimate is that
+    # maximum, and a NaN entry trips the gate like a NaN number
+    coarse = np.array([[1.0, 2.0], [3.0, 4.0]])
+    fine = coarse + np.array([[1e-9, -3e-9], [0.0, 2e-9]])
+    value, err = refined(lambda k: (coarse, fine)[k - 1], CFG, 4e-9, "probe")
+    assert value is fine and err == float(np.max(np.abs(fine - coarse)))
+    with pytest.raises(NonconvergenceError):
+        refined(lambda k: (coarse, fine)[k - 1], CFG, 2e-9, "probe")
+    fine[0, 0] = math.nan
+    with pytest.raises(NonconvergenceError, match="defect nan"):
+        refined(lambda k: (coarse, fine)[k - 1], CFG, 1.0, "probe")
+
+
+def test_angular_moment_keeps_one_row_in_memory():
+    # the moment needs only phi_{n1} over the grid; a table of all n1 + 1
+    # rows at 400 x 102 points would be 66 MB
+    gauss_laguerre_half(400)
+    gauss_legendre(102)
+    clear_caches()
+    tracemalloc.start()
+    try:
+        _angular_moment(200, gauss_laguerre_half, 400, 102)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert peak < 8 * 2 ** 20
 
 
 def test_overflowing_mass_square_is_a_domain_error():
     with pytest.raises(DomainError):
         g_sharp((0, 0, 0), (0, 0, 0), 1e300, CFG)
+    w = np.ones(8)
+    with pytest.raises(DomainError):
+        green_contract(w, w, w, 1.0, 0.0, 1e300, 8)
     with pytest.raises(DomainError):
         g_sharp((2, 0, 0), (0, 0, 0), math.inf, CFG)
     # the axis route stays finite there: the value underflows to 0

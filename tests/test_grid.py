@@ -39,13 +39,6 @@ def test_function_shape_validation():
         GridFunction(box, np.zeros((3, 3, 3), complex), origin=(0, 0, 5))
 
 
-def test_from_callable_places_values():
-    box = GridBox((2, 3, 4))
-    f = GridFunction.from_callable(box, lambda a, b, c: a + 10 * b + 100 * c)
-    assert f.values[1, 2, 3] == 1 + 20 + 300
-    assert f.values.shape == (2, 3, 4)
-
-
 def test_forward_backward_difference_semantics():
     f = _random_function((4, 3, 3))
     fwd = delta_fwd(f, 1)

@@ -6,12 +6,11 @@ import pytest
 from hermgrid.errors import OrderTooLargeError
 from hermgrid.hermite import (
     hermite_poly,
-    phi_at_zero,
+    phi,
     phi_row,
     xi,
     xi_axis,
     xi_delta_sharp,
-    xi_product,
 )
 
 PI4 = math.pi ** 0.25
@@ -61,18 +60,6 @@ def test_xi_reflection_is_conjugation():
             assert xi(n, -k) == pytest.approx(np.conj(xi(n, k)), rel=1e-13, abs=1e-15)
 
 
-def test_xi_product_origin():
-    v = xi_product((0, 0, 0), (0.0, 0.0, 0.0))
-    assert v == pytest.approx(math.pi ** -0.75, rel=1e-14)
-
-
-def test_xi_product_factorizes():
-    n = (2, 0, 3)
-    k = (0.5, -1.2, 0.8)
-    assert xi_product(n, k) == pytest.approx(
-        xi(n[0], k[0]) * xi(n[1], k[1]) * xi(n[2], k[2]), rel=1e-13)
-
-
 def test_xi_delta_sharp_eigen_relation():
     # -i times the weighted index difference collapses to k xi_n(k)
     for n in (0, 1, 5, 12, 40):
@@ -82,12 +69,25 @@ def test_xi_delta_sharp_eigen_relation():
 
 
 def test_phi_at_zero_values_and_recurrence():
-    assert phi_at_zero(0) == 1.0
-    assert phi_at_zero(1) == 0.0
-    assert phi_at_zero(2) == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
-    row = phi_row(16, np.array([0.0]))
-    for n in range(17):
-        assert phi_at_zero(n) == pytest.approx(float(row[n, 0]), rel=1e-13, abs=1e-15)
+    # the pole models read phi_n(0) off phi_row; at 0 the recurrence is
+    # phi_{j+1}(0) = -sqrt(j/(j+1)) phi_{j-1}(0), zero at odd orders
+    z = phi_row(16, np.array([0.0]))[:, 0]
+    assert z[0] == 1.0
+    assert z[1] == 0.0
+    assert z[2] == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-15)
+    val = 1.0
+    for n in range(2, 17, 2):
+        val *= -math.sqrt((n - 1) / float(n))
+        assert z[n] == pytest.approx(val, rel=1e-13, abs=1e-15)
+        assert z[n - 1] == 0.0
+
+
+def test_phi_is_the_last_row_of_phi_row():
+    x = np.linspace(-6.0, 6.0, 35).reshape(5, 7)
+    for n in (0, 1, 2, 17, 60):
+        got = phi(n, x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, phi_row(n, x.ravel())[n].reshape(x.shape))
 
 
 def test_phi_row_matches_polynomial_normalization():
@@ -112,4 +112,4 @@ def test_negative_order_rejected():
     with pytest.raises(ValueError):
         xi(-1, 0.0)
     with pytest.raises(ValueError):
-        phi_at_zero(-2)
+        phi(-2, 0.0)

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from hermgrid.quadrature import (
-    _triple_rank,
-    _triple_sums,
     contract_even,
     fold_even,
     gauss_hermite,
+    triple_rank,
+    triple_sums,
     weighted_phi_table,
 )
 
@@ -107,11 +107,11 @@ def _half_squares(n):
 @pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
 def test_triple_rank_is_a_bijection_onto_sorted_triples(n):
     h = n - n // 2
-    rank = _triple_rank(h)
+    rank = triple_rank(h)
     assert rank.shape == (h, h, h)
     assert rank.dtype == np.intp
     assert not rank.flags.writeable
-    assert _triple_rank(h) is rank
+    assert triple_rank(h) is rank
     # the sorted triples i <= j <= k take each rank 0..T-1 exactly once
     i, j, k = np.indices((h, h, h))
     on_sorted = rank[(i <= j) & (j <= k)]
@@ -123,13 +123,13 @@ def test_triple_rank_is_a_bijection_onto_sorted_triples(n):
 
 @pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
 def test_triple_sums_match_full_half_grid_build(n):
-    sums = _triple_sums(n)
+    sums = triple_sums(n)
     h = n - n // 2
     assert sums.shape == (h * (h + 1) * (h + 2) // 6,)
     assert not sums.flags.writeable
     x2 = _half_squares(n)
     full = (x2[:, None, None] + x2[None, :, None]) + x2[None, None, :]
-    gathered = sums[_triple_rank(h)]
+    gathered = sums[triple_rank(h)]
     # the centre node of an odd rule is exactly 0, so only the all-centre
     # triple sums to 0; both builds give exactly 0 there
     nonzero = full > 0
@@ -142,7 +142,7 @@ def test_triple_sums_match_full_half_grid_build(n):
 @pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
 def test_gathered_kernel_is_exactly_symmetric_under_axis_permutations(n):
     m = 0.7
-    kernel = np.sqrt(_triple_sums(n) + m * m)[_triple_rank(n - n // 2)]
+    kernel = np.sqrt(triple_sums(n) + m * m)[triple_rank(n - n // 2)]
     for perm in itertools.permutations(range(3)):
         assert np.array_equal(kernel.transpose(perm), kernel)
 

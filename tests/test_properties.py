@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hermgrid import dirac
-from hermgrid.greens import continuum_yukawa, euler_beta
+from hermgrid.greens import continuum_yukawa
 from hermgrid.hermite import xi, xi_delta_sharp
 from hermgrid.scattering import VertexTruncation, vertex_axis_sum
 
@@ -35,16 +35,6 @@ def test_xi_amplitude_bound(n, k):
 @given(st.integers(0, 80), st.floats(-8.0, 8.0))
 def test_xi_weighted_difference_eigen_relation(n, k):
     assert abs(xi_delta_sharp(n, k) - k * xi(n, k)) / (1.0 + abs(k)) <= 1e-12
-
-
-@given(st.floats(0.1, 50.0), st.floats(0.1, 50.0))
-def test_euler_beta_symmetry(a, b):
-    assert euler_beta(a, b) == euler_beta(b, a)
-
-
-@given(st.floats(0.1, 50.0))
-def test_euler_beta_right_unit(a):
-    assert abs(euler_beta(a, 1.0) - 1.0 / a) / (1.0 / a) <= 1e-12
 
 
 @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from hermgrid.quadrature import gauss_hermite, gauss_laguerre_half
+from hermgrid.quadrature import GH_NODES_MAX, QuadratureConfig, gauss_hermite, gauss_laguerre_half
 
 mp = pytest.importorskip("mpmath")
 
@@ -94,3 +94,11 @@ def test_laguerre_half_rule_shape():
     # zeroth and first moments of sqrt(x) e^{-x}
     assert w.sum() == pytest.approx(math.gamma(1.5), rel=1e-14)
     assert w @ x == pytest.approx(math.gamma(2.5), rel=1e-14)
+
+
+def test_config_rejects_node_counts_past_the_budget():
+    # checked at construction, before any rule or tensor is built
+    assert QuadratureConfig(gh_nodes=GH_NODES_MAX).gh_nodes == 256
+    for n in (GH_NODES_MAX + 1, 500, 10 ** 6):
+        with pytest.raises(ValueError, match="gh_nodes must be <= 256"):
+            QuadratureConfig(gh_nodes=n)
