@@ -28,7 +28,11 @@ of more than n1/2 nodes, which is exact for the even polynomial
 phi_{n1}(k y) of degree n1.  The angular moment at each radial node
 (_angular_moment) therefore does not depend on mu and is cached per order
 and node count, so each mass costs one radial sum; the massless 2D
-quadrature reads the same moments on its Gauss-Hermite radii.
+quadrature reads the same moments on its Gauss-Hermite radii.  The same
+exactness makes the subtracted pole term sum_j wy_j phi_{n1}(i mu y_j) an
+even polynomial of degree n1 in mu, whose n1/2 + 1 coefficients, all of one
+sign, are cached per order and rule (_pole_coefficients) and summed by
+Horner's rule in mu^2.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .errors import DomainError
-from .hermite import phi, phi_row
+from .hermite import phi, phi_coefficients, phi_row
 from .quadrature import (
     QuadratureConfig,
     contract_even,
@@ -83,11 +87,13 @@ _RAW_MEMO: dict[tuple, complex] = {}
 
 
 def clear_caches() -> None:
-    """Drop memoized Green's values, denominator tensors and angular moments."""
+    """Drop every cache of this module: memoized Green's values, denominator
+    tensors, pole constants, pole models, angular moments and pole-moment
+    coefficients."""
     _RAW_MEMO.clear()
     _DENOM_CACHE.clear()
-    _ball_quad_moments.cache_clear()
-    _angular_moment.cache_clear()
+    for cached in (_ball_defects, _pole_model, _angular_moment, _pole_coefficients):
+        cached.cache_clear()
 
 
 def _inv_denominators(mu: float, n_nodes: int) -> np.ndarray:
@@ -107,27 +113,34 @@ def _inv_denominators(mu: float, n_nodes: int) -> np.ndarray:
     return inv
 
 
-def _ball_exact(mu: float) -> float:
-    # integral of e^{-k.k}/(k.k+mu^2) over R^3
-    return 2.0 * math.pi ** 1.5 - 2.0 * math.pi ** 2 * mu * float(erfcx(mu))
+def _ball_exact(mu: float) -> tuple[float, float]:
+    """b0 and b2, the integrals over R^3 of e^{-k.k}/(k.k+mu^2) and of
+    k_1^2 e^{-k.k}/(k.k+mu^2).
+
+    b0 = pi^{3/2} Y(mu) with Y = yukawa_coincidence, and
+    b2 = pi^{3/2} (1 - mu^2 Y) / 3.  Below mu = 1 the difference cancels
+    at most twofold.  From mu = 1 on, Y = F = 1/(x + 3/2 + t) with x = mu^2
+    and t the tail of the continued fraction (_gamma_cf_tail), so
+    1 - mu^2 Y = (3/2 + t) F, a form with nothing left to cancel.
+    """
+    if mu >= 1.0:
+        t = _gamma_cf_tail(mu * mu)
+        f = 1.0 / (mu * mu + 1.5 + t)
+        return math.pi ** 1.5 * f, math.pi ** 1.5 * (1.5 + t) * f / 3.0
+    b0 = math.pi ** 1.5 * yukawa_coincidence(mu)
+    return b0, (math.pi ** 1.5 - mu * mu * b0) / 3.0
 
 
 @lru_cache(maxsize=64)
-def _ball_quad_moments(mu: float, n_nodes: int) -> tuple[float, float]:
-    # Gauss-Hermite estimates of the zeroth and first-axis-second moments
-    # of 1/(k.k+mu^2) under the Gaussian weight
-    x, w = gauss_hermite(n_nodes)
-    b0, b2 = contract_even(np.stack([w, x * x * w]), w, w, _inv_denominators(mu, n_nodes))
-    return float(b0), float(b2)
-
-
 def _ball_defects(mu: float, n_nodes: int) -> tuple[float, float]:
     """Exact-minus-quadrature for the constant and per-axis quadratic pole
-    models: the amounts the subtraction must add back analytically."""
-    b0q, b2q = _ball_quad_moments(float(mu), int(n_nodes))
-    b0 = _ball_exact(mu)
-    b2 = (math.pi ** 1.5 - mu * mu * b0) / 3.0
-    return b0 - b0q, b2 - b2q
+    models: the amounts the subtraction must add back analytically.
+    Cached per mass and node count, so a run of exchange elements at one
+    mass pays for the continued fraction and the two moments once."""
+    x, w = gauss_hermite(n_nodes)
+    b0q, b2q = contract_even(np.stack([w, x * x * w]), w, w, _inv_denominators(mu, n_nodes))
+    b0, b2 = _ball_exact(mu)
+    return b0 - float(b0q), b2 - float(b2q)
 
 
 def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
@@ -143,7 +156,7 @@ def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
     if not math.isfinite(mu * mu):
         raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
     acc = contract_even(a, b, c, _inv_denominators(mu, n_nodes))
-    d0, d2 = _ball_defects(mu, n_nodes)
+    d0, d2 = _ball_defects(float(mu), int(n_nodes))
     return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
 
 
@@ -185,31 +198,23 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     The Gaussian weight is taken from the basis-function product, leaving a
     polynomial pair table over a shared inverse-denominator tensor, plus the
     pole subtraction described in the module docstring.  The i^(sum n - sum
-    nhat) phase makes parity-allowed values real (sign (-1)^(diff/2)); pairs
-    violating per-axis parity integrate to zero by node symmetry.
+    nhat) phase makes parity-allowed values real (sign (-1)^(diff/2)).  A
+    pair that violates parity on some axis integrates to exactly zero; it
+    is returned as phase * 0.0 with err_estimate 0.0 once the index and mass
+    checks pass, and no tensor is built for it.
     """
     n = index3(n)
     nhat = index3(nhat)
     if not mu > 0:
         raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
+    if not math.isfinite(mu * mu):
+        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
+    if any((n[a] + nhat[a]) % 2 for a in range(3)):
+        phase = 1j ** ((sum(n) - sum(nhat)) % 4)
+        return GreensValue(complex(phase * 0.0), 0.0)
     value, err = refined(lambda k: _g_raw(n, nhat, mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol,
                          "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
     return GreensValue(complex(value), err)
-
-
-def _phi_imag_axis(n1: int, t: np.ndarray) -> np.ndarray:
-    """phi_{n1}(i t) for even n1, as the real array (-1)^(n1/2) r_{n1}(t).
-
-    r follows the plus-sign recurrence r_{j+1} = sqrt(2/(j+1)) t r_j +
-    sqrt(j/(j+1)) r_{j-1}, which is what the basis recurrence becomes on the
-    imaginary axis.  Used for the pole term of the reduced quadrature.
-    """
-    prev = np.zeros_like(t)
-    cur = np.ones_like(t)
-    for j in range(n1):
-        prev, cur = cur, math.sqrt(2.0 / (j + 1)) * t * cur + math.sqrt(j / (j + 1.0)) * prev
-    sign = -1.0 if (n1 // 2) % 2 else 1.0
-    return sign * cur
 
 
 # Pole subtraction is only worth its numerical cost while the pole at
@@ -241,6 +246,40 @@ def _angular_moment(n1: int, rule, radial_nodes: int, ang_nodes: int) -> np.ndar
     return s
 
 
+@lru_cache(maxsize=256)
+def _pole_coefficients(n1: int, ang_nodes: int) -> tuple[float, ...]:
+    """c_m, m = 0..n1/2, of the pole moment p(mu) = sum_m c_m mu^(2m) for
+    even n1, where p(mu) = sum_j wy_j phi_{n1}(i mu y_j) on the ang_nodes-point
+    Gauss-Legendre rule.
+
+    With h_k the power-series coefficients of phi_{n1} (phi_coefficients),
+    c_m = h_{2m} (-1)^m (wy @ y^(2m)).  The moments come from the rule, not
+    from 2/(2m+1), so that c_0 = wy @ 1 exactly as a plain sum over the
+    rule.  Every c_m has the sign (-1)^(n1/2), so Horner's rule in mu^2
+    (_pole_moment) does not cancel.  No mass enters; cached per order and
+    rule.
+    """
+    h = phi_coefficients(n1)
+    y, wy = gauss_legendre(ang_nodes)
+    y2 = y * y
+    power = np.ones_like(y)
+    out = []
+    for m in range(n1 // 2 + 1):
+        out.append(float(h[2 * m] * (-1.0) ** m * (power @ wy)))
+        power = power * y2
+    return tuple(out)
+
+
+def _pole_moment(n1: int, mu: float, ang_nodes: int) -> float:
+    """sum_j wy_j phi_{n1}(i mu y_j) for even n1, by Horner's rule in mu^2."""
+    coef = _pole_coefficients(n1, ang_nodes)
+    mu2 = mu * mu
+    p = coef[-1]
+    for c in coef[-2::-1]:
+        p = p * mu2 + c
+    return p
+
+
 # At high n1, phi_{n1}(sqrt(x) y) grows fast over the far radial nodes, so
 # the axis route relies on half-Laguerre weights that are accurate to
 # relative precision there, not only to absolute precision.
@@ -248,8 +287,7 @@ def _axis_eval(n1: int, mu: float, radial_nodes: int, ang_nodes: int) -> float:
     xr, wr = gauss_laguerre_half(radial_nodes)
     s = _angular_moment(n1, gauss_laguerre_half, radial_nodes, ang_nodes)
     if mu <= _AXIS_SUBTRACT_MAX_MU:
-        y, wy = gauss_legendre(ang_nodes)
-        pole = _phi_imag_axis(n1, mu * y) @ wy
+        pole = _pole_moment(n1, mu, ang_nodes)
         tail = _SQRT_PI - math.pi * mu * float(erfcx(mu))
         val = wr @ ((s - pole) / (xr + mu * mu)) + pole * tail
     else:
@@ -273,9 +311,12 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     The angular rule has max(8, n1/2 + 2) nodes at the coarse level and
     twice that at the fine one, so it is exact for the even polynomial
     phi_{n1}(sqrt(x) y) at both; its result, the angular moment at each
-    radial node, is mu-independent and cached.  A call then costs the pole
-    moment (below the switch) and one radial sum per level; the refinement
-    defect still compares the two radial rules.
+    radial node, is mu-independent and cached.  The pole term below the
+    switch, sum_j wy_j phi_{n1}(i mu y_j), is an even polynomial of degree
+    n1 in mu whose coefficients are cached per order and rule
+    (_pole_coefficients) and summed by Horner's rule.  A call then costs
+    one radial sum per level; the refinement defect still compares the two
+    radial rules.
     """
     n1 = int(n1)
     if n1 < 0:
@@ -296,19 +337,25 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
 _CF_DEPTH = 100
 
 
+def _gamma_cf_tail(x: float) -> float:
+    """The tail t of _gamma_cf(x) = 1/(x + 3/2 + t), for x >= 1."""
+    t = 0.0
+    for n in range(_CF_DEPTH, 0, -1):
+        t = -n * (n + 0.5) / (x + 1.5 + 2.0 * n + t)
+    return t
+
+
 def _gamma_cf(x: float) -> float:
     """x^{1/2} e^x Gamma(-1/2, x) for x >= 1.
 
     Evaluates the even contraction of Legendre's continued fraction for the
     incomplete gamma function (DLMF 8.9.2),
     1/(x + 3/2 - (1*3/2)/(x + 7/2 - (2*5/2)/(x + 11/2 - ...))), bottom-up at
-    a fixed depth; that direction keeps the rounding to a few ulps.  No
-    exponential is formed, so nothing overflows or cancels at large x.
+    a fixed depth (_gamma_cf_tail); that direction keeps the rounding to a
+    few ulps.  No exponential is formed, so nothing overflows or cancels at
+    large x.
     """
-    t = 0.0
-    for n in range(_CF_DEPTH, 0, -1):
-        t = -n * (n + 0.5) / (x + 1.5 + 2.0 * n + t)
-    return 1.0 / (x + 1.5 + t)
+    return 1.0 / (x + 1.5 + _gamma_cf_tail(x))
 
 
 def incomplete_gamma_neg_half(x: float) -> float:
@@ -347,9 +394,15 @@ def coulomb_even(n1: int) -> float:
     """Massless axis values at even grid index 2*n1, in closed form:
     2^(n1+1) n1! / ((2 n1 + 1) sqrt((2 n1)!)).
 
-    n1 here is the half-index.  Small orders use exact integer factorials
-    (so n1=0 returns exactly 2.0); past the float range the same expression
-    is evaluated in log space.
+    n1 here is the half-index.  Orders up to 85, where (2 n1)! is still a
+    double, use the factorials as floats (so n1=0 returns exactly 2.0).
+    Past that the square 4^(n1+1) / ((2 n1 + 1)^2 C(2 n1, n1)) is an exact
+    integer ratio, which Python's int true division rounds correctly; one
+    square root follows.  The integers grow with n1, and so does the cost
+    (3 ms a value at n1 = 5000), so from n1 = 1000 on C(2n, n) comes from its
+    asymptotic series 4^n / sqrt(pi n) (1 - 1/(8n) + 1/(128n^2) +
+    5/(1024n^3) - 21/(32768n^4) + ...), whose next term is below 2e-18
+    there; it meets the exact ratio within one ulp.
     """
     n1 = int(n1)
     if n1 < 0:
@@ -357,12 +410,11 @@ def coulomb_even(n1: int) -> float:
     if n1 <= 85:
         num = float(2 ** (n1 + 1) * math.factorial(n1))
         return num / ((2 * n1 + 1) * math.sqrt(float(math.factorial(2 * n1))))
-    return math.exp(
-        (n1 + 1) * math.log(2.0)
-        + math.lgamma(n1 + 1)
-        - math.log(2.0 * n1 + 1.0)
-        - 0.5 * math.lgamma(2 * n1 + 1)
-    )
+    if n1 < 1000:
+        return math.sqrt(4 ** (n1 + 1) / ((2 * n1 + 1) ** 2 * math.comb(2 * n1, n1)))
+    u = 1.0 / n1
+    series = 1.0 + u * (-1.0 / 8 + u * (1.0 / 128 + u * (5.0 / 1024 - u * 21.0 / 32768)))
+    return 2.0 * (math.pi * n1) ** 0.25 / ((2.0 * n1 + 1.0) * math.sqrt(series))
 
 
 def _coulomb_eval(n1: int, gh_nodes: int, ang_nodes: int) -> complex:

@@ -4,10 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hermgrid import greens
 from hermgrid.errors import DomainError, NonconvergenceError
 from hermgrid.greens import (
+    _DENOM_CACHE,
+    _RAW_MEMO,
     GreensValue,
     _angular_moment,
+    _ball_exact,
+    _pole_moment,
     clear_caches,
     continuum_yukawa,
     continuum_yukawa_oracle,
@@ -65,9 +70,7 @@ def test_coincidence_value_three_routes():
 
 def test_tensor_parity_zero_and_small_mass_example():
     odd = g_sharp((1, 0, 0), (0, 0, 0), 1.0, CFG)
-    # the tensor route integrates the odd product numerically, so the zero
-    # is only clean to rounding; the axis route owns the exact statement
-    assert abs(odd.value) <= 1e-15
+    assert odd.value == 0 and odd.err_estimate == 0.0
     small = g_sharp((2, 0, 0), (0, 0, 0), 1e-3, CFG)
     # near the massless limit the value sits an O(mu) step from the
     # massless closed form
@@ -90,6 +93,8 @@ def test_tensor_nonconvergence_gate():
 def test_refine_disabled_reports_nan_error():
     v = g_sharp((0, 0, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False))
     assert math.isnan(v.err_estimate)
+    # a parity zero is exact, refined or not
+    assert g_sharp((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
     a = g_sharp_axis(0, 1.0, QuadratureConfig(refine=False))
     assert math.isnan(a.err_estimate)
 
@@ -182,7 +187,8 @@ def test_coulomb_even_log_branch_joins_smoothly():
     vals = [coulomb_even(n) for n in range(80, 92)]
     assert all(v > 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    # ratio of successive ratios stays near 1 across the 85/86 switch
+    # ratio of successive ratios stays near 1 across the 85/86 switch from
+    # float factorials to the exact integer ratio
     ratios = [b / a for a, b in zip(vals, vals[1:])]
     second = [abs(r2 / r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:])]
     assert max(second) < 1e-2
@@ -198,14 +204,23 @@ def test_coulomb_quadrature_examples():
 def test_euler_beta():
     # the paper's claim: the divergence-free Coulomb value between two
     # fermions is an Euler beta value, B(n+1, 1/2) sqrt((2n-1)!!/(2n)!!).
-    # Up to n = 85 coulomb_even works with exact factorials; past that it
-    # sums log-gammas of size ~2000, which costs about 2.5e-13 relative
+    # Both branches of coulomb_even round exact integers once and take one
+    # square root, so every order gets the same bound
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         for n in range(200):
             want = mp.beta(n + 1, mp.mpf(1) / 2) * mp.sqrt(mp.fac2(2 * n - 1) / mp.fac2(2 * n))
-            rel = 1e-14 if n <= 85 else 1e-12
-            assert abs(coulomb_even(n) - want) <= rel * want, n
+            assert abs(coulomb_even(n) - want) <= 1e-14 * want, n
+
+
+def test_coulomb_even_large_orders_match_mpmath():
+    # the exact integer ratio up to 999, its asymptotic series from 1000 on
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for n in (400, 999, 1000, 1001, 4321, 10 ** 5, 10 ** 7, 10 ** 12):
+            m = mp.mpf(n)
+            want = mp.sqrt(4 ** (m + 1) / ((2 * m + 1) ** 2 * mp.binomial(2 * m, m)))
+            assert abs(coulomb_even(n) - want) <= 1e-15 * want, n
 
 
 def test_continuum_potential_values():
@@ -346,3 +361,104 @@ def test_continuum_rejects_non_finite_results_and_underflowing_mass():
             continuum_yukawa_oracle(1.0, mu, CFG)
     assert continuum_yukawa_oracle(1.0, 1e-100, CFG) == pytest.approx(
         continuum_yukawa(1.0, 0.0, 1.0), rel=1e-9)
+
+
+def _rule_moments(ang, upto, mp):
+    # sum_j wy_j y_j^(2m), m <= upto, over the float nodes and weights of
+    # the ang-point Gauss-Legendre rule, in mpmath
+    y, w = gauss_legendre(ang)
+    y2 = [mp.mpf(float(v)) ** 2 for v in y]
+    term = [mp.mpf(float(v)) for v in w]
+    out = []
+    for _ in range(upto + 1):
+        out.append(mp.fsum(term))
+        term = [a * b for a, b in zip(term, y2)]
+    return out
+
+
+def test_pole_moment_matches_mpmath():
+    # reference: sum_j wy_j phi_n1(i mu y_j) on the same float rule at 40
+    # digits, from the closed form phi_n(i t) = (-1)^(n/2) sqrt(n!) 2^(-n/2)
+    # sum_m (2t)^(2m) / ((n/2 - m)! (2m)!), whose terms all have one sign
+    mp = pytest.importorskip("mpmath")
+    eps = 2.0 ** -52
+    with mp.workdps(40):
+        for n1 in list(range(0, 61, 2)) + list(range(80, 201, 20)):
+            h = n1 // 2
+            norm = (-1) ** h * mp.sqrt(mp.factorial(n1)) / mp.mpf(2) ** h
+            terms = [mp.mpf(4) ** m / (mp.factorial(h - m) * mp.factorial(2 * m)) for m in range(h + 1)]
+            for ang in (max(8, h + 2), 2 * max(8, h + 2)):
+                moments = _rule_moments(ang, h, mp)
+                for mu in (1e-6, 0.3, 0.7, 1.0):
+                    mu2 = mp.mpf(mu) ** 2
+                    want = norm * mp.fsum(t * mu2 ** m * moments[m] for m, t in enumerate(terms))
+                    got = _pole_moment(n1, mu, ang)
+                    assert abs(got - want) <= 2 * (n1 + 1) * eps * abs(want), (n1, ang, mu)
+
+
+def test_pole_moment_of_order_zero_is_the_plain_rule_sum():
+    # n1 = 0 axis values below mu = 1 rest on this sum being the same
+    # float as before the pole term became a polynomial
+    for ang in (8, 9, 16, 53, 199):
+        _, wy = gauss_legendre(ang)
+        for mu in (1e-6, 0.5, 1.0):
+            assert _pole_moment(0, mu, ang) == np.ones(ang) @ wy
+
+
+def test_parity_zero_builds_nothing():
+    clear_caches()
+    v = g_sharp((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
+    assert v == GreensValue(complex(1j * 0.0), 0.0)
+    assert not _DENOM_CACHE and not _RAW_MEMO
+    clear_caches()
+
+
+def test_parity_zero_checks_the_mass_first():
+    with pytest.raises(DomainError):
+        g_sharp((1, 0, 0), (0, 0, 0), 1e300, CFG)
+    with pytest.raises(DomainError):
+        g_sharp((1, 0, 0), (0, 0, 0), 0.0, CFG)
+    with pytest.raises(ValueError):
+        g_sharp((1, 0), (0, 0, 0), 1e300, CFG)
+
+
+def test_ball_constants_match_mpmath():
+    # b0 = pi^1.5 mu e^{mu^2} Gamma(-1/2, mu^2) and b2 = (pi^1.5 - mu^2 b0)/3;
+    # the subtraction in b2 cancels to about 1.5/mu^2 of pi^1.5, which the
+    # 60-digit reference absorbs and the float form must not meet
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(60):
+        for mu in np.logspace(0, 5, 41):
+            m = mp.mpf(float(mu))
+            b0 = mp.pi ** 1.5 * m * mp.exp(m * m) * mp.gammainc(-0.5, m * m)
+            b2 = (mp.pi ** 1.5 - m * m * b0) / 3
+            got0, got2 = _ball_exact(float(mu))
+            worst = max(worst, float(abs(got0 - b0) / b0), float(abs(got2 - b2) / b2))
+    assert worst <= 1e-15
+
+
+def test_tensor_agrees_with_axis_at_large_mass():
+    # the pole constants' error does not show in the tensor route's
+    # refinement defect; the axis route has no such constant
+    for mu in (3.1, 30.0, 100.0):
+        for n1 in (0, 2, 4, 6):
+            t = g_sharp((n1, 0, 0), (0, 0, 0), mu, CFG)
+            a = g_sharp_axis(n1, mu, CFG)
+            floor = 8 * 2.0 ** -52 * abs(a.value)
+            assert abs(t.value - a.value) <= t.err_estimate + a.err_estimate + floor, (mu, n1)
+
+
+def test_clear_caches_empties_every_cache():
+    g_sharp((2, 0, 0), (0, 0, 0), 0.9, CFG)
+    g_sharp_axis(4, 0.5, CFG)
+    coulomb_quadrature(2, CFG)
+    # the module's own caches; the quadrature rules it imports stay
+    caches = [f for f in vars(greens).values()
+              if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
+    assert len(caches) >= 4
+    assert all(f.cache_info().currsize > 0 for f in caches)
+    assert _DENOM_CACHE and _RAW_MEMO
+    clear_caches()
+    assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
+    assert not _DENOM_CACHE and not _RAW_MEMO
