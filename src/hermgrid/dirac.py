@@ -170,20 +170,30 @@ def _s_plus_eval(
     x, _ = gauss_hermite(n_nodes)
     table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
     p1, p2, p3 = (table[n[a]] * table[nhat[a]] for a in range(3))
-    # E, e^{-iE dt} and both kernels are even in every axis and symmetric
-    # under any permutation of the axes, so they are evaluated once per
-    # sorted triple of half-grid nodes and gathered into the (H, H, H)
-    # tensor that contract_even takes
-    e = np.sqrt(triple_sums(n_nodes) + m * m)
-    osc = np.exp((-_I * dt) * e)
-    rank = triple_rank(n_nodes - n_nodes // 2)
+    sums = triple_sums(n_nodes)
+    e = osc = sums[:0]
+
+    def kernel(h: int, over_2e: bool) -> np.ndarray:
+        # E, e^{-iE dt} and both kernels are even in every axis and symmetric
+        # under any permutation of the axes, so they are evaluated once per
+        # sorted triple of half-grid nodes and gathered into the (h, h, h)
+        # cube that contract_even asks for.  Rank order puts the triples
+        # with hi < h first, so the second call's cube, which is no larger,
+        # reads a prefix of the first call's values.
+        nonlocal e, osc
+        t = h * (h + 1) * (h + 2) // 6
+        if e.size < t:
+            e = np.sqrt(sums[:t] + m * m)
+            osc = np.exp((-_I * dt) * e)
+        return (osc[:t] / (2.0 * e[:t]) if over_2e else osc[:t])[triple_rank(h)]
+
     i_m, i_1, i_2, i_3 = contract_even(
         np.stack([p1, x * p1, p1, p1]),
         np.stack([p2, p2, x * p2, p2]),
         np.stack([p3, p3, p3, x * p3]),
-        (osc / (2.0 * e))[rank],
+        lambda h: kernel(h, True),
     )
-    i_e = 0.5 * contract_even(p1, p2, p3, osc[rank])[0]
+    i_e = 0.5 * contract_even(p1, p2, p3, lambda h: kernel(h, False))[0]
     g1, g2, g3, g4 = _gamma_matrices()
     phase = _I ** ((sum(n) - sum(nhat)) % 4)
     scale = phase * math.pi ** -1.5

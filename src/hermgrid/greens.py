@@ -38,7 +38,6 @@ Horner's rule in mu^2.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +55,8 @@ from .quadrature import (
     gauss_legendre,
     index3,
     refined,
+    sized_cache,
+    triple_rank,
     weighted_phi_table,
 )
 
@@ -77,39 +78,29 @@ class GreensValue:
     err_estimate: float
 
 
-# inverse-denominator tensors 1/(x_i^2+x_j^2+x_l^2+mu^2) on the x >= 0 half
-# of the Gauss-Hermite grid (contract_even folds the rest onto it); 2 MB at
-# 128 nodes, and the few most recent masses are kept
-_DENOM_CACHE: OrderedDict[tuple[float, int], np.ndarray] = OrderedDict()
-_DENOM_CACHE_MAX = 6
-
-_RAW_MEMO: dict[tuple, complex] = {}
-
-
 def clear_caches() -> None:
     """Drop every cache of this module: memoized Green's values, denominator
-    tensors, pole constants, pole models, angular moments and pole-moment
-    coefficients."""
-    _RAW_MEMO.clear()
-    _DENOM_CACHE.clear()
-    for cached in (_ball_defects, _pole_model, _angular_moment, _pole_coefficients):
+    cubes, pole constants, pole models, angular moments and pole-moment
+    coefficients; and the sorted-triple rank maps of quadrature, one per
+    cube size the screen in contract_even has asked for."""
+    for cached in (_g_raw, _inv_denominators, _ball_defects, _pole_model, _angular_moment,
+                   _pole_coefficients, triple_rank):
         cached.cache_clear()
 
 
-def _inv_denominators(mu: float, n_nodes: int) -> np.ndarray:
-    key = (float(mu), int(n_nodes))
-    hit = _DENOM_CACHE.get(key)
-    if hit is not None:
-        _DENOM_CACHE.move_to_end(key)
-        return hit
+# inverse-denominator cubes 1/(x_i^2+x_j^2+x_l^2+mu^2) on the leading h
+# nodes of the x >= 0 half of the Gauss-Hermite grid (contract_even folds
+# the rest onto it and screens it down to the cube), one per mass, node
+# count and cube size; together they hold at most as many entries as two
+# full half-grid tensors of the default fine rule (2 MB each at 128 nodes),
+# which is room for a few dozen of the cubes the screen keeps there
+@sized_cache(2 * 64 ** 3)
+def _inv_denominators(mu: float, n_nodes: int, h: int) -> np.ndarray:
     x, _ = gauss_hermite(n_nodes)
-    x2 = x[n_nodes // 2:] ** 2
+    x2 = x[n_nodes // 2:n_nodes // 2 + h] ** 2
     inv = (np.add.outer(x2, x2) + mu * mu)[None, :, :] + x2[:, None, None]
     np.reciprocal(inv, out=inv)
     inv.setflags(write=False)
-    _DENOM_CACHE[key] = inv
-    while len(_DENOM_CACHE) > _DENOM_CACHE_MAX:
-        _DENOM_CACHE.popitem(last=False)
     return inv
 
 
@@ -138,7 +129,8 @@ def _ball_defects(mu: float, n_nodes: int) -> tuple[float, float]:
     Cached per mass and node count, so a run of exchange elements at one
     mass pays for the continued fraction and the two moments once."""
     x, w = gauss_hermite(n_nodes)
-    b0q, b2q = contract_even(np.stack([w, x * x * w]), w, w, _inv_denominators(mu, n_nodes))
+    b0q, b2q = contract_even(np.stack([w, x * x * w]), w, w,
+                             lambda h: _inv_denominators(mu, n_nodes, h))
     b0, b2 = _ball_exact(mu)
     return b0 - float(b0q), b2 - float(b2q)
 
@@ -155,8 +147,9 @@ def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
     """
     if not math.isfinite(mu * mu):
         raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
-    acc = contract_even(a, b, c, _inv_denominators(mu, n_nodes))
-    d0, d2 = _ball_defects(float(mu), int(n_nodes))
+    mu, n_nodes = float(mu), int(n_nodes)
+    acc = contract_even(a, b, c, lambda h: _inv_denominators(mu, n_nodes, h))
+    d0, d2 = _ball_defects(mu, n_nodes)
     return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
 
 
@@ -184,12 +177,12 @@ def _g_eval(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) 
     return complex(phase * val[0])
 
 
+# Memoized tensor-route values, one per pair, mass and node count.  The
+# residual box of the acceptance suite (2,187 residuals over three masses)
+# makes 2,100 entries, so the bound lets a box run reuse every shared value.
+@lru_cache(maxsize=4096)
 def _g_raw(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -> complex:
-    key = (n, nhat, float(mu), int(n_nodes))
-    hit = _RAW_MEMO.get(key)
-    if hit is None:
-        hit = _RAW_MEMO[key] = _g_eval(n, nhat, mu, n_nodes)
-    return hit
+    return _g_eval(n, nhat, mu, n_nodes)
 
 
 def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:

@@ -6,17 +6,24 @@ so every integral in the package contracts against these shared tables
 instead of rebuilding them.  Every 3D Gauss-Hermite sum in the package
 (Green's function, exchange element, fermion propagator) has a kernel that
 is even in each axis and goes through contract_even, which works on the
-x >= 0 half of the grid.  A kernel of x_i^2 + x_j^2 + x_k^2 alone needs one
-value per sorted index triple; triple_sums and triple_rank hold that list
-and its map back to the half-grid tensor.  Every quadrature value in the
-package passes the one refinement gate, refined.
+x >= 0 half of the grid.  The folded basis vectors decay like Gaussians past
+their turning points, so contract_even screens them first: it keeps the
+leading h half-grid nodes that hold all but 2^-64 of each vector's absolute
+sum, asks its caller for the kernel on that (h, h, h) cube only, and sums
+there, with a rigorous bound on what it dropped (see contract_even).  A
+kernel of x_i^2 + x_j^2 + x_k^2 alone needs one value per sorted index
+triple; triple_sums and triple_rank hold that list and its map back to the
+half-grid tensor.  Every quadrature value in the package passes the one
+refinement gate, refined.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -26,7 +33,9 @@ from .errors import NonconvergenceError
 from .hermite import phi_row
 
 # The fine refinement level runs at twice gh_nodes, and the tensor routes
-# build (gh_nodes)^3 half-grid tensors there: s_plus_green holds an intp
+# build kernels on half-grid cubes of up to (gh_nodes)^3 nodes there.  The
+# screen in contract_even usually keeps a much smaller cube, but vectors
+# that reach the last node keep all of it: s_plus_green then holds an intp
 # rank map and two complex kernels of that shape, about 0.7 GB at 256
 # nodes.  Larger counts would exhaust the memory of a typical host.
 GH_NODES_MAX = 256
@@ -96,6 +105,33 @@ def refined(evaluate, cfg: QuadratureConfig, gate: float, where: str, *where_arg
             f"{where.format(*where_args)}: refinement defect {err:.3e} exceeds the gate {gate:.3e}"
         )
     return fine, err
+
+
+def sized_cache(budget: int):
+    """Memoize a function of hashable arguments that returns a read-only
+    array, least recently used first out, holding at most budget array
+    entries in all (the newest array is always kept).  Like functools'
+    lru_cache, the wrapper has cache_clear() and cache_info().currsize."""
+    def wrap(fn):
+        held: OrderedDict = OrderedDict()
+
+        def entries() -> int:
+            return sum(v.size for v in held.values())
+
+        @wraps(fn)
+        def cached(*args):
+            if args in held:
+                held.move_to_end(args)
+            else:
+                held[args] = fn(*args)
+                while len(held) > 1 and entries() > budget:
+                    held.popitem(last=False)
+            return held[args]
+
+        cached.cache_clear = held.clear
+        cached.cache_info = lambda: SimpleNamespace(currsize=len(held), entries=entries())
+        return cached
+    return wrap
 
 
 def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -191,13 +227,17 @@ def fold_even(v: np.ndarray) -> np.ndarray:
 # (i, j, k), so it takes one value per sorted triple lo <= mid <= hi:
 # H(H+1)(H+2)/6 of them instead of H^3.  The triple of rank
 # C(hi+2, 3) + C(mid+1, 2) + lo is the rank-th in lexicographic (hi, mid, lo)
-# order.
+# order, so the triples with hi < h lead the list for every h, and a map
+# for the leading (h, h, h) cube of a larger grid is the map for h.  The
+# screen asks for one map per cube size, so the maps are bounded together
+# by the entries of one full map at the largest node count.
 
-@lru_cache(maxsize=None)
+@sized_cache(GH_NODES_MAX ** 3)
 def triple_rank(h: int) -> np.ndarray:
-    """(H, H, H) map from each half-grid index triple to the rank of its
+    """(h, h, h) map from each half-grid index triple to the rank of its
     sorted triple; gathering a per-triple list through it expands the list
-    to the tensor that contract_even takes."""
+    to the tensor that contract_even takes.  The ranks do not depend on the
+    grid the cube is cut from."""
     a, b, c = np.ix_(*(np.arange(h, dtype=np.intp),) * 3)
     hi = np.maximum(np.maximum(a, b), c)
     lo = np.minimum(np.minimum(a, b), c)
@@ -217,19 +257,43 @@ def triple_sums(n_nodes: int) -> np.ndarray:
     return _freeze((x2[lo] + x2[mid]) + x2[hi])[0]
 
 
-def contract_even(a: np.ndarray, b: np.ndarray, c: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+# Share of a folded vector's absolute sum that the screen may drop.
+_SCREEN = 2.0 ** -64
+
+
+def contract_even(a: np.ndarray, b: np.ndarray, c: np.ndarray, kernel) -> np.ndarray:
     """Mode-product contraction sum_ijk a_i b_j c_k K_ijk for each row of a,
     b and c (one vector, or a stack of them), over a mirror-symmetric grid.
 
-    K must be even in each axis; ``kernel`` holds it on the half grid only,
-    as the (H, H, H) tensor over the nodes x >= 0, H = ceil(n/2).  The
-    vectors are folded (fold_even), contracted on the first axis by one
-    matrix product and on the other two by one einsum.
+    K must be even in each axis and is given on the half grid only:
+    kernel(h) returns it as the (h, h, h) tensor over the first h nodes
+    x >= 0, for some h <= H = ceil(n/2).  The vectors are folded (fold_even)
+    and then screened.  Each folded row v keeps its entries up to the last
+    one with |v_i| > 2^-64 |v|_1 / H, so it drops at most 2^-64 |v|_1; h is
+    the largest such count over all rows of a, b and c, rounded up to a
+    multiple of 8 and capped at H, so that one cached kernel serves many
+    calls and h depends on the vectors alone.  If any row's |v|_1 is not
+    finite (a NaN or inf entry, or overflow), no node is dropped, so
+    non-finite values show in the result.  The sum over the cube differs
+    from the full half-grid sum by at most
+
+        3 * 2^-64 * max|K| * |a|_1 * |b|_1 * |c|_1
+
+    (folded vectors, K over the full half grid), far below the rounding of
+    the sum itself.  The cube is contracted on the first axis by one matrix
+    product and on the other two by one einsum.
     """
     fa, fb, fc = (fold_even(np.atleast_2d(v)) for v in (a, b, c))
-    rows, h = fa.shape[0], kernel.shape[0]
-    t = fa @ kernel.reshape(h, h * h)
-    return np.einsum("bjk,bj,bk->b", t.reshape(rows, h, h), fb, fc)
+    rows, n = fa.shape
+    mag = np.abs(np.concatenate([fa, fb, fc]))
+    total = mag.sum(axis=1, keepdims=True)
+    h = n
+    if np.all(np.isfinite(total)):
+        above = np.flatnonzero(np.any(mag > total * (_SCREEN / n), axis=0))
+        reach = int(above[-1]) + 1 if above.size else 0
+        h = min(n, 8 * max(1, -(-reach // 8)))
+    t = fa[:, :h] @ kernel(h).reshape(h, h * h)
+    return np.einsum("bjk,bj,bk->b", t.reshape(rows, h, h), fb[:, :h], fc[:, :h])
 
 
 @lru_cache(maxsize=None)

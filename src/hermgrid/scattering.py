@@ -20,11 +20,12 @@ that is an exact algebraic identity, not an approximation, and turns an
 O(n_max^6) sum into an O(nodes^3) contraction.  That contraction is
 greens.green_contract, the one the Green's function route uses: the
 denominator is even in every axis, so it folds the profiles onto the
-x >= 0 half grid and sums them against the cached half-grid tensor,
-pole correction included.  The element and its copy with the top
-coefficient shell dropped, which measures truncation, go through it as one
-batch of two.  An independent sum-the-vertices-first evaluation lives in
-the checks module and serves as the correctness oracle.
+x >= 0 half grid and sums them against the cached denominator cube
+their reach needs, pole correction included.  The element and its copy
+with the top coefficient shell dropped, which measures truncation, go
+through it as one batch of two.  An independent sum-the-vertices-first
+evaluation lives in the checks module and serves as the correctness
+oracle.
 """
 
 from __future__ import annotations
@@ -178,6 +179,15 @@ def _origin_derivatives(n_max: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _node_rows(n_max: int, n_nodes: int) -> np.ndarray:
+    # phi_n(x_i) for n <= n_max at the Gauss-Hermite nodes, shared read-only
+    # by every element at one cutoff and node count
+    rows = phi_row(n_max, gauss_hermite(n_nodes)[0])
+    rows.setflags(write=False)
+    return rows
+
+
 def _contract(kin: MollerKinematics, n_max: int, n_nodes: int) -> np.ndarray:
     """The coefficient double sum at cutoff n_max and with the top shell
     n_max dropped, as one batch of two Green's contractions.
@@ -188,8 +198,8 @@ def _contract(kin: MollerKinematics, n_max: int, n_nodes: int) -> np.ndarray:
     profiles' Taylor data at the origin feed the same quadratic pole
     correction the Green's function route applies.
     """
-    x, w = gauss_hermite(n_nodes)
-    rows = phi_row(n_max, x)
+    _, w = gauss_hermite(n_nodes)
+    rows = _node_rows(n_max, n_nodes)
     origin = _origin_derivatives(n_max)
     ipow = 1j ** (np.arange(n_max + 1) % 4)
     keep = np.ones((2, n_max + 1))

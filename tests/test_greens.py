@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 
 from hermgrid import greens
+from hermgrid.dirac import s_plus_green
 from hermgrid.errors import DomainError, NonconvergenceError
 from hermgrid.greens import (
-    _DENOM_CACHE,
-    _RAW_MEMO,
     GreensValue,
     _angular_moment,
     _ball_exact,
+    _g_raw,
+    _inv_denominators,
     _pole_moment,
     clear_caches,
     continuum_yukawa,
@@ -34,6 +36,7 @@ from hermgrid.quadrature import (
     gauss_laguerre_half,
     gauss_legendre,
     refined,
+    triple_rank,
 )
 
 CFG = QuadratureConfig()
@@ -409,7 +412,8 @@ def test_parity_zero_builds_nothing():
     clear_caches()
     v = g_sharp((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
     assert v == GreensValue(complex(1j * 0.0), 0.0)
-    assert not _DENOM_CACHE and not _RAW_MEMO
+    assert _inv_denominators.cache_info().currsize == 0
+    assert _g_raw.cache_info().currsize == 0
     clear_caches()
 
 
@@ -456,9 +460,54 @@ def test_clear_caches_empties_every_cache():
     # the module's own caches; the quadrature rules it imports stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert len(caches) >= 4
+    assert _inv_denominators in caches and _g_raw in caches
+    # the rank maps the screen asks for belong to quadrature but are
+    # emptied too
+    s_plus_green((1, 0, 0), (1, 2, 0), 0.3, 1.0, CFG)
+    caches.append(triple_rank)
+    assert len(caches) >= 7
     assert all(f.cache_info().currsize > 0 for f in caches)
-    assert _DENOM_CACHE and _RAW_MEMO
     clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
-    assert not _DENOM_CACHE and not _RAW_MEMO
+
+
+def test_g_sharp_does_not_depend_on_what_ran_before():
+    # the screened cube depends on the pair alone, so a value computed
+    # first in a clean process equals the value computed after other pairs
+    # at the same mass have built their own cubes
+    mu = 1.37
+    pair = ((2, 1, 0), (0, 1, 2))
+    clear_caches()
+    first = g_sharp(*pair, mu, CFG)
+    clear_caches()
+    for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2))):
+        g_sharp(*other, mu, CFG)
+    _g_raw.cache_clear()
+    assert g_sharp(*pair, mu, CFG) == first
+    clear_caches()
+
+
+def test_tensor_memo_is_bounded():
+    clear_caches()
+    cfg = QuadratureConfig(gh_nodes=8, refine=False)
+    bound = _g_raw.cache_info().maxsize
+    indices = itertools.product(range(0, 10, 2), repeat=3)
+    pairs = itertools.islice(itertools.product(indices, repeat=2), bound + 50)
+    for n, nhat in pairs:
+        g_sharp(n, nhat, 1.3, cfg)
+        assert _g_raw.cache_info().currsize <= bound
+    assert _g_raw.cache_info().currsize == bound
+    assert _inv_denominators.cache_info().entries <= 2 * 64 ** 3
+    clear_caches()
+
+
+@pytest.mark.parametrize("axis", (0, 1, 2))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_green_contract_shows_a_non_finite_far_node(axis, bad):
+    # the far node lies past the cube the screen would keep
+    _, w = gauss_hermite(128)
+    vectors = [w.copy(), w.copy(), w.copy()]
+    vectors[axis][-1] = bad
+    with np.errstate(invalid="ignore"):
+        got = green_contract(*vectors, 1.0, 0.0, 0.7, 128)
+    assert not np.isfinite(got[0])
