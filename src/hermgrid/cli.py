@@ -45,7 +45,6 @@ class RunConfig:
     g: float
     n_max: int
     gh_nodes: int
-    radial_nodes: int
     tol: float
     refine: bool
     out_path: str
@@ -104,8 +103,7 @@ def _table(cfg: RunConfig, columns: list[str], rows: list[ResultRow],
 
 
 def _quad_config(cfg: RunConfig) -> QuadratureConfig:
-    return QuadratureConfig(gh_nodes=cfg.gh_nodes, radial_nodes=cfg.radial_nodes,
-                            tol=cfg.tol, refine=cfg.refine)
+    return QuadratureConfig(gh_nodes=cfg.gh_nodes, tol=cfg.tol, refine=cfg.refine)
 
 
 def _x_of(cfg: RunConfig, index: int) -> float:
@@ -122,7 +120,6 @@ def _run_config(args, command: str) -> RunConfig:
         g=getattr(args, "g", 1.0),
         n_max=getattr(args, "n_max", 8),
         gh_nodes=args.gh_nodes,
-        radial_nodes=args.radial_nodes,
         tol=args.tol,
         refine=not args.no_refine,
         out_path=args.out or "",
@@ -136,7 +133,6 @@ def _run_config(args, command: str) -> RunConfig:
     _require(cfg.n_max >= 0, "--n-max", "n_max >= 0", cfg.n_max)
     _require(cfg.gh_nodes >= 8, "--gh-nodes", "gh_nodes >= 8", cfg.gh_nodes)
     _require(cfg.gh_nodes <= GH_NODES_MAX, "--gh-nodes", f"gh_nodes <= {GH_NODES_MAX}", cfg.gh_nodes)
-    _require(cfg.radial_nodes >= 8, "--radial-nodes", "radial_nodes >= 8", cfg.radial_nodes)
     _require(cfg.tol > 0, "--tol", "tol > 0", cfg.tol)
     return cfg
 
@@ -301,8 +297,6 @@ def cmd_check(args) -> int:
 def _add_quad_flags(sub) -> None:
     sub.add_argument("--gh-nodes", type=int, default=64,
                      help="tensor Gauss-Hermite nodes per axis (>= 8)")
-    sub.add_argument("--radial-nodes", type=int, default=400,
-                     help="radial nodes for the reduced axis quadrature (>= 8)")
     sub.add_argument("--tol", type=float, default=1e-8,
                      help="refinement tolerance; nonconvergence trips at 100x this")
     sub.add_argument("--no-refine", action="store_true",

@@ -7,32 +7,28 @@ The central object is
                      / (k.k + mu^2)
 
 which inverts (sharp Laplacian - mu^2) with a Kronecker source and stays
-finite at coincidence, unlike its continuum counterpart.  Three independent
-evaluation routes are provided and cross-checked: tensor Gauss-Hermite in 3D
-(g_sharp), a reduced radial-angular quadrature along one axis (g_sharp_axis),
-and closed forms for the coincidence and massless cases.
+finite at coincidence, unlike its continuum counterpart.  Two independent
+routes are provided and cross-checked: tensor Gauss-Hermite in 3D
+(g_sharp), and closed forms along one axis (g_sharp_axis, coulomb_even).
 
 Evaluation notes.  The integrand's denominator develops a near-pole at the
 origin as mu -> 0, which plain Gauss-Hermite cannot resolve at any feasible
-node count.  Both quadrature routes therefore subtract a local model of the
-integrand at the pole (the quadratic Taylor approximant of the polynomial
-pair product in 3D, the exact analytic continuation in the reduced route)
-and add back the model's analytically known integral; the subtraction is
-exact in the massless limit.  The reduced route drops the subtraction once
-mu is large enough that the pole no longer limits the rule, because the
-continuation factor grows exponentially with mu^2 there and would only add
-cancellation noise.
+node count.  The tensor route therefore subtracts the quadratic Taylor
+approximant of the polynomial pair product at the pole and adds back the
+model's analytically known integral; the subtraction is exact in the
+massless limit.
 
-The reduced route integrates over y = cos(theta) with a Gauss-Legendre rule
-of more than n1/2 nodes, which is exact for the even polynomial
-phi_{n1}(k y) of degree n1.  The angular moment at each radial node
-(_angular_moment) therefore does not depend on mu and is cached per order
-and node count, so each mass costs one radial sum; the massless 2D
-quadrature reads the same moments on its Gauss-Hermite radii.  The same
-exactness makes the subtracted pole term sum_j wy_j phi_{n1}(i mu y_j) an
-even polynomial of degree n1 in mu, whose n1/2 + 1 coefficients, all of one
-sign, are cached per order and rule (_pole_coefficients) and summed by
-Horner's rule in mu^2.
+Along one axis the proper-time form of 1/(k.k + mu^2) leaves one monomial:
+
+    G((2j,0,0), (0,0,0); mu) = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2)
+
+with U Tricomi's confluent hypergeometric function (DLMF 13.4.4); j = 0 is
+the coincidence value mu e^{mu^2} Gamma(-1/2, mu^2) and mu = 0 gives
+coulomb_even.  The ratios U(n)/U(n+1) obey the three-term recurrence in a
+(DLMF 13.3.7), whose backward loop (_gamma_cf_levels) is also Legendre's
+continued fraction for Gamma(-1/2, x): one loop serves the coincidence
+value, the tensor route's pole constants and the axis table (_axis_table),
+which runs the recurrence forward instead where mu^2 j is small.
 """
 
 from __future__ import annotations
@@ -40,18 +36,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul, truediv
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .errors import DomainError
-from .hermite import phi, phi_coefficients, phi_row
+from .hermite import phi, phi_row
 from .quadrature import (
     QuadratureConfig,
     contract_even,
     gauss_hermite,
-    gauss_laguerre_half,
     gauss_legendre,
     index3,
     refined,
@@ -65,13 +62,14 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class GreensValue:
-    """A Green's function sample plus the honest refinement-based error bar.
+    """A Green's function sample plus the honest error bar.
 
-    err_estimate is |value(N) - value(2N)| under node doubling when the
-    config asked for refinement (a defect above 100*tol raises, see
-    quadrature.refined), exactly 0.0 for results that are exact by
-    construction (parity zeros, closed forms), and NaN when refinement was
-    disabled so no estimate exists.
+    For a quadrature, err_estimate is the node-doubling defect
+    |value(N) - value(2N)| (g_sharp adds a rounding bound) when the config
+    asked for refinement (a defect above 100*tol raises, see
+    quadrature.refined), and NaN when it did not.  Parity zeros and the
+    coincidence value are exact by construction and report 0.0; the other
+    axis values report a rounding bound (g_sharp_axis), refined or not.
     """
 
     value: complex
@@ -80,12 +78,21 @@ class GreensValue:
 
 def clear_caches() -> None:
     """Drop every cache of this module: memoized Green's values, denominator
-    cubes, pole constants, pole models, angular moments and pole-moment
-    coefficients; and the sorted-triple rank maps of quadrature, one per
-    cube size the screen in contract_even has asked for."""
+    cubes, pole constants, pole models, angular moments and axis tables; and
+    the sorted-triple rank maps of quadrature, one per cube size the screen
+    in contract_even has asked for."""
     for cached in (_g_raw, _inv_denominators, _ball_defects, _pole_model, _angular_moment,
-                   _pole_coefficients, triple_rank):
+                   _axis_table, _table_steps, triple_rank):
         cached.cache_clear()
+
+
+def _order(n1) -> int:
+    """An order n1 as a nonnegative int; ValueError otherwise (see
+    quadrature.index3)."""
+    order = int(n1)
+    if order != n1 or order < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {n1!r}")
+    return order
 
 
 # inverse-denominator cubes 1/(x_i^2+x_j^2+x_l^2+mu^2) on the leading h
@@ -110,14 +117,15 @@ def _ball_exact(mu: float) -> tuple[float, float]:
 
     b0 = pi^{3/2} Y(mu) with Y = yukawa_coincidence, and
     b2 = pi^{3/2} (1 - mu^2 Y) / 3.  Below mu = 1 the difference cancels
-    at most twofold.  From mu = 1 on, Y = F = 1/(x + 3/2 + t) with x = mu^2
-    and t the tail of the continued fraction (_gamma_cf_tail), so
-    1 - mu^2 Y = (3/2 + t) F, a form with nothing left to cancel.
+    at most twofold.  From mu = 1 on, the recurrence of U at a = 1 turns it
+    into 1 - mu^2 Y = (3/2) Y (1 - 1/d_1), with Y = 1/d_0 and
+    d_1 = U(1)/U(2) >= 5/2 from the continued fraction (_gamma_cf_levels),
+    a form with nothing left to cancel.
     """
     if mu >= 1.0:
-        t = _gamma_cf_tail(mu * mu)
-        f = 1.0 / (mu * mu + 1.5 + t)
-        return math.pi ** 1.5 * f, math.pi ** 1.5 * (1.5 + t) * f / 3.0
+        d = _gamma_cf_levels(mu * mu, 2)
+        y = 1.0 / d[0]
+        return math.pi ** 1.5 * y, math.pi ** 1.5 * (1.0 - 1.0 / d[1]) * y / 2.0
     b0 = math.pi ** 1.5 * yukawa_coincidence(mu)
     return b0, (math.pi ** 1.5 - mu * mu * b0) / 3.0
 
@@ -167,12 +175,18 @@ def _pole_model(n: int, nhat: int) -> tuple[float, float]:
     return q0, -(n + nhat) * q0 + cross
 
 
+def _pair_model(n: tuple[int, ...], nhat: tuple[int, ...]) -> tuple[float, float]:
+    """c0 and c2 of the pair's quadratic pole model (green_contract): the
+    value and the summed per-axis half-second-derivatives at the origin of
+    the product of the three one-axis pair polynomials."""
+    (q0a, q2a), (q0b, q2b), (q0c, q2c) = (_pole_model(n[a], nhat[a]) for a in range(3))
+    return q0a * q0b * q0c, q2a * q0b * q0c + q0a * q2b * q0c + q0a * q0b * q2c
+
+
 def _g_eval(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -> complex:
     table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
-    (q0a, q2a), (q0b, q2b), (q0c, q2c) = (_pole_model(n[a], nhat[a]) for a in range(3))
-    c0 = q0a * q0b * q0c
-    c2 = q2a * q0b * q0c + q0a * q2b * q0c + q0a * q0b * q2c
-    val = green_contract(*(table[n[a]] * table[nhat[a]] for a in range(3)), c0, c2, mu, n_nodes)
+    val = green_contract(*(table[n[a]] * table[nhat[a]] for a in range(3)), *_pair_model(n, nhat),
+                         mu, n_nodes)
     phase = 1j ** ((sum(n) - sum(nhat)) % 4)
     return complex(phase * val[0])
 
@@ -195,6 +209,15 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     pair that violates parity on some axis integrates to exactly zero; it
     is returned as phase * 0.0 with err_estimate 0.0 once the index and mass
     checks pass, and no tensor is built for it.
+
+    With refinement, err_estimate adds to the node-doubling defect what
+    the rounding of the fine N-node rule moves the value, which both levels
+    carry: (16 + N/4) ulps of K_max (1 + |c0| + |c2|/2), K_max the largest
+    kernel entry and c0, c2 the pole model (_pair_model).  Each weighted
+    pair row has 1-norm <= sqrt(pi), so pi^{3/2} times that bounds the
+    absolute terms of the sum.  Against the closed axis values the defect
+    alone falls short by up to 5 of those ulps at N <= 128, 13 at 256 and
+    29 at 512 (n1 <= 10, mu in [0.3, 200]).
     """
     n = index3(n)
     nhat = index3(nhat)
@@ -207,148 +230,133 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
         return GreensValue(complex(phase * 0.0), 0.0)
     value, err = refined(lambda k: _g_raw(n, nhat, mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol,
                          "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
+    if cfg.refine:
+        c0, c2 = _pair_model(n, nhat)
+        x, _ = gauss_hermite(2 * cfg.gh_nodes)
+        k_max = 1.0 / (3.0 * float(x[cfg.gh_nodes]) ** 2 + mu * mu)
+        err += (16 + cfg.gh_nodes / 2) * 2.0 ** -52 * k_max * (1.0 + abs(c0) + 0.5 * abs(c2))
     return GreensValue(complex(value), err)
 
 
-# Pole subtraction is only worth its numerical cost while the pole at
-# x = -mu^2 sits close to the integration ray.  Beyond this threshold the
-# plain rule already converges past machine precision, while the subtracted
-# continuation phi_{n1}(i mu y) grows like e^{mu^2} times a polynomial in n1
-# and the subtract-then-add-back round trip starts to cancel catastrophically
-# (about 1e-6 absolute noise by n1 = 40, mu = 4).  Both branches are
-# machine-accurate on either side of 1, so the switch is not delicate.
-_AXIS_SUBTRACT_MAX_MU = 1.0
+# Entries of the default axis table, n1 = 0, 2, ..., 40; a higher order asks
+# for a table of twice the size, as often as needed.  Every entry past 21
+# would add a level to each backward build (4-8 us cold for mu in [1, 4] on
+# a 2-core VM).
+_AXIS_TABLE = 21
+
+# x * size up to which _axis_table runs forward.  Forward, the seed's
+# rounding grows by about e^{4 sqrt(x j)} by entry j, at most e^4 here;
+# measured, the entries stay within (j + 1) ulps.
+_FORWARD_MAX = 1.0
 
 
-@lru_cache(maxsize=256)
-def _angular_moment(n1: int, rule, radial_nodes: int, ang_nodes: int) -> np.ndarray:
-    """s_i = sum_j wy_j phi_{n1}(k_i y_j) at each radius k_i of a radial rule,
-    with the ang_nodes-point Gauss-Legendre rule in y = cos(theta).
-
-    rule is gauss_laguerre_half, whose nodes are x = k^2, or gauss_hermite,
-    whose nodes are k.  No mass enters, so one read-only vector per order
-    and node count serves every mu.  For even n1, phi_{n1}(k y) is an even
-    polynomial of degree n1 in y, which the angular rule integrates exactly
-    once ang_nodes > n1 / 2.
-    """
-    x, _ = rule(radial_nodes)
-    k = np.sqrt(x) if rule is gauss_laguerre_half else x
-    y, wy = gauss_legendre(ang_nodes)
-    s = phi(n1, np.outer(k, y)) @ wy
-    s.setflags(write=False)
-    return s
+@lru_cache(maxsize=None)
+def _table_steps(size: int) -> tuple[float, ...]:
+    """sqrt(j (j - 1/2)) for j = 1..size-1, once per table size."""
+    return tuple(math.sqrt(j * (j - 0.5)) for j in range(1, size))
 
 
-@lru_cache(maxsize=256)
-def _pole_coefficients(n1: int, ang_nodes: int) -> tuple[float, ...]:
-    """c_m, m = 0..n1/2, of the pole moment p(mu) = sum_m c_m mu^(2m) for
-    even n1, where p(mu) = sum_j wy_j phi_{n1}(i mu y_j) on the ang_nodes-point
-    Gauss-Legendre rule.
-
-    With h_k the power-series coefficients of phi_{n1} (phi_coefficients),
-    c_m = h_{2m} (-1)^m (wy @ y^(2m)).  The moments come from the rule, not
-    from 2/(2m+1), so that c_0 = wy @ 1 exactly as a plain sum over the
-    rule.  Every c_m has the sign (-1)^(n1/2), so Horner's rule in mu^2
-    (_pole_moment) does not cancel.  No mass enters; cached per order and
-    rule.
-    """
-    h = phi_coefficients(n1)
-    y, wy = gauss_legendre(ang_nodes)
-    y2 = y * y
-    power = np.ones_like(y)
-    out = []
-    for m in range(n1 // 2 + 1):
-        out.append(float(h[2 * m] * (-1.0) ** m * (power @ wy)))
-        power = power * y2
-    return tuple(out)
-
-
-def _pole_moment(n1: int, mu: float, ang_nodes: int) -> float:
-    """sum_j wy_j phi_{n1}(i mu y_j) for even n1, by Horner's rule in mu^2."""
-    coef = _pole_coefficients(n1, ang_nodes)
-    mu2 = mu * mu
-    p = coef[-1]
-    for c in coef[-2::-1]:
-        p = p * mu2 + c
-    return p
-
-
-# At high n1, phi_{n1}(sqrt(x) y) grows fast over the far radial nodes, so
-# the axis route relies on half-Laguerre weights that are accurate to
-# relative precision there, not only to absolute precision.
-def _axis_eval(n1: int, mu: float, radial_nodes: int, ang_nodes: int) -> float:
-    xr, wr = gauss_laguerre_half(radial_nodes)
-    s = _angular_moment(n1, gauss_laguerre_half, radial_nodes, ang_nodes)
-    if mu <= _AXIS_SUBTRACT_MAX_MU:
-        pole = _pole_moment(n1, mu, ang_nodes)
-        tail = _SQRT_PI - math.pi * mu * float(erfcx(mu))
-        val = wr @ ((s - pole) / (xr + mu * mu)) + pole * tail
+@lru_cache(maxsize=128)
+def _axis_table(mu: float, size: int) -> tuple[float, ...]:
+    """g_j = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2) for j < size, mu > 0, as
+    g_0 = yukawa_coincidence(mu) (the same float) and g_j = g_{j-1}
+    sqrt(j (j - 1/2)) / d_j, so the prefactor never overflows.  The
+    d_j = U(j)/U(j+1) come from _gamma_cf_levels once x = mu^2 times size
+    passes _FORWARD_MAX, and otherwise from the recurrence run forward as
+    e_j = (j + 1/2)(e_{j-1} - x) / (j + x - e_{j-1}), d_j = j + 1/2 + e_j,
+    from e_0 = 1/g_0 - 1/2: d_j stays exact at x = 0, where the plain
+    three-term step lost up to j^2/8 ulps by j = 100."""
+    x = mu * mu
+    if x * size > _FORWARD_MAX:
+        d = _gamma_cf_levels(x, size)
+        # from mu = 1 on this is the float yukawa_coincidence returns
+        g = 1.0 / d[0] if mu >= 1.0 else yukawa_coincidence(mu)
     else:
-        val = wr @ (s / (xr + mu * mu))
-    sign = -1.0 if (n1 // 2) % 2 else 1.0
-    return float(sign * val / _SQRT_PI)
+        g = yukawa_coincidence(mu)
+        e = 1.0 / g - 0.5
+        d = [0.5 + e]
+        for j in range(1, size):
+            e = (j + 0.5) * (e - x) / (j + x - e)
+            d.append(j + 0.5 + e)
+    return tuple(accumulate(map(truediv, _table_steps(size), d[1:]), mul, initial=g))
 
 
 def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
-    """Green's function along one axis, G((n1,0,0),(0,0,0); mu), via the
-    reduced two-dimensional integral in x = k^2 and y = cos(theta).
+    """Green's function along one axis, G((n1,0,0),(0,0,0); mu), in closed
+    form (module docstring): an exact zero for odd n1, and for even n1 = 2j
+    entry j of the per-mass table _axis_table.
 
-    The radial rule carries the sqrt(x) e^{-x} measure of the reduced
-    integrand.  For small mu the integrand's analytic continuation at
-    x = -mu^2 is subtracted, removing the nearby pole exactly; for larger mu
-    the pole is far from the ray and the plain rule is used (see
-    _AXIS_SUBTRACT_MAX_MU).  Either way the result is machine-accurate
-    uniformly in mu.  Odd orders vanish by angular parity and are returned
-    as exact zeros.
-
-    The angular rule has max(8, n1/2 + 2) nodes at the coarse level and
-    twice that at the fine one, so it is exact for the even polynomial
-    phi_{n1}(sqrt(x) y) at both; its result, the angular moment at each
-    radial node, is mu-independent and cached.  The pole term below the
-    switch, sum_j wy_j phi_{n1}(i mu y_j), is an even polynomial of degree
-    n1 in mu whose coefficients are cached per order and rule
-    (_pole_coefficients) and summed by Horner's rule.  A call then costs
-    one radial sum per level; the refinement defect still compares the two
-    radial rules.
+    At n1 = 0 that is the float yukawa_coincidence(mu), with err_estimate
+    0.0 as for the other closed forms.  Otherwise err_estimate is the
+    rounding bound (4 j + 64)(2^-52 |value| + 2^-1074): four roundings per
+    factor of the table's product and 64 for its seed, which covers the
+    growth of the forward recurrence and the truncation of the backward one;
+    1.0e-13 relative at n1 = 200, and measured against mpmath never reached.
+    No quadrature runs, so cfg is not read; it keeps the routes' call shape.
     """
-    n1 = int(n1)
-    if n1 < 0:
-        raise ValueError(f"order must be nonnegative, got {n1}")
+    n1 = _order(n1)
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mu}")
-    if n1 % 2 == 1:
+    if n1 % 2:
         return GreensValue(0j, 0.0)
-    ang = max(8, n1 // 2 + 2)
-    value, err = refined(lambda k: _axis_eval(n1, mu, k * cfg.radial_nodes, k * ang), cfg,
-                         100.0 * cfg.tol, "axis Green's function at n1={}, mu={}", n1, mu)
+    j = n1 // 2
+    size = _AXIS_TABLE
+    while size <= j:
+        size *= 2
+    value = _axis_table(mu, size)[j]
+    err = (4 * j + 64) * (2.0 ** -52 * value + 2.0 ** -1074) if j else 0.0
     return GreensValue(complex(value), err)
 
 
-# Depth of the continued fraction in _gamma_cf.  The fraction converges
-# fastest for large x; at x = 1, its slowest point, 90 levels already reach
-# the double-precision limit.
-_CF_DEPTH = 100
+# Margin c of the depth N = ceil((sqrt(count) + c / sqrt(x))^2) + 2 of
+# _gamma_cf_levels: for c >= 8.0 every level below count is within one ulp
+# of a run twice as deep, measured for count 1 to 168 at 120 masses in
+# [0.2, 1e4] (9.0 from the plain start e = x).  The two extra levels serve
+# large x, where the square alone reaches less than one level past count.
+_CF_MARGIN = 8.5
+
+# level numbers as floats, enough for the default table at every mass where
+# it runs backward (at most 1,900 levels)
+_LEVEL_K = tuple(map(float, range(2048)))
 
 
-def _gamma_cf_tail(x: float) -> float:
-    """The tail t of _gamma_cf(x) = 1/(x + 3/2 + t), for x >= 1."""
-    t = 0.0
-    for n in range(_CF_DEPTH, 0, -1):
-        t = -n * (n + 0.5) / (x + 1.5 + 2.0 * n + t)
-    return t
+def _gamma_cf_levels(x: float, count: int) -> list[float]:
+    """d_n = U(n, 1/2, x) / U(n+1, 1/2, x) for n < count, x > 0.
+
+    With d_n = n + 1/2 + e_n, the recurrence of U in a (DLMF 13.3.7) reads
+    e_n = x + (n+1) e_{n+1} / d_{n+1}, every term positive.  U is its
+    minimal solution, so the loop runs backward (Miller's algorithm), from
+    the step's fixed point e = h + sqrt(h^2 + x (N + 3/2)), h = (x - 1/2)/2,
+    at depth N = ceil((sqrt(max(count, _AXIS_TABLE)) + _CF_MARGIN /
+    sqrt(x))^2) + 2, about 72/x for small x.  As U(0) = 1, 1/d_0 =
+    U(1, 1/2, x) = x^{1/2} e^x Gamma(-1/2, x): the loop is Legendre's
+    continued fraction for Gamma(-1/2, x) (DLMF 8.9.2) evaluated bottom-up,
+    d_n its level-n denominator.  Every count up to _AXIS_TABLE runs at one
+    depth, so the coincidence value is the axis table's first entry to the
+    bit.  From x = 2^80 on, every d_n = x + 2n + 1/2 - O(n^2/x) rounds to x.
+    """
+    if x >= 2.0 ** 80:
+        return [x] * count
+    depth = math.ceil((math.sqrt(max(count, _AXIS_TABLE)) + _CF_MARGIN / math.sqrt(x)) ** 2) + 2
+    ks = _LEVEL_K if depth < len(_LEVEL_K) else tuple(map(float, range(depth + 1)))
+    h = 0.5 * (x - 0.5)
+    e = h + math.sqrt(h * h + x * (depth + 1.5))
+    for k in ks[depth:count - 1:-1]:
+        e = x + k * e / (k + 0.5 + e)
+    out = []
+    for k in ks[count - 1:0:-1]:
+        d = k + 0.5 + e
+        out.append(d)
+        e = x + k * e / d
+    out.append(0.5 + e)
+    out.reverse()
+    return out
 
 
 def _gamma_cf(x: float) -> float:
-    """x^{1/2} e^x Gamma(-1/2, x) for x >= 1.
-
-    Evaluates the even contraction of Legendre's continued fraction for the
-    incomplete gamma function (DLMF 8.9.2),
-    1/(x + 3/2 - (1*3/2)/(x + 7/2 - (2*5/2)/(x + 11/2 - ...))), bottom-up at
-    a fixed depth (_gamma_cf_tail); that direction keeps the rounding to a
-    few ulps.  No exponential is formed, so nothing overflows or cancels at
-    large x.
-    """
-    return 1.0 / (x + 1.5 + _gamma_cf_tail(x))
+    """x^{1/2} e^x Gamma(-1/2, x) = 1/d_0 for x >= 1 (_gamma_cf_levels).
+    No exponential is formed, so nothing overflows or cancels at large x."""
+    return 1.0 / _gamma_cf_levels(x, 1)[0]
 
 
 def incomplete_gamma_neg_half(x: float) -> float:
@@ -397,9 +405,7 @@ def coulomb_even(n1: int) -> float:
     5/(1024n^3) - 21/(32768n^4) + ...), whose next term is below 2e-18
     there; it meets the exact ratio within one ulp.
     """
-    n1 = int(n1)
-    if n1 < 0:
-        raise ValueError(f"order must be nonnegative, got {n1}")
+    n1 = _order(n1)
     if n1 <= 85:
         num = float(2 ** (n1 + 1) * math.factorial(n1))
         return num / ((2 * n1 + 1) * math.sqrt(float(math.factorial(2 * n1))))
@@ -410,11 +416,25 @@ def coulomb_even(n1: int) -> float:
     return 2.0 * (math.pi * n1) ** 0.25 / ((2.0 * n1 + 1.0) * math.sqrt(series))
 
 
+@lru_cache(maxsize=256)
+def _angular_moment(n1: int, n_nodes: int, ang_nodes: int) -> np.ndarray:
+    """s_i = sum_j wy_j phi_{n1}(k_i y_j) at each node k_i of the n_nodes-point
+    Gauss-Hermite rule, with the ang_nodes-point Gauss-Legendre rule in
+    y = cos(theta).  For even n1, phi_{n1}(k y) is an even polynomial of
+    degree n1 in y, which the angular rule integrates exactly once
+    ang_nodes > n1 / 2.  Cached read-only per order and node counts."""
+    k, _ = gauss_hermite(n_nodes)
+    y, wy = gauss_legendre(ang_nodes)
+    s = phi(n1, np.outer(k, y)) @ wy
+    s.setflags(write=False)
+    return s
+
+
 def _coulomb_eval(n1: int, gh_nodes: int, ang_nodes: int) -> complex:
     _, w = gauss_hermite(gh_nodes)
     # half-line radial integral folded onto the full line by joint
     # (k, y) -> (-k, -y) symmetry of the integrand
-    val = (w @ _angular_moment(n1, gauss_hermite, gh_nodes, ang_nodes)) / _SQRT_PI
+    val = (w @ _angular_moment(n1, gh_nodes, ang_nodes)) / _SQRT_PI
     phase = 1j ** (n1 % 4)
     return complex(phase * val)
 
@@ -428,9 +448,7 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
     pure polynomial against the Gaussian weight and the rule is exact once
     the node count clears half the order.
     """
-    n1 = int(n1)
-    if n1 < 0:
-        raise ValueError(f"order must be nonnegative, got {n1}")
+    n1 = _order(n1)
     ang = max(8, n1 // 2 + 2)
     value, err = refined(lambda k: _coulomb_eval(n1, k * cfg.gh_nodes, k * ang), cfg,
                          100.0 * cfg.tol, "massless quadrature at index {}", n1)
@@ -504,11 +522,9 @@ def difference_equation_residual(n, nhat, mu: float, cfg: QuadratureConfig) -> f
 
 def w_sharp(n1: int, mu: float, cfg: QuadratureConfig) -> float:
     """Static potential profile along one axis: the (n1,0,0) vs origin
-    Green's value, through the best route for the given mass."""
-    n1 = int(n1)
-    if n1 < 0:
-        raise ValueError(f"order must be nonnegative, got {n1}")
-    if mu < 0:
+    Green's value, g_sharp_axis for mu > 0 and coulomb_even at mu = 0."""
+    n1 = _order(n1)
+    if not mu >= 0:
         raise DomainError(f"mu must be nonnegative, got {mu}")
     if mu > 0:
         return g_sharp_axis(n1, mu, cfg).value.real

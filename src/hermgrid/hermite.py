@@ -8,8 +8,7 @@ where H_n is the physicists' Hermite polynomial.  Everything in this package
 that integrates over momentum expands in this basis, so the evaluation here
 must stay accurate for orders in the hundreds.  Factorials and raw H_n values
 overflow long before that, which is why all evaluation goes through one
-normalized three-term recurrence, _phi_rows; phi_coefficients runs the same
-recurrence on power-series coefficients.
+normalized three-term recurrence, _phi_rows.
 """
 
 from __future__ import annotations
@@ -64,28 +63,6 @@ def _phi_rows(x, seed):
         yield cur
         prev, cur = cur, math.sqrt(2.0 / (j + 1)) * x * cur - math.sqrt(j / (j + 1.0)) * prev
         j += 1
-
-
-def phi_coefficients(n: int) -> np.ndarray:
-    """Power-series coefficients h_k of phi_n(x) = sum_k h_k x^k, k = 0..n.
-
-    Runs the steps of _phi_rows, with the same coefficients, on coefficient
-    vectors, where multiplying by x shifts a vector up one place.  (The
-    coefficients are written out in both loops: drawn from one shared
-    generator, they made the scalar xi_axis(64, k) a third slower.)  Only
-    the h_k with k of the parity of n are nonzero, with sign (-1)^((n-k)/2); the two terms of
-    each step carry that same sign, so nothing cancels and each coefficient
-    is accurate to a few ulps per step.
-    """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    prev, cur = np.zeros(n + 1), np.zeros(n + 1)
-    cur[0] = 1.0
-    for j in range(n):
-        nxt = -math.sqrt(j / (j + 1.0)) * prev
-        nxt[1:] += math.sqrt(2.0 / (j + 1)) * cur[:-1]
-        prev, cur = cur, nxt
-    return cur
 
 
 # i^n by n mod 4

@@ -43,16 +43,16 @@ GH_NODES_MAX = 256
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and tolerances shared by every integral evaluation.
+    """Node count and tolerances shared by every quadrature evaluation.
 
-    refine=True evaluates each quadrature at the configured node count and
-    at double that count; the difference is reported as the error estimate
-    and tested against a gate (see refined).  With refine=False no estimate
-    exists and NaN is reported instead.
+    refine=True evaluates each quadrature at gh_nodes Gauss-Hermite nodes
+    per axis and at double that count; the difference is reported as the
+    error estimate and tested against a gate (see refined).  With
+    refine=False no estimate exists and NaN is reported instead.  The
+    closed forms, the axis values among them, read none of these fields.
     """
 
     gh_nodes: int = 64
-    radial_nodes: int = 400
     tol: float = 1e-8
     refine: bool = True
 
@@ -61,8 +61,6 @@ class QuadratureConfig:
             raise ValueError(f"gh_nodes must be >= 8, got {self.gh_nodes}")
         if self.gh_nodes > GH_NODES_MAX:
             raise ValueError(f"gh_nodes must be <= {GH_NODES_MAX}, got {self.gh_nodes}")
-        if self.radial_nodes < 8:
-            raise ValueError(f"radial_nodes must be >= 8, got {self.radial_nodes}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -154,6 +152,11 @@ def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(y, w)
 
 
+# No route of the package uses the half-Laguerre rule and its weights since
+# the axis values it integrated became closed forms.  The benchmark
+# (perfbench) still builds the rule in its set-up and is its only caller,
+# so the rule goes with the next change to the benchmark.
+
 def _christoffel_weights(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: float) -> np.ndarray:
     """Gauss weights w_i = mass / sum_k p_k(x_i)^2 from the Jacobi matrix.
 
@@ -189,9 +192,8 @@ def gauss_laguerre_half(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch).  The
     library routine for this rule overflows internally and returns NaN nodes
-    already at a few hundred points, which is inside this package's default
-    radial resolution.  The weights come from the Christoffel function at
-    each node (_christoffel_weights), not from squared eigenvector
+    already at a few hundred points.  The weights come from the Christoffel
+    function at each node (_christoffel_weights), not from squared eigenvector
     components: those carry only absolute precision, about 1e-34 of noise
     at the far nodes of a 400-node rule, whose true weights are many orders
     of magnitude smaller.  Each weight is accurate to a few parts in 1e12

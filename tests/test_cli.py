@@ -137,8 +137,8 @@ def test_unrepresentable_inputs_exit_with_one_line(argv):
 
 
 def test_yukawa_table_independent_of_earlier_calls(capsys):
-    # the axis route caches mass-independent moments; the table bytes must
-    # not depend on what the process computed before
+    # the axis route caches one table per mass and size; the table bytes
+    # must not depend on what the process computed before
     argv = ("yukawa", "--mu", "0.7", "--n-max", "40")
     first = _run_fresh(*argv)
     assert first.returncode == 0 and first.stderr == ""
@@ -164,7 +164,7 @@ def test_yukawa_table(capsys):
     assert header["command"] == "yukawa"
     assert header["mu"] == "1.0"
     assert header["refine"] == "true"
-    assert len(header) == 13
+    assert len(header) == 12
     assert len(rows) == 7
 
     closed = yukawa_coincidence(1.0)
@@ -182,8 +182,8 @@ def test_yukawa_table(capsys):
 
 
 def test_yukawa_high_order_small_mass(capsys):
-    # high even orders weight the far radial nodes of the half-Laguerre rule,
-    # where weights known only to absolute precision tripped the refinement gate
+    # mu^2 = 1/16 is past the forward recurrence for a 24-entry table, so
+    # the table comes from the backward loop at a depth of about 1,800
     rc, out, err = run_cli(capsys, "yukawa", "--mu", "0.25", "--n-max", "40")
     assert rc == 0 and err == ""
     _, _, rows = parse_table(out)
@@ -201,6 +201,28 @@ def test_yukawa_large_mass(capsys):
     closed = float(header["coincidence_closed_form"])
     assert closed == yukawa_coincidence(30.0)
     assert float(rows[0]["w_sharp"]) == pytest.approx(closed, rel=1e-13)
+
+
+def test_yukawa_large_mass_high_orders_fall(capsys):
+    # the quadrature this replaced printed rounding noise of about 3e-18
+    # from index 12 on (4.2e-18 at index 12, where the value is 6.75e-19)
+    mp = pytest.importorskip("mpmath")
+    rc, out, err = run_cli(capsys, "yukawa", "--mu", "30", "--n-max", "40")
+    assert rc == 0 and err == ""
+    _, _, rows = parse_table(out)
+    even = [float(r["w_sharp"]) for r in rows[::2]]
+    assert all(0.0 < b < a for a, b in zip(even, even[1:]))
+    with mp.workdps(30):
+        want = mp.sqrt(mp.factorial(12)) / 2 ** 6 * mp.hyperu(7, 0.5, 900)
+    assert abs(float(rows[12]["w_sharp"]) - want) <= 2e-14 * want
+
+
+def test_radial_nodes_flag_is_gone():
+    # the closed-form axis values have no radial rule to size
+    run = _run_fresh("yukawa", "--mu", "1", "--radial-nodes", "400")
+    assert run.returncode == 2 and run.stdout == ""
+    assert "usage:" in run.stderr and "unrecognized arguments: --radial-nodes" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_coulomb_table_and_gnuplot_sidecar(capsys, tmp_path):
@@ -409,7 +431,6 @@ def _cli_argv(draw):
     # is built; accepted ones stay small, so no example allocates a large
     # tensor
     argv.append(f"--gh-nodes={draw(st.sampled_from((0, 7, 8, 16, 257, 500, 10 ** 6)))}")
-    argv.append(f"--radial-nodes={draw(st.sampled_from((7, 8, 64)))}")
     if draw(st.booleans()):
         argv.append("--no-refine")
     return argv

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,10 @@ from hermgrid.errors import DomainError, NonconvergenceError
 from hermgrid.greens import (
     GreensValue,
     _angular_moment,
+    _axis_table,
     _ball_exact,
     _g_raw,
     _inv_denominators,
-    _pole_moment,
     clear_caches,
     continuum_yukawa,
     continuum_yukawa_oracle,
@@ -33,7 +34,6 @@ from hermgrid.hermite import phi_row
 from hermgrid.quadrature import (
     QuadratureConfig,
     gauss_hermite,
-    gauss_laguerre_half,
     gauss_legendre,
     refined,
     triple_rank,
@@ -98,8 +98,10 @@ def test_refine_disabled_reports_nan_error():
     assert math.isnan(v.err_estimate)
     # a parity zero is exact, refined or not
     assert g_sharp((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
-    a = g_sharp_axis(0, 1.0, QuadratureConfig(refine=False))
-    assert math.isnan(a.err_estimate)
+    # the axis values are closed forms: no refinement, the same estimate
+    for n1 in (0, 4):
+        assert g_sharp_axis(n1, 1.0, QuadratureConfig(refine=False)) == g_sharp_axis(n1, 1.0, CFG)
+    assert g_sharp_axis(0, 1.0, CFG).err_estimate == 0.0
 
 
 def test_axis_odd_orders_are_exact_zeros():
@@ -117,9 +119,24 @@ def test_axis_domain_checks():
         g_sharp((0, 0, 0), (0, 0, 0), 0.0, CFG)
 
 
+def test_fractional_orders_are_rejected():
+    # they used to be truncated to the order below, as g_sharp never did
+    with pytest.raises(ValueError):
+        g_sharp_axis(2.5, 1.0, CFG)
+    with pytest.raises(ValueError):
+        w_sharp(2.7, 1.0, CFG)
+    with pytest.raises(ValueError):
+        coulomb_even(1.5)
+    with pytest.raises(ValueError):
+        coulomb_quadrature(2.9, CFG)
+    # integral floats and numpy integers stay orders
+    assert g_sharp_axis(4.0, 1.0, CFG) == g_sharp_axis(np.int64(4), 1.0, CFG)
+    assert coulomb_even(2.0) == coulomb_even(2)
+
+
 def test_axis_high_order_large_mass_regression():
-    # exercises the unsubtracted branch; the subtracted form loses six
-    # digits to cancellation here and used to trip the refinement gate
+    # a pole-subtracting quadrature lost six digits to cancellation here
+    # and tripped its refinement gate; the closed form is 1.874e-14
     v = g_sharp_axis(40, 4.0, CFG)
     assert abs(v.value.real) <= 1e-13
     assert v.err_estimate <= 1e-12
@@ -263,6 +280,8 @@ def test_w_sharp_examples_and_coupling():
     assert w_sharp(0, 1.0, CFG) == pytest.approx(COINCIDENCE_AT_1, abs=1e-12)
     assert v_sharp(0, 0.0, 1.0, CFG) == pytest.approx(-2.0, rel=1e-15)
     assert v_sharp(2, 0.0, 2.0, CFG) == pytest.approx(-4.0 * coulomb_even(1), rel=1e-14)
+    with pytest.raises(DomainError):
+        w_sharp(2, math.nan, CFG)
 
 
 def test_clear_caches_is_idempotent_and_preserves_values():
@@ -276,28 +295,25 @@ def test_clear_caches_is_idempotent_and_preserves_values():
 def test_angular_moment_is_cached_read_only_and_cleared():
     clear_caches()
     assert _angular_moment.cache_info().currsize == 0
-    g_sharp_axis(10, 0.5, CFG)
-    g_sharp_axis(10, 2.0, CFG)
     coulomb_quadrature(4, CFG)
-    # one moment per level and radial rule, whatever the mass
-    assert _angular_moment.cache_info().currsize == 4
-    s = _angular_moment(10, gauss_laguerre_half, CFG.radial_nodes, 8)
+    # one moment per refinement level
+    assert _angular_moment.cache_info().currsize == 2
+    s = _angular_moment(4, CFG.gh_nodes, 8)
     assert not s.flags.writeable
     with pytest.raises(ValueError):
         s[0] = 1.0
-    assert not _angular_moment(4, gauss_hermite, CFG.gh_nodes, 8).flags.writeable
     clear_caches()
     assert _angular_moment.cache_info().currsize == 0
 
 
 def test_angular_moment_matches_the_full_grid_sum():
-    # the moment is the angular half of the old per-call grid sum
-    x, _ = gauss_laguerre_half(64)
+    # the moment is the angular half of a full radius-angle grid sum
+    x, _ = gauss_hermite(64)
     y, wy = gauss_legendre(12)
     for n1 in (0, 6, 20):
-        grid = phi_row(n1, np.outer(np.sqrt(x), y).ravel())
+        grid = phi_row(n1, np.outer(x, y).ravel())
         want = np.array([math.fsum(row) for row in grid[n1].reshape(64, 12) * wy])
-        got = _angular_moment(n1, gauss_laguerre_half, 64, 12)
+        got = _angular_moment(n1, 64, 12)
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
 
@@ -327,13 +343,13 @@ def test_refinement_gate_takes_the_largest_entry_defect():
 
 def test_angular_moment_keeps_one_row_in_memory():
     # the moment needs only phi_{n1} over the grid; a table of all n1 + 1
-    # rows at 400 x 102 points would be 66 MB
-    gauss_laguerre_half(400)
+    # rows at 256 x 102 points would be 42 MB
+    gauss_hermite(256)
     gauss_legendre(102)
     clear_caches()
     tracemalloc.start()
     try:
-        _angular_moment(200, gauss_laguerre_half, 400, 102)
+        _angular_moment(200, 256, 102)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -351,6 +367,10 @@ def test_overflowing_mass_square_is_a_domain_error():
         g_sharp((2, 0, 0), (0, 0, 0), math.inf, CFG)
     # the axis route stays finite there: the value underflows to 0
     assert g_sharp_axis(0, 1e300, CFG) == GreensValue(0j, 0.0)
+    # just below the overflow of mu^2 the continued fraction is 1/mu^2
+    mu = 1.3e154
+    assert g_sharp_axis(0, mu, CFG).value.real == yukawa_coincidence(mu) == 1.0 / (mu * mu)
+    assert g_sharp_axis(2, mu, CFG).value == 0.0
 
 
 def test_continuum_rejects_non_finite_results_and_underflowing_mass():
@@ -366,46 +386,51 @@ def test_continuum_rejects_non_finite_results_and_underflowing_mass():
         continuum_yukawa(1.0, 0.0, 1.0), rel=1e-9)
 
 
-def _rule_moments(ang, upto, mp):
-    # sum_j wy_j y_j^(2m), m <= upto, over the float nodes and weights of
-    # the ang-point Gauss-Legendre rule, in mpmath
-    y, w = gauss_legendre(ang)
-    y2 = [mp.mpf(float(v)) ** 2 for v in y]
-    term = [mp.mpf(float(v)) for v in w]
-    out = []
-    for _ in range(upto + 1):
-        out.append(mp.fsum(term))
-        term = [a * b for a, b in zip(term, y2)]
-    return out
-
-
-def test_pole_moment_matches_mpmath():
-    # reference: sum_j wy_j phi_n1(i mu y_j) on the same float rule at 40
-    # digits, from the closed form phi_n(i t) = (-1)^(n/2) sqrt(n!) 2^(-n/2)
-    # sum_m (2t)^(2m) / ((n/2 - m)! (2m)!), whose terms all have one sign
+def test_axis_values_match_mpmath_hyperu():
+    # G((2j,0,0),(0,0,0); mu) = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2) for
+    # even n1 = 2j <= 200 at 31 masses over [1e-6, 1e3], on both sides of
+    # the forward/backward switch, wherever the value is a normal double
     mp = pytest.importorskip("mpmath")
-    eps = 2.0 ** -52
-    with mp.workdps(40):
-        for n1 in list(range(0, 61, 2)) + list(range(80, 201, 20)):
-            h = n1 // 2
-            norm = (-1) ** h * mp.sqrt(mp.factorial(n1)) / mp.mpf(2) ** h
-            terms = [mp.mpf(4) ** m / (mp.factorial(h - m) * mp.factorial(2 * m)) for m in range(h + 1)]
-            for ang in (max(8, h + 2), 2 * max(8, h + 2)):
-                moments = _rule_moments(ang, h, mp)
-                for mu in (1e-6, 0.3, 0.7, 1.0):
-                    mu2 = mp.mpf(mu) ** 2
-                    want = norm * mp.fsum(t * mu2 ** m * moments[m] for m, t in enumerate(terms))
-                    got = _pole_moment(n1, mu, ang)
-                    assert abs(got - want) <= 2 * (n1 + 1) * eps * abs(want), (n1, ang, mu)
+    worst_low = worst_ratio = worst_bound = 0.0
+    with mp.workdps(30):
+        for mu in np.logspace(-6, 3, 31):
+            mu = float(mu)
+            x = mp.mpf(mu) ** 2
+            prefactor = mp.mpf(1)
+            for j in range(101):
+                if j:
+                    prefactor *= mp.sqrt(j * (2 * j - 1) / mp.mpf(2))
+                want = prefactor * mp.hyperu(j + 1, 0.5, x)
+                got = g_sharp_axis(2 * j, mu, CFG)
+                assert got.value.imag == 0.0
+                if j == 0:
+                    assert got.value.real == yukawa_coincidence(mu) and got.err_estimate == 0.0
+                if want < sys.float_info.min:
+                    continue
+                gap = float(abs(got.value.real - want))
+                if j <= 20:
+                    worst_low = max(worst_low, gap / float(want))
+                if j:
+                    worst_ratio = max(worst_ratio, gap / got.err_estimate)
+                    worst_bound = max(worst_bound, got.err_estimate / got.value.real)
+    assert worst_low <= 2e-14
+    assert worst_ratio <= 1.0
+    assert worst_bound <= 1e-12
 
 
-def test_pole_moment_of_order_zero_is_the_plain_rule_sum():
-    # n1 = 0 axis values below mu = 1 rest on this sum being the same
-    # float as before the pole term became a polynomial
-    for ang in (8, 9, 16, 53, 199):
-        _, wy = gauss_legendre(ang)
-        for mu in (1e-6, 0.5, 1.0):
-            assert _pole_moment(0, mu, ang) == np.ones(ang) @ wy
+def test_axis_tables_grow_by_doubling_and_agree():
+    # an order past the default table asks for a table twice as large; its
+    # entries agree with the smaller table's to rounding
+    clear_caches()
+    size = greens._AXIS_TABLE
+    small = [g_sharp_axis(2 * j, 0.8, CFG) for j in range(size)]
+    assert _axis_table.cache_info().currsize == 1
+    big = g_sharp_axis(2 * size, 0.8, CFG)
+    assert _axis_table.cache_info().currsize == 2 and big.err_estimate > 0.0
+    for j, v in enumerate(small):
+        again = _axis_table(0.8, 2 * size)[j]
+        assert abs(again - v.value.real) <= v.err_estimate + 1e-15 * abs(again), j
+    clear_caches()
 
 
 def test_parity_zero_builds_nothing():
@@ -460,7 +485,7 @@ def test_clear_caches_empties_every_cache():
     # the module's own caches; the quadrature rules it imports stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert _inv_denominators in caches and _g_raw in caches
+    assert _inv_denominators in caches and _g_raw in caches and _axis_table in caches
     # the rank maps the screen asks for belong to quadrature but are
     # emptied too
     s_plus_green((1, 0, 0), (1, 2, 0), 0.3, 1.0, CFG)

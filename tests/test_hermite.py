@@ -7,13 +7,11 @@ from hermgrid.errors import OrderTooLargeError
 from hermgrid.hermite import (
     hermite_poly,
     phi,
-    phi_coefficients,
     phi_row,
     xi,
     xi_axis,
     xi_delta_sharp,
 )
-from hermgrid.quadrature import gauss_legendre
 
 PI4 = math.pi ** 0.25
 
@@ -90,33 +88,6 @@ def test_phi_is_the_last_row_of_phi_row():
         got = phi(n, x)
         assert got.shape == x.shape
         assert np.array_equal(got, phi_row(n, x.ravel())[n].reshape(x.shape))
-
-
-def test_phi_coefficients_evaluate_to_phi():
-    # at the Gauss-Legendre nodes, where the pole moment uses them; the
-    # alternating sum is conditioned by sum_k |h_k| |x|^k = |phi_n(i x)|
-    eps = 2.0 ** -52
-    for n in (0, 1, 2, 7, 20, 41, 80, 120):
-        h = phi_coefficients(n)
-        assert h.shape == (n + 1,)
-        for ang in (8, 62):
-            y, _ = gauss_legendre(ang)
-            got = np.polynomial.polynomial.polyval(y, h)
-            scale = np.polynomial.polynomial.polyval(np.abs(y), np.abs(h))
-            assert np.all(np.abs(got - phi(n, y)) <= 4 * (n + 1) * eps * scale), n
-
-
-def test_phi_coefficients_parity_and_signs():
-    # h_k vanishes unless k has the parity of n, and has sign (-1)^((n-k)/2)
-    for n in range(0, 60):
-        h = phi_coefficients(n)
-        k = np.arange(n + 1)
-        assert np.all(h[(n - k) % 2 == 1] == 0.0)
-        live = (n - k) % 2 == 0
-        assert np.all(np.sign(h[live]) == (-1.0) ** ((n - k[live]) // 2))
-    assert phi_coefficients(3)[3] == pytest.approx(2.0 ** 1.5 / math.sqrt(6.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        phi_coefficients(-1)
 
 
 def test_phi_row_matches_polynomial_normalization():
