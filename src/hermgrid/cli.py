@@ -26,8 +26,8 @@ from .greens import (
     continuum_yukawa,
     continuum_yukawa_oracle,
     coulomb_even,
-    g_sharp,
     g_sharp_axis,
+    g_tensor,
     yukawa_coincidence,
 )
 from .quadrature import GH_NODES_MAX, QuadratureConfig
@@ -210,7 +210,8 @@ def cmd_greens(args) -> int:
     rows = []
     for n1 in range(cfg.n_max + 1):
         axis = g_sharp_axis(n1, cfg.mu, qcfg)
-        full = g_sharp((n1, 0, 0), (0, 0, 0), cfg.mu, qcfg)
+        # the tensor quadrature itself: g_sharp returns the axis value here
+        full = g_tensor((n1, 0, 0), (0, 0, 0), cfg.mu, qcfg)
         rows.append(ResultRow(
             (n1,),
             (axis.value.real, axis.value.imag, axis.err_estimate,

@@ -7,34 +7,43 @@ The central object is
                      / (k.k + mu^2)
 
 which inverts (sharp Laplacian - mu^2) with a Kronecker source and stays
-finite at coincidence, unlike its continuum counterpart.  Two independent
-routes are provided and cross-checked: tensor Gauss-Hermite in 3D
-(g_sharp), and closed forms along one axis (g_sharp_axis, coulomb_even).
+finite at coincidence, unlike its continuum counterpart.
 
-Evaluation notes.  The integrand's denominator develops a near-pole at the
+Closed sums.  Write 1/(k.k + mu^2) as the proper-time integral
+int_0^inf e^{-t (k.k + mu^2)} dt and set s = 1/(1+t), tau = 1 - s.  The
+Gaussian integral over k then factorizes per axis into a polynomial in tau,
+and the integral over t of each power tau^l is l! U(l+1, 1/2, mu^2), with U
+Tricomi's confluent hypergeometric function (DLMF 13.4.4).  So every value
+is a finite sum over one per-mass table (g_sharp, the reduction McMurchie
+and Davidson use for Coulomb integrals over Hermite Gaussians), and along
+one axis a single entry of it:
+
+    G((2j,0,0), (0,0,0); mu) = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2)
+
+j = 0 is the coincidence value mu e^{mu^2} Gamma(-1/2, mu^2) and mu = 0
+gives coulomb_even.  The ratios U(n)/U(n+1) obey the three-term recurrence
+in a (DLMF 13.3.7), whose backward loop (_gamma_cf_levels) is also
+Legendre's continued fraction for Gamma(-1/2, x): one loop serves the
+coincidence value, the tensor route's pole constants and the axis table
+(_axis_table), which runs the recurrence forward instead where mu^2 j is
+small.
+
+Tensor route.  At high order and small mu the monomial sum cancels, and
+g_sharp falls back to tensor Gauss-Hermite in 3D (g_tensor), which also
+serves the checks and the CLI as the independent route the closed forms are
+compared with.  The integrand's denominator develops a near-pole at the
 origin as mu -> 0, which plain Gauss-Hermite cannot resolve at any feasible
 node count.  The tensor route therefore subtracts the quadratic Taylor
 approximant of the polynomial pair product at the pole and adds back the
 model's analytically known integral; the subtraction is exact in the
 massless limit.
-
-Along one axis the proper-time form of 1/(k.k + mu^2) leaves one monomial:
-
-    G((2j,0,0), (0,0,0); mu) = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2)
-
-with U Tricomi's confluent hypergeometric function (DLMF 13.4.4); j = 0 is
-the coincidence value mu e^{mu^2} Gamma(-1/2, mu^2) and mu = 0 gives
-coulomb_even.  The ratios U(n)/U(n+1) obey the three-term recurrence in a
-(DLMF 13.3.7), whose backward loop (_gamma_cf_levels) is also Legendre's
-continued fraction for Gamma(-1/2, x): one loop serves the coincidence
-value, the tensor route's pole constants and the axis table (_axis_table),
-which runs the recurrence forward instead where mu^2 j is small.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul, truediv
@@ -64,12 +73,14 @@ _SQRT_PI = math.sqrt(math.pi)
 class GreensValue:
     """A Green's function sample plus the honest error bar.
 
-    For a quadrature, err_estimate is the node-doubling defect
-    |value(N) - value(2N)| (g_sharp adds a rounding bound) when the config
-    asked for refinement (a defect above 100*tol raises, see
-    quadrature.refined), and NaN when it did not.  Parity zeros and the
-    coincidence value are exact by construction and report 0.0; the other
-    axis values report a rounding bound (g_sharp_axis), refined or not.
+    The closed sums report a rounding bound, refined or not: g_sharp's sum
+    over the axis table, and the axis values (g_sharp_axis).  Parity zeros
+    and the coincidence value are exact by construction and report 0.0.
+    For a quadrature (coulomb_quadrature, and the tensor route g_sharp
+    falls back to where its sum's bound exceeds 100*tol), err_estimate is
+    the node-doubling defect |value(N) - value(2N)| (the tensor route adds
+    a rounding bound) when the config asked for refinement (a defect above
+    100*tol raises, see quadrature.refined), and NaN when it did not.
     """
 
     value: complex
@@ -77,12 +88,12 @@ class GreensValue:
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module: memoized Green's values, denominator
-    cubes, pole constants, pole models, angular moments and axis tables; and
-    the sorted-triple rank maps of quadrature, one per cube size the screen
-    in contract_even has asked for."""
-    for cached in (_g_raw, _inv_denominators, _ball_defects, _pole_model, _angular_moment,
-                   _axis_table, _table_steps, triple_rank):
+    """Drop every cache of this module: memoized tensor values, denominator
+    cubes, pole constants, pole models, closed-sum coefficients, angular
+    moments and axis tables; and the sorted-triple rank maps of quadrature,
+    one per cube size the screen in contract_even has asked for."""
+    for cached in (_g_raw, _inv_denominators, _ball_defects, _pole_model, _closed_coefficients,
+                   _angular_moment, _axis_table, _table_steps, triple_rank):
         cached.cache_clear()
 
 
@@ -199,16 +210,37 @@ def _g_raw(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -
     return _g_eval(n, nhat, mu, n_nodes)
 
 
-def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
-    """Tensor Gauss-Hermite evaluation of the 3D Green's function integral.
+def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The index triples of a Green's value as ints, once they and the mass
+    are valid: mu > 0 with a finite square."""
+    n = index3(n)
+    nhat = index3(nhat)
+    if not mu > 0:
+        raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
+    if not math.isfinite(mu * mu):
+        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
+    return n, nhat
+
+
+def _parity_zero(n: tuple[int, ...], nhat: tuple[int, ...]) -> GreensValue | None:
+    """The exact zero phase * 0.0 of a pair that violates parity on some
+    axis, None for a pair that does not."""
+    if any((n[a] + nhat[a]) % 2 for a in range(3)):
+        phase = 1j ** ((sum(n) - sum(nhat)) % 4)
+        return GreensValue(complex(phase * 0.0), 0.0)
+    return None
+
+
+def g_tensor(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
+    """Tensor Gauss-Hermite evaluation of the 3D Green's function integral:
+    g_sharp's fallback, and the independent route that checks and the CLI
+    compare the closed sum and the axis values with.
 
     The Gaussian weight is taken from the basis-function product, leaving a
     polynomial pair table over a shared inverse-denominator tensor, plus the
-    pole subtraction described in the module docstring.  The i^(sum n - sum
-    nhat) phase makes parity-allowed values real (sign (-1)^(diff/2)).  A
-    pair that violates parity on some axis integrates to exactly zero; it
-    is returned as phase * 0.0 with err_estimate 0.0 once the index and mass
-    checks pass, and no tensor is built for it.
+    pole subtraction described in the module docstring.  A pair that
+    violates parity on some axis is returned as the exact zero of g_sharp,
+    and no tensor is built for it.
 
     With refinement, err_estimate adds to the node-doubling defect what
     the rounding of the fine N-node rule moves the value, which both levels
@@ -217,17 +249,12 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     pair row has 1-norm <= sqrt(pi), so pi^{3/2} times that bounds the
     absolute terms of the sum.  Against the closed axis values the defect
     alone falls short by up to 5 of those ulps at N <= 128, 13 at 256 and
-    29 at 512 (n1 <= 10, mu in [0.3, 200]).
+    29 at 512 (n1 <= 10, mu in [0.3, 200]).  Without refinement it is NaN.
     """
-    n = index3(n)
-    nhat = index3(nhat)
-    if not mu > 0:
-        raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
-    if not math.isfinite(mu * mu):
-        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
-    if any((n[a] + nhat[a]) % 2 for a in range(3)):
-        phase = 1j ** ((sum(n) - sum(nhat)) % 4)
-        return GreensValue(complex(phase * 0.0), 0.0)
+    n, nhat = _checked_pair(n, nhat, mu)
+    zero = _parity_zero(n, nhat)
+    if zero is not None:
+        return zero
     value, err = refined(lambda k: _g_raw(n, nhat, mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol,
                          "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
     if cfg.refine:
@@ -236,6 +263,91 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
         k_max = 1.0 / (3.0 * float(x[cfg.gh_nodes]) ** 2 + mu * mu)
         err += (16 + cfg.gh_nodes / 2) * 2.0 ** -52 * k_max * (1.0 + abs(c0) + 0.5 * abs(c2))
     return GreensValue(complex(value), err)
+
+
+@lru_cache(maxsize=4096)
+def _closed_coefficients(n: tuple[int, ...], nhat: tuple[int, ...]) -> tuple[tuple[int, float], ...]:
+    """The nonzero (l, R_l) of the closed sum of a parity-allowed pair
+    (g_sharp), l ascending.  The one-axis factors c_l are exact rationals;
+    their product q and each R_l^2 stay exact, and one square root per R_l
+    follows, so an axis pair's single R_j is exactly 1.  An R_l past the
+    double range is inf.  Cached per pair: every mass asks for the same."""
+    q = [Fraction(1)]
+    scale = Fraction(1)
+    for a, b in zip(n, nhat):
+        half, low = (a + b) // 2, abs(a - b) // 2
+        c = [Fraction(0)] * low + [
+            Fraction((-1) ** l * 2 ** (half - l) * math.comb(2 * l, a - half + l),
+                     math.factorial(half - l) * math.factorial(l))
+            for l in range(low, half + 1)]
+        q = [sum(q[i] * c[l - i] for i in range(max(0, l - half), min(l, len(q) - 1) + 1))
+             for l in range(len(q) + half)]
+        scale *= Fraction(math.factorial(a) * math.factorial(b), 2 ** (a + b))
+    phase = (-1) ** ((sum(n) - sum(nhat)) // 2)
+    out = []
+    for l, ql in enumerate(q):
+        if ql:
+            square = ql * ql * scale * Fraction(math.factorial(l) ** 2 * 4 ** l, math.factorial(2 * l))
+            try:
+                r = math.sqrt(square)
+            except OverflowError:
+                r = math.inf
+            # the sign from the exact q_l, which may underflow as a float
+            out.append((l, r if phase * ql > 0 else -r))
+    return tuple(out)
+
+
+def _g_closed(n: tuple[int, ...], nhat: tuple[int, ...], mu: float) -> GreensValue:
+    """The closed sum of a parity-allowed pair (g_sharp) with its rounding
+    bound, whatever that bound is; NaN where a term leaves the double range."""
+    coefficients = _closed_coefficients(n, nhat)
+    table = _axis_entries(mu, coefficients[-1][0] + 1)
+    terms = [r * table[l] for l, r in coefficients]
+    err = 2.0 ** -52 * sum((4 * l + 72) * (abs(t) + (abs(r) + 1.0) * 2.0 ** -1022)
+                           for (l, r), t in zip(coefficients, terms))
+    # a finite bound keeps every partial sum of fsum finite
+    value = math.fsum(terms) if err < math.inf else math.nan
+    return GreensValue(complex(value), err)
+
+
+def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
+    """G(n, nhat; mu) as the exact finite sum over the axis table
+    (module docstring),
+
+        G = sum_{l=0}^{D} R_l g_l(mu),   D = sum_a (n_a + nhat_a) / 2,
+
+    g_l the entry l of _axis_table, (sqrt((2l)!) / 2^l) U(l+1, 1/2, mu^2),
+    and R_l = i^(sum n - sum nhat) q_l l! 2^l / sqrt((2l)!) prod_a
+    sqrt(n_a! nhat_a! / 2^(n_a + nhat_a)).  q is the product, as
+    polynomials in tau = 1 - s, of the per-axis sequences
+    c_l = (-1)^l 2^k C(2l, n_a - k) / (k! l!), k = (n_a + nhat_a)/2 - l,
+    for |n_a - nhat_a|/2 <= l <= (n_a + nhat_a)/2: the per-axis Gaussian
+    integral is sqrt(pi) n! m! [a^n b^m] e^{2ab - (a+b)^2 tau}, and the
+    proper-time integral of each tau^l is l! U(l+1, 1/2, mu^2) (DLMF 13.4.4).
+    The i^(sum n - sum nhat) phase makes parity-allowed values real.  An
+    axis pair ((2j,0,0), (0,0,0)) has the single term R_j = 1 and returns
+    g_sharp_axis(2j) to the bit.  A pair that violates parity on some axis
+    integrates to exactly zero; it is returned as phase * 0.0 with
+    err_estimate 0.0 once the index and mass checks pass.
+
+    err_estimate of the sum is the rounding bound
+    2^-52 sum_l (4l + 72)(|R_l g_l| + (|R_l| + 1) 2^-1022): the table's own
+    (4l + 64) ulps per entry, and 8 more for R_l, the product and the sum.
+    It does not depend on cfg.  The monomial sum cancels at high order and
+    small mu ((8,8,8) against itself at mu = 0.3 has a bound of 5e-6), so
+    where the bound exceeds the gate of the Green's values, 100 * cfg.tol,
+    the value comes from the tensor route instead (g_tensor), with its
+    refinement defect plus a rounding bound as err_estimate (NaN under
+    refine=False), and NonconvergenceError where that defect fails the gate.
+    """
+    n, nhat = _checked_pair(n, nhat, mu)
+    zero = _parity_zero(n, nhat)
+    if zero is not None:
+        return zero
+    closed = _g_closed(n, nhat, mu)
+    if closed.err_estimate <= 100.0 * cfg.tol:
+        return closed
+    return g_tensor(n, nhat, mu, cfg)
 
 
 # Entries of the default axis table, n1 = 0, 2, ..., 40; a higher order asks
@@ -281,6 +393,15 @@ def _axis_table(mu: float, size: int) -> tuple[float, ...]:
     return tuple(accumulate(map(truediv, _table_steps(size), d[1:]), mul, initial=g))
 
 
+def _axis_entries(mu: float, count: int) -> tuple[float, ...]:
+    """The axis table at mu with at least count entries: the default size,
+    doubled as often as needed."""
+    size = _AXIS_TABLE
+    while size < count:
+        size *= 2
+    return _axis_table(mu, size)
+
+
 def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """Green's function along one axis, G((n1,0,0),(0,0,0); mu), in closed
     form (module docstring): an exact zero for odd n1, and for even n1 = 2j
@@ -300,10 +421,7 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     if n1 % 2:
         return GreensValue(0j, 0.0)
     j = n1 // 2
-    size = _AXIS_TABLE
-    while size <= j:
-        size *= 2
-    value = _axis_table(mu, size)[j]
+    value = _axis_entries(mu, j + 1)[j]
     err = (4 * j + 64) * (2.0 ** -52 * value + 2.0 ** -1074) if j else 0.0
     return GreensValue(complex(value), err)
 

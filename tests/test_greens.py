@@ -14,6 +14,7 @@ from hermgrid.greens import (
     _angular_moment,
     _axis_table,
     _ball_exact,
+    _closed_coefficients,
     _g_raw,
     _inv_denominators,
     clear_caches,
@@ -24,6 +25,7 @@ from hermgrid.greens import (
     difference_equation_residual,
     g_sharp,
     g_sharp_axis,
+    g_tensor,
     green_contract,
     incomplete_gamma_neg_half,
     v_sharp,
@@ -64,7 +66,7 @@ def test_index_validation():
 def test_coincidence_value_three_routes():
     closed = yukawa_coincidence(1.0)
     assert closed == pytest.approx(COINCIDENCE_AT_1, rel=1e-15)
-    tensor = g_sharp((0, 0, 0), (0, 0, 0), 1.0, CFG)
+    tensor = g_tensor((0, 0, 0), (0, 0, 0), 1.0, CFG)
     axis = g_sharp_axis(0, 1.0, CFG)
     assert tensor.value.real == pytest.approx(closed, abs=1e-7)
     assert abs(tensor.value.imag) <= 1e-12
@@ -74,7 +76,7 @@ def test_coincidence_value_three_routes():
 def test_tensor_parity_zero_and_small_mass_example():
     odd = g_sharp((1, 0, 0), (0, 0, 0), 1.0, CFG)
     assert odd.value == 0 and odd.err_estimate == 0.0
-    small = g_sharp((2, 0, 0), (0, 0, 0), 1e-3, CFG)
+    small = g_tensor((2, 0, 0), (0, 0, 0), 1e-3, CFG)
     # near the massless limit the value sits an O(mu) step from the
     # massless closed form
     assert small.value.real == pytest.approx(0.942809, abs=5e-3)
@@ -90,14 +92,18 @@ def test_tensor_conjugation_symmetry():
 
 def test_tensor_nonconvergence_gate():
     with pytest.raises(NonconvergenceError):
-        g_sharp((4, 0, 0), (2, 0, 0), 0.5, QuadratureConfig(tol=1e-16))
+        g_tensor((4, 0, 0), (2, 0, 0), 0.5, QuadratureConfig(tol=1e-16))
 
 
 def test_refine_disabled_reports_nan_error():
-    v = g_sharp((0, 0, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False))
+    v = g_tensor((0, 0, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False))
     assert math.isnan(v.err_estimate)
     # a parity zero is exact, refined or not
+    assert g_tensor((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
     assert g_sharp((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
+    # g_sharp's closed sum keeps its rounding bound
+    assert g_sharp((2, 1, 0), (0, 1, 2), 1.0, QuadratureConfig(refine=False)) == g_sharp(
+        (2, 1, 0), (0, 1, 2), 1.0, CFG)
     # the axis values are closed forms: no refinement, the same estimate
     for n1 in (0, 4):
         assert g_sharp_axis(n1, 1.0, QuadratureConfig(refine=False)) == g_sharp_axis(n1, 1.0, CFG)
@@ -144,7 +150,7 @@ def test_axis_high_order_large_mass_regression():
 
 def test_axis_agrees_with_tensor_above_branch():
     for mu in (1.5, 4.0):
-        t = g_sharp((4, 0, 0), (0, 0, 0), mu, CFG)
+        t = g_tensor((4, 0, 0), (0, 0, 0), mu, CFG)
         a = g_sharp_axis(4, mu, CFG)
         assert t.value.real == pytest.approx(a.value.real, abs=2e-12)
 
@@ -266,11 +272,10 @@ def test_difference_equation_residual_examples():
     assert difference_equation_residual((2, 0, 0), (2, 0, 0), 0.5, cfg96) <= 1e-6
 
 
-def test_residual_at_default_nodes_raises_where_documented():
-    # the mu = 0.5 border case needs the wider rule; the default one must
-    # refuse loudly rather than return a poor value
-    with pytest.raises(NonconvergenceError):
-        difference_equation_residual((2, 0, 0), (2, 0, 0), 0.5, CFG)
+def test_residual_at_default_nodes_vanishes_at_small_mass():
+    # the mu = 0.5 border case needed the wider rule while g_sharp was a
+    # tensor quadrature; the closed sums leave rounding only
+    assert difference_equation_residual((2, 0, 0), (2, 0, 0), 0.5, CFG) <= 1e-12
 
 
 def test_w_sharp_examples_and_coupling():
@@ -435,20 +440,24 @@ def test_axis_tables_grow_by_doubling_and_agree():
 
 def test_parity_zero_builds_nothing():
     clear_caches()
-    v = g_sharp((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
-    assert v == GreensValue(complex(1j * 0.0), 0.0)
+    for route in (g_sharp, g_tensor):
+        v = route((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
+        assert v == GreensValue(complex(1j * 0.0), 0.0)
     assert _inv_denominators.cache_info().currsize == 0
     assert _g_raw.cache_info().currsize == 0
+    assert _closed_coefficients.cache_info().currsize == 0
+    assert _axis_table.cache_info().currsize == 0
     clear_caches()
 
 
 def test_parity_zero_checks_the_mass_first():
-    with pytest.raises(DomainError):
-        g_sharp((1, 0, 0), (0, 0, 0), 1e300, CFG)
-    with pytest.raises(DomainError):
-        g_sharp((1, 0, 0), (0, 0, 0), 0.0, CFG)
-    with pytest.raises(ValueError):
-        g_sharp((1, 0), (0, 0, 0), 1e300, CFG)
+    for route in (g_sharp, g_tensor):
+        with pytest.raises(DomainError):
+            route((1, 0, 0), (0, 0, 0), 1e300, CFG)
+        with pytest.raises(DomainError):
+            route((1, 0, 0), (0, 0, 0), 0.0, CFG)
+        with pytest.raises(ValueError):
+            route((1, 0), (0, 0, 0), 1e300, CFG)
 
 
 def test_ball_constants_match_mpmath():
@@ -472,25 +481,27 @@ def test_tensor_agrees_with_axis_at_large_mass():
     # refinement defect; the axis route has no such constant
     for mu in (3.1, 30.0, 100.0):
         for n1 in (0, 2, 4, 6):
-            t = g_sharp((n1, 0, 0), (0, 0, 0), mu, CFG)
+            t = g_tensor((n1, 0, 0), (0, 0, 0), mu, CFG)
             a = g_sharp_axis(n1, mu, CFG)
             floor = 8 * 2.0 ** -52 * abs(a.value)
             assert abs(t.value - a.value) <= t.err_estimate + a.err_estimate + floor, (mu, n1)
 
 
 def test_clear_caches_empties_every_cache():
-    g_sharp((2, 0, 0), (0, 0, 0), 0.9, CFG)
+    g_tensor((2, 0, 0), (0, 0, 0), 0.9, CFG)
+    g_sharp((2, 1, 0), (0, 1, 2), 0.9, CFG)
     g_sharp_axis(4, 0.5, CFG)
     coulomb_quadrature(2, CFG)
     # the module's own caches; the quadrature rules it imports stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
     assert _inv_denominators in caches and _g_raw in caches and _axis_table in caches
+    assert _closed_coefficients in caches
     # the rank maps the screen asks for belong to quadrature but are
     # emptied too
     s_plus_green((1, 0, 0), (1, 2, 0), 0.3, 1.0, CFG)
     caches.append(triple_rank)
-    assert len(caches) >= 7
+    assert len(caches) >= 8
     assert all(f.cache_info().currsize > 0 for f in caches)
     clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
@@ -503,12 +514,13 @@ def test_g_sharp_does_not_depend_on_what_ran_before():
     mu = 1.37
     pair = ((2, 1, 0), (0, 1, 2))
     clear_caches()
-    first = g_sharp(*pair, mu, CFG)
+    first = g_sharp(*pair, mu, CFG), g_tensor(*pair, mu, CFG)
     clear_caches()
     for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2))):
         g_sharp(*other, mu, CFG)
+        g_tensor(*other, mu, CFG)
     _g_raw.cache_clear()
-    assert g_sharp(*pair, mu, CFG) == first
+    assert (g_sharp(*pair, mu, CFG), g_tensor(*pair, mu, CFG)) == first
     clear_caches()
 
 
@@ -519,7 +531,7 @@ def test_tensor_memo_is_bounded():
     indices = itertools.product(range(0, 10, 2), repeat=3)
     pairs = itertools.islice(itertools.product(indices, repeat=2), bound + 50)
     for n, nhat in pairs:
-        g_sharp(n, nhat, 1.3, cfg)
+        g_tensor(n, nhat, 1.3, cfg)
         assert _g_raw.cache_info().currsize <= bound
     assert _g_raw.cache_info().currsize == bound
     assert _inv_denominators.cache_info().entries <= 2 * 64 ** 3
