@@ -283,7 +283,8 @@ def _closed_coefficients(n: tuple[int, ...], nhat: tuple[int, ...]) -> tuple[tup
         q = [sum(q[i] * c[l - i] for i in range(max(0, l - half), min(l, len(q) - 1) + 1))
              for l in range(len(q) + half)]
         scale *= Fraction(math.factorial(a) * math.factorial(b), 2 ** (a + b))
-    phase = (-1) ** ((sum(n) - sum(nhat)) // 2)
+    # i^(sum n - sum nhat) = -1 when half that even difference is odd
+    flip = (sum(n) - sum(nhat)) // 2 % 2 == 1
     out = []
     for l, ql in enumerate(q):
         if ql:
@@ -292,8 +293,9 @@ def _closed_coefficients(n: tuple[int, ...], nhat: tuple[int, ...]) -> tuple[tup
                 r = math.sqrt(square)
             except OverflowError:
                 r = math.inf
-            # the sign from the exact q_l, which may underflow as a float
-            out.append((l, r if phase * ql > 0 else -r))
+            # the sign from the exact q_l, which may underflow as a float,
+            # so compared as a Fraction
+            out.append((l, -r if (ql < 0) != flip else r))
     return tuple(out)
 
 
@@ -339,6 +341,10 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     the value comes from the tensor route instead (g_tensor), with its
     refinement defect plus a rounding bound as err_estimate (NaN under
     refine=False), and NonconvergenceError where that defect fails the gate.
+    Within the gate the sum is returned even where the tensor route is far
+    tighter, which loses accuracy at high order and moderate mass: (8,8,8)
+    and (10,10,10) against themselves at mu = 1 have bounds of 3.5e-8 and
+    7.0e-6, where the tensor route's estimates are 1.1e-9 and 2.1e-9.
     """
     n, nhat = _checked_pair(n, nhat, mu)
     zero = _parity_zero(n, nhat)

@@ -225,9 +225,10 @@ def test_cross_method_check_compares_two_routes():
     # the check's general pairs take the closed sum, and it still passes
     for mu in (0.5, 1.0, 2.0):
         for n, nhat in (((2, 1, 0), (0, 1, 2)), ((3, 1, 2), (1, 1, 0))):
-            closed = g_sharp(n, nhat, mu, QuadratureConfig(gh_nodes=96))
-            assert closed == _g_closed(n, nhat, mu)
-            assert closed != g_tensor(n, nhat, mu, QuadratureConfig(gh_nodes=96))
+            greens.clear_caches()
+            assert g_sharp(n, nhat, mu, QuadratureConfig(gh_nodes=96)) == _g_closed(n, nhat, mu)
+            # no tensor value was built on the way
+            assert greens._g_raw.cache_info().currsize == 0
     ok, _, obs, _ = _check_greens_cross_method()
     assert ok and obs <= 0.0
 
@@ -242,6 +243,21 @@ def test_coefficients_are_cached_and_exact_on_the_axis():
         assert greens._closed_coefficients(n, nhat) == greens._closed_coefficients(nhat, n)
     greens.clear_caches()
     assert greens._closed_coefficients.cache_info().currsize == 0
+
+
+def test_conjugate_pairs_keep_their_sign_where_q_underflows():
+    # from about order 356 the exact q_l lie below the smallest double; with
+    # the index order swapped the phase exponent is negative
+    for n1 in (356, 360, 400):
+        axis = g_sharp_axis(n1, 1.0, CFG)
+        forward = g_sharp((n1, 0, 0), (0, 0, 0), 1.0, CFG)
+        backward = g_sharp((0, 0, 0), (n1, 0, 0), 1.0, CFG)
+        assert backward.value == forward.value == axis.value
+        assert backward == forward
+        assert greens._closed_coefficients((0, 0, 0), (n1, 0, 0)) == ((n1 // 2, 1.0),)
+    pair = ((2, 0, 0), (0, 300, 0))
+    assert greens._closed_coefficients(*pair) == greens._closed_coefficients(*pair[::-1])
+    assert g_sharp(*pair, 2.0, CFG) == g_sharp(*pair[::-1], 2.0, CFG)
 
 
 def _pairs_up_to(top):
