@@ -219,8 +219,8 @@ def s_plus_green(
     """
     n = index3(n)
     nhat = index3(nhat)
-    if not (m > 0 and math.isfinite(m)):
-        raise DomainError(f"mass must be positive and finite, got {m}")
+    if not (m > 0 and math.isfinite(m * m)):
+        raise DomainError(f"mass must be positive with a finite square, got {m}")
     if not math.isfinite(dt):
         raise DomainError(f"time separation must be finite, got {dt}")
     value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * cfg.gh_nodes), cfg, cfg.tol,

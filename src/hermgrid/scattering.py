@@ -17,15 +17,20 @@ and B likewise from the second fermion line.  Because both coefficient
 families factorize over axes, the double sum collapses to a single 3D
 quadrature of per-axis profile polynomials against the shared denominator;
 that is an exact algebraic identity, not an approximation, and turns an
-O(n_max^6) sum into an O(nodes^3) contraction.  That contraction is
-greens.green_contract, the one the Green's function route uses: the
-denominator is even in every axis, so it folds the profiles onto the
-x >= 0 half grid and sums them against the cached denominator cube
-their reach needs, pole correction included.  The element and its copy
-with the top coefficient shell dropped, which measures truncation, go
-through it as one batch of two.  An independent sum-the-vertices-first
-evaluation lives in the checks module and serves as the correctness
-oracle.
+O(n_max^6) sum into an O(nodes^3) contraction.
+
+The profiles, with their Taylor data at the origin for the pole
+correction, depend only on the momenta, the cutoff and the node count.
+They are built in one batched real pass over the axes, both fermion lines
+and both truncations (the element and its copy with the top coefficient
+shell dropped, which measures truncation), and kept read-only in a bounded
+LRU keyed on just those.  The boson mass enters through the contraction
+alone, greens.green_contract, the one the Green's function route uses: it
+folds the profiles onto the x >= 0 half grid and sums them against the
+cached denominator cube their reach needs, pole correction included.  So a
+second mass at the same kinematics pays only for that contraction.  An
+independent sum-the-vertices-first evaluation lives in the checks module
+and serves as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -84,8 +89,8 @@ def vertex_axis_sum(p: float, q: float, k: float, sign_q: int, sign_k: int,
 
 def _vec3(p) -> tuple[float, float, float]:
     t = tuple(float(v) for v in p)
-    if len(t) != 3:
-        raise ValueError(f"momentum needs three components, got {p!r}")
+    if len(t) != 3 or not all(map(math.isfinite, t)):
+        raise ValueError(f"momentum needs three finite components, got {p!r}")
     return t
 
 
@@ -110,10 +115,12 @@ class MollerKinematics:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p1_out", "p2_out"):
             object.__setattr__(self, name, _vec3(getattr(self, name)))
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if not (self.m > 0 and math.isfinite(self.m)):
+            raise ValueError(f"m must be positive and finite, got {self.m}")
+        if not (self.mu >= 0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
+        if not math.isfinite(self.g):
+            raise ValueError(f"g must be finite, got {self.g}")
         for name in ("r1", "r2", "r1_out", "r2_out"):
             if getattr(self, name) not in (1, 2):
                 raise ValueError(f"{name} must be 1 or 2, got {getattr(self, name)}")
@@ -158,14 +165,6 @@ class MollerKinematics:
         return (self.g ** 2 / (4.0 * math.pi)) * self.m ** 2 / math.sqrt(e1o * e2o * e1 * e2)
 
 
-def _pair_coefficients(n_max: int, p: np.ndarray, p_out: np.ndarray) -> np.ndarray:
-    # xi_n(p) conj(xi_n(p_out)) for each momentum pair (one column per pair):
-    # the i^n phases cancel within the pair, leaving the real coefficient
-    # phi_n(p) phi_n(p_out) e^{-(p^2+p_out^2)/2}/sqrt(pi)
-    vals = phi_row(n_max, np.concatenate([p, p_out]))
-    return vals[:, :p.size] * vals[:, p.size:] * (np.exp(-0.5 * (p * p + p_out * p_out)) / _SQRT_PI)
-
-
 @lru_cache(maxsize=64)
 def _origin_derivatives(n_max: int) -> np.ndarray:
     # columns phi_n(0), phi_n'(0) = sqrt(2n) phi_{n-1}(0) and
@@ -188,60 +187,89 @@ def _node_rows(n_max: int, n_nodes: int) -> np.ndarray:
     return rows
 
 
-def _contract(kin: MollerKinematics, n_max: int, n_nodes: int) -> np.ndarray:
-    """The coefficient double sum at cutoff n_max and with the top shell
-    n_max dropped, as one batch of two Green's contractions.
+# An entry holds 3 x 2 x n_nodes doubles plus four, so 128 entries take at
+# most 3.2 MB at the largest node count the quadrature accepts (512, the
+# fine level of gh_nodes = 256): room for a few dozen kinematics, each
+# revisited at further boson masses.
+@lru_cache(maxsize=128)
+def _profiles(momenta: tuple[float, ...], n_max: int, n_nodes: int) -> tuple[np.ndarray, ...]:
+    """Weighted node profiles q (axis, truncation, node) and pole-model
+    data c0, c2 (per truncation) of the coefficient double sum at cutoff
+    n_max and with its top shell dropped; momenta holds p1, p2, p1', p2'.
 
-    Per axis, the phased coefficients of both fermion lines give node
-    profiles L_a(x_i), R_a(x_i) such that the double sum becomes
-    prod_a L_a(k_a) R_a(k_a) / (k.k + mu^2) under the Gaussian weight; the
-    profiles' Taylor data at the origin feed the same quadratic pole
-    correction the Green's function route applies.
+    Per axis, line 1 carries c_n i^n and line 2 c_n conj(i^n), where the
+    pair's own phases cancel in c_n = xi_n(p) conj(xi_n(p')), leaving
+    phi_n(p) phi_n(p') e^{-(p^2+p'^2)/2}/sqrt(pi).  With s_n = (-1)^(n//2),
+    i^n is s_n for even n and i s_n for odd n, so the profiles are
+    L = L_even + i L_odd and R = R_even - i R_odd with real parts, and
+    Re(L R) = L_even R_even + L_odd R_odd; Im(L R) is odd in x and
+    integrates to zero against the even denominator.  One matrix product
+    with the node rows gives every parity part of both lines, axes and
+    truncations; one with the origin derivatives gives their Taylor data
+    for the pole correction.
     """
+    p = np.array(momenta).reshape(2, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = phi_row(n_max, p.ravel())
+        coef = vals[:, :6] * vals[:, 6:] * (np.exp(-0.5 * (p[0] * p[0] + p[1] * p[1])) / _SQRT_PI)
+    if not np.isfinite(coef).all():
+        # phi_n(p) overflows where e^{-p^2/2} underflows: inf * 0
+        raise DomainError(f"exchange coefficients are not finite at momenta {momenta} "
+                          f"and n_max = {n_max}")
+    order = np.arange(n_max + 1)
+    signed = np.where(order // 2 % 2, -coef.T, coef.T)
+    # mask[t, parity, n]: n has that parity and truncation t keeps it
+    # (t = 1 drops the top shell n_max)
+    parity = np.stack([order % 2 == 0, order % 2 == 1])
+    mask = np.stack([parity, parity & (order < n_max)])
+    # batch (truncation, parity, line, axis) of coefficient rows
+    batch = (mask[:, :, None, :] * signed[None, None, :, :]).reshape(24, n_max + 1)
+    prof = (batch @ _node_rows(n_max, n_nodes)).reshape(2, 2, 2, 3, n_nodes)
     _, w = gauss_hermite(n_nodes)
-    rows = _node_rows(n_max, n_nodes)
-    origin = _origin_derivatives(n_max)
-    ipow = 1j ** (np.arange(n_max + 1) % 4)
-    keep = np.ones((2, n_max + 1))
-    keep[1, -1] = 0.0
-    # columns 0-2: the axes of the first fermion line, 3-5: the second
-    coef = _pair_coefficients(n_max, np.array(kin.p1 + kin.p2), np.array(kin.p1_out + kin.p2_out))
-    q, g0, g2 = [], [], []
-    for a in range(3):
-        lc = keep * (coef[:, a] * ipow)
-        rc = keep * (coef[:, 3 + a] * ipow.conj())
-        # the imaginary part of L R comes from odd orders only, so it is odd
-        # in x and integrates to zero against the even denominator
-        q.append(w * ((lc @ rows) * (rc @ rows)).real)
-        l0, l1, l2 = (lc @ origin).T
-        r0, r1, r2 = (rc @ origin).T
-        g0.append(l0 * r0)
-        g2.append(0.5 * (l2 * r0 + 2.0 * l1 * r1 + l0 * r2))
-    c0 = g0[0] * g0[1] * g0[2]
-    c2 = g2[0] * g0[1] * g0[2] + g0[0] * g2[1] * g0[2] + g0[0] * g0[1] * g2[2]
-    return green_contract(q[0], q[1], q[2], c0, c2, kin.mu, n_nodes)
+    q = w * (prof[:, 0, 0] * prof[:, 0, 1] + prof[:, 1, 0] * prof[:, 1, 1])
+    # origin value and second derivative of the even parts, first
+    # derivative of the odd ones (the others vanish by parity)
+    orig = (batch @ _origin_derivatives(n_max)).reshape(2, 2, 2, 3, 3)
+    l0, l2, r0, r2 = orig[:, 0, 0, :, 0], orig[:, 0, 0, :, 2], orig[:, 0, 1, :, 0], orig[:, 0, 1, :, 2]
+    l1, r1 = orig[:, 1, 0, :, 1], orig[:, 1, 1, :, 1]
+    g0 = l0 * r0
+    g2 = 0.5 * (l2 * r0 + 2.0 * l1 * r1 + l0 * r2)
+    c0 = g0[:, 0] * g0[:, 1] * g0[:, 2]
+    c2 = g2[:, 0] * g0[:, 1] * g0[:, 2] + g0[:, 0] * g2[:, 1] * g0[:, 2] + g0[:, 0] * g0[:, 1] * g2[:, 2]
+    q = np.ascontiguousarray(q.transpose(1, 0, 2))
+    for a in (q, c0, c2):
+        a.setflags(write=False)
+    return q, c0, c2
 
 
 def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
                            cfg: QuadratureConfig) -> complex:
     """Reduced one-boson-exchange element at the given kinematics.
 
-    Exactly zero on any spin mismatch.  The coefficient double sum is
+    Exactly zero on any spin mismatch, and DomainError unless mu > 0; both
+    are decided before any profile is built.  The coefficient double sum is
     evaluated through the factorized profile contraction described in the
     module docstring, sharing the denominator tensor and pole handling with
     the Green's function route.  Truncation health is estimated from the
     same contraction with the top coefficient shell dropped: when that last
     included shell moves the element by more than cfg.tol, a
     TruncationWarning is issued (the first dropped shell is comparable to
-    the last included one for the slowly decaying sums this models).
+    the last included one for the slowly decaying sums this models).  A
+    coefficient, element or shift that is not finite raises DomainError.
     """
     if kin.r1 != kin.r1_out or kin.r2 != kin.r2_out:
         return 0j
     if not kin.mu > 0:
         raise DomainError(f"the exchange element needs mu > 0, got {kin.mu}")
     n_nodes = 2 * cfg.gh_nodes if cfg.refine else cfg.gh_nodes
-    full, dropped = _contract(kin, trunc.n_max, n_nodes)
-    shift = abs(full - dropped) * kin.prefactor
+    q, c0, c2 = _profiles(kin.p1 + kin.p2 + kin.p1_out + kin.p2_out, trunc.n_max, n_nodes)
+    full, dropped = green_contract(q[0], q[1], q[2], c0, c2, kin.mu, n_nodes)
+    prefactor = kin.prefactor
+    element = prefactor * complex(full)
+    shift = abs(full - dropped) * prefactor
+    if not (math.isfinite(element.real) and math.isfinite(shift)):
+        raise DomainError(f"the exchange element is not finite here: {element} "
+                          f"(truncation shift {shift})")
     trunc.tail_report = float(shift)
     if shift > cfg.tol:
         warnings.warn(
@@ -250,7 +278,7 @@ def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
             TruncationWarning,
             stacklevel=2,
         )
-    return kin.prefactor * complex(full)
+    return element
 
 
 def continuum_moller_reduced(kin: MollerKinematics) -> complex:

@@ -101,6 +101,17 @@ def test_overflowing_mass_exits_2_with_one_line(flag):
     assert line.startswith(f"error: {error}: ")
 
 
+def test_overflowing_exchange_coefficients_exit_2_with_one_line():
+    # phi_n(1e150) overflows where e^{-p^2/2} underflows, so a coefficient
+    # is inf * 0; a fresh interpreter shows any numpy warning on the way
+    run = _run_fresh("moller", "--p1=1e150,0,0", *MOLLER_KINEMATICS[2:], "--mu", "1",
+                     "--vertex-n-max", "8")
+    assert run.returncode == 2
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: DomainError: ")
+
+
 def test_nonconvergence_exit_code(capsys):
     rc, _, err = run_cli(capsys, "greens", "--mu", "0.5", "--n-max", "4",
                          "--tol", "1e-12")

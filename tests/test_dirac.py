@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -226,9 +227,20 @@ def test_s_plus_rejects_non_finite_time_and_mass(dt, m):
 
 
 def test_s_plus_nan_defect_trips_the_gate():
-    # m * m overflows, so every kernel entry is NaN and so is the defect
-    with pytest.raises(NonconvergenceError), np.errstate(invalid="ignore"):
-        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, 1e200, QuadratureConfig(gh_nodes=8))
+    # m * m underflows to 0 and the odd coarse rule has a node at the
+    # origin, where E = 0: its kernel entry is inf, the coarse value NaN,
+    # and so is the defect
+    with pytest.raises(NonconvergenceError), np.errstate(divide="ignore", invalid="ignore"):
+        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, 1e-200, QuadratureConfig(gh_nodes=9))
+
+
+@pytest.mark.parametrize("m", [1e160, 1e200])
+def test_s_plus_rejects_a_mass_whose_square_overflows(m):
+    # refused before any kernel is built, so numpy has nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite square"):
+            dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, m, QuadratureConfig(gh_nodes=8))
 
 
 def test_s_plus_identical_across_thread_counts():

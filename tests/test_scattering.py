@@ -12,12 +12,14 @@ import warnings
 import numpy as np
 import pytest
 
+from hermgrid.checks import moller_oracle_element
 from hermgrid.errors import DomainError, TruncationWarning
 from hermgrid.hermite import xi
-from hermgrid.quadrature import QuadratureConfig, gauss_hermite
+from hermgrid.quadrature import GH_NODES_MAX, QuadratureConfig, gauss_hermite
 from hermgrid.scattering import (
     MollerKinematics,
     VertexTruncation,
+    _profiles,
     continuum_moller_reduced,
     moller_reduced_element,
     vertex_axis_sum,
@@ -96,6 +98,17 @@ def test_kinematics_validation():
         MollerKinematics(KIN.p1, KIN.p2, KIN.p1_out, KIN.p2_out, m=1.0, mu=0.5, g=1.0, r1=3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kinematics_reject_non_finite_fields(bad):
+    fields = dict(p1=KIN.p1, p2=KIN.p2, p1_out=KIN.p1_out, p2_out=KIN.p2_out, m=1.0, mu=0.5, g=1.0)
+    for name in ("p1", "p2", "p1_out", "p2_out"):
+        with pytest.raises(ValueError):
+            MollerKinematics(**{**fields, name: (0.1, bad, 0.0)})
+    for name in ("m", "mu", "g"):
+        with pytest.raises(ValueError):
+            MollerKinematics(**{**fields, name: bad})
+
+
 def test_kinematics_properties():
     kin = MollerKinematics((0.3, 0, 0), (0, 0.4, 0), (0, 0, 0), (0.3, 0.4, 0),
                            m=1.0, mu=1.0, g=2.0)
@@ -164,3 +177,144 @@ def test_continuum_element():
                            m=1.0, mu=0.0, g=1.0)
     with pytest.raises(DomainError):
         continuum_moller_reduced(kz0)
+
+
+def _element(kin, n_max, cfg=CFG):
+    trunc = VertexTruncation(n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        value = moller_reduced_element(kin, trunc, cfg)
+    return value, trunc.tail_report
+
+
+def _at(kin, **changes):
+    fields = dict(p1=kin.p1, p2=kin.p2, p1_out=kin.p1_out, p2_out=kin.p2_out,
+                  m=kin.m, mu=kin.mu, g=kin.g)
+    return MollerKinematics(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("n_max", [32, 64])
+def test_element_from_cached_profiles_is_bit_identical(n_max):
+    # the second mass reads the profiles the first one built; a fresh build
+    # at that mass must give the same bits, truncation shift included
+    cfg = QuadratureConfig()
+    _profiles.cache_clear()
+    _element(KIN, n_max, cfg)
+    hits = _profiles.cache_info().hits
+    cached = _element(_at(KIN, mu=2.0), n_max, cfg)
+    assert _profiles.cache_info().hits == hits + 1
+    _profiles.cache_clear()
+    fresh = _element(_at(KIN, mu=2.0), n_max, cfg)
+    assert _profiles.cache_info().misses == 1
+    assert cached == fresh
+    assert cached[0].real.hex() == fresh[0].real.hex()
+    assert cached[1].hex() == fresh[1].hex()
+
+
+def test_profiles_ignore_mass_coupling_fermion_mass_and_spins():
+    _profiles.cache_clear()
+    _element(KIN, 8)
+    for kin in (_at(KIN, mu=1.7), _at(KIN, g=0.3), _at(KIN, m=2.0),
+                MollerKinematics(KIN.p1, KIN.p2, KIN.p1_out, KIN.p2_out, m=1.0, mu=0.5, g=1.0,
+                                 r1=2, r2=2, r1_out=2, r2_out=2)):
+        _element(kin, 8)
+    info = _profiles.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    # a different cutoff, node count or momentum is another entry
+    _element(KIN, 9)
+    _element(KIN, 8, QuadratureConfig(gh_nodes=40, refine=False))
+    _element(_at(KIN, p1=(0.15, 0.05, -0.11)), 8)
+    assert _profiles.cache_info().misses == 4
+
+
+def test_spin_mismatch_and_massless_boson_build_no_profiles():
+    _profiles.cache_clear()
+    mismatch = MollerKinematics(KIN.p1, KIN.p2, KIN.p1_out, KIN.p2_out,
+                                m=1.0, mu=0.5, g=1.0, r2=2, r2_out=1)
+    assert moller_reduced_element(mismatch, VertexTruncation(16), CFG) == 0j
+    with pytest.raises(DomainError):
+        moller_reduced_element(_at(KIN, mu=0.0), VertexTruncation(16), CFG)
+    info = _profiles.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+
+
+def test_cached_profiles_are_read_only_and_bounded():
+    _profiles.cache_clear()
+    q, c0, c2 = _profiles(KIN.p1 + KIN.p2 + KIN.p1_out + KIN.p2_out, 8, 48)
+    assert q.shape == (3, 2, 48) and c0.shape == c2.shape == (2,)
+    for a in (q, c0, c2):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    bound = _profiles.cache_info().maxsize
+    for i in range(bound + 10):
+        _profiles((0.001 * i,) + (0.0,) * 11, 1, 8)
+    assert _profiles.cache_info().currsize == bound
+    # at the largest node count the quadrature accepts (the fine level of
+    # GH_NODES_MAX) a full cache holds a few MB
+    assert bound * (q.nbytes // 48 * 2 * GH_NODES_MAX + c0.nbytes + c2.nbytes) <= 4e6
+    _profiles.cache_clear()
+
+
+# momenta large enough that every order n <= 3 weighs in
+LOW = MollerKinematics((0.3, -0.2, 0.35), (-0.25, 0.1, 0.4),
+                       (0.45, 0.05, -0.2), (-0.1, -0.4, 0.3), m=1.0, mu=1.0, g=1.0)
+
+
+def test_profiles_are_the_vertex_sum_products():
+    # per axis, Re(L R)(x) is Re(v1 v2) e^{x^2} sqrt(pi) with v1, v2 the
+    # truncated vertex sums of the two lines at k = x; q holds it times the
+    # weights, c0 and c2 the value and summed half-second derivatives at the
+    # origin of the product over the axes (here by central differences)
+    kin, h = LOW, 1e-3
+    x, w = gauss_hermite(24)
+
+    def product(a, n_max, k):
+        tr = VertexTruncation(n_max)
+        v1 = vertex_axis_sum(kin.p1[a], kin.p1_out[a], k, -1, 1, tr)
+        v2 = vertex_axis_sum(kin.p2[a], kin.p2_out[a], k, -1, -1, tr)
+        return (v1 * v2).real * math.exp(k * k) * math.sqrt(math.pi)
+
+    for n_max in (1, 2, 3):
+        q, c0, c2 = _profiles(kin.p1 + kin.p2 + kin.p1_out + kin.p2_out, n_max, 24)
+        # the dropped-shell profile of n_max = 1 would be VertexTruncation(0)
+        for t, cut in enumerate((n_max, n_max - 1) if n_max > 1 else (n_max,)):
+            for a in range(3):
+                want = w * np.array([product(a, cut, float(k)) for k in x])
+                assert np.allclose(q[a, t], want, rtol=1e-12, atol=1e-14 * abs(want).max())
+            at0 = [product(a, cut, 0.0) for a in range(3)]
+            half2 = [(product(a, cut, h) - 2.0 * at0[a] + product(a, cut, -h)) / (2.0 * h * h)
+                     for a in range(3)]
+            assert c0[t] == pytest.approx(at0[0] * at0[1] * at0[2], rel=1e-13)
+            assert c2[t] == pytest.approx(half2[0] * at0[1] * at0[2] + at0[0] * half2[1] * at0[2]
+                                          + at0[0] * at0[1] * half2[2], rel=1e-5)
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.0])
+def test_element_matches_the_oracle_at_low_cutoffs(mu):
+    # n_max = 1, 2, 3 reach every phase class i^n, n mod 4, and drop a top
+    # shell that is odd (n_max = 3) and one that is even (n_max = 2); the
+    # oracle sums the vertices first and shares no profile code
+    cfg = QuadratureConfig()
+    kin = _at(LOW, mu=mu)
+    oracle = {n: moller_oracle_element(kin, VertexTruncation(n)) for n in (1, 2, 3)}
+    for n_max in (1, 2, 3):
+        value, shift = _element(kin, n_max, cfg)
+        assert value.imag == 0.0
+        assert abs(value - oracle[n_max]) <= 1e-9 * abs(oracle[n_max])
+        if n_max > 1:
+            want = abs(oracle[n_max] - oracle[n_max - 1])
+            assert want > 1e-3 * abs(oracle[n_max])
+            assert abs(shift - want) <= 1e-9 * abs(oracle[n_max])
+
+
+def test_overflowing_coefficients_raise_domain_error():
+    # phi_n(1e150) overflows where e^{-p^2/2} underflows: the coefficient is
+    # inf * 0, refused without a numpy warning and without caching anything
+    _profiles.cache_clear()
+    kin = _at(KIN, p1=(1e150, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            moller_reduced_element(kin, VertexTruncation(8), CFG)
+    assert _profiles.cache_info().currsize == 0
