@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import (
-    QuadratureConfig,
-    contract_even,
-    gauss_hermite,
-    index3,
-    refined,
-    triple_rank,
-    triple_sums,
-    weighted_phi_table,
-)
+from .hermite import phi_at
+from .quadrature import QuadratureConfig, gauss_legendre, index3, read_only, refined
 
 _I = 1j
 
@@ -160,6 +153,121 @@ def spin_sum(p: tuple[float, float, float], m: float) -> np.ndarray:
     return (m / e) * total
 
 
+_GAMMAS = read_only(*_gamma_matrices())
+# Share of every matrix entry that the radial rule may drop past its radius.
+_TAIL = 2.0 ** -64
+# Points evaluated at once: the sphere rule of a high order is walked through
+# in blocks of about this many points, so memory does not grow with the order.
+_BLOCK = 2 ** 18
+
+
+@lru_cache(maxsize=256)
+def _radius(pair_degree: int) -> float:
+    """Radius R past which each entry of the projector holds less than _TAIL.
+
+    Mehler's formula bounds every basis polynomial on the real line:
+    phi_n(x)^2 <= t^-n (1-t^2)^-1/2 e^{2 x^2 t/(1+t)} for any 0 < t < 1.  So
+    a pair product of total degree D = sum n + sum nhat, times its Gaussian,
+    stays below t^{-D/2} (1-t^2)^{-3/2} e^{-b k.k} with b = (1-t)/(1+t).
+    The kernel factors of the entries (m/2E, k_a/2E and 1/2 against the
+    gamma matrices) are at most 1/2 each in size, so past R an entry loses at
+    most
+
+        4 pi^-1/2 t^{-D/2} (1-t^2)^{-3/2} R e^{-b R^2} / b
+
+    (the radial integral of r^2 e^{-b r^2} from R on is below R e^{-b R^2}/b
+    once b R^2 >= 1/2).  R is the least such radius over a grid of t.
+    """
+    best = math.inf
+    for t in np.linspace(0.01, 0.5, 50):
+        b = (1.0 - t) / (1.0 + t)
+        log_c = (math.log(4.0 / math.sqrt(math.pi) / _TAIL) - 0.5 * pair_degree * math.log(t)
+                 - 1.5 * math.log1p(-t * t) - math.log(b))
+        r = 1.0
+        for _ in range(20):
+            r = math.sqrt((log_c + math.log(r)) / b)
+        best = min(best, r)
+    return best
+
+
+@lru_cache(maxsize=256)
+def _radial_rule(n_nodes: int, pair_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes r on [0, R] and weights w r^2 e^{-r^2}.
+
+    r^2 is formed exactly as hi + lo (Dekker's product), so that
+    r^2 e^{-r^2} = hi e^{-hi} (1 + lo/hi - lo) carries about one ulp however
+    large r^2 is; rounding r^2 alone would cost r^2 ulps in e^{-r^2}."""
+    radius = _radius(pair_degree)
+    y, wy = gauss_legendre(n_nodes)
+    r = 0.5 * radius * (1.0 + y)
+    hi = r * r
+    split = 134217729.0 * r
+    r_hi = split - (split - r)
+    r_lo = r - r_hi
+    lo = ((r_hi * r_hi - hi) + 2.0 * r_hi * r_lo) + r_lo * r_lo
+    w = (0.5 * radius * wy) * (hi * np.exp(-hi)) * (1.0 + (lo / hi - lo))
+    return read_only(r, w)
+
+
+@lru_cache(maxsize=256)
+def _sphere_rule(degree: int, equator: int) -> tuple[np.ndarray, ...]:
+    """Product rule over the unit sphere for polynomials even in each axis,
+    of degree <= degree in all and <= equator in the two equatorial axes.
+
+    Returns the polar nodes u = cos(theta) >= 0, sin(theta), the weights and
+    the azimuth cosines c_j.  The integral of f over the whole sphere is
+    sum_t w_t sum_j f(s_t c_j, s_t c_{M-1-j}, u_t), exact for such f:
+    Gauss-Legendre in u with degree//2 + 1 nodes, folded onto u >= 0 by
+    parity (a node at 0 counted once), and the midpoint rule in the azimuth
+    on [0, pi/2] with M = equator//4 + 1 points.  The latter is the
+    4M-point rule over the circle folded by parity, and an integrand even in
+    both equatorial axes carries only the harmonics cos(2 l phi) with
+    2 l <= equator < 4M, which it integrates exactly.
+    """
+    u, wu = gauss_legendre(degree // 2 + 1)
+    half = u >= 0
+    u, wu = u[half], np.where(u[half] > 0, 2.0 * wu[half], wu[half])
+    m = equator // 4 + 1
+    c = np.cos((np.arange(m) + 0.5) * (math.pi / (2 * m)))
+    return read_only(u, np.sqrt((1.0 - u) * (1.0 + u)), wu * (2.0 * math.pi / m), c)
+
+
+def _radial_profile(n, nhat, odd, r: np.ndarray) -> np.ndarray:
+    """At each radius r_i, the integral over the unit sphere of the
+    basis-pair polynomial prod_a phi_{n_a} phi_{nhat_a}(k_a), times k_a for
+    the axis a in odd (at most one), at k = r_i times the direction.
+
+    The axis of the highest degree is the polar one, so that a pair that
+    excites one axis alone needs a single azimuth."""
+    deg = [n[a] + nhat[a] + (a in odd) for a in range(3)]
+    pole = deg.index(max(deg))
+    eq = [a for a in range(3) if a != pole]
+    u, s, w, c = _sphere_rule(sum(deg), sum(deg) - deg[pole])
+    cs = np.stack([c, c[::-1]])
+    mb = min(c.size, max(1, _BLOCK // (2 * r.size)))
+    tb = max(1, _BLOCK // (2 * r.size * mb))
+    profile = np.zeros(r.size)
+    for t in (slice(i, i + tb) for i in range(0, u.size, tb)):
+        z = r[:, None] * u[t]
+        rows = phi_at((n[pole], nhat[pole]), z)
+        polar = rows[n[pole]] * rows[nhat[pole]]
+        if pole in odd:
+            polar *= z
+        rs = (r[:, None] * s[t])[:, :, None, None]
+        ring = 0.0
+        for j in range(0, c.size, mb):
+            # equatorial coordinates, indexed (radius, polar node, axis, azimuth)
+            k = rs * cs[:, j:j + mb]
+            rows = phi_at([n[a] for a in eq] + [nhat[a] for a in eq], k)
+            q = (rows[n[eq[0]]][:, :, 0] * rows[nhat[eq[0]]][:, :, 0]
+                 * (rows[n[eq[1]]][:, :, 1] * rows[nhat[eq[1]]][:, :, 1]))
+            if odd and odd[0] != pole:
+                q *= k[:, :, eq.index(odd[0])]
+            ring = ring + q.sum(axis=-1)
+        profile += (ring * polar) @ w[t]
+    return profile
+
+
 def _s_plus_eval(
     n: tuple[int, int, int],
     nhat: tuple[int, int, int],
@@ -167,38 +275,26 @@ def _s_plus_eval(
     m: float,
     n_nodes: int,
 ) -> np.ndarray:
-    x, _ = gauss_hermite(n_nodes)
-    table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
-    p1, p2, p3 = (table[n[a]] * table[nhat[a]] for a in range(3))
-    sums = triple_sums(n_nodes)
-    e = osc = sums[:0]
-
-    def kernel(h: int, over_2e: bool) -> np.ndarray:
-        # E, e^{-iE dt} and both kernels are even in every axis and symmetric
-        # under any permutation of the axes, so they are evaluated once per
-        # sorted triple of half-grid nodes and gathered into the (h, h, h)
-        # cube that contract_even asks for.  Rank order puts the triples
-        # with hi < h first, so the second call's cube, which is no larger,
-        # reads a prefix of the first call's values.
-        nonlocal e, osc
-        t = h * (h + 1) * (h + 2) // 6
-        if e.size < t:
-            e = np.sqrt(sums[:t] + m * m)
-            osc = np.exp((-_I * dt) * e)
-        return (osc[:t] / (2.0 * e[:t]) if over_2e else osc[:t])[triple_rank(h)]
-
-    i_m, i_1, i_2, i_3 = contract_even(
-        np.stack([p1, x * p1, p1, p1]),
-        np.stack([p2, p2, x * p2, p2]),
-        np.stack([p3, p3, p3, x * p3]),
-        lambda h: kernel(h, True),
-    )
-    i_e = 0.5 * contract_even(p1, p2, p3, lambda h: kernel(h, False))[0]
-    g1, g2, g3, g4 = _gamma_matrices()
+    # The kernels e^{-iE dt}/2E and e^{-iE dt} depend on |k| alone, so each
+    # integral is a radial sum of the pair polynomial's spherical average.
+    # The pair is odd in the axes where n_a + nhat_a is odd.  Only integrals
+    # whose integrand is even in every axis survive: those of m and gamma4
+    # for an even pair, that of gamma_a for a pair odd in axis a alone, and
+    # none for a pair odd in two axes.
+    odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
+    core = np.zeros((4, 4), dtype=complex)
+    if len(odd) <= 1:
+        r, w = _radial_rule(n_nodes, sum(n) + sum(nhat))
+        f = w * _radial_profile(n, nhat, odd, r)
+        e = np.sqrt(r * r + m * m)
+        osc = np.exp((-_I * dt) * e)
+        i_k = f @ (osc / (2.0 * e))
+        if odd:
+            core = _I * i_k * _GAMMAS[odd[0]]
+        else:
+            core = -_I * (0.5 * (f @ osc)) * _GAMMAS[3] - m * i_k * np.eye(4)
     phase = _I ** ((sum(n) - sum(nhat)) % 4)
-    scale = phase * math.pi ** -1.5
-    core = _I * (g1 * i_1 + g2 * i_2 + g3 * i_3) - _I * g4 * i_e - m * i_m * np.eye(4)
-    return _I * scale * core
+    return (_I * phase * math.pi ** -1.5) * core
 
 
 def s_plus_green(
@@ -211,18 +307,26 @@ def s_plus_green(
     """On-shell fermionic Green's function sample between two grid indices.
 
     Evaluates i * integral of [(i gamma.p - i gamma4 E - m)/2E] times the
-    basis-pair product times e^{-iE dt} over momentum, by tensor
-    Gauss-Hermite quadrature with the Gaussian weight taken from the basis
-    functions.  The oscillatory time factor is smooth and stays inside.
-    The refinement gate (quadrature.refined) is tol on the largest entry
-    defect.
+    basis-pair product times e^{-iE dt} over momentum.  The kernels depend
+    on |k| alone, so the integral splits into the average of the pair
+    polynomial over the sphere, by a product rule exact for its degree, and
+    a radial Gauss-Legendre sum on [0, R] against r^2 e^{-r^2} and the
+    kernels, evaluated at the radial nodes only.  R follows from a stated
+    tail bound (_radius); on [0, R] the rule resolves the branch point of E
+    at |k| = i m at any mass.  Only the radial rule is refined: it runs at
+    k * max(gh_nodes, D) nodes for k = 1, 2, with D = sum n + sum nhat the
+    pair's degree, since a pair of high degree needs about as many radial
+    nodes as its degree.  The refinement gate (quadrature.refined) is tol
+    on the largest entry defect.  A pair odd in two axes gives exact zeros.
     """
     n = index3(n)
     nhat = index3(nhat)
-    if not (m > 0 and math.isfinite(m * m)):
+    if not (m > 0 and math.isfinite(float(m) * float(m))):
         raise DomainError(f"mass must be positive with a finite square, got {m}")
+    m = float(m)
     if not math.isfinite(dt):
         raise DomainError(f"time separation must be finite, got {dt}")
-    value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * cfg.gh_nodes), cfg, cfg.tol,
+    n_nodes = max(cfg.gh_nodes, sum(n) + sum(nhat))
+    value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * n_nodes), cfg, cfg.tol,
                        "fermionic Green's function at n={}, nhat={}", n, nhat)
     return value

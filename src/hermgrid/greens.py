@@ -62,7 +62,6 @@ from .quadrature import (
     index3,
     refined,
     sized_cache,
-    triple_rank,
     weighted_phi_table,
 )
 
@@ -90,10 +89,9 @@ class GreensValue:
 def clear_caches() -> None:
     """Drop every cache of this module: memoized tensor values, denominator
     cubes, pole constants, pole models, closed-sum coefficients, angular
-    moments and axis tables; and the sorted-triple rank maps of quadrature,
-    one per cube size the screen in contract_even has asked for."""
+    moments and axis tables."""
     for cached in (_g_raw, _inv_denominators, _ball_defects, _pole_model, _closed_coefficients,
-                   _angular_moment, _axis_table, _table_steps, triple_rank):
+                   _angular_moment, _axis_table, _table_steps):
         cached.cache_clear()
 
 
@@ -164,9 +162,9 @@ def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
     polynomial product a b c: the quadratic pole model whose quadrature
     defect (_ball_defects) is added back in closed form.
     """
+    mu, n_nodes = float(mu), int(n_nodes)
     if not math.isfinite(mu * mu):
         raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
-    mu, n_nodes = float(mu), int(n_nodes)
     acc = contract_even(a, b, c, lambda h: _inv_denominators(mu, n_nodes, h))
     d0, d2 = _ball_defects(mu, n_nodes)
     return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
@@ -217,7 +215,7 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...]]
     nhat = index3(nhat)
     if not mu > 0:
         raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
-    if not math.isfinite(mu * mu):
+    if not math.isfinite(float(mu) * float(mu)):
         raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
     return n, nhat
 

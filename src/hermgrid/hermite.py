@@ -122,7 +122,16 @@ def phi_row(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def phi(n: int, x: np.ndarray) -> np.ndarray:
     """phi_n(x) alone: row n of phi_row(n, x), without storing the rows below it."""
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    return phi_at((n,), x)[n]
+
+
+def phi_at(orders, x: np.ndarray) -> dict[int, np.ndarray]:
+    """phi_n(x) for each n in orders, keyed by n, from one pass of the
+    recurrence that keeps only the rows asked for (the same values as the
+    rows of phi_row)."""
+    want = set(orders)
+    if min(want) < 0:
+        raise ValueError(f"order must be nonnegative, got {min(want)}")
     x = np.asarray(x, dtype=float)
-    return next(islice(_phi_rows(x, np.ones(x.shape)), n, None))
+    rows = islice(_phi_rows(x, np.ones(x.shape)), max(want) + 1)
+    return {j: row for j, row in enumerate(rows) if j in want}

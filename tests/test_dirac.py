@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,8 +11,8 @@ import pytest
 import hermgrid
 from hermgrid import dirac
 from hermgrid.errors import DomainError, NonconvergenceError
-from hermgrid.hermite import xi
-from hermgrid.quadrature import QuadratureConfig, gauss_hermite, weighted_phi_table
+from hermgrid.hermite import phi_row, xi
+from hermgrid.quadrature import QuadratureConfig, gauss_hermite, gauss_legendre, weighted_phi_table
 
 
 def test_gamma_entries():
@@ -112,29 +113,43 @@ def test_low_momentum_domain():
         dirac.low_momentum_u(1, (1.5, 0.0, 0.0), 1.0)
 
 
+def _sphere_points(degree):
+    # the octant rule of dirac unfolded onto the whole sphere by the eight
+    # reflections (four for a polar node at 0), each taking its share of the
+    # weight; it is then exact for every polynomial of the degree, odd ones too
+    u, s, w, c = dirac._sphere_rule(degree, degree)
+    points = []
+    for t in range(u.size):
+        for j in range(c.size):
+            base = np.array([s[t] * c[j], s[t] * c[-1 - j], u[t]])
+            signs = set(itertools.product((1.0, -1.0), (1.0, -1.0), (1.0, -1.0) if u[t] > 0 else (1.0,)))
+            points += [(base * np.array(sg), w[t] / len(signs)) for sg in signs]
+    return points
+
+
 def _s_plus_spinor_route(n, nhat, dt, m, n_nodes):
-    # same tensor rule, assembled from explicit spinor projectors instead of
-    # gamma-moment accumulation; i * integral of basis pair times
-    # (-(m/E) sum_r u u~) e^{-iE dt}
-    x, w = gauss_hermite(n_nodes)
-    ew = w * np.exp(x * x)
+    # on the points of the projector's own radial and sphere rules, assembled
+    # from explicit spinor projectors instead of gamma-moment accumulation:
+    # i * integral of basis pair times (-(m/E) sum_r u u~) e^{-iE dt}.  The
+    # radial weights carry r^2 e^{-r^2}, which the Gaussians of xi undo
+    degree = sum(n) + sum(nhat)
+    r, wr = dirac._radial_rule(n_nodes, degree)
     acc = np.zeros((4, 4), complex)
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            pair12 = (xi(n[0], x[i]) * np.conj(xi(nhat[0], x[i]))
-                      * xi(n[1], x[j]) * np.conj(xi(nhat[1], x[j])))
-            for l in range(n_nodes):
-                k = (float(x[i]), float(x[j]), float(x[l]))
-                e = dirac.energy(k, m)
-                pair = pair12 * xi(n[2], x[l]) * np.conj(xi(nhat[2], x[l]))
-                acc += (ew[i] * ew[j] * ew[l] * pair * np.exp(-1j * e * dt)
-                        * (-dirac.spin_sum(k, m)))
+    for direction, wd in _sphere_points(degree + 1):
+        for ri, wi in zip(r, wr):
+            k = tuple(float(v) for v in ri * direction)
+            pair = math.exp(ri * ri)
+            for a in range(3):
+                pair *= xi(n[a], k[a]) * np.conj(xi(nhat[a], k[a]))
+            e = dirac.energy(k, m)
+            acc += wi * wd * pair * np.exp(-1j * e * dt) * (-dirac.spin_sum(k, m))
     return 1j * acc
 
 
 def test_s_plus_matches_spinor_projector_route():
     cfg = QuadratureConfig(gh_nodes=16, refine=False)
-    for n, nhat, dt in [((1, 0, 1), (0, 2, 0), 0.3), ((0, 0, 0), (0, 0, 0), 0.0)]:
+    for n, nhat, dt in [((1, 0, 1), (0, 2, 1), 0.3), ((2, 1, 0), (0, 1, 0), 0.7),
+                        ((0, 0, 0), (0, 0, 0), 0.0)]:
         prod = dirac.s_plus_green(n, nhat, dt, 1.0, cfg)
         oracle = _s_plus_spinor_route(n, nhat, dt, 1.0, 16)
         assert float(np.max(np.abs(prod - oracle))) <= 1e-12
@@ -175,10 +190,10 @@ def test_s_plus_nonconvergence_gate():
 
 
 def _s_plus_full_grid(n, nhat, dt, m, n_nodes):
-    # the five integrals as sums over every term of the whole N^3 grid, with
-    # E built per node triple; no fold, no sorted-triple table.  The terms
-    # are summed exactly (math.fsum), so the reference adds no rounding of
-    # its own beyond that of each term
+    # the five integrals as plain tensor Gauss-Hermite sums over every term
+    # of the whole N^3 grid, with E built per node triple.  The terms are
+    # summed exactly (math.fsum), so the reference adds no rounding of its
+    # own beyond that of each term
     x, _ = gauss_hermite(n_nodes)
     table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
     p = [table[n[a]] * table[nhat[a]] for a in range(3)]
@@ -200,13 +215,87 @@ def _s_plus_full_grid(n, nhat, dt, m, n_nodes):
 
 @pytest.mark.parametrize("gh_nodes", (9, 33))
 def test_s_plus_matches_full_grid_at_odd_node_counts(gh_nodes):
-    # odd rules put a node at x = 0, which the fold counts once
-    cfg = QuadratureConfig(gh_nodes=gh_nodes, refine=False)
+    # an independent oracle: the full-grid sum at 2N - 1 nodes, whose error
+    # its defect against N nodes bounds; the projector at the default config
+    # lies within that defect of it (odd rules put a grid node at k = 0)
     for n, nhat, dt, m in [((1, 0, 0), (0, 0, 0), 0.4, 1.0), ((1, 1, 2), (0, 1, 0), 0.8, 1.0),
                            ((2, 2, 0), (0, 0, 2), 1.3, 0.6), ((0, 0, 0), (0, 0, 0), 0.0, 2.0)]:
-        got = dirac.s_plus_green(n, nhat, dt, m, cfg)
-        want = _s_plus_full_grid(n, nhat, dt, m, gh_nodes)
-        assert float(np.max(np.abs(got - want))) <= 1e-15
+        got = dirac.s_plus_green(n, nhat, dt, m, QuadratureConfig())
+        coarse = _s_plus_full_grid(n, nhat, dt, m, gh_nodes)
+        oracle = _s_plus_full_grid(n, nhat, dt, m, 2 * gh_nodes - 1)
+        assert float(np.max(np.abs(got - oracle))) <= float(np.max(np.abs(coarse - oracle))) + 1e-15
+
+
+def _gauss_moment(j, n, nhat):
+    # integral of x^j phi_n(x) phi_nhat(x) e^{-x^2} dx in closed form: apply
+    # x phi_k = sqrt((k+1)/2) phi_{k+1} + sqrt(k/2) phi_{k-1} j times to the
+    # coefficient vector of phi_n, then use orthogonality (norm sqrt(pi))
+    vec = {n: 1.0}
+    for _ in range(j):
+        nxt = {}
+        for k, c in vec.items():
+            nxt[k + 1] = nxt.get(k + 1, 0.0) + c * math.sqrt((k + 1) / 2)
+            if k:
+                nxt[k - 1] = nxt.get(k - 1, 0.0) + c * math.sqrt(k / 2)
+        vec = nxt
+    return math.sqrt(math.pi) * vec.get(nhat, 0.0)
+
+
+POLYNOMIAL_PAIRS = [((0, 0, 0), (0, 0, 0)), ((2, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)),
+                    ((1, 2, 1), (1, 0, 1)), ((3, 1, 2), (3, 1, 2)), ((2, 3, 1), (2, 2, 1)),
+                    ((0, 6, 0), (0, 4, 0)), ((4, 4, 4), (2, 4, 4)), ((20, 20, 20), (20, 20, 20)),
+                    ((40, 0, 1), (40, 0, 0))]
+
+
+@pytest.mark.parametrize("block", (dirac._BLOCK, 64))
+@pytest.mark.parametrize("n, nhat", POLYNOMIAL_PAIRS)
+def test_spherical_rule_is_exact_for_polynomial_kernels(n, nhat, block, monkeypatch):
+    # the radial and sphere rules against the closed-form Gaussian moments of
+    # the pair polynomial for K = 1 and K = k.k (times k_a for the axis a
+    # where the pair is odd), also when the sphere is walked in small blocks.
+    # At high orders the radius must grow with the order: R = 10 is 4e-2 off
+    # at (20, 20, 20)^2
+    monkeypatch.setattr(dirac, "_BLOCK", block)
+    odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
+    degree = sum(n) + sum(nhat)
+    r, w = dirac._radial_rule(max(64, degree), degree)
+    profile = w * dirac._radial_profile(n, nhat, odd, r)
+    lift = [1 if a in odd else 0 for a in range(3)]
+    one = math.prod(_gauss_moment(lift[a], n[a], nhat[a]) for a in range(3))
+    kk = sum(math.prod(_gauss_moment(lift[a] + 2 * (a == b), n[a], nhat[a]) for a in range(3))
+             for b in range(3))
+    assert one != 0 or kk != 0
+    assert abs(profile.sum() - one) <= 2e-13
+    assert abs(profile @ (r * r) - kk) <= 2e-13 * (degree + 3)
+
+
+@pytest.mark.parametrize("n_nodes, degree", [(64, 0), (128, 12), (256, 120)])
+def test_radial_weights_carry_about_one_ulp(n_nodes, degree):
+    # w r^2 e^{-r^2} at the double nodes r against 40 digits, given the
+    # Gauss-Legendre weight: rounding r^2 first would cost r^2 ulps (up to
+    # 200 at the outer nodes of degree 120)
+    mp = pytest.importorskip("mpmath")
+    r, w = dirac._radial_rule(n_nodes, degree)
+    _, wy = gauss_legendre(n_nodes)
+    half = 0.5 * dirac._radius(degree)
+    with mp.workdps(40):
+        worst = max(abs(float(wi / (mp.mpf(half) * float(g) * mp.mpf(float(ri)) ** 2
+                                    * mp.exp(-mp.mpf(float(ri)) ** 2)) - 1))
+                    for ri, wi, g in zip(r, w, wy) if wi > 0)
+    assert worst <= 4 * 2.0 ** -52
+
+
+def test_radius_rests_on_mehlers_bound_and_grows_with_the_degree():
+    # phi_n(x)^2 <= t^-n (1-t^2)^-1/2 e^{2 x^2 t/(1+t)}: the terms of Mehler's
+    # series sum_n t^n phi_n(x)^2 = (1-t^2)^-1/2 e^{2 x^2 t/(1+t)} are >= 0
+    x = np.linspace(-12.0, 12.0, 97)
+    rows = phi_row(60, x) ** 2
+    for t in (0.01, 0.1, 0.3, 0.5):
+        bound = t ** -np.arange(61.0)[:, None] * np.exp(2 * x * x * t / (1 + t)) / math.sqrt(1 - t * t)
+        assert np.all(rows <= bound * (1 + 1e-12))
+    radii = [dirac._radius(d) for d in range(0, 600, 12)]
+    assert all(a < b for a, b in zip(radii, radii[1:]))
+    assert 6.5 < radii[0] < 7.5 and radii[10] > 14
 
 
 @pytest.mark.parametrize("bad", [(-1, 0, 0), (0, 0, -2), (0.5, 0, 0), (0, 0)])
@@ -227,20 +316,43 @@ def test_s_plus_rejects_non_finite_time_and_mass(dt, m):
 
 
 def test_s_plus_nan_defect_trips_the_gate():
-    # m * m underflows to 0 and the odd coarse rule has a node at the
-    # origin, where E = 0: its kernel entry is inf, the coarse value NaN,
-    # and so is the defect
-    with pytest.raises(NonconvergenceError), np.errstate(divide="ignore", invalid="ignore"):
-        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, 1e-200, QuadratureConfig(gh_nodes=9))
+    # dt E overflows to inf at the outer radial nodes, e^{-i inf} is NaN, and
+    # so are the values and their defect
+    with pytest.raises(NonconvergenceError), np.errstate(over="ignore", invalid="ignore"):
+        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 1e308, 1.0, QuadratureConfig(gh_nodes=9))
 
 
-@pytest.mark.parametrize("m", [1e160, 1e200])
+@pytest.mark.parametrize("m", [1e160, 1e200, pytest.param(np.float64(1e160), id="float64-1e+160")])
 def test_s_plus_rejects_a_mass_whose_square_overflows(m):
-    # refused before any kernel is built, so numpy has nothing to warn about
+    # refused before any kernel is built, and the square of a numpy scalar
+    # is taken as a float, so numpy has nothing to warn about
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite square"):
             dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, m, QuadratureConfig(gh_nodes=8))
+
+
+@pytest.mark.parametrize("m", (0.25, 0.5, 1.0))
+def test_s_plus_converges_at_small_mass(m):
+    # the 27 low-order samples against the origin at the default config; the
+    # tensor Gauss-Hermite rule failed its gate for 20 of them at m = 0.5 and
+    # 0.25 (the branch point of E at |k| = i m), the radial rule on [0, R]
+    # resolves it
+    cfg = QuadratureConfig()
+    for n in itertools.product(range(3), repeat=3):
+        coarse, fine = (dirac._s_plus_eval(n, (0, 0, 0), 0.4, m, k * cfg.gh_nodes) for k in (1, 2))
+        assert float(np.max(np.abs(fine - coarse))) <= 1e-12
+        assert np.array_equal(dirac.s_plus_green(n, (0, 0, 0), 0.4, m, cfg), fine)
+
+
+@pytest.mark.parametrize("n", [(16, 16, 16), (20, 20, 20), (24, 12, 1)])
+def test_s_plus_converges_at_high_degree(n):
+    # a pair of degree D needs about D radial nodes: at 64 and 128 nodes the
+    # defect of (20, 20, 20)^2 is 7e-4, so the rule runs at max(gh_nodes, D)
+    cfg = QuadratureConfig()
+    got = dirac.s_plus_green(n, n, 0.4, 1.0, cfg)
+    wide = dirac.s_plus_green(n, n, 0.4, 1.0, QuadratureConfig(gh_nodes=256))
+    assert float(np.max(np.abs(got - wide))) <= 1e-13
 
 
 def test_s_plus_identical_across_thread_counts():
@@ -249,13 +361,14 @@ def test_s_plus_identical_across_thread_counts():
         env.pop(var, None)
     src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrid.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = ("import sys, hermgrid; sys.stdout.buffer.write(hermgrid.s_plus_green("
-            "(1, 0, 2), (0, 1, 0), 0.37, 1.0, hermgrid.QuadratureConfig()).tobytes())")
+    code = ("import sys, hermgrid; sys.stdout.buffer.write(b''.join(hermgrid.s_plus_green("
+            "n, nhat, 0.37, 1.0, hermgrid.QuadratureConfig()).tobytes() for n, nhat in "
+            "(((1, 0, 2), (1, 2, 0)), ((1, 0, 2), (0, 0, 1)), ((12, 9, 8), (4, 5, 0)))))")
     outs = []
     for threads in ("1", "2"):
         env["HERMGRID_THREADS"] = threads
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert run.returncode == 0
         outs.append(run.stdout)
-    assert len(outs[0]) == 16 * 16
+    assert len(outs[0]) == 3 * 16 * 16
     assert outs[0] == outs[1]

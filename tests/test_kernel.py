@@ -7,9 +7,7 @@ einsum, or sums every term with math.fsum.  Odd node counts exercise the
 centre node, which the fold must count once.  The screen, which cuts the
 half grid to the cube the folded vectors reach, is checked against the
 full-grid sum within its stated bound, with non-finite entries, and for a
-cube size that depends on the vectors alone.  The sorted-triple tables,
-from which kernels of x_i^2 + x_j^2 + x_k^2 are gathered, are checked
-against the half-grid tensors they replace.
+cube size that depends on the vectors alone.
 """
 
 import itertools
@@ -24,8 +22,6 @@ from hermgrid.quadrature import (
     fold_even,
     gauss_hermite,
     sized_cache,
-    triple_rank,
-    triple_sums,
     weighted_phi_table,
 )
 
@@ -101,67 +97,6 @@ def test_fold_counts_centre_once(n):
     if n % 2:
         assert folded[0] == v[h]
     assert folded.sum() == v.sum()
-
-
-TRIPLE_NODE_COUNTS = (8, 9, 33, 64, 128)
-
-
-def _half_squares(n):
-    x, _ = gauss_hermite(n)
-    return x[n // 2:] ** 2
-
-
-@pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
-def test_triple_rank_is_a_bijection_onto_sorted_triples(n):
-    h = n - n // 2
-    rank = triple_rank(h)
-    assert rank.shape == (h, h, h)
-    assert rank.dtype == np.intp
-    assert not rank.flags.writeable
-    assert triple_rank(h) is rank
-    # the sorted triples i <= j <= k take each rank 0..T-1 exactly once
-    i, j, k = np.indices((h, h, h))
-    on_sorted = rank[(i <= j) & (j <= k)]
-    assert np.array_equal(np.sort(on_sorted), np.arange(h * (h + 1) * (h + 2) // 6))
-    # and every other triple takes the rank of its sorted permutation
-    lo, mid, hi = np.sort(np.stack([i, j, k]), axis=0)
-    assert np.array_equal(rank, rank[lo, mid, hi])
-
-
-@pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
-def test_triple_sums_match_full_half_grid_build(n):
-    sums = triple_sums(n)
-    h = n - n // 2
-    assert sums.shape == (h * (h + 1) * (h + 2) // 6,)
-    assert not sums.flags.writeable
-    x2 = _half_squares(n)
-    full = (x2[:, None, None] + x2[None, :, None]) + x2[None, None, :]
-    gathered = sums[triple_rank(h)]
-    # the centre node of an odd rule is exactly 0, so only the all-centre
-    # triple sums to 0; both builds give exactly 0 there
-    nonzero = full > 0
-    assert np.count_nonzero(~nonzero) == n % 2
-    assert np.all(gathered[~nonzero] == 0)
-    rel = np.abs(gathered[nonzero] - full[nonzero]) / full[nonzero]
-    assert np.max(rel) <= 1e-15
-
-
-@pytest.mark.parametrize("n", TRIPLE_NODE_COUNTS)
-def test_gathered_kernel_is_exactly_symmetric_under_axis_permutations(n):
-    m = 0.7
-    kernel = np.sqrt(triple_sums(n) + m * m)[triple_rank(n - n // 2)]
-    for perm in itertools.permutations(range(3)):
-        assert np.array_equal(kernel.transpose(perm), kernel)
-
-
-def test_full_grid_build_is_not_symmetric_to_the_bit():
-    # what the gathered kernel gains: a build that sums the squares in axis
-    # order rounds differently under some permutation
-    m = 0.7
-    x2 = _half_squares(128)
-    old = np.sqrt((np.add.outer(x2, x2) + m * m)[None, :, :] + x2[:, None, None])
-    assert any(not np.array_equal(old.transpose(perm), old)
-               for perm in itertools.permutations(range(3)))
 
 
 def _even_kernel(n, complex_):
@@ -327,16 +262,3 @@ def test_sized_cache_holds_its_budget():
     assert make.cache_info().currsize == 1 and make(500) is big
     make.cache_clear()
     assert make.cache_info().currsize == 0 and make.cache_info().entries == 0
-
-
-def test_rank_maps_share_one_full_map_budget():
-    triple_rank.cache_clear()
-    for h in range(8, 65, 8):
-        triple_rank(h)
-    info = triple_rank.cache_info()
-    assert info.currsize == 8
-    assert info.entries == sum(h ** 3 for h in range(8, 65, 8)) <= GH_NODES_MAX ** 3
-    # the map for a cube is the leading block of every larger map
-    assert np.array_equal(triple_rank(64)[:24, :24, :24], triple_rank(24))
-    triple_rank.cache_clear()
-    assert triple_rank.cache_info().currsize == 0
