@@ -7,7 +7,9 @@ einsum, or sums every term with math.fsum.  Odd node counts exercise the
 centre node, which the fold must count once.  The screen, which cuts the
 half grid to the cube the folded vectors reach, is checked against the
 full-grid sum within its stated bound, with non-finite entries, and for a
-cube size that depends on the vectors alone.
+cube size that depends on the vectors alone.  The denominator cubes that
+green_contract hands the screen are checked for their shared cache budget
+and for the rounding of their per-axis build.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from hermgrid.greens import _inv_denominators
 from hermgrid.quadrature import (
     GH_NODES_MAX,
     contract_even,
@@ -97,6 +100,22 @@ def test_fold_counts_centre_once(n):
     if n % 2:
         assert folded[0] == v[h]
     assert folded.sum() == v.sum()
+
+
+def test_full_grid_build_is_not_symmetric_to_the_bit():
+    # a kernel of x_i^2 + x_j^2 + x_k^2 built by summing the squares in axis
+    # order rounds differently under some permutation of the axes; the
+    # denominator cubes of green_contract are built so, and are not
+    # symmetric to the bit either
+    m = 0.7
+    x, _ = gauss_hermite(128)
+    x2 = x[64:] ** 2
+    old = np.sqrt((np.add.outer(x2, x2) + m * m)[None, :, :] + x2[:, None, None])
+    assert any(not np.array_equal(old.transpose(perm), old)
+               for perm in itertools.permutations(range(3)))
+    cube = _inv_denominators(m, 128, 64)
+    assert any(not np.array_equal(cube.transpose(perm), cube)
+               for perm in itertools.permutations(range(3)))
 
 
 def _even_kernel(n, complex_):
@@ -262,3 +281,22 @@ def test_sized_cache_holds_its_budget():
     assert make.cache_info().currsize == 1 and make(500) is big
     make.cache_clear()
     assert make.cache_info().currsize == 0 and make.cache_info().entries == 0
+
+
+def test_rank_maps_share_one_full_map_budget():
+    # the cubes the screen asks green_contract for, one per cube size, share
+    # one budget of two full half-grid tensors at 128 nodes; the sorted-triple
+    # rank maps this once checked are gone, and the denominator cubes are
+    # the per-cube-size maps that remain
+    _inv_denominators.cache_clear()
+    for h in range(8, 57, 8):
+        _inv_denominators(0.7, 128, h)
+    info = _inv_denominators.cache_info()
+    assert info.currsize == 7
+    assert info.entries == sum(h ** 3 for h in range(8, 57, 8)) <= 2 * 64 ** 3 < GH_NODES_MAX ** 3
+    # the cube for a size is the leading block of every larger cube
+    assert np.array_equal(_inv_denominators(0.7, 128, 64)[:24, :24, :24],
+                          _inv_denominators(0.7, 128, 24))
+    assert _inv_denominators.cache_info().entries <= 2 * 64 ** 3
+    _inv_denominators.cache_clear()
+    assert _inv_denominators.cache_info().currsize == 0
