@@ -408,13 +408,12 @@ def moller_oracle_element(kin: MollerKinematics, trunc: VertexTruncation,
     if kin.r1 != kin.r1_out or kin.r2 != kin.r2_out:
         return 0j
     x, w = gauss_hermite(n_nodes)
-    tr = VertexTruncation(trunc.n_max)
     g = []
     for a in range(3):
         row = np.empty(n_nodes, complex)
         for i in range(n_nodes):
-            v1 = vertex_axis_sum(kin.p1[a], kin.p1_out[a], float(x[i]), -1, +1, tr)
-            v2 = vertex_axis_sum(kin.p2[a], kin.p2_out[a], float(x[i]), -1, -1, tr)
+            v1 = vertex_axis_sum(kin.p1[a], kin.p1_out[a], float(x[i]), -1, +1, trunc)
+            v2 = vertex_axis_sum(kin.p2[a], kin.p2_out[a], float(x[i]), -1, -1, trunc)
             row[i] = v1 * v2
         g.append(w * row * np.exp(x * x))
     x2 = x * x

@@ -130,7 +130,9 @@ def _run_config(args, command: str) -> RunConfig:
         _require(math.isfinite(value), flag, "a finite real", value)
     _require(cfg.mu >= 0, "--mu", "mu >= 0", cfg.mu)
     _require(cfg.m > 0, "--m", "m > 0", cfg.m)
-    _require(cfg.n_max >= 0, "--n-max", "n_max >= 0", cfg.n_max)
+    # moller's --vertex-n-max fills n_max too, so the header echoes the cutoff
+    order_flag, order_min = ("--vertex-n-max", 1) if command == "moller" else ("--n-max", 0)
+    _require(cfg.n_max >= order_min, order_flag, f"n_max >= {order_min}", cfg.n_max)
     _require(cfg.gh_nodes >= 8, "--gh-nodes", "gh_nodes >= 8", cfg.gh_nodes)
     _require(cfg.gh_nodes <= GH_NODES_MAX, "--gh-nodes", f"gh_nodes <= {GH_NODES_MAX}", cfg.gh_nodes)
     _require(cfg.tol > 0, "--tol", "tol > 0", cfg.tol)
@@ -239,7 +241,6 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
 def cmd_moller(args) -> int:
     cfg = _run_config(args, "moller")
     _require(cfg.mu > 0, "--mu", "mu > 0", cfg.mu)
-    _require(args.vertex_n_max >= 1, "--vertex-n-max", "n_max >= 1", args.vertex_n_max)
     spins = tuple(int(s) for s in args.spins.split(",")) if args.spins else (1, 1, 1, 1)
     _require(len(spins) == 4 and all(s in (1, 2) for s in spins),
              "--spins", "four comma-separated values in {1,2}", args.spins)
@@ -251,12 +252,12 @@ def cmd_moller(args) -> int:
         m=cfg.m, mu=cfg.mu, g=cfg.g,
         r1=spins[0], r2=spins[1], r1_out=spins[2], r2_out=spins[3],
     )
-    trunc = VertexTruncation(args.vertex_n_max)
+    trunc = VertexTruncation(cfg.n_max)
     qcfg = _quad_config(cfg)
     element = moller_reduced_element(kin, trunc, qcfg)
     continuum = continuum_moller_reduced(kin)
     row = ResultRow(
-        (args.vertex_n_max,),
+        (cfg.n_max,),
         (element.real, element.imag, continuum.real,
          kin.conservation_defect, kin.momentum_defect,
          kin.low_momentum_ok, trunc.tail_report),
@@ -358,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--g", type=float, default=1.0, help="coupling")
     p.add_argument("--spins", default="1,1,1,1", help="r1,r2,r1',r2', each 1 or 2")
-    p.add_argument("--vertex-n-max", type=int, default=64, dest="vertex_n_max")
+    p.add_argument("--vertex-n-max", type=int, default=64, dest="n_max")
     _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_moller)

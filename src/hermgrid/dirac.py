@@ -46,14 +46,6 @@ class GammaSet:
             raise ValueError(f"gamma index must be 1..4, got {mu}")
         return self.matrices[mu - 1]
 
-    @property
-    def spatial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.matrices[:3]
-
-    @property
-    def time(self) -> np.ndarray:
-        return self.matrices[3]
-
 
 def gamma_set() -> GammaSet:
     """Fresh copies of the representation's exact entries (all 0, +-1, +-i)."""

@@ -87,11 +87,11 @@ class GreensValue:
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module: memoized tensor values, denominator
-    cubes, pole constants, pole models, closed-sum coefficients, angular
-    moments and axis tables."""
-    for cached in (_g_raw, _inv_denominators, _ball_defects, _pole_model, _closed_coefficients,
-                   _angular_moment, _axis_table, _table_steps):
+    """Drop every cache of this module: denominator cubes, pole constants,
+    origin tables, pole models, closed-sum coefficients, angular moments and
+    axis tables."""
+    for cached in (_inv_denominators, _ball_defects, origin_rows, _pair_model,
+                   _closed_coefficients, _angular_moment, _axis_table, _table_steps):
         cached.cache_clear()
 
 
@@ -170,25 +170,34 @@ def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
     return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
 
 
-@lru_cache(maxsize=1024)
-def _pole_model(n: int, nhat: int) -> tuple[float, float]:
-    """Value and half-second-derivative at the origin of the one-axis pair
-    polynomial phi_n phi_nhat, from the Hermite differential relations
-    phi_n'(0) = sqrt(2n) phi_{n-1}(0) and phi_n''(0) = -2n phi_n(0).
-    Cached: every mass and node count asks for the same few pairs."""
-    z = phi_row(max(n, nhat), np.zeros(1))[:, 0].tolist()
-    q0 = z[n] * z[nhat]
-    cross = 0.0
-    if n >= 1 and nhat >= 1:
-        cross = 2.0 * math.sqrt(n * nhat) * z[n - 1] * z[nhat - 1]
-    return q0, -(n + nhat) * q0 + cross
+@lru_cache(maxsize=64)
+def origin_rows(n_max: int) -> np.ndarray:
+    """Columns phi_n(0), phi_n'(0) = sqrt(2n) phi_{n-1}(0) and
+    phi_n''(0) = -2n phi_n(0) for n <= n_max, from the Hermite differential
+    relations: the Taylor data of the pole models (green_contract).  Cached
+    read-only per order; the tensor route's pair models and the exchange
+    element's profiles read it."""
+    z0 = phi_row(n_max, np.zeros(1))[:, 0]
+    narr = np.arange(n_max + 1)
+    z1 = np.zeros(n_max + 1)
+    z1[1:] = np.sqrt(2.0 * narr[1:]) * z0[:-1]
+    out = np.stack([z0, z1, -2.0 * narr * z0], axis=1)
+    out.setflags(write=False)
+    return out
 
 
+@lru_cache(maxsize=4096)
 def _pair_model(n: tuple[int, ...], nhat: tuple[int, ...]) -> tuple[float, float]:
     """c0 and c2 of the pair's quadratic pole model (green_contract): the
     value and the summed per-axis half-second-derivatives at the origin of
-    the product of the three one-axis pair polynomials."""
-    (q0a, q2a), (q0b, q2b), (q0c, q2c) = (_pole_model(n[a], nhat[a]) for a in range(3))
+    the product of the three one-axis pair polynomials phi_n phi_nhat.
+    Cached per pair: every mass and node count asks for the same.  The
+    origin table runs to the next order 8k + 7, so pairs of nearby orders
+    share one."""
+    z = origin_rows(max(max(n), max(nhat)) // 8 * 8 + 7).tolist()
+    (q0a, q2a), (q0b, q2b), (q0c, q2c) = (
+        (z[a][0] * z[b][0], 0.5 * (z[a][2] * z[b][0] + z[a][0] * z[b][2]) + z[a][1] * z[b][1])
+        for a, b in zip(n, nhat))
     return q0a * q0b * q0c, q2a * q0b * q0c + q0a * q2b * q0c + q0a * q0b * q2c
 
 
@@ -198,14 +207,6 @@ def _g_eval(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) 
                          mu, n_nodes)
     phase = 1j ** ((sum(n) - sum(nhat)) % 4)
     return complex(phase * val[0])
-
-
-# Memoized tensor-route values, one per pair, mass and node count.  The
-# residual box of the acceptance suite (2,187 residuals over three masses)
-# makes 2,100 entries, so the bound lets a box run reuse every shared value.
-@lru_cache(maxsize=4096)
-def _g_raw(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -> complex:
-    return _g_eval(n, nhat, mu, n_nodes)
 
 
 def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -253,7 +254,7 @@ def g_tensor(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     zero = _parity_zero(n, nhat)
     if zero is not None:
         return zero
-    value, err = refined(lambda k: _g_raw(n, nhat, mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol,
+    value, err = refined(lambda k: _g_eval(n, nhat, mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol,
                          "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
     if cfg.refine:
         c0, c2 = _pair_model(n, nhat)
@@ -517,20 +518,16 @@ def coulomb_even(n1: int) -> float:
     """Massless axis values at even grid index 2*n1, in closed form:
     2^(n1+1) n1! / ((2 n1 + 1) sqrt((2 n1)!)).
 
-    n1 here is the half-index.  Orders up to 85, where (2 n1)! is still a
-    double, use the factorials as floats (so n1=0 returns exactly 2.0).
-    Past that the square 4^(n1+1) / ((2 n1 + 1)^2 C(2 n1, n1)) is an exact
-    integer ratio, which Python's int true division rounds correctly; one
-    square root follows.  The integers grow with n1, and so does the cost
-    (3 ms a value at n1 = 5000), so from n1 = 1000 on C(2n, n) comes from its
-    asymptotic series 4^n / sqrt(pi n) (1 - 1/(8n) + 1/(128n^2) +
-    5/(1024n^3) - 21/(32768n^4) + ...), whose next term is below 2e-18
-    there; it meets the exact ratio within one ulp.
+    n1 here is the half-index.  The square 4^(n1+1) / ((2 n1 + 1)^2
+    C(2 n1, n1)) is an exact integer ratio, which Python's int true division
+    rounds correctly; one square root follows, so every value is within one
+    ulp (n1 = 0 returns exactly 2.0).  The integers grow with n1, and so
+    does the cost (3 ms a value at n1 = 5000), so from n1 = 1000 on C(2n, n)
+    comes from its asymptotic series 4^n / sqrt(pi n) (1 - 1/(8n) +
+    1/(128n^2) + 5/(1024n^3) - 21/(32768n^4) + ...), whose next term is
+    below 2e-18 there; it meets the exact ratio within one ulp.
     """
     n1 = _order(n1)
-    if n1 <= 85:
-        num = float(2 ** (n1 + 1) * math.factorial(n1))
-        return num / ((2 * n1 + 1) * math.sqrt(float(math.factorial(2 * n1))))
     if n1 < 1000:
         return math.sqrt(4 ** (n1 + 1) / ((2 * n1 + 1) ** 2 * math.comb(2 * n1, n1)))
     u = 1.0 / n1

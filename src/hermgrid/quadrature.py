@@ -292,9 +292,14 @@ def contract_even(a: np.ndarray, b: np.ndarray, c: np.ndarray, kernel) -> np.nda
     return np.einsum("bjk,bj,bk->b", t.reshape(rows, h, h), fb[:, :h], fc[:, :h])
 
 
-@lru_cache(maxsize=None)
+# 2^18 entries (2 MB): the tables of one order at both refinement levels
+# of the largest node count (a 200th order there takes 0.8 MB), or a few
+# dozen of the default-rule tables the tensor route and the exchange
+# element read at low orders and cutoffs.
+@sized_cache(2 ** 18)
 def weighted_phi_table(n_max: int, n_nodes: int) -> np.ndarray:
-    """Table B[n, i] = phi_n(x_i) sqrt(w_i) on the Gauss-Hermite grid.
+    """Table B[n, i] = phi_n(x_i) sqrt(w_i) on the Gauss-Hermite grid, cached
+    read-only per order and node count.
 
     Row dot products give basis overlaps: sum_i B[n,i] B[m,i] is the
     orthonormality integral, exact for n + m < 2 n_nodes.  Entries stay

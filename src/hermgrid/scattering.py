@@ -43,17 +43,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, TruncationWarning
-from .greens import green_contract
+from .greens import green_contract, origin_rows
 from .hermite import phi_row, xi_axis
-from .quadrature import QuadratureConfig, gauss_hermite
+from .quadrature import QuadratureConfig, weighted_phi_table
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass
 class VertexTruncation:
-    """Per-axis cutoff for the vertex sums, plus the last-term magnitude
-    diagnostic that vertex_axis_sum writes back after each evaluation."""
+    """Per-axis cutoff for the vertex sums, plus the truncation shift that
+    moller_reduced_element writes back after each evaluation."""
 
     n_max: int = 64
     tail_report: float = 0.0
@@ -69,9 +69,7 @@ def vertex_axis_sum(p: float, q: float, k: float, sign_q: int, sign_k: int,
     """Truncated one-axis vertex sum sum_{n=0}^{n_max} xi_n(p) c(xi_n(q))
     c(xi_n(k)), where c conjugates its argument when the sign is -1.
 
-    The untruncated sum is a distribution, so no convergence is claimed;
-    the magnitude of the final included term is written to
-    trunc.tail_report for the caller to judge.
+    The untruncated sum is a distribution, so no convergence is claimed.
     """
     if sign_q not in (1, -1) or sign_k not in (1, -1):
         raise ValueError(f"signs must be +1 or -1, got sign_q={sign_q}, sign_k={sign_k}")
@@ -82,9 +80,7 @@ def vertex_axis_sum(p: float, q: float, k: float, sign_q: int, sign_k: int,
         b = b.conj()
     if sign_k == -1:
         c = c.conj()
-    terms = a * b * c
-    trunc.tail_report = float(abs(terms[-1]))
-    return complex(terms.sum())
+    return complex((a * b * c).sum())
 
 
 def _vec3(p) -> tuple[float, float, float]:
@@ -165,28 +161,6 @@ class MollerKinematics:
         return (self.g ** 2 / (4.0 * math.pi)) * self.m ** 2 / math.sqrt(e1o * e2o * e1 * e2)
 
 
-@lru_cache(maxsize=64)
-def _origin_derivatives(n_max: int) -> np.ndarray:
-    # columns phi_n(0), phi_n'(0) = sqrt(2n) phi_{n-1}(0) and
-    # phi_n''(0) = -2n phi_n(0) for n <= n_max
-    z0 = phi_row(n_max, np.zeros(1))[:, 0]
-    narr = np.arange(n_max + 1)
-    z1 = np.zeros(n_max + 1)
-    z1[1:] = np.sqrt(2.0 * narr[1:]) * z0[:-1]
-    out = np.stack([z0, z1, -2.0 * narr * z0], axis=1)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=16)
-def _node_rows(n_max: int, n_nodes: int) -> np.ndarray:
-    # phi_n(x_i) for n <= n_max at the Gauss-Hermite nodes, shared read-only
-    # by every element at one cutoff and node count
-    rows = phi_row(n_max, gauss_hermite(n_nodes)[0])
-    rows.setflags(write=False)
-    return rows
-
-
 # An entry holds 3 x 2 x n_nodes doubles plus four, so 128 entries take at
 # most 3.2 MB at the largest node count the quadrature accepts (512, the
 # fine level of gh_nodes = 256): room for a few dozen kinematics, each
@@ -204,9 +178,10 @@ def _profiles(momenta: tuple[float, ...], n_max: int, n_nodes: int) -> tuple[np.
     L = L_even + i L_odd and R = R_even - i R_odd with real parts, and
     Re(L R) = L_even R_even + L_odd R_odd; Im(L R) is odd in x and
     integrates to zero against the even denominator.  One matrix product
-    with the node rows gives every parity part of both lines, axes and
-    truncations; one with the origin derivatives gives their Taylor data
-    for the pole correction.
+    with the weighted node table (quadrature.weighted_phi_table) gives every
+    parity part of both lines, axes and truncations; one with the origin
+    table (greens.origin_rows) gives their Taylor data for the pole
+    correction.
     """
     p = np.array(momenta).reshape(2, 6)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,12 +199,13 @@ def _profiles(momenta: tuple[float, ...], n_max: int, n_nodes: int) -> tuple[np.
     mask = np.stack([parity, parity & (order < n_max)])
     # batch (truncation, parity, line, axis) of coefficient rows
     batch = (mask[:, :, None, :] * signed[None, None, :, :]).reshape(24, n_max + 1)
-    prof = (batch @ _node_rows(n_max, n_nodes)).reshape(2, 2, 2, 3, n_nodes)
-    _, w = gauss_hermite(n_nodes)
-    q = w * (prof[:, 0, 0] * prof[:, 0, 1] + prof[:, 1, 0] * prof[:, 1, 1])
+    # each profile carries the square root of the weights, so their products
+    # carry the weights
+    prof = (batch @ weighted_phi_table(n_max, n_nodes)).reshape(2, 2, 2, 3, n_nodes)
+    q = prof[:, 0, 0] * prof[:, 0, 1] + prof[:, 1, 0] * prof[:, 1, 1]
     # origin value and second derivative of the even parts, first
     # derivative of the odd ones (the others vanish by parity)
-    orig = (batch @ _origin_derivatives(n_max)).reshape(2, 2, 2, 3, 3)
+    orig = (batch @ origin_rows(n_max)).reshape(2, 2, 2, 3, 3)
     l0, l2, r0, r2 = orig[:, 0, 0, :, 0], orig[:, 0, 0, :, 2], orig[:, 0, 1, :, 0], orig[:, 0, 1, :, 2]
     l1, r1 = orig[:, 1, 0, :, 1], orig[:, 1, 1, :, 1]
     g0 = l0 * r0

@@ -324,6 +324,24 @@ def test_moller_row(capsys):
     assert float(row["truncation_shift"]) > 0.0
 
 
+@pytest.mark.parametrize("cutoff", ["5", None])
+def test_moller_header_echoes_the_vertex_cutoff(capsys, cutoff):
+    flags = ["--vertex-n-max", cutoff] if cutoff else []
+    rc, out, _ = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1", *flags,
+                         "--gh-nodes", "16", "--no-refine", "--tol", "1.0")
+    assert rc == 0
+    header, _, (row,) = parse_table(out)
+    assert header["n_max"] == row["vertex_n_max"] == (cutoff or "64")
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_moller_cutoff_errors_name_the_vertex_flag(capsys, cutoff):
+    rc, _, err = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1",
+                         f"--vertex-n-max={cutoff}")
+    assert rc == 2
+    assert f"error: --vertex-n-max: accepted range is n_max >= 1, got {cutoff}" in err
+
+
 def test_moller_spin_validation(capsys):
     rc, _, err = run_cli(capsys, "moller", "--p1", "0,0,0", "--p2", "0,0,0",
                          "--p1-out", "0,0,0", "--p2-out", "0,0,0", "--mu", "1",

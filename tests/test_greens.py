@@ -16,7 +16,6 @@ from hermgrid.greens import (
     _axis_table,
     _ball_exact,
     _closed_coefficients,
-    _g_raw,
     _inv_denominators,
     clear_caches,
     continuum_yukawa,
@@ -207,11 +206,11 @@ def test_coulomb_even_closed_values():
 
 
 def test_coulomb_even_log_branch_joins_smoothly():
-    vals = [coulomb_even(n) for n in range(80, 92)]
+    vals = [coulomb_even(n) for n in range(994, 1006)]
     assert all(v > 0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    # ratio of successive ratios stays near 1 across the 85/86 switch from
-    # float factorials to the exact integer ratio
+    # ratio of successive ratios stays near 1 across the 999/1000 switch
+    # from the exact integer ratio to the asymptotic series
     ratios = [b / a for a, b in zip(vals, vals[1:])]
     second = [abs(r2 / r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:])]
     assert max(second) < 1e-2
@@ -227,13 +226,27 @@ def test_coulomb_quadrature_examples():
 def test_euler_beta():
     # the paper's claim: the divergence-free Coulomb value between two
     # fermions is an Euler beta value, B(n+1, 1/2) sqrt((2n-1)!!/(2n)!!).
-    # Both branches of coulomb_even round exact integers once and take one
-    # square root, so every order gets the same bound
+    # coulomb_even rounds an exact integer ratio once and takes one square
+    # root, so every order gets the same bound
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         for n in range(200):
             want = mp.beta(n + 1, mp.mpf(1) / 2) * mp.sqrt(mp.fac2(2 * n - 1) / mp.fac2(2 * n))
             assert abs(coulomb_even(n) - want) <= 1e-14 * want, n
+
+
+def test_coulomb_even_is_within_one_ulp_below_1000():
+    # the exact integer ratio, rounded once, then one square root; the float
+    # factorials it replaced printed 0.9428090415820632 at n = 1, where the
+    # value rounds to ...634
+    mp = pytest.importorskip("mpmath")
+    assert coulomb_even(1) == 0.9428090415820634
+    with mp.workdps(50):
+        for n in range(1000):
+            m = mp.mpf(n)
+            want = mp.sqrt(4 ** (m + 1) / ((2 * m + 1) ** 2 * mp.binomial(2 * m, m)))
+            got = coulomb_even(n)
+            assert abs(got - want) <= math.ulp(got), n
 
 
 def test_coulomb_even_large_orders_match_mpmath():
@@ -454,7 +467,7 @@ def test_parity_zero_builds_nothing():
         v = route((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
         assert v == GreensValue(complex(1j * 0.0), 0.0)
     assert _inv_denominators.cache_info().currsize == 0
-    assert _g_raw.cache_info().currsize == 0
+    assert greens._pair_model.cache_info().currsize == 0
     assert _closed_coefficients.cache_info().currsize == 0
     assert _axis_table.cache_info().currsize == 0
     clear_caches()
@@ -505,7 +518,8 @@ def test_clear_caches_empties_every_cache():
     # the module's own caches; the quadrature rules it imports stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert _inv_denominators in caches and _g_raw in caches and _axis_table in caches
+    assert _inv_denominators in caches and _axis_table in caches
+    assert greens.origin_rows in caches and greens._pair_model in caches
     assert _closed_coefficients in caches
     assert len(caches) >= 7
     assert all(f.cache_info().currsize > 0 for f in caches)
@@ -525,23 +539,41 @@ def test_g_sharp_does_not_depend_on_what_ran_before():
     for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2))):
         g_sharp(*other, mu, CFG)
         g_tensor(*other, mu, CFG)
-    _g_raw.cache_clear()
+    # the cubes of every pair share one budget
+    assert _inv_denominators.cache_info().entries <= 2 * 64 ** 3
     assert (g_sharp(*pair, mu, CFG), g_tensor(*pair, mu, CFG)) == first
     clear_caches()
 
 
-def test_tensor_memo_is_bounded():
-    clear_caches()
-    cfg = QuadratureConfig(gh_nodes=8, refine=False)
-    bound = _g_raw.cache_info().maxsize
-    indices = itertools.product(range(0, 10, 2), repeat=3)
-    pairs = itertools.islice(itertools.product(indices, repeat=2), bound + 50)
+def test_pair_model_is_the_taylor_data_of_the_pair_product():
+    # c0 and c2 of green_contract's pole model are the value and the summed
+    # per-axis half-second derivatives at the origin of prod_a phi_{n_a}
+    # phi_{nhat_a} (here by central differences); a pair with one odd axis
+    # has c0 = 0 and c2 from that axis' first derivatives alone
+    h = 1e-3
+
+    def axis(a, b, x):
+        rows = phi_row(max(a, b), np.array([x]))[:, 0]
+        return float(rows[a] * rows[b])
+
+    greens.clear_caches()
+    pairs = (((0, 0, 0), (0, 0, 0)), ((2, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2)),
+             ((1, 2, 0), (3, 0, 2)), ((6, 1, 4), (8, 3, 2)), ((10, 9, 0), (12, 1, 16)))
     for n, nhat in pairs:
-        g_tensor(n, nhat, 1.3, cfg)
-        assert _g_raw.cache_info().currsize <= bound
-    assert _g_raw.cache_info().currsize == bound
-    assert _inv_denominators.cache_info().entries <= 2 * 64 ** 3
-    clear_caches()
+        at0 = [axis(a, b, 0.0) for a, b in zip(n, nhat)]
+        half2 = [(axis(a, b, h) - 2.0 * q0 + axis(a, b, -h)) / (2.0 * h * h)
+                 for (a, b), q0 in zip(zip(n, nhat), at0)]
+        c0, c2 = greens._pair_model(n, nhat)
+        assert c0 == pytest.approx(at0[0] * at0[1] * at0[2], rel=1e-13, abs=1e-300), (n, nhat)
+        want = half2[0] * at0[1] * at0[2] + at0[0] * half2[1] * at0[2] + at0[0] * at0[1] * half2[2]
+        assert c2 == pytest.approx(want, rel=1e-5, abs=1e-12), (n, nhat)
+        assert c2 != 0.0 or n == nhat == (0, 0, 0)
+    # one cached model per pair, read off shared read-only origin tables
+    assert greens._pair_model.cache_info().currsize == len(pairs)
+    rows = greens.origin_rows(16)
+    assert rows.shape == (17, 3) and not rows.flags.writeable
+    greens.clear_caches()
+    assert greens._pair_model.cache_info().currsize == greens.origin_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("axis", (0, 1, 2))

@@ -257,6 +257,27 @@ def test_screen_depends_on_the_vectors_alone():
     assert np.array_equal(first, again)
 
 
+def test_weighted_phi_tables_stay_within_their_budget():
+    # a sweep over orders and node counts, as a high-order table of the
+    # tensor route makes, keeps at most 2^18 entries in all; the benchmark's
+    # set-up tables (orders 0-6 at 64 and 128 nodes) fit together
+    weighted_phi_table.cache_clear()
+    for n_max in range(0, 201, 10):
+        for n_nodes in (256, 512):
+            table = weighted_phi_table(n_max, n_nodes)
+            assert table.shape == (n_max + 1, n_nodes) and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+            assert weighted_phi_table.cache_info().entries <= 2 ** 18
+    assert weighted_phi_table(200, 512) is table
+    weighted_phi_table.cache_clear()
+    setup = [weighted_phi_table(k, n) for n in (64, 128) for k in range(7)]
+    assert weighted_phi_table.cache_info().currsize == len(setup) == 14
+    assert all(weighted_phi_table(k, n) is t
+               for t, (n, k) in zip(setup, itertools.product((64, 128), range(7))))
+    weighted_phi_table.cache_clear()
+
+
 def test_sized_cache_holds_its_budget():
     built = []
 
@@ -283,11 +304,9 @@ def test_sized_cache_holds_its_budget():
     assert make.cache_info().currsize == 0 and make.cache_info().entries == 0
 
 
-def test_rank_maps_share_one_full_map_budget():
+def test_denominator_cubes_share_one_budget():
     # the cubes the screen asks green_contract for, one per cube size, share
-    # one budget of two full half-grid tensors at 128 nodes; the sorted-triple
-    # rank maps this once checked are gone, and the denominator cubes are
-    # the per-cube-size maps that remain
+    # one budget of two full half-grid tensors at 128 nodes
     _inv_denominators.cache_clear()
     for h in range(8, 57, 8):
         _inv_denominators(0.7, 128, h)

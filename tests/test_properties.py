@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from hermgrid import dirac
 from hermgrid.greens import continuum_yukawa
 from hermgrid.hermite import xi, xi_delta_sharp
-from hermgrid.scattering import VertexTruncation, vertex_axis_sum
 
 settings.register_profile("pkg", derandomize=True, max_examples=200, deadline=None)
 settings.load_profile("pkg")
@@ -43,14 +42,6 @@ def test_dirac_energy_floor_and_orthonormality(px, py, pz, m):
     p = (px, py, pz)
     assert dirac.energy(p, m) >= m
     assert dirac.orthonormality_check(p, m) <= 1e-10
-
-
-@given(st.integers(1, 30), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
-       st.floats(-5.0, 5.0), st.sampled_from([-1, 1]), st.sampled_from([-1, 1]))
-def test_vertex_tail_report_is_last_term(n_max, p, q, k, sq, sk):
-    tr = VertexTruncation(n_max)
-    vertex_axis_sum(p, q, k, sq, sk, tr)
-    assert tr.tail_report == abs(xi(n_max, p) * xi(n_max, q) * xi(n_max, k))
 
 
 @given(st.floats(0.05, 10.0), st.floats(0.0, 5.0), st.floats(-10.0, 10.0))

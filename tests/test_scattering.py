@@ -51,11 +51,13 @@ def test_vertex_axis_sum_sign_validation():
         vertex_axis_sum(0.1, 0.2, 0.3, 1, 2, tr)
 
 
-def test_vertex_axis_sum_tail_report_is_last_term():
+def test_vertex_sums_leave_their_truncation_alone():
+    # neither the vertex sum nor the oracle built on it writes a diagnostic
+    # into the caller's truncation; only the exchange element reports one
     tr = VertexTruncation(5)
     vertex_axis_sum(0.4, 0.2, -0.3, -1, 1, tr)
-    last = abs(xi(5, 0.4) * np.conj(xi(5, 0.2)) * xi(5, -0.3))
-    assert tr.tail_report == last
+    moller_oracle_element(KIN, tr, n_nodes=8)
+    assert (tr.n_max, tr.tail_report) == (5, 0.0)
 
 
 def test_vertex_sum_smeared_completeness():
