@@ -36,7 +36,8 @@ origin as mu -> 0, which plain Gauss-Hermite cannot resolve at any feasible
 node count.  The tensor route therefore subtracts the quadratic Taylor
 approximant of the polynomial pair product at the pole and adds back the
 model's analytically known integral; the subtraction is exact in the
-massless limit.
+massless limit.  The proper-time integral as a trapezoid rule in log t
+makes the 3D kernel separable, so no denominator tensor is formed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import DomainError
 from .hermite import phi, phi_row
 from .quadrature import (
     QuadratureConfig,
-    contract_even,
+    fold_even,
     gauss_hermite,
     gauss_legendre,
     index3,
@@ -87,10 +88,10 @@ class GreensValue:
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module: denominator cubes, pole constants,
+    """Drop every cache of this module: proper-time rules, pole constants,
     origin tables, pole models, closed-sum coefficients, angular moments and
     axis tables."""
-    for cached in (_inv_denominators, _ball_defects, origin_rows, _pair_model,
+    for cached in (_proper_time_rule, _ball_defects, origin_rows, _pair_model,
                    _closed_coefficients, _angular_moment, _axis_table, _table_steps):
         cached.cache_clear()
 
@@ -104,20 +105,51 @@ def _order(n1) -> int:
     return order
 
 
-# inverse-denominator cubes 1/(x_i^2+x_j^2+x_l^2+mu^2) on the leading h
-# nodes of the x >= 0 half of the Gauss-Hermite grid (contract_even folds
-# the rest onto it and screens it down to the cube), one per mass, node
-# count and cube size; together they hold at most as many entries as two
-# full half-grid tensors of the default fine rule (2 MB each at 128 nodes),
-# which is room for a few dozen of the cubes the screen keeps there
+# Step h of the trapezoid rule in log proper time (_proper_time_rule): its
+# error in 1/y is at most 2 |Gamma(1 - 2 pi i / h)| = 3.5e-17 relative for
+# every y > 0, and _PT_ERROR with what the rule's cut drops (2^-60 + e^-40).
+_PT_STEP = 0.24
+_PT_ERROR = 4.1e-17
+
+
+# one table per mass and node count, 2 * 64^3 entries in all: about 37 tables
+# of the default fine rule (65 x about 215), or 8 at 512 nodes (257 x 245)
 @sized_cache(2 * 64 ** 3)
-def _inv_denominators(mu: float, n_nodes: int, h: int) -> np.ndarray:
+def _proper_time_rule(mu: float, n_nodes: int) -> np.ndarray:
+    """The trapezoid rule for 1/y = integral e^{v - y e^v} dv at v_m = m h
+    (t_m = e^{v_m}) as one read-only table: rows E[i, m] = e^{-t_m x_i^2}
+    on the x >= 0 half of the n_nodes-point grid, then the weights
+    h t_m e^{-t_m mu^2}.  It is cut to v in [ln(2^-60/y_max), ln(40/y_min)]
+    for the grid's y = x_i^2 + x_j^2 + x_k^2 + mu^2 (y_min >= 2^-1000, so
+    every t_m is finite), which drops at most 2^-60 + e^-40 of 1/y."""
     x, _ = gauss_hermite(n_nodes)
-    x2 = x[n_nodes // 2:n_nodes // 2 + h] ** 2
-    inv = (np.add.outer(x2, x2) + mu * mu)[None, :, :] + x2[:, None, None]
-    np.reciprocal(inv, out=inv)
-    inv.setflags(write=False)
-    return inv
+    m2 = mu * mu
+    y_min = max(3.0 * float(x[n_nodes // 2]) ** 2 + m2, 2.0 ** -1000)
+    y_max = 3.0 * float(x[-1]) ** 2 + m2
+    lo = math.floor((-60.0 * math.log(2.0) - math.log(y_max)) / _PT_STEP)
+    hi = math.ceil((math.log(40.0) - math.log(y_min)) / _PT_STEP)
+    t = np.exp(_PT_STEP * np.arange(lo, hi + 1))
+    table = np.vstack([np.exp(-np.outer(x[n_nodes // 2:] ** 2, t)), _PT_STEP * t * np.exp(-t * m2)])
+    table.setflags(write=False)
+    return table
+
+
+def _separable_sum(a, b, c, mu: float, n_nodes: int) -> np.ndarray:
+    """sum_ijk a_i b_j c_k K_ijk, K_ijk = 1/(x_i^2 + x_j^2 + x_k^2 + mu^2), on
+    the n_nodes-point grid for each row of a, b and c (a stack of one row
+    broadcasts).  With K_ijk ~ sum_m w_m E_im E_jm E_km (_proper_time_rule),
+    the rows are folded onto the x >= 0 half grid (fold_even; an odd vector
+    folds to exact zeros) and sum_m w_m (aE)_m (bE)_m (cE)_m is formed.
+    Each such kernel value is within 4 ulps of K_ijk (_PT_ERROR from the
+    rule, the rest rounding), and the sum within (4 + 3H + M) ulps of
+    sum_ijk |a_i b_j c_k| K_ijk, H = ceil(n_nodes/2) and M the rule's terms
+    (190 to 245 for mu in [1e-3, 100] up to 512 nodes).  A NaN or inf entry
+    makes its row's value non-finite."""
+    rule = _proper_time_rule(mu, n_nodes)
+    rows = [np.atleast_2d(v) for v in (a, b, c)]
+    p = fold_even(np.concatenate(rows)) @ rule[:-1]
+    ra, rb = len(rows[0]), len(rows[1])
+    return (p[:ra] * p[ra:ra + rb] * p[ra + rb:]) @ rule[-1]
 
 
 def _ball_exact(mu: float) -> tuple[float, float]:
@@ -142,12 +174,12 @@ def _ball_exact(mu: float) -> tuple[float, float]:
 @lru_cache(maxsize=64)
 def _ball_defects(mu: float, n_nodes: int) -> tuple[float, float]:
     """Exact-minus-quadrature for the constant and per-axis quadratic pole
-    models: the amounts the subtraction must add back analytically.
-    Cached per mass and node count, so a run of exchange elements at one
-    mass pays for the continued fraction and the two moments once."""
+    models: the amounts the subtraction must add back analytically, through
+    the kernel of every contraction (_separable_sum), whose error in the
+    models they so cancel.  Cached per mass and node count, so a run of
+    exchange elements at one mass pays for the constants and moments once."""
     x, w = gauss_hermite(n_nodes)
-    b0q, b2q = contract_even(np.stack([w, x * x * w]), w, w,
-                             lambda h: _inv_denominators(mu, n_nodes, h))
+    b0q, b2q = _separable_sum(np.stack([w, x * x * w]), w, w, mu, n_nodes)
     b0, b2 = _ball_exact(mu)
     return b0 - float(b0q), b2 - float(b2q)
 
@@ -157,15 +189,16 @@ def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
     for factorized integrands, one value per row of a, b and c.
 
     a, b and c hold each axis factor at the n_nodes Gauss-Hermite nodes with
-    the weights already applied.  c0 and c2 (one per row) are the value and
-    the summed per-axis half-second-derivatives at the origin of the
-    polynomial product a b c: the quadratic pole model whose quadrature
-    defect (_ball_defects) is added back in closed form.
+    the weights already applied, and are summed by the separable proper-time
+    kernel (_separable_sum).  c0 and c2 (one per row) are the value and the
+    summed per-axis half-second-derivatives at the origin of the polynomial
+    product a b c: the quadratic pole model whose quadrature defect
+    (_ball_defects) is added back in closed form.
     """
     mu, n_nodes = float(mu), int(n_nodes)
     if not math.isfinite(mu * mu):
-        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
-    acc = contract_even(a, b, c, lambda h: _inv_denominators(mu, n_nodes, h))
+        raise DomainError(f"mu^2 must be finite for the proper-time kernel, got mu = {mu}")
+    acc = _separable_sum(a, b, c, mu, n_nodes)
     d0, d2 = _ball_defects(mu, n_nodes)
     return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
 
@@ -217,7 +250,7 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...]]
     if not mu > 0:
         raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
     if not math.isfinite(float(mu) * float(mu)):
-        raise DomainError(f"mu^2 must be finite for the denominator tensor, got mu = {mu}")
+        raise DomainError(f"mu^2 must be finite for the proper-time kernel, got mu = {mu}")
     return n, nhat
 
 
@@ -235,20 +268,21 @@ def g_tensor(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     g_sharp's fallback, and the independent route that checks and the CLI
     compare the closed sum and the axis values with.
 
-    The Gaussian weight is taken from the basis-function product, leaving a
-    polynomial pair table over a shared inverse-denominator tensor, plus the
-    pole subtraction described in the module docstring.  A pair that
-    violates parity on some axis is returned as the exact zero of g_sharp,
-    and no tensor is built for it.
+    The Gaussian weight is taken from the basis-function product, leaving
+    pair rows that green_contract sums against the denominator, with the
+    pole subtraction of the module docstring.  A pair that violates parity
+    on some axis is returned as the exact zero of g_sharp, built from nothing.
 
-    With refinement, err_estimate adds to the node-doubling defect what
-    the rounding of the fine N-node rule moves the value, which both levels
-    carry: (16 + N/4) ulps of K_max (1 + |c0| + |c2|/2), K_max the largest
-    kernel entry and c0, c2 the pole model (_pair_model).  Each weighted
-    pair row has 1-norm <= sqrt(pi), so pi^{3/2} times that bounds the
-    absolute terms of the sum.  Against the closed axis values the defect
-    alone falls short by up to 5 of those ulps at N <= 128, 13 at 256 and
-    29 at 512 (n1 <= 10, mu in [0.3, 200]).  Without refinement it is NaN.
+    With refinement, err_estimate adds to the node-doubling defect
+    ((16 + N/4) 2^-52 + _PT_ERROR) K_max (1 + |c0| + |c2|/2), K_max the
+    largest kernel entry of the fine N-node rule and c0, c2 the pole model
+    (_pair_model); each weighted pair row has 1-norm <= sqrt(pi), so
+    pi^{3/2} times that bounds the absolute terms of the sum.  The ulps
+    bound the rounding of the fine rule, _PT_ERROR (4.1e-17) the kernel's
+    own error, which the pole constants share; both levels carry both, so
+    the defect cannot see them.  Against the closed axis values the defect
+    alone falls short by up to 2 of those ulps at N <= 128, 5 at 256 and 24
+    at 512 (n1 <= 10, mu in [0.3, 200]).  Without refinement it is NaN.
     """
     n, nhat = _checked_pair(n, nhat, mu)
     zero = _parity_zero(n, nhat)
@@ -260,7 +294,7 @@ def g_tensor(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
         c0, c2 = _pair_model(n, nhat)
         x, _ = gauss_hermite(2 * cfg.gh_nodes)
         k_max = 1.0 / (3.0 * float(x[cfg.gh_nodes]) ** 2 + mu * mu)
-        err += (16 + cfg.gh_nodes / 2) * 2.0 ** -52 * k_max * (1.0 + abs(c0) + 0.5 * abs(c2))
+        err += ((16 + cfg.gh_nodes / 2) * 2.0 ** -52 + _PT_ERROR) * k_max * (1.0 + abs(c0) + 0.5 * abs(c2))
     return GreensValue(complex(value), err)
 
 

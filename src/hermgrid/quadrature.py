@@ -1,17 +1,15 @@
-"""Quadrature rules, cached basis tables, and the one 3D contraction kernel.
+"""Quadrature rules, cached basis tables, the parity fold, and the one
+refinement gate.
 
 All rules are cached by node count and returned as read-only arrays: the
 first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
-instead of rebuilding them.  Every 3D Gauss-Hermite sum in the package
-(the tensor Green's values and the exchange element) has a kernel that is
-even in each axis and goes through contract_even, which works on the
-x >= 0 half of the grid.  The folded basis vectors decay like Gaussians past
-their turning points, so contract_even screens them first: it keeps the
-leading h half-grid nodes that hold all but 2^-64 of each vector's absolute
-sum, asks its caller for the kernel on that (h, h, h) cube only, and sums
-there, with a rigorous bound on what it dropped (see contract_even).  Every
-quadrature value in the package passes the one refinement gate, refined.
+instead of rebuilding them.  Every 3D Gauss-Hermite sum in the package (the
+tensor Green's values and the exchange element) has a kernel that is even
+in each axis, so its vectors are folded onto the x >= 0 half of the grid
+(fold_even) and summed there by the one proper-time kernel,
+greens.green_contract.  Every quadrature value in the package passes the
+one refinement gate, refined.
 """
 
 from __future__ import annotations
@@ -29,12 +27,11 @@ from scipy.special import roots_hermite, roots_legendre
 from .errors import NonconvergenceError
 from .hermite import phi_row
 
-# The fine refinement level runs at twice gh_nodes, and the tensor routes
-# build kernels on half-grid cubes of up to (gh_nodes)^3 nodes there.  The
-# screen in contract_even usually keeps a much smaller cube, but vectors
-# that reach the last node keep all of it: the tensor Green's values and
-# the exchange element then build a real kernel of that shape, 134 MB at
-# 256 nodes.  Larger counts would soon exhaust the memory of a typical host.
+# The fine refinement level runs at twice gh_nodes.  At 512 nodes, the
+# fine level of this cap, 42 of the outermost Gauss-Hermite weights already
+# lie below the normal double range (36 are 0); at 1,024 nodes 304 would,
+# so a larger count adds nodes that carry no weight.  The stated error
+# terms of the tensor route were also measured only up to 512 nodes.
 GH_NODES_MAX = 256
 
 
@@ -251,45 +248,6 @@ def fold_even(v: np.ndarray) -> np.ndarray:
     out = np.array(v[..., h:])
     out[..., n - 2 * h:] += v[..., h - 1::-1]
     return out
-
-
-# Share of a folded vector's absolute sum that the screen may drop.
-_SCREEN = 2.0 ** -64
-
-
-def contract_even(a: np.ndarray, b: np.ndarray, c: np.ndarray, kernel) -> np.ndarray:
-    """Mode-product contraction sum_ijk a_i b_j c_k K_ijk for each row of a,
-    b and c (one vector, or a stack of them), over a mirror-symmetric grid.
-
-    K must be even in each axis and is given on the half grid only:
-    kernel(h) returns it as the (h, h, h) tensor over the first h nodes
-    x >= 0, for some h <= H = ceil(n/2).  The vectors are folded (fold_even)
-    and then screened.  Each folded row v keeps its entries up to the last
-    one with |v_i| > 2^-64 |v|_1 / H, so it drops at most 2^-64 |v|_1; h is
-    the largest such count over all rows of a, b and c, rounded up to a
-    multiple of 8 and capped at H, so that one cached kernel serves many
-    calls and h depends on the vectors alone.  If any row's |v|_1 is not
-    finite (a NaN or inf entry, or overflow), no node is dropped, so
-    non-finite values show in the result.  The sum over the cube differs
-    from the full half-grid sum by at most
-
-        3 * 2^-64 * max|K| * |a|_1 * |b|_1 * |c|_1
-
-    (folded vectors, K over the full half grid), far below the rounding of
-    the sum itself.  The cube is contracted on the first axis by one matrix
-    product and on the other two by one einsum.
-    """
-    fa, fb, fc = (fold_even(np.atleast_2d(v)) for v in (a, b, c))
-    rows, n = fa.shape
-    mag = np.abs(np.concatenate([fa, fb, fc]))
-    total = mag.sum(axis=1, keepdims=True)
-    h = n
-    if np.all(np.isfinite(total)):
-        above = np.flatnonzero(np.any(mag > total * (_SCREEN / n), axis=0))
-        reach = int(above[-1]) + 1 if above.size else 0
-        h = min(n, 8 * max(1, -(-reach // 8)))
-    t = fa[:, :h] @ kernel(h).reshape(h, h * h)
-    return np.einsum("bjk,bj,bk->b", t.reshape(rows, h, h), fb[:, :h], fc[:, :h])
 
 
 # 2^18 entries (2 MB): the tables of one order at both refinement levels

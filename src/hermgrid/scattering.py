@@ -17,7 +17,7 @@ and B likewise from the second fermion line.  Because both coefficient
 families factorize over axes, the double sum collapses to a single 3D
 quadrature of per-axis profile polynomials against the shared denominator;
 that is an exact algebraic identity, not an approximation, and turns an
-O(n_max^6) sum into an O(nodes^3) contraction.
+O(n_max^6) sum into a 3D contraction that the proper-time kernel separates.
 
 The profiles, with their Taylor data at the origin for the pole
 correction, depend only on the momenta, the cutoff and the node count.
@@ -26,11 +26,11 @@ and both truncations (the element and its copy with the top coefficient
 shell dropped, which measures truncation), and kept read-only in a bounded
 LRU keyed on just those.  The boson mass enters through the contraction
 alone, greens.green_contract, the one the Green's function route uses: it
-folds the profiles onto the x >= 0 half grid and sums them against the
-cached denominator cube their reach needs, pole correction included.  So a
-second mass at the same kinematics pays only for that contraction.  An
-independent sum-the-vertices-first evaluation lives in the checks module
-and serves as the correctness oracle.
+folds the profiles onto the x >= 0 half grid, multiplies them by the cached
+table e^{-t_m x_i^2} of its proper-time rule, and sums the rule's terms,
+pole correction included.  So a second mass at the same kinematics pays
+only for that contraction.  An independent sum-the-vertices-first
+evaluation lives in the checks module and serves as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
     Exactly zero on any spin mismatch, and DomainError unless mu > 0; both
     are decided before any profile is built.  The coefficient double sum is
     evaluated through the factorized profile contraction described in the
-    module docstring, sharing the denominator tensor and pole handling with
+    module docstring, sharing the proper-time kernel and pole handling with
     the Green's function route.  Truncation health is estimated from the
     same contraction with the top coefficient shell dropped: when that last
     included shell moves the element by more than cfg.tol, a

@@ -227,8 +227,8 @@ def test_cross_method_check_compares_two_routes():
         for n, nhat in (((2, 1, 0), (0, 1, 2)), ((3, 1, 2), (1, 1, 0))):
             greens.clear_caches()
             assert g_sharp(n, nhat, mu, QuadratureConfig(gh_nodes=96)) == _g_closed(n, nhat, mu)
-            # no denominator cube was built on the way
-            assert greens._inv_denominators.cache_info().currsize == 0
+            # no proper-time table was built on the way
+            assert greens._proper_time_rule.cache_info().currsize == 0
     ok, _, obs, _ = _check_greens_cross_method()
     assert ok and obs <= 0.0
 

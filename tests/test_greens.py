@@ -16,7 +16,7 @@ from hermgrid.greens import (
     _axis_table,
     _ball_exact,
     _closed_coefficients,
-    _inv_denominators,
+    _proper_time_rule,
     clear_caches,
     continuum_yukawa,
     continuum_yukawa_oracle,
@@ -466,7 +466,7 @@ def test_parity_zero_builds_nothing():
     for route in (g_sharp, g_tensor):
         v = route((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
         assert v == GreensValue(complex(1j * 0.0), 0.0)
-    assert _inv_denominators.cache_info().currsize == 0
+    assert _proper_time_rule.cache_info().currsize == 0
     assert greens._pair_model.cache_info().currsize == 0
     assert _closed_coefficients.cache_info().currsize == 0
     assert _axis_table.cache_info().currsize == 0
@@ -510,6 +510,28 @@ def test_tensor_agrees_with_axis_at_large_mass():
             assert abs(t.value - a.value) <= t.err_estimate + a.err_estimate + floor, (mu, n1)
 
 
+def test_tensor_values_lie_within_their_estimates():
+    # axis pairs n1 <= 10 at 21 masses in [0.3, 200] and gh_nodes 16 to 256
+    # against the closed axis values: every value that passes its gate lies
+    # within its err_estimate (at most 0.23 of it when this was written)
+    worst, converged = 0.0, 0
+    for gh in (16, 32, 64, 128, 256):
+        cfg = QuadratureConfig(gh_nodes=gh)
+        for mu in np.logspace(math.log10(0.3), math.log10(200.0), 21):
+            for n1 in range(11):
+                try:
+                    t = g_tensor((n1, 0, 0), (0, 0, 0), float(mu), cfg)
+                except NonconvergenceError:
+                    continue
+                converged += 1
+                gap = abs(t.value - g_sharp_axis(n1, float(mu), cfg).value)
+                assert gap <= t.err_estimate, (gh, mu, n1)
+                if t.err_estimate:
+                    worst = max(worst, gap / t.err_estimate)
+        clear_caches()
+    assert converged >= 1100 and worst <= 0.5
+
+
 def test_clear_caches_empties_every_cache():
     g_tensor((2, 0, 0), (0, 0, 0), 0.9, CFG)
     g_sharp((2, 1, 0), (0, 1, 2), 0.9, CFG)
@@ -518,7 +540,7 @@ def test_clear_caches_empties_every_cache():
     # the module's own caches; the quadrature rules it imports stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert _inv_denominators in caches and _axis_table in caches
+    assert _proper_time_rule in caches and _axis_table in caches
     assert greens.origin_rows in caches and greens._pair_model in caches
     assert _closed_coefficients in caches
     assert len(caches) >= 7
@@ -528,9 +550,9 @@ def test_clear_caches_empties_every_cache():
 
 
 def test_g_sharp_does_not_depend_on_what_ran_before():
-    # the screened cube depends on the pair alone, so a value computed
-    # first in a clean process equals the value computed after other pairs
-    # at the same mass have built their own cubes
+    # the proper-time tables depend on the mass and node count alone, so a
+    # value computed first in a clean process equals the value computed
+    # after other pairs at the same mass have run
     mu = 1.37
     pair = ((2, 1, 0), (0, 1, 2))
     clear_caches()
@@ -539,8 +561,8 @@ def test_g_sharp_does_not_depend_on_what_ran_before():
     for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2))):
         g_sharp(*other, mu, CFG)
         g_tensor(*other, mu, CFG)
-    # the cubes of every pair share one budget
-    assert _inv_denominators.cache_info().entries <= 2 * 64 ** 3
+    # one proper-time table per refinement level serves every pair here
+    assert _proper_time_rule.cache_info().currsize == 2
     assert (g_sharp(*pair, mu, CFG), g_tensor(*pair, mu, CFG)) == first
     clear_caches()
 
@@ -579,7 +601,7 @@ def test_pair_model_is_the_taylor_data_of_the_pair_product():
 @pytest.mark.parametrize("axis", (0, 1, 2))
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 def test_green_contract_shows_a_non_finite_far_node(axis, bad):
-    # the far node lies past the cube the screen would keep
+    # the far node, where e^{-t x^2} underflows to 0 for most rule terms
     _, w = gauss_hermite(128)
     vectors = [w.copy(), w.copy(), w.copy()]
     vectors[axis][-1] = bad

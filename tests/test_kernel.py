@@ -1,27 +1,27 @@
-"""The parity-folded mode-product kernel against explicit full-grid sums.
+"""The proper-time kernel of every 3D contraction against explicit sums.
 
-contract_even sums vectors against a kernel that is even in each axis,
-given on the x >= 0 half of a mirror-symmetric grid.  The reference here
-expands that half tensor to the whole grid and contracts it with a plain
-einsum, or sums every term with math.fsum.  Odd node counts exercise the
-centre node, which the fold must count once.  The screen, which cuts the
-half grid to the cube the folded vectors reach, is checked against the
-full-grid sum within its stated bound, with non-finite entries, and for a
-cube size that depends on the vectors alone.  The denominator cubes that
-green_contract hands the screen are checked for their shared cache budget
-and for the rounding of their per-axis build.
+greens._separable_sum sums vectors on a mirror-symmetric Gauss-Hermite grid
+against 1/(x_i^2 + x_j^2 + x_k^2 + mu^2), written as an exponential sum in
+proper time, so that no denominator tensor is formed.  The references here
+are a math.fsum of every full-grid term against the exact kernel, and
+mpmath for single kernel values.  Odd node counts exercise the centre node,
+which the fold must count once and which puts a denominator at y = mu^2.
+Odd vectors give exact zeros, non-finite entries stay visible, and the
+cached E tables hold their budget.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hermgrid.greens import _inv_denominators
+from hermgrid import greens
+from hermgrid.errors import NonconvergenceError
+from hermgrid.greens import _proper_time_rule, _separable_sum, green_contract
 from hermgrid.quadrature import (
-    GH_NODES_MAX,
-    contract_even,
+    QuadratureConfig,
     fold_even,
     gauss_hermite,
     sized_cache,
@@ -30,19 +30,7 @@ from hermgrid.quadrature import (
 
 NODE_COUNTS = (8, 9, 33, 64)
 
-
-def _mirror_index(n):
-    # position on the half grid of each full-grid node and of its mirror
-    h = n // 2
-    i = np.arange(n)
-    return np.where(i >= h, i - h, n - 1 - i - h)
-
-
-def _random(rng, shape, complex_):
-    v = rng.standard_normal(shape)
-    if complex_:
-        v = v + 1j * rng.standard_normal(shape)
-    return v
+EPS = 2.0 ** -52
 
 
 @pytest.mark.parametrize("n", NODE_COUNTS)
@@ -52,32 +40,111 @@ def test_gauss_hermite_rule_is_mirror_symmetric(n):
     assert np.array_equal(w, w[::-1])
 
 
+def _full_kernel(n, mu):
+    x, _ = gauss_hermite(n)
+    x2 = x * x
+    return 1.0 / ((x2[:, None, None] + x2[None, :, None]) + x2[None, None, :] + mu * mu)
+
+
+def _tailed_stack(n, rows, complex_):
+    # basis pair products phi_j phi_k w, which decay like Gaussians past
+    # their turning points, plus one parity-zero row (odd times even order)
+    table = weighted_phi_table(6, n)
+    pairs = [(0, 0), (2, 0), (1, 1), (4, 2), (6, 6), (3, 1)][:rows - 1] + [(1, 2)]
+    out = np.stack([table[j] * table[k] for j, k in pairs])
+    if complex_:
+        out = out * (1.0 - 0.5j)
+    return out
+
+
+def _fsum(terms):
+    return complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
+
+
 @pytest.mark.parametrize("n", NODE_COUNTS)
-@pytest.mark.parametrize("batch", (1, 4))
+@pytest.mark.parametrize("rows", (1, 5))
 @pytest.mark.parametrize("complex_vectors", (False, True))
-@pytest.mark.parametrize("complex_kernel", (False, True))
-def test_contract_even_matches_full_grid_einsum(n, batch, complex_vectors, complex_kernel):
-    rng = np.random.default_rng(1000 * n + 10 * batch + 2 * complex_vectors + complex_kernel)
+def test_separable_sum_meets_full_grid_fsum_within_its_bound(n, rows, complex_vectors):
+    # Gaussian-tailed stacks with a parity-zero row, and random vectors
+    # that reach the last node, at masses from small to large
+    rng = np.random.default_rng(100 * n + 10 * rows + complex_vectors)
     h = (n + 1) // 2
-    half = _random(rng, (h, h, h), complex_kernel)
-    idx = _mirror_index(n)
-    full = half[np.ix_(idx, idx, idx)]
-    a, b, c = (_random(rng, (batch, n), complex_vectors) for _ in range(3))
-    want = np.einsum("bi,bj,bk,ijk->b", a, b, c, full)
-    got = contract_even(a, b, c, lambda h: half[:h, :h, :h])
-    assert got.shape == (batch,)
-    scale = np.einsum("bi,bj,bk,ijk->b", abs(a), abs(b), abs(c), abs(full))
-    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    stacks = [_tailed_stack(n, rows, complex_vectors),
+              _tailed_stack(n, rows, False)[::-1].copy(),
+              _tailed_stack(n, rows, complex_vectors)[np.arange(rows) % 2 - 1]]
+    noise = [rng.standard_normal((rows, n)) * (1.0 + 0.3j if complex_vectors else 1.0)
+             for _ in range(3)]
+    for mu in (1e-3, 0.7, 30.0):
+        full = _full_kernel(n, mu)
+        bound_ulps = 4 + 3 * h + _proper_time_rule(mu, n).shape[1]
+        for a, b, c in (stacks, noise):
+            got = _separable_sum(a, b, c, mu, n)
+            assert got.shape == (rows,)
+            for r in range(rows):
+                terms = a[r][:, None, None] * b[r][None, :, None] * c[r][None, None, :] * full
+                want = _fsum(terms)
+                assert abs(got[r] - want) <= bound_ulps * EPS * np.abs(terms).sum(), (mu, r)
+                if np.all(fold_even(a[r]) == 0):
+                    assert got[r] == 0
 
 
-def test_contract_even_takes_single_vectors():
+def test_separable_sum_takes_single_vectors():
     rng = np.random.default_rng(7)
-    half = rng.standard_normal((5, 5, 5))
     a, b, c = (rng.standard_normal(9) for _ in range(3))
-    got = contract_even(a, b, c, lambda h: half[:h, :h, :h])
-    want = contract_even(a[None], b[None], c[None], lambda h: half[:h, :h, :h])
+    got = _separable_sum(a, b, c, 0.7, 9)
+    want = _separable_sum(a[None], b[None], c[None], 0.7, 9)
     assert got.shape == (1,)
     assert np.array_equal(got, want)
+    # a stack of one row broadcasts against a stack of two (whose matrix
+    # product may round differently)
+    both = _separable_sum(np.stack([a, 2.0 * a]), b, c, 0.7, 9)
+    assert both.shape == (2,)
+    assert both == pytest.approx([got[0], 2.0 * got[0]], rel=4 * EPS)
+
+
+@pytest.mark.parametrize("n", (9, 128, 512))
+@pytest.mark.parametrize("mu", (1e-3, 0.2, 1.0, 2.0, 10.0, 100.0))
+def test_kernel_values_are_within_four_ulps_of_mpmath(n, mu):
+    # one-hot vectors at nonnegative nodes fold to one-hot half-grid rows,
+    # so each value of the sum is one kernel value sum_m w_m E_im E_jm E_km
+    mp = pytest.importorskip("mpmath")
+    x, _ = gauss_hermite(n)
+    h = (n + 1) // 2
+    if h ** 3 <= 200:
+        triples = list(itertools.product(range(h), repeat=3))
+    else:
+        rng = np.random.default_rng(n)
+        triples = [tuple(t) for t in rng.integers(0, h, (300, 3))]
+        triples += [(i, i, i) for i in range(0, h, 8)] + [(0, 0, 0), (h - 1,) * 3,
+                                                         (0, 0, h - 1), (0, h - 1, h - 1)]
+    rows = np.zeros((3, len(triples), n))
+    for r, t in enumerate(triples):
+        for axis, i in enumerate(t):
+            rows[axis, r, n // 2 + i] = 1.0
+    got = _separable_sum(*rows, mu, n)
+    worst = 0.0
+    with mp.workdps(30):
+        for value, t in zip(got, triples):
+            want = 1 / (sum(mp.mpf(float(x[n // 2 + i])) ** 2 for i in t) + mp.mpf(mu) ** 2)
+            worst = max(worst, float(abs(value - want) / want))
+    assert worst <= 4 * EPS
+    # the rule's length (odd counts add terms for the node at y = mu^2)
+    terms = _proper_time_rule(mu, n).shape[1]
+    assert 185 <= terms <= (265 if n % 2 else 250)
+
+
+@pytest.mark.parametrize("n", NODE_COUNTS)
+def test_odd_vectors_give_exact_zeros(n):
+    # a pair that is odd in one axis sums to exactly zero, pole model and all
+    x, w = gauss_hermite(n)
+    table = weighted_phi_table(5, n)
+    even = table[2] * table[0]
+    for odd in (x * w, table[1] * table[2], table[3] * table[0]):
+        for mu in (1e-3, 1.0, 50.0):
+            assert _separable_sum(odd, even, even, mu, n)[0] == 0.0
+            assert _separable_sum(even, even, odd, mu, n)[0] == 0.0
+            assert green_contract(even, odd, even, 0.0, 0.0, mu, n)[0] == 0.0
+    assert _separable_sum(even, even, even, 1.0, n)[0] != 0.0
 
 
 @pytest.mark.parametrize("n", NODE_COUNTS)
@@ -104,157 +171,26 @@ def test_fold_counts_centre_once(n):
 
 def test_full_grid_build_is_not_symmetric_to_the_bit():
     # a kernel of x_i^2 + x_j^2 + x_k^2 built by summing the squares in axis
-    # order rounds differently under some permutation of the axes; the
-    # denominator cubes of green_contract are built so, and are not
-    # symmetric to the bit either
+    # order rounds differently under some permutation of the axes
     m = 0.7
     x, _ = gauss_hermite(128)
     x2 = x[64:] ** 2
     old = np.sqrt((np.add.outer(x2, x2) + m * m)[None, :, :] + x2[:, None, None])
     assert any(not np.array_equal(old.transpose(perm), old)
                for perm in itertools.permutations(range(3)))
-    cube = _inv_denominators(m, 128, 64)
-    assert any(not np.array_equal(cube.transpose(perm), cube)
-               for perm in itertools.permutations(range(3)))
-
-
-def _even_kernel(n, complex_):
-    # an even kernel of x_i^2 + x_j^2 + x_k^2 on the full grid and its half
-    x, _ = gauss_hermite(n)
-    x2 = x * x
-    r2 = (x2[:, None, None] + x2[None, :, None]) + x2[None, None, :]
-    full = np.exp(-0.3j * np.sqrt(r2 + 1.0)) / (r2 + 0.7) if complex_ else 1.0 / (r2 + 0.7)
-    h = n // 2
-    return full, full[h:, h:, h:]
-
-
-def _tailed_stack(n, rows, complex_):
-    # basis pair products phi_j phi_k w, which decay like Gaussians past
-    # their turning points, plus one parity-zero row (odd times even order)
-    table = weighted_phi_table(6, n)
-    pairs = [(0, 0), (2, 0), (1, 1), (4, 2), (6, 6), (3, 1)][:rows - 1] + [(1, 2)]
-    out = np.stack([table[j] * table[k] for j, k in pairs])
-    if complex_:
-        out = out * (1.0 - 0.5j)
-    return out
-
-
-def _fsum(terms):
-    return complex(math.fsum(terms.real.ravel()), math.fsum(terms.imag.ravel()))
-
-
-@pytest.mark.parametrize("n", (9, 33, 64))
-@pytest.mark.parametrize("rows", (2, 5))
-@pytest.mark.parametrize("complex_vectors", (False, True))
-@pytest.mark.parametrize("complex_kernel", (False, True))
-def test_screened_sum_meets_full_grid_fsum_within_its_bound(n, rows, complex_vectors, complex_kernel):
-    full, half = _even_kernel(n, complex_kernel)
-    a = _tailed_stack(n, rows, complex_vectors)
-    b = _tailed_stack(n, rows, False)[::-1].copy()
-    c = _tailed_stack(n, rows, complex_vectors)[np.arange(rows) % 2 - 1]
-    asked = []
-
-    def kernel(h):
-        asked.append(h)
-        return np.ascontiguousarray(half[:h, :h, :h])
-
-    got = contract_even(a, b, c, kernel)
-    assert got.shape == (rows,)
-    (h,) = asked
-    assert h == half.shape[0] or h % 8 == 0
-    if n > 9 and rows == 2:
-        # order 0 reaches about x = 7, short of the last nodes
-        assert h < half.shape[0]
-    eps = 2.0 ** -52
-    for r in range(rows):
-        terms = a[r][:, None, None] * b[r][None, :, None] * c[r][None, None, :] * full
-        want = _fsum(terms)
-        fa, fb, fc = (np.abs(fold_even(v[r])).sum() for v in (a, b, c))
-        screen = 3 * 2.0 ** -64 * np.max(np.abs(half)) * fa * fb * fc
-        # the screened sum still rounds like any sum of its h^3 terms
-        rounding = 4 * h * h * eps * np.abs(terms).sum()
-        assert abs(got[r] - want) <= screen + rounding, (n, r, abs(got[r] - want))
-        if np.all(fold_even(a[r]) == 0):
-            assert got[r] == 0 and want == 0
-
-
-def test_screen_cuts_where_the_vectors_stop():
-    # a vector that is exactly zero past half-grid node 12 keeps 16 nodes,
-    # one entry of 2^-70 of its sum beyond that changes nothing, and one of
-    # 2^-60 moves the cube out to cover it
-    n = 64
-    x, _ = gauss_hermite(n)
-    base = np.zeros(n)
-    base[n // 2:n // 2 + 12] = 1.0
-    asked = []
-    ones = np.ones((32, 32, 32))
-
-    def kernel(h):
-        asked.append(h)
-        return ones[:h, :h, :h]
-
-    contract_even(base, base, base, kernel)
-    tiny = base.copy()
-    tiny[n // 2 + 30] = 12 * 2.0 ** -70
-    contract_even(base, tiny, base, kernel)
-    small = base.copy()
-    small[n // 2 + 20] = 12 * 2.0 ** -60
-    contract_even(base, base, small, kernel)
-    assert asked == [16, 16, 24]
 
 
 @pytest.mark.parametrize("axis", (0, 1, 2))
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 @pytest.mark.parametrize("n", (9, 64))
-def test_screen_keeps_non_finite_entries_visible(axis, bad, n):
-    _, half = _even_kernel(n, False)
+def test_kernel_keeps_non_finite_entries_visible(axis, bad, n):
     vectors = [_tailed_stack(n, 2, False) for _ in range(3)]
-    # the last node, far past where the screen would cut
+    # the last node, where e^{-t x^2} underflows to 0 for most rule terms
     vectors[axis][0, -1] = bad
-    asked = []
-
-    def kernel(h):
-        asked.append(h)
-        return half[:h, :h, :h]
-
     with np.errstate(invalid="ignore"):
-        got = contract_even(*vectors, kernel)
-    assert asked == [half.shape[0]]
+        got = _separable_sum(*vectors, 0.7, n)
     assert not np.isfinite(got[0])
-
-
-def test_screen_keeps_an_overflowing_sum_whole():
-    # |v|_1 overflows, so no threshold exists and no node is dropped
-    n = 64
-    v = np.zeros(n)
-    v[n // 2] = v[n // 2 + 1] = 1e308
-    v[-1] = 1.0
-    asked = []
-    with np.errstate(over="ignore"):
-        contract_even(v, v, v, lambda h: asked.append(h) or np.ones((h, h, h)))
-    assert asked == [32]
-
-
-def test_screen_depends_on_the_vectors_alone():
-    n = 128
-    _, half = _even_kernel(n, False)
-    a = _tailed_stack(n, 3, False)
-    asked = []
-
-    def kernel(h):
-        asked.append(h)
-        return np.ascontiguousarray(half[:h, :h, :h])
-
-    first = contract_even(a, a, a, kernel)
-    # other vectors, which ask for other cubes, run in between
-    wide = np.ones(n)
-    contract_even(wide, wide, wide, kernel)
-    contract_even(a[:1], a[:1], a[:1], kernel)
-    again = contract_even(a, a, a, kernel)
-    assert asked[0] == asked[3] and asked[1] == 64 and asked[2] <= asked[0]
-    # low orders reach about x = 7 of the rule's 15.3
-    assert asked[0] <= 40
-    assert np.array_equal(first, again)
+    assert np.isfinite(got[1])
 
 
 def test_weighted_phi_tables_stay_within_their_budget():
@@ -304,18 +240,35 @@ def test_sized_cache_holds_its_budget():
     assert make.cache_info().currsize == 0 and make.cache_info().entries == 0
 
 
-def test_denominator_cubes_share_one_budget():
-    # the cubes the screen asks green_contract for, one per cube size, share
-    # one budget of two full half-grid tensors at 128 nodes
-    _inv_denominators.cache_clear()
-    for h in range(8, 57, 8):
-        _inv_denominators(0.7, 128, h)
-    info = _inv_denominators.cache_info()
-    assert info.currsize == 7
-    assert info.entries == sum(h ** 3 for h in range(8, 57, 8)) <= 2 * 64 ** 3 < GH_NODES_MAX ** 3
-    # the cube for a size is the leading block of every larger cube
-    assert np.array_equal(_inv_denominators(0.7, 128, 64)[:24, :24, :24],
-                          _inv_denominators(0.7, 128, 24))
-    assert _inv_denominators.cache_info().entries <= 2 * 64 ** 3
-    _inv_denominators.cache_clear()
-    assert _inv_denominators.cache_info().currsize == 0
+def test_tiny_mass_on_an_odd_grid_raises_without_a_warning():
+    # an odd grid puts a node at y = mu^2; where mu^2 is subnormal or 0 the
+    # rule stops at y_min = 2^-1000, so the coarse level is large but finite
+    # and the gate refuses the value (a denominator cube overflowed here)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in (1e-160, 1e-200):
+            assert np.all(np.isfinite(greens._proper_time_rule(mu, 9)))
+            with pytest.raises(NonconvergenceError):
+                greens.g_tensor((2, 0, 0), (0, 0, 0), mu, QuadratureConfig(gh_nodes=9))
+    greens.clear_caches()
+
+
+def test_exponential_tables_share_one_budget():
+    # the tables of a mass sweep at the largest node counts share one budget
+    # of 2 * 64^3 entries, and clear_caches() empties them
+    greens.clear_caches()
+    for mu in np.logspace(-3, 2, 12):
+        for n in (256, 512):
+            table = _proper_time_rule(float(mu), n)
+            assert table.shape[0] == n // 2 + 1 and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+            assert _proper_time_rule.cache_info().entries <= 2 * 64 ** 3
+    assert _proper_time_rule(float(mu), 512) is table
+    # E rows, then the weights: at the first node x_0 >= 0 the kernel value
+    # sum_m w_m E_0m^3 is 1/(3 x_0^2 + mu^2); at most 245 terms (0.5 MB)
+    x0 = gauss_hermite(512)[0][256]
+    assert (table[0] ** 3) @ table[-1] == pytest.approx(1.0 / (3.0 * x0 * x0 + mu * mu), rel=4 * EPS)
+    assert table.shape[1] <= 245 and table.nbytes < 2 ** 19
+    greens.clear_caches()
+    assert _proper_time_rule.cache_info().currsize == 0
