@@ -2,12 +2,15 @@
 
 greens._separable_sum sums vectors on a mirror-symmetric Gauss-Hermite grid
 against 1/(x_i^2 + x_j^2 + x_k^2 + mu^2), written as an exponential sum in
-proper time, so that no denominator tensor is formed.  The references here
-are a math.fsum of every full-grid term against the exact kernel, and
-mpmath for single kernel values.  Odd node counts exercise the centre node,
-which the fold must count once and which puts a denominator at y = mu^2.
-Odd vectors give exact zeros, non-finite entries stay visible, and the
-cached E tables hold their budget.
+proper time, so that no denominator tensor is formed.  The rows are folded
+onto the x >= 0 half grid first, so every contraction is an even one.  The
+rule is screened: cut to the proper times whose terms reach 2^-60 of 1/y.
+The references here are a plain einsum and a math.fsum of every full-grid
+term against the exact kernel, and mpmath for single kernel values.  Odd
+node counts exercise the centre node, which the fold must count once and
+which puts a denominator at y = mu^2.  Odd vectors give exact zeros,
+non-finite entries stay visible through the screen, and the cached E
+tables hold their budget.
 """
 
 import itertools
@@ -62,33 +65,64 @@ def _fsum(terms):
 
 
 @pytest.mark.parametrize("n", NODE_COUNTS)
-@pytest.mark.parametrize("rows", (1, 5))
+@pytest.mark.parametrize("batch", (1, 4))
 @pytest.mark.parametrize("complex_vectors", (False, True))
-def test_separable_sum_meets_full_grid_fsum_within_its_bound(n, rows, complex_vectors):
-    # Gaussian-tailed stacks with a parity-zero row, and random vectors
-    # that reach the last node, at masses from small to large
-    rng = np.random.default_rng(100 * n + 10 * rows + complex_vectors)
+@pytest.mark.parametrize("pole_model", (False, True))
+def test_contract_even_matches_full_grid_einsum(n, batch, complex_vectors, pole_model):
+    # random vectors against a plain einsum over the whole grid; with the
+    # pole model, green_contract against the same einsum plus the model's
+    # closed-form constants less their own full-grid quadrature
+    rng = np.random.default_rng(1000 * n + 10 * batch + 2 * complex_vectors + pole_model)
+    x, w = gauss_hermite(n)
+    a, b, c = (rng.standard_normal((batch, n)) * (1.0 + 0.3j if complex_vectors else 1.0)
+               for _ in range(3))
+    c0, c2 = rng.standard_normal((2, batch))
+    for mu in (1e-3, 0.7, 30.0):
+        full = _full_kernel(n, mu)
+        want = np.einsum("bi,bj,bk,ijk->b", a, b, c, full)
+        scale = np.einsum("bi,bj,bk,ijk->b", abs(a), abs(b), abs(c), full)
+        if pole_model:
+            models = np.einsum("bi,j,k,ijk->b", np.stack([w, x * x * w]), w, w, full)
+            exact = np.array(greens._ball_exact(mu))
+            want = (want + np.stack([c0, c2], 1) @ (exact - models)) * math.pi ** -1.5
+            scale = (scale + np.abs(np.stack([c0, c2], 1)) @ (exact + models)) * math.pi ** -1.5
+            got = green_contract(a, b, c, c0, c2, mu, n)
+        else:
+            got = _separable_sum(a, b, c, mu, n)
+        assert got.shape == (batch,)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), (mu, np.abs(got - want) / scale)
+
+
+@pytest.mark.parametrize("n", NODE_COUNTS)
+@pytest.mark.parametrize("rows", (2, 5))
+@pytest.mark.parametrize("complex_vectors", (False, True))
+@pytest.mark.parametrize("random_vectors", (False, True))
+def test_screened_sum_meets_full_grid_fsum_within_its_bound(n, rows, complex_vectors, random_vectors):
+    # Gaussian-tailed stacks with a parity-zero row, or random vectors that
+    # reach the last node, at masses from small to large
     h = (n + 1) // 2
-    stacks = [_tailed_stack(n, rows, complex_vectors),
-              _tailed_stack(n, rows, False)[::-1].copy(),
-              _tailed_stack(n, rows, complex_vectors)[np.arange(rows) % 2 - 1]]
-    noise = [rng.standard_normal((rows, n)) * (1.0 + 0.3j if complex_vectors else 1.0)
-             for _ in range(3)]
+    if random_vectors:
+        rng = np.random.default_rng(100 * n + 10 * rows + complex_vectors)
+        a, b, c = (rng.standard_normal((rows, n)) * (1.0 + 0.3j if complex_vectors else 1.0)
+                   for _ in range(3))
+    else:
+        a = _tailed_stack(n, rows, complex_vectors)
+        b = _tailed_stack(n, rows, False)[::-1].copy()
+        c = _tailed_stack(n, rows, complex_vectors)[np.arange(rows) % 2 - 1]
     for mu in (1e-3, 0.7, 30.0):
         full = _full_kernel(n, mu)
         bound_ulps = 4 + 3 * h + _proper_time_rule(mu, n).shape[1]
-        for a, b, c in (stacks, noise):
-            got = _separable_sum(a, b, c, mu, n)
-            assert got.shape == (rows,)
-            for r in range(rows):
-                terms = a[r][:, None, None] * b[r][None, :, None] * c[r][None, None, :] * full
-                want = _fsum(terms)
-                assert abs(got[r] - want) <= bound_ulps * EPS * np.abs(terms).sum(), (mu, r)
-                if np.all(fold_even(a[r]) == 0):
-                    assert got[r] == 0
+        got = _separable_sum(a, b, c, mu, n)
+        assert got.shape == (rows,)
+        for r in range(rows):
+            terms = a[r][:, None, None] * b[r][None, :, None] * c[r][None, None, :] * full
+            want = _fsum(terms)
+            assert abs(got[r] - want) <= bound_ulps * EPS * np.abs(terms).sum(), (mu, r)
+            if np.all(fold_even(a[r]) == 0):
+                assert got[r] == 0
 
 
-def test_separable_sum_takes_single_vectors():
+def test_contract_even_takes_single_vectors():
     rng = np.random.default_rng(7)
     a, b, c = (rng.standard_normal(9) for _ in range(3))
     got = _separable_sum(a, b, c, 0.7, 9)
@@ -183,9 +217,10 @@ def test_full_grid_build_is_not_symmetric_to_the_bit():
 @pytest.mark.parametrize("axis", (0, 1, 2))
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 @pytest.mark.parametrize("n", (9, 64))
-def test_kernel_keeps_non_finite_entries_visible(axis, bad, n):
+def test_screen_keeps_non_finite_entries_visible(axis, bad, n):
     vectors = [_tailed_stack(n, 2, False) for _ in range(3)]
-    # the last node, where e^{-t x^2} underflows to 0 for most rule terms
+    # the last node, where e^{-t x^2} underflows to 0 for most terms of the
+    # screened rule: the NaN or inf still shows
     vectors[axis][0, -1] = bad
     with np.errstate(invalid="ignore"):
         got = _separable_sum(*vectors, 0.7, n)
