@@ -41,13 +41,13 @@ from .greens import (
     coulomb_quadrature,
     difference_equation_residual,
     g_sharp,
+    g_proper_time,
     g_sharp_axis,
-    g_tensor,
     w_sharp,
     yukawa_coincidence,
 )
 from .hermite import hermite_poly, xi, xi_delta_sharp
-from .quadrature import QuadratureConfig, gauss_hermite, weighted_phi_table
+from .quadrature import QuadratureConfig, gauss_hermite, refined, weighted_phi_table
 from .scattering import (
     MollerKinematics,
     VertexTruncation,
@@ -330,20 +330,36 @@ def _check_greens_monotonicity():
     return obs < 0.0, 0.0, obs, "w_sharp(0, mu) strictly decreasing on [0.1, 4]"
 
 
+def _tensor_greens(pairs, mu: float, n_nodes: int) -> np.ndarray:
+    """G(n, nhat; mu) of each pair as a plain tensor Gauss-Hermite sum, with no
+    pole model or proper time: nothing shared with the closed forms or
+    g_proper_time.  The pole at mu -> 0 defeats it (1e-7 off at mu = 0.5)."""
+    x2 = gauss_hermite(n_nodes)[0] ** 2
+    cube = 1.0 / (x2[:, None, None] + x2[None, :, None] + x2[None, None, :] + mu * mu)
+    table = weighted_phi_table(max(max(n + nhat) for n, nhat in pairs), n_nodes)
+    a, b, c = (np.array([table[n[k]] * table[nhat[k]] for n, nhat in pairs]) for k in range(3))
+    phase = np.array([(-1) ** ((sum(n) - sum(nhat)) // 2) for n, nhat in pairs])
+    return math.pi ** -1.5 * phase * np.einsum("pi,pj,pk,ijk->p", a, b, c, cube, optimize=True)
+
+
 def _check_greens_cross_method():
-    # the tensor quadrature is called directly: g_sharp returns the closed
-    # sum at these low orders, which for an axis pair is the axis value
-    cfg = QuadratureConfig(gh_nodes=96)
+    # g_sharp returns the closed sum here (for an axis pair the axis value)
+    cfg = QuadratureConfig()
+    pairs = [((n1, 0, 0), (0, 0, 0)) for n1 in (0, 2, 4)]
+    pairs += [((2, 1, 0), (0, 1, 2)), ((3, 1, 2), (1, 1, 0))]
     obs = -math.inf
     for mu in (0.5, 1.0, 2.0):
-        pairs = [(g_tensor((n1, 0, 0), (0, 0, 0), mu, cfg), g_sharp_axis(n1, mu, cfg))
-                 for n1 in (0, 2, 4)]
-        pairs += [(g_tensor(n, nhat, mu, cfg), g_sharp(n, nhat, mu, cfg))
-                  for n, nhat in (((2, 1, 0), (0, 1, 2)), ((3, 1, 2), (1, 1, 0)))]
-        for full, closed in pairs:
-            excess = abs(full.value - closed.value) - (full.err_estimate + closed.err_estimate)
-            obs = max(obs, excess)
-    return obs <= 1e-10, 1e-10, obs, "3D tensor route vs axis values and closed sums, combined error bars"
+        closed = [g_sharp_axis(n[0], mu, cfg) for n, _ in pairs[:3]]
+        closed += [g_sharp(n, nhat, mu, cfg) for n, nhat in pairs[3:]]
+        routes = [[(v.value, v.err_estimate) for v in (g_proper_time(*p, mu, cfg) for p in pairs)]]
+        if mu >= 1.0:
+            values, defect = refined(lambda k: _tensor_greens(pairs, mu, 64 * k), cfg,
+                                     100.0 * cfg.tol, "tensor Green's values at mu={}", mu)
+            routes.append([(v, defect) for v in values])
+        for route in routes:
+            for (value, err), ref in zip(route, closed):
+                obs = max(obs, abs(value - ref.value) - (err + ref.err_estimate))
+    return obs <= 1e-10, 1e-10, obs, "proper-time and tensor sums vs closed forms, combined error bars"
 
 
 def _zero_kinematics(mu=1.0, g=1.0):

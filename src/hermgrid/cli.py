@@ -26,8 +26,8 @@ from .greens import (
     continuum_yukawa,
     continuum_yukawa_oracle,
     coulomb_even,
+    g_proper_time,
     g_sharp_axis,
-    g_tensor,
     yukawa_coincidence,
 )
 from .quadrature import GH_NODES_MAX, QuadratureConfig
@@ -212,8 +212,8 @@ def cmd_greens(args) -> int:
     rows = []
     for n1 in range(cfg.n_max + 1):
         axis = g_sharp_axis(n1, cfg.mu, qcfg)
-        # the tensor quadrature itself: g_sharp returns the axis value here
-        full = g_tensor((n1, 0, 0), (0, 0, 0), cfg.mu, qcfg)
+        # the proper-time sum itself: g_sharp returns the axis value here
+        full = g_proper_time((n1, 0, 0), (0, 0, 0), cfg.mu, qcfg)
         rows.append(ResultRow(
             (n1,),
             (axis.value.real, axis.value.imag, axis.err_estimate,
@@ -221,7 +221,7 @@ def cmd_greens(args) -> int:
              abs(axis.value - full.value)),
         ))
     lines = _table(cfg, ["index", "axis_re", "axis_im", "axis_err",
-                         "tensor_re", "tensor_im", "tensor_err", "abs_difference"], rows)
+                         "proper_time_re", "proper_time_im", "proper_time_err", "abs_difference"], rows)
     _emit(lines, cfg.out_path)
     return 0
 
@@ -298,7 +298,8 @@ def cmd_check(args) -> int:
 
 def _add_quad_flags(sub) -> None:
     sub.add_argument("--gh-nodes", type=int, default=64,
-                     help="tensor Gauss-Hermite nodes per axis (>= 8)")
+                     help="Gauss-Hermite nodes per axis (>= 8) of the exchange element, the "
+                          "projector's radial rule and coulomb_quadrature")
     sub.add_argument("--tol", type=float, default=1e-8,
                      help="refinement tolerance; nonconvergence trips at 100x this")
     sub.add_argument("--no-refine", action="store_true",

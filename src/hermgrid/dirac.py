@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, OrderTooLargeError
 from .hermite import phi_at
 from .quadrature import QuadratureConfig, gauss_legendre, index3, read_only, refined
 
@@ -148,6 +148,10 @@ def spin_sum(p: tuple[float, float, float], m: float) -> np.ndarray:
 _GAMMAS = read_only(*_gamma_matrices())
 # Share of every matrix entry that the radial rule may drop past its radius.
 _TAIL = 2.0 ** -64
+# Largest stated work of one projector (_check_work): (100,100,100)^2 has
+# 1.8e9, (300,200,0)/(100,0,0) 2.8e9, (150,150,150)^2 9.2e9 and
+# (300,300,300)^2 1.5e11.
+_WORK_MAX = 4e9
 # Points evaluated at once: the sphere rule of a high order is walked through
 # in blocks of about this many points, so memory does not grow with the order.
 _BLOCK = 2 ** 18
@@ -260,6 +264,16 @@ def _radial_profile(n, nhat, odd, r: np.ndarray) -> np.ndarray:
     return profile
 
 
+def _check_work(n: tuple[int, ...], nhat: tuple[int, ...], n_nodes: int) -> None:
+    """OrderTooLargeError where sphere points (as _radial_profile sizes them) x fine
+    radial nodes x highest order passes _WORK_MAX; a pair odd in two axes needs no rule."""
+    deg = [a + b + (a + b) % 2 for a, b in zip(n, nhat)]
+    work = (sum(deg) // 2 + 2) // 2 * ((sum(deg) - max(deg)) // 4 + 1) * 2 * n_nodes * max(n + nhat)
+    if work > _WORK_MAX and sum(deg) - sum(n) - sum(nhat) <= 1:
+        raise OrderTooLargeError(f"fermionic Green's function at n={n}, nhat={nhat}: stated work "
+                                 f"{work:.2e} exceeds the budget {_WORK_MAX:.0e}")
+
+
 def _s_plus_eval(
     n: tuple[int, int, int],
     nhat: tuple[int, int, int],
@@ -315,8 +329,8 @@ def s_plus_green(
     radial nodes, a basis recurrence to the order at each point): at the
     default config on a 2-core VM, (60,60,60)^2 takes 0.6 s, (100,100,100)^2
     6.5 s, (300,200,0)/(100,0,0) 6.4 s and (1000,0,0)/(0,0,0) 0.5 s (one
-    azimuth).  A diagonal pair of order 300 would take minutes; no budget
-    refuses it.
+    azimuth).  A pair whose stated work exceeds _WORK_MAX = 4e9, as
+    (150,150,150)^2 does, raises OrderTooLargeError before any rule runs.
     """
     n = index3(n)
     nhat = index3(nhat)
@@ -326,6 +340,7 @@ def s_plus_green(
     if not math.isfinite(dt):
         raise DomainError(f"time separation must be finite, got {dt}")
     n_nodes = max(cfg.gh_nodes, sum(n) + sum(nhat))
+    _check_work(n, nhat, n_nodes)
     value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * n_nodes), cfg, cfg.tol,
                        "fermionic Green's function at n={}, nhat={}", n, nhat)
     return value

@@ -24,20 +24,16 @@ j = 0 is the coincidence value mu e^{mu^2} Gamma(-1/2, mu^2) and mu = 0
 gives coulomb_even.  The ratios U(n)/U(n+1) obey the three-term recurrence
 in a (DLMF 13.3.7), whose backward loop (_gamma_cf_levels) is also
 Legendre's continued fraction for Gamma(-1/2, x): one loop serves the
-coincidence value, the tensor route's pole constants and the axis table
-(_axis_table), which runs the recurrence forward instead where mu^2 j is
-small.
+coincidence value and the axis table (_axis_table), which runs the
+recurrence forward instead where mu^2 j is small, and the table's first two
+entries give the pole constants of the exchange element's contraction.
 
-Tensor route.  At high order and small mu the monomial sum cancels, and
-g_sharp falls back to tensor Gauss-Hermite in 3D (g_tensor), which also
-serves the checks and the CLI as the independent route the closed forms are
-compared with.  The integrand's denominator develops a near-pole at the
-origin as mu -> 0, which plain Gauss-Hermite cannot resolve at any feasible
-node count.  The tensor route therefore subtracts the quadratic Taylor
-approximant of the polynomial pair product at the pole and adds back the
-model's analytically known integral; the subtraction is exact in the
-massless limit.  The proper-time integral as a trapezoid rule in log t
-makes the 3D kernel separable, so no denominator tensor is formed.
+Proper-time sum.  Where the monomial sum cancels (high order, small mu),
+g_sharp takes the proper-time integral as a trapezoid rule in log t, each
+axis' Gaussian integral an exact Gauss-Hermite sum (g_proper_time, also the
+route the checks and the CLI compare with).  The same rule separates the 3D
+kernel of the exchange element (green_contract), which still sums on a
+Gauss-Hermite grid and subtracts a quadratic pole model at the origin.
 """
 
 from __future__ import annotations
@@ -53,17 +49,17 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from .errors import DomainError
-from .hermite import phi, phi_row
+from .errors import DomainError, NonconvergenceError, OrderTooLargeError
+from .hermite import phi, phi_at, phi_row
 from .quadrature import (
     QuadratureConfig,
     fold_even,
     gauss_hermite,
     gauss_legendre,
     index3,
+    read_only,
     refined,
     sized_cache,
-    weighted_phi_table,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -71,17 +67,11 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class GreensValue:
-    """A Green's function sample plus the honest error bar.
-
-    The closed sums report a rounding bound, refined or not: g_sharp's sum
-    over the axis table, and the axis values (g_sharp_axis).  Parity zeros
-    and the coincidence value are exact by construction and report 0.0.
-    For a quadrature (coulomb_quadrature, and the tensor route g_sharp
-    falls back to where its sum's bound exceeds 100*tol), err_estimate is
-    the node-doubling defect |value(N) - value(2N)| (the tensor route adds
-    a rounding bound) when the config asked for refinement (a defect above
-    100*tol raises, see quadrature.refined), and NaN when it did not.
-    """
+    """A Green's function sample plus the honest error bar: a rounding bound
+    for g_sharp, g_sharp_axis and g_proper_time, refined or not (0.0 for
+    the exact parity zeros and coincidence value), and for
+    coulomb_quadrature the node-doubling defect |value(N) - value(2N)|
+    (above 100*tol it raises, see quadrature.refined), NaN unrefined."""
 
     value: complex
     err_estimate: float
@@ -89,9 +79,9 @@ class GreensValue:
 
 def clear_caches() -> None:
     """Drop every cache of this module: proper-time rules, pole constants,
-    origin tables, pole models, closed-sum coefficients, angular moments and
-    axis tables."""
-    for cached in (_proper_time_rule, _ball_defects, origin_rows, _pair_model,
+    origin tables, scaled Gauss-Hermite rules, closed-sum coefficients,
+    angular moments and axis tables."""
+    for cached in (_proper_time_rule, _ball_defects, origin_rows, _scaled_rule,
                    _closed_coefficients, _angular_moment, _axis_table, _table_steps):
         cached.cache_clear()
 
@@ -105,31 +95,35 @@ def _order(n1) -> int:
     return order
 
 
-# Step h of the trapezoid rule in log proper time (_proper_time_rule): its
-# error in 1/y is at most 2 |Gamma(1 - 2 pi i / h)| = 3.5e-17 relative for
-# every y > 0, and _PT_ERROR with what the rule's cut drops (2^-60 + e^-40).
+# Step h of the trapezoid rule in log proper time (_pt_lattice), whose error
+# in 1/y is at most 2 |Gamma(1 - 2 pi i / h)| = 3.5e-17 relative for every
+# y > 0; _PT_ERROR adds what its cut drops (2^-60 + e^-40).
 _PT_STEP = 0.24
 _PT_ERROR = 4.1e-17
+
+
+def _pt_lattice(mu: float, y_min: float, y_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Proper times t_m = e^{m h} and weights h t_m e^{-t_m mu^2} of the
+    trapezoid rule for 1/y = integral e^{v - y e^v} dv, y = k.k + mu^2, cut
+    to v in [ln(2^-60/y_max), ln(40/y_min)], y_min held at >= 2^-1000."""
+    y_min = max(y_min, 2.0 ** -1000)
+    lo = math.floor((-60.0 * math.log(2.0) - math.log(y_max)) / _PT_STEP)
+    hi = math.ceil((math.log(40.0) - math.log(y_min)) / _PT_STEP)
+    t = np.exp(_PT_STEP * np.arange(lo, hi + 1))
+    return t, _PT_STEP * t * np.exp(-t * (mu * mu))
 
 
 # one table per mass and node count, 2 * 64^3 entries in all: about 37 tables
 # of the default fine rule (65 x about 215), or 8 at 512 nodes (257 x 245)
 @sized_cache(2 * 64 ** 3)
 def _proper_time_rule(mu: float, n_nodes: int) -> np.ndarray:
-    """The trapezoid rule for 1/y = integral e^{v - y e^v} dv at v_m = m h
-    (t_m = e^{v_m}) as one read-only table: rows E[i, m] = e^{-t_m x_i^2}
-    on the x >= 0 half of the n_nodes-point grid, then the weights
-    h t_m e^{-t_m mu^2}.  It is cut to v in [ln(2^-60/y_max), ln(40/y_min)]
-    for the grid's y = x_i^2 + x_j^2 + x_k^2 + mu^2 (y_min >= 2^-1000, so
-    every t_m is finite), which drops at most 2^-60 + e^-40 of 1/y."""
+    """The lattice (_pt_lattice) of the grid's y = x_i^2 + x_j^2 + x_k^2 +
+    mu^2 as one read-only table: rows E[i, m] = e^{-t_m x_i^2} on the x >= 0
+    half of the n_nodes-point grid, then the weights."""
     x, _ = gauss_hermite(n_nodes)
-    m2 = mu * mu
-    y_min = max(3.0 * float(x[n_nodes // 2]) ** 2 + m2, 2.0 ** -1000)
-    y_max = 3.0 * float(x[-1]) ** 2 + m2
-    lo = math.floor((-60.0 * math.log(2.0) - math.log(y_max)) / _PT_STEP)
-    hi = math.ceil((math.log(40.0) - math.log(y_min)) / _PT_STEP)
-    t = np.exp(_PT_STEP * np.arange(lo, hi + 1))
-    table = np.vstack([np.exp(-np.outer(x[n_nodes // 2:] ** 2, t)), _PT_STEP * t * np.exp(-t * m2)])
+    half = x[n_nodes // 2:]
+    t, w = _pt_lattice(mu, 3.0 * float(half[0]) ** 2 + mu * mu, 3.0 * float(x[-1]) ** 2 + mu * mu)
+    table = np.vstack([np.exp(-np.outer(half ** 2, t)), w])
     table.setflags(write=False)
     return table
 
@@ -154,30 +148,19 @@ def _separable_sum(a, b, c, mu: float, n_nodes: int) -> np.ndarray:
 
 def _ball_exact(mu: float) -> tuple[float, float]:
     """b0 and b2, the integrals over R^3 of e^{-k.k}/(k.k+mu^2) and of
-    k_1^2 e^{-k.k}/(k.k+mu^2).
-
-    b0 = pi^{3/2} Y(mu) with Y = yukawa_coincidence, and
-    b2 = pi^{3/2} (1 - mu^2 Y) / 3.  Below mu = 1 the difference cancels
-    at most twofold.  From mu = 1 on, the recurrence of U at a = 1 turns it
-    into 1 - mu^2 Y = (3/2) Y (1 - 1/d_1), with Y = 1/d_0 and
-    d_1 = U(1)/U(2) >= 5/2 from the continued fraction (_gamma_cf_levels),
-    a form with nothing left to cancel.
-    """
-    if mu >= 1.0:
-        d = _gamma_cf_levels(mu * mu, 2)
-        y = 1.0 / d[0]
-        return math.pi ** 1.5 * y, math.pi ** 1.5 * (1.0 - 1.0 / d[1]) * y / 2.0
-    b0 = math.pi ** 1.5 * yukawa_coincidence(mu)
-    return b0, (math.pi ** 1.5 - mu * mu * b0) / 3.0
+    k_1^2 e^{-k.k}/(k.k+mu^2): b0 = pi^{3/2} g_0 and b2 = pi^{3/2}
+    (g_0 - sqrt(2) g_1) / 2 from the axis table, which is pi^{3/2}
+    (1 - mu^2 U(1)) / 3 by the recurrence of U at a = 1.  U(1) - U(2) is
+    between a third of U(1) and U(1) at every mass, so nothing cancels."""
+    g0, g1 = _axis_entries(mu, 2)[:2]
+    return math.pi ** 1.5 * g0, math.pi ** 1.5 * (g0 - math.sqrt(2.0) * g1) / 2.0
 
 
 @lru_cache(maxsize=64)
 def _ball_defects(mu: float, n_nodes: int) -> tuple[float, float]:
-    """Exact-minus-quadrature for the constant and per-axis quadratic pole
-    models: the amounts the subtraction must add back analytically, through
-    the kernel of every contraction (_separable_sum), whose error in the
-    models they so cancel.  Cached per mass and node count, so a run of
-    exchange elements at one mass pays for the constants and moments once."""
+    """Exact-minus-quadrature of the constant and per-axis quadratic pole
+    models through the contraction's kernel (_separable_sum), whose error in
+    the models they so cancel.  Cached per mass and node count."""
     x, w = gauss_hermite(n_nodes)
     b0q, b2q = _separable_sum(np.stack([w, x * x * w]), w, w, mu, n_nodes)
     b0, b2 = _ball_exact(mu)
@@ -207,9 +190,8 @@ def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
 def origin_rows(n_max: int) -> np.ndarray:
     """Columns phi_n(0), phi_n'(0) = sqrt(2n) phi_{n-1}(0) and
     phi_n''(0) = -2n phi_n(0) for n <= n_max, from the Hermite differential
-    relations: the Taylor data of the pole models (green_contract).  Cached
-    read-only per order; the tensor route's pair models and the exchange
-    element's profiles read it."""
+    relations: the Taylor data of the exchange element's pole models
+    (green_contract).  Cached read-only per order."""
     z0 = phi_row(n_max, np.zeros(1))[:, 0]
     narr = np.arange(n_max + 1)
     z1 = np.zeros(n_max + 1)
@@ -219,83 +201,78 @@ def origin_rows(n_max: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _pair_model(n: tuple[int, ...], nhat: tuple[int, ...]) -> tuple[float, float]:
-    """c0 and c2 of the pair's quadratic pole model (green_contract): the
-    value and the summed per-axis half-second-derivatives at the origin of
-    the product of the three one-axis pair polynomials phi_n phi_nhat.
-    Cached per pair: every mass and node count asks for the same.  The
-    origin table runs to the next order 8k + 7, so pairs of nearby orders
-    share one."""
-    z = origin_rows(max(max(n), max(nhat)) // 8 * 8 + 7).tolist()
-    (q0a, q2a), (q0b, q2b), (q0c, q2c) = (
-        (z[a][0] * z[b][0], 0.5 * (z[a][2] * z[b][0] + z[a][0] * z[b][2]) + z[a][1] * z[b][1])
-        for a, b in zip(n, nhat))
-    return q0a * q0b * q0c, q2a * q0b * q0c + q0a * q2b * q0c + q0a * q0b * q2c
-
-
-def _g_eval(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, n_nodes: int) -> complex:
-    table = weighted_phi_table(max(max(n), max(nhat)), n_nodes)
-    val = green_contract(*(table[n[a]] * table[nhat[a]] for a in range(3)), *_pair_model(n, nhat),
-                         mu, n_nodes)
-    phase = 1j ** ((sum(n) - sum(nhat)) % 4)
-    return complex(phase * val[0])
-
-
-def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...], GreensValue | None]:
     """The index triples of a Green's value as ints, once they and the mass
-    are valid: mu > 0 with a finite square."""
+    are valid (mu > 0 with a finite square), and the exact zero phase * 0.0
+    of a pair that violates parity on some axis (None for one that does not)."""
     n = index3(n)
     nhat = index3(nhat)
     if not mu > 0:
         raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
     if not math.isfinite(float(mu) * float(mu)):
-        raise DomainError(f"mu^2 must be finite for the proper-time kernel, got mu = {mu}")
-    return n, nhat
+        raise DomainError(f"mu^2 must be finite for the proper-time sum, got mu = {mu}")
+    odd = any((a + b) % 2 for a, b in zip(n, nhat))
+    return n, nhat, GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * 0.0), 0.0) if odd else None
 
 
-def _parity_zero(n: tuple[int, ...], nhat: tuple[int, ...]) -> GreensValue | None:
-    """The exact zero phase * 0.0 of a pair that violates parity on some
-    axis, None for a pair that does not."""
-    if any((n[a] + nhat[a]) % 2 for a in range(3)):
-        phase = 1j ** ((sum(n) - sum(nhat)) % 4)
-        return GreensValue(complex(phase * 0.0), 0.0)
-    return None
+# Most nodes of _scaled_rule (p + q <= 1454): 729 reach y = 37.65, where e^{-y^2/2} is subnormal
+_SCALED_NODES_MAX = 728
 
 
-def g_tensor(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
-    """Tensor Gauss-Hermite evaluation of the 3D Green's function integral:
-    g_sharp's fallback, and the independent route that checks and the CLI
-    compare the closed sum and the axis values with.
+@lru_cache(maxsize=64)
+def _scaled_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes y_j >= 0 of the n_nodes-point Gauss-Hermite rule and its
+    scaled weights W_j = w_j e^{y_j^2} / sqrt(pi) = 1 / sum_{k < n_nodes}
+    psi_k(y_j)^2, psi_k = phi_k e^{-y^2/2}, folded for even integrands
+    (fold_even).  No W_j underflows where w_j does (four of 401 do)."""
+    if n_nodes > _SCALED_NODES_MAX:
+        raise OrderTooLargeError(f"{n_nodes} nodes for the proper-time sum, at most {_SCALED_NODES_MAX}")
+    y, _ = gauss_hermite(n_nodes)
+    total = sum(row * row for row in phi_at(range(n_nodes), y, np.exp(-0.5 * y * y)).values())
+    return read_only(np.array(y[n_nodes // 2:]), fold_even(1.0 / total))
 
-    The Gaussian weight is taken from the basis-function product, leaving
-    pair rows that green_contract sums against the denominator, with the
-    pole subtraction of the module docstring.  A pair that violates parity
-    on some axis is returned as the exact zero of g_sharp, built from nothing.
 
-    With refinement, err_estimate adds to the node-doubling defect
-    ((16 + N/4) 2^-52 + _PT_ERROR) K_max (1 + |c0| + |c2|/2), K_max the
-    largest kernel entry of the fine N-node rule and c0, c2 the pole model
-    (_pair_model); each weighted pair row has 1-norm <= sqrt(pi), so
-    pi^{3/2} times that bounds the absolute terms of the sum.  The ulps
-    bound the rounding of the fine rule, _PT_ERROR (4.1e-17) the kernel's
-    own error, which the pole constants share; both levels carry both, so
-    the defect cannot see them.  Against the closed axis values the defect
-    alone falls short by up to 2 of those ulps at N <= 128, 5 at 256 and 24
-    at 512 (n1 <= 10, mu in [0.3, 200]).  Without refinement it is NaN.
+def _axis_laplace(p: int, q: int, s: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J = pi^{-1/2} integral phi_p phi_q e^{-(1+t) x^2} dx at s = 1/(1+t),
+    tau = t s, and J with phi_p phi_q replaced by 1.  In x = y sqrt(s) it is
+    an even polynomial of degree p + q against e^{-y^2}, so exactly
+    sqrt(s) sum_j W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)) (_scaled_rule)."""
+    y, weights = _scaled_rule((p + q) // 2 + 1)
+    root = np.sqrt(s)
+    damped = np.exp(-np.outer(tau, y * y)) * weights
+    z = np.outer(root, y)
+    psi = phi_at((p, q), z, np.exp(-0.5 * z * z))
+    return root * np.sum(psi[p] * psi[q] * damped, axis=1), root * np.sum(damped, axis=1)
+
+
+def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
+    """G(n, nhat; mu) = i^(sum n - sum nhat) sum_m w_m prod_a J_a(t_m) on
+    _pt_lattice's lattice for y in [mu^2, mu^2 + 2D + 16], D = sum n +
+    sum nhat (190 to 260 terms for mu in [1e-3, 1e4]), each J_a exact
+    (_axis_laplace); a parity zero as in g_sharp.  prod_a J_a(t) is a
+    Laplace transform in t of the integrand over k.k, so the rule's bound
+    for 1/y holds.  err_estimate is (2^-52 (max order + 2) + 2^-53 (L + 4)
+    + _PT_ERROR) times the sum with every basis value 1: rounding in the
+    recurrence and sums, in the nodes v_m = m h (2^-53 |v_m|, the terms
+    mattering where |v| <= L + 4, L = max |ln y|), and the rule's error.
+    Absolute terms alone bound nothing: the recurrence cancels near s = 1.
+    It raises NonconvergenceError above 100 * cfg.tol (the one field read),
+    and OrderTooLargeError past n_a + nhat_a = 1454 (_SCALED_NODES_MAX).
     """
-    n, nhat = _checked_pair(n, nhat, mu)
-    zero = _parity_zero(n, nhat)
+    n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
-    value, err = refined(lambda k: _g_eval(n, nhat, mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol,
-                         "Green's function at n={}, nhat={}, mu={}", n, nhat, mu)
-    if cfg.refine:
-        c0, c2 = _pair_model(n, nhat)
-        x, _ = gauss_hermite(2 * cfg.gh_nodes)
-        k_max = 1.0 / (3.0 * float(x[cfg.gh_nodes]) ** 2 + mu * mu)
-        err += ((16 + cfg.gh_nodes / 2) * 2.0 ** -52 + _PT_ERROR) * k_max * (1.0 + abs(c0) + 0.5 * abs(c2))
-    return GreensValue(complex(value), err)
+    y_min, y_max = max(mu * mu, 2.0 ** -1000), mu * mu + 2.0 * (sum(n) + sum(nhat)) + 16.0
+    t, w = _pt_lattice(mu, y_min, y_max)
+    s = 1.0 / (1.0 + t)
+    axes = {pair: _axis_laplace(*pair, s, t * s) for pair in set(zip(n, nhat))}
+    value, ones = (w @ math.prod(axes[pair][k] for pair in zip(n, nhat)) for k in (0, 1))
+    big_log = max(-math.log(y_min), math.log(y_max))
+    err = float((2.0 ** -52 * (max(n + nhat) + 4 + 0.5 * big_log) + _PT_ERROR) * ones)
+    if not err <= 100.0 * cfg.tol:
+        raise NonconvergenceError(f"Green's function at n={n}, nhat={nhat}, mu={mu}: rounding "
+                                  f"bound {err:.3e} exceeds the gate {100.0 * cfg.tol:.3e}")
+    return GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * value), err)
 
 
 @lru_cache(maxsize=4096)
@@ -362,31 +339,23 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     The i^(sum n - sum nhat) phase makes parity-allowed values real.  An
     axis pair ((2j,0,0), (0,0,0)) has the single term R_j = 1 and returns
     g_sharp_axis(2j) to the bit.  A pair that violates parity on some axis
-    integrates to exactly zero; it is returned as phase * 0.0 with
-    err_estimate 0.0 once the index and mass checks pass.
+    is returned as the exact zero phase * 0.0, err_estimate 0.0.
 
     err_estimate of the sum is the rounding bound
     2^-52 sum_l (4l + 72)(|R_l g_l| + (|R_l| + 1) 2^-1022): the table's own
     (4l + 64) ulps per entry, and 8 more for R_l, the product and the sum.
-    It does not depend on cfg.  The monomial sum cancels at high order and
-    small mu ((8,8,8) against itself at mu = 0.3 has a bound of 5e-6), so
-    where the bound exceeds the gate of the Green's values, 100 * cfg.tol,
-    the value comes from the tensor route instead (g_tensor), with its
-    refinement defect plus a rounding bound as err_estimate (NaN under
-    refine=False), and NonconvergenceError where that defect fails the gate.
-    Within the gate the sum is returned even where the tensor route is far
-    tighter, which loses accuracy at high order and moderate mass: (8,8,8)
-    and (10,10,10) against themselves at mu = 1 have bounds of 3.5e-8 and
-    7.0e-6, where the tensor route's estimates are 1.1e-9 and 2.1e-9.
+    The sum cancels at high order and small mu ((8,8,8) against itself at
+    mu = 0.3 has a bound of 5e-6), and past order about 400 its R_l leave
+    the double range.  Where the bound exceeds the gate of the Green's
+    values, 100 * cfg.tol (the one field read), the value is g_proper_time,
+    with its own bound and gate.  Within the gate the sum is returned even
+    where g_proper_time is far tighter: 3.5e-8 for (8,8,8)^2 at mu = 1.
     """
-    n, nhat = _checked_pair(n, nhat, mu)
-    zero = _parity_zero(n, nhat)
+    n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
     closed = _g_closed(n, nhat, mu)
-    if closed.err_estimate <= 100.0 * cfg.tol:
-        return closed
-    return g_tensor(n, nhat, mu, cfg)
+    return closed if closed.err_estimate <= 100.0 * cfg.tol else g_proper_time(n, nhat, mu, cfg)
 
 
 # Entries of the default axis table, n1 = 0, 2, ..., 40; a higher order asks

@@ -125,13 +125,13 @@ def phi(n: int, x: np.ndarray) -> np.ndarray:
     return phi_at((n,), x)[n]
 
 
-def phi_at(orders, x: np.ndarray) -> dict[int, np.ndarray]:
-    """phi_n(x) for each n in orders, keyed by n, from one pass of the
-    recurrence that keeps only the rows asked for (the same values as the
-    rows of phi_row)."""
+def phi_at(orders, x: np.ndarray, seed=None) -> dict[int, np.ndarray]:
+    """phi_n(x) (times seed, if given: e^{-x^2/2} keeps them in range) for
+    each n in orders, keyed by n, from one pass of the recurrence that keeps
+    only the rows asked for (the same values as the rows of phi_row)."""
     want = set(orders)
     if min(want) < 0:
         raise ValueError(f"order must be nonnegative, got {min(want)}")
     x = np.asarray(x, dtype=float)
-    rows = islice(_phi_rows(x, np.ones(x.shape)), max(want) + 1)
+    rows = islice(_phi_rows(x, np.ones(x.shape) if seed is None else seed), max(want) + 1)
     return {j: row for j, row in enumerate(rows) if j in want}

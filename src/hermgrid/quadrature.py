@@ -4,12 +4,11 @@ refinement gate.
 All rules are cached by node count and returned as read-only arrays: the
 first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
-instead of rebuilding them.  Every 3D Gauss-Hermite sum in the package (the
-tensor Green's values and the exchange element) has a kernel that is even
-in each axis, so its vectors are folded onto the x >= 0 half of the grid
-(fold_even) and summed there by the one proper-time kernel,
-greens.green_contract.  Every quadrature value in the package passes the
-one refinement gate, refined.
+instead of rebuilding them.  The library's one 3D Gauss-Hermite sum, the
+exchange element, has a kernel even in each axis, so its vectors are folded
+onto the x >= 0 half of the grid (fold_even) and summed there by the
+proper-time kernel, greens.green_contract.  Every refined quadrature value
+passes the one refinement gate, refined.
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from scipy.special import roots_hermite, roots_legendre
 from .errors import NonconvergenceError
 from .hermite import phi_row
 
-# The fine refinement level runs at twice gh_nodes.  At 512 nodes, the
-# fine level of this cap, 42 of the outermost Gauss-Hermite weights already
-# lie below the normal double range (36 are 0); at 1,024 nodes 304 would,
-# so a larger count adds nodes that carry no weight.  The stated error
-# terms of the tensor route were also measured only up to 512 nodes.
+# gh_nodes is read by the exchange element, the projector's radial rule and
+# coulomb_quadrature, whose fine levels run at twice gh_nodes.  At 512 nodes,
+# the fine level of this cap, 42 of the outermost Gauss-Hermite weights lie
+# below the normal double range (36 are 0); at 1,024 nodes 304 would.
 GH_NODES_MAX = 256
 
 
@@ -43,7 +41,7 @@ class QuadratureConfig:
     per axis and at double that count; the difference is reported as the
     error estimate and tested against a gate (see refined).  With
     refine=False no estimate exists and NaN is reported instead.  The
-    closed forms, the axis values among them, read none of these fields.
+    closed forms read none of these fields, the Green's values tol alone.
     """
 
     gh_nodes: int = 64
@@ -252,8 +250,8 @@ def fold_even(v: np.ndarray) -> np.ndarray:
 
 # 2^18 entries (2 MB): the tables of one order at both refinement levels
 # of the largest node count (a 200th order there takes 0.8 MB), or a few
-# dozen of the default-rule tables the tensor route and the exchange
-# element read at low orders and cutoffs.
+# dozen of the default-rule tables the exchange element and the checks
+# read at low orders and cutoffs.
 @sized_cache(2 ** 18)
 def weighted_phi_table(n_max: int, n_nodes: int) -> np.ndarray:
     """Table B[n, i] = phi_n(x_i) sqrt(w_i) on the Gauss-Hermite grid, cached

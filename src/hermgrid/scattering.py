@@ -25,10 +25,10 @@ They are built in one batched real pass over the axes, both fermion lines
 and both truncations (the element and its copy with the top coefficient
 shell dropped, which measures truncation), and kept read-only in a bounded
 LRU keyed on just those.  The boson mass enters through the contraction
-alone, greens.green_contract, the one the Green's function route uses: it
-folds the profiles onto the x >= 0 half grid, multiplies them by the cached
-table e^{-t_m x_i^2} of its proper-time rule, and sums the rule's terms,
-pole correction included.  So a second mass at the same kinematics pays
+alone, greens.green_contract, on the proper-time lattice of the Green's
+values (greens.g_proper_time): it folds the profiles onto the x >= 0 half
+grid, multiplies them by the cached table e^{-t_m x_i^2} of its rule, and
+sums the rule's terms, pole correction included.  So a second mass at the same kinematics pays
 only for that contraction.  An independent sum-the-vertices-first
 evaluation lives in the checks module and serves as the correctness oracle.
 """

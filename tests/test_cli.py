@@ -113,10 +113,23 @@ def test_overflowing_exchange_coefficients_exit_2_with_one_line():
 
 
 def test_nonconvergence_exit_code(capsys):
+    # the proper-time column's rounding bound (1.1e-15 at index 0) against a
+    # gate of 100 * tol
     rc, _, err = run_cli(capsys, "greens", "--mu", "0.5", "--n-max", "4",
-                         "--tol", "1e-12")
+                         "--tol", "1e-18")
     assert rc == 3
     assert "did not converge" in err
+
+
+def test_greens_table_converges_at_small_mass(capsys):
+    # the tensor route's gate failed here for (4,0,0), with a defect of
+    # 5.0e-6, and the command exited 3
+    rc, out, err = run_cli(capsys, "greens", "--mu", "0.3", "--n-max", "8")
+    assert rc == 0 and err == ""
+    _, _, rows = parse_table(out)
+    assert len(rows) == 9
+    for r in rows:
+        assert float(r["abs_difference"]) <= float(r["axis_err"]) + float(r["proper_time_err"])
 
 
 def _run_fresh(*argv, threads="1"):
@@ -294,7 +307,7 @@ def test_greens_table(capsys):
     assert rc == 0 and err == ""
     _, columns, rows = parse_table(out)
     assert columns == ["index", "axis_re", "axis_im", "axis_err",
-                       "tensor_re", "tensor_im", "tensor_err", "abs_difference"]
+                       "proper_time_re", "proper_time_im", "proper_time_err", "abs_difference"]
     assert len(rows) == 3
     for r in rows:
         assert float(r["abs_difference"]) <= 1e-7
@@ -405,7 +418,7 @@ README_COMMANDS = (
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
 def test_tables_identical_across_thread_counts(argv):
-    # the tensor contractions go through BLAS, whose reduction order could
+    # the 3D contractions go through BLAS, whose reduction order could
     # follow the thread count; the tables must not
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -19,6 +19,7 @@ sum cancels.
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,8 +27,8 @@ import pytest
 
 from hermgrid import greens
 from hermgrid.checks import _check_greens_cross_method
-from hermgrid.errors import NonconvergenceError
-from hermgrid.greens import _g_closed, g_sharp, g_sharp_axis, g_tensor
+from hermgrid.errors import NonconvergenceError, OrderTooLargeError
+from hermgrid.greens import _g_closed, g_proper_time, g_sharp, g_sharp_axis
 from hermgrid.quadrature import QuadratureConfig
 
 mp = pytest.importorskip("mpmath")
@@ -177,12 +178,13 @@ def test_closed_sum_lies_within_its_bound():
 
 
 def test_axis_pairs_are_the_axis_values_to_the_bit():
-    # the tensor route raised here (refinement defects 5.0e-6, 1.4e-5 and
-    # 1.0e-6 against a gate of 1e-6)
+    # the tensor route the proper-time sum replaced raised here (refinement
+    # defects 5.0e-6, 1.4e-5 and 1.0e-6 against a gate of 1e-6)
     for n1, mu in ((4, 0.3), (6, 0.3), (6, 0.5)):
-        assert g_sharp((n1, 0, 0), (0, 0, 0), mu, CFG).value == g_sharp_axis(n1, mu, CFG).value
-        with pytest.raises(NonconvergenceError):
-            g_tensor((n1, 0, 0), (0, 0, 0), mu, CFG)
+        axis = g_sharp_axis(n1, mu, CFG)
+        assert g_sharp((n1, 0, 0), (0, 0, 0), mu, CFG).value == axis.value
+        full = g_proper_time((n1, 0, 0), (0, 0, 0), mu, CFG)
+        assert abs(full.value - axis.value) <= full.err_estimate + axis.err_estimate <= 1e-14
     # the 48 masses of the mass-scan benchmark at seed 1
     rng = random.Random(1)
     masses = [0.25 * 16.0 ** ((k + rng.random()) / 48) for k in range(48)]
@@ -192,27 +194,69 @@ def test_axis_pairs_are_the_axis_values_to_the_bit():
             assert got.value == g_sharp_axis(n1, mu, CFG).value, (mu, n1)
 
 
-def test_ill_conditioned_sums_fall_back_to_the_tensor_route():
+# (n1,0,0) against itself at mu = 1, from the closed sum's exact rational
+# coefficients and mpmath's hyperu at 300 and 400 digits (the two agree to
+# every digit shown); at 40 digits tricomi_truth gives 5e41 for n1 = 200
+HIGH_ORDER_AT_1 = {200: 0.0377607658372639369, 300: 0.0308675631045899395,
+                   400: 0.0267477353984268350}
+
+
+def test_ill_conditioned_sums_fall_back_to_the_proper_time_sum():
     # (8,8,8) against itself at mu = 0.3: the sum's bound is 5.2e-6, the
-    # tensor route's defect 6.7e-7, inside the 1e-6 gate
+    # proper-time sum is within 2e-14 of the truth
     pair = ((8, 8, 8), (8, 8, 8))
     closed = _g_closed(*pair, 0.3)
     assert closed.err_estimate > 100.0 * CFG.tol
     got = g_sharp(*pair, 0.3, CFG)
-    assert got == g_tensor(*pair, 0.3, CFG)
-    assert got.err_estimate <= 100.0 * CFG.tol
+    assert got == g_proper_time(*pair, 0.3, CFG)
+    assert got.err_estimate <= 1e-13
+    assert abs(got.value.real - tricomi_truth(*pair, 0.3)) <= got.err_estimate
     assert abs(got.value - closed.value) <= got.err_estimate + closed.err_estimate
     # at mu = 1 the same sum is within the gate and is returned
     assert g_sharp(*pair, 1.0, CFG) == _g_closed(*pair, 1.0)
     # a looser gate keeps the sum, and refinement does not change it
     loose = QuadratureConfig(tol=1e-7, refine=False)
     assert g_sharp(*pair, 0.3, loose) == closed
-    # past the double range of R_l the sum has no bound, and the tensor
-    # route's gate answers: a typed error, not a NaN
-    huge = ((400, 0, 0), (400, 0, 0))
-    assert _g_closed(*huge, 1.0).err_estimate == math.inf
-    with pytest.raises(NonconvergenceError):
-        g_sharp(*huge, 1.0, CFG)
+    # past the double range of R_l the sum has no bound, and the
+    # proper-time sum answers, where the tensor route raised
+    assert _g_closed((400, 0, 0), (400, 0, 0), 1.0).err_estimate == math.inf
+    for n1, want in HIGH_ORDER_AT_1.items():
+        got = g_sharp((n1, 0, 0), (n1, 0, 0), 1.0, CFG)
+        assert got.value.imag == 0.0
+        assert abs(got.value.real - want) <= got.err_estimate <= 2e-13, n1
+    # where both bounds fail the gate, a typed error, not a value
+    with pytest.raises(NonconvergenceError, match="exceeds the gate"):
+        g_sharp(*pair, 0.3, QuadratureConfig(tol=1e-16))
+    # past 728 nodes of an axis' rule (n_a + nhat_a > 1454) the basis seed
+    # e^{-y^2/2} leaves the normal range at the outer nodes: a typed error
+    # without a warning, where NaN and RuntimeWarnings came out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OrderTooLargeError):
+            g_sharp((1000, 0, 0), (1000, 0, 0), 1.0, CFG)
+        full = g_proper_time((1454, 0, 0), (0, 0, 0), 1.0, CFG)
+    axis = g_sharp_axis(1454, 1.0, CFG)
+    assert abs(full.value - axis.value) <= full.err_estimate + axis.err_estimate
+
+
+def test_proper_time_sum_lies_within_its_bound():
+    # the 40 pairs of the closed-sum sweep, off-diagonal ones among them,
+    # and five high-order pairs at eleven masses over [1e-4, 1e4]: at
+    # mu >= 10 the per-axis values of an off-diagonal pair cancel
+    rng = random.Random(2027)
+    pairs = _allowed_pairs(rng, 40, 4)
+    pairs += [((8, 8, 8), (8, 8, 8)), ((10, 10, 10), (10, 10, 10)), ((12, 12, 12), (12, 12, 12)),
+              ((12, 0, 0), (0, 6, 6)), ((7, 5, 3), (3, 5, 7))]
+    worst = 0.0
+    for mu in (1e-4, 1e-3, 0.05, 0.2, 0.3, 1.0, 3.1, 10.0, 100.0, 1e3, 1e4):
+        for n, nhat in pairs:
+            got = g_proper_time(n, nhat, mu, CFG)
+            truth = tricomi_truth(n, nhat, mu)
+            gap = float(abs(got.value.real - truth))
+            assert got.value.imag == 0.0
+            assert gap <= got.err_estimate, (n, nhat, mu, gap, got.err_estimate)
+            worst = max(worst, gap / got.err_estimate)
+    assert worst < 0.5
 
 
 def test_closed_sum_ignores_the_quadrature_config():

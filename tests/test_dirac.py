@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 
 import hermgrid
 from hermgrid import dirac
-from hermgrid.errors import DomainError, NonconvergenceError
+from hermgrid.errors import DomainError, NonconvergenceError, OrderTooLargeError
 from hermgrid.hermite import phi_row, xi
 from hermgrid.quadrature import QuadratureConfig, gauss_hermite, gauss_legendre, weighted_phi_table
 
@@ -372,3 +373,29 @@ def test_s_plus_identical_across_thread_counts():
         outs.append(run.stdout)
     assert len(outs[0]) == 3 * 16 * 16
     assert outs[0] == outs[1]
+
+
+def test_s_plus_refuses_a_pair_past_its_work_budget(monkeypatch):
+    # (100,100,100)^2 (6.5 s) and (300,200,0)/(100,0,0) (6.4 s) stay within
+    # the budget, checked here without their evaluation; (150,150,150)^2
+    # and (300,300,300)^2 are refused before any rule is built
+    evaluated = []
+    monkeypatch.setattr(dirac, "_s_plus_eval", lambda *args: evaluated.append(args[:2]) or np.zeros((4, 4)))
+    cfg = QuadratureConfig()
+    accepted = [((100, 100, 100), (100, 100, 100)), ((300, 200, 0), (100, 0, 0))]
+    for n, nhat in accepted:
+        dirac.s_plus_green(n, nhat, 0.4, 1.0, cfg)
+    assert evaluated == [pair for pair in accepted for _ in range(2)]
+    evaluated.clear()
+    rules = dirac._radial_rule.cache_info().currsize, dirac._sphere_rule.cache_info().currsize
+    for n in ((150, 150, 150), (300, 300, 300)):
+        with pytest.raises(OrderTooLargeError, match="work"):
+            dirac.s_plus_green(n, n, 0.4, 1.0, cfg)
+    assert evaluated == []
+    assert (dirac._radial_rule.cache_info().currsize, dirac._sphere_rule.cache_info().currsize) == rules
+    # the stated work: sphere points x fine radial nodes x highest order
+    # (226 x 151 x 1800 x 150 for (150,150,150)^2); a pair odd in two axes is
+    # an exact zero whatever its order
+    with pytest.raises(OrderTooLargeError, match=re.escape(f"{226 * 151 * 1800 * 150:.2e}")):
+        dirac._check_work((150, 150, 150), (150, 150, 150), 900)
+    dirac._check_work((1001, 1001, 0), (0, 0, 0), 2002)

@@ -23,9 +23,9 @@ from hermgrid.greens import (
     coulomb_even,
     coulomb_quadrature,
     difference_equation_residual,
+    g_proper_time,
     g_sharp,
     g_sharp_axis,
-    g_tensor,
     green_contract,
     incomplete_gamma_neg_half,
     v_sharp,
@@ -65,22 +65,22 @@ def test_index_validation():
 def test_coincidence_value_three_routes():
     closed = yukawa_coincidence(1.0)
     assert closed == pytest.approx(COINCIDENCE_AT_1, rel=1e-15)
-    tensor = g_tensor((0, 0, 0), (0, 0, 0), 1.0, CFG)
+    proper_time = g_proper_time((0, 0, 0), (0, 0, 0), 1.0, CFG)
     axis = g_sharp_axis(0, 1.0, CFG)
-    assert tensor.value.real == pytest.approx(closed, abs=1e-7)
-    assert abs(tensor.value.imag) <= 1e-12
+    assert abs(proper_time.value - COINCIDENCE_AT_1) <= proper_time.err_estimate
+    assert proper_time.value.imag == 0.0
     assert axis.value.real == pytest.approx(closed, abs=1e-12)
 
 
 def test_tensor_parity_zero_and_small_mass_example():
     odd = g_sharp((1, 0, 0), (0, 0, 0), 1.0, CFG)
     assert odd.value == 0 and odd.err_estimate == 0.0
-    small = g_tensor((2, 0, 0), (0, 0, 0), 1e-3, CFG)
+    small = g_proper_time((2, 0, 0), (0, 0, 0), 1e-3, CFG)
     # near the massless limit the value sits an O(mu) step from the
     # massless closed form
     assert small.value.real == pytest.approx(0.942809, abs=5e-3)
     axis = g_sharp_axis(2, 1e-3, CFG)
-    assert small.value.real == pytest.approx(axis.value.real, abs=1e-5)
+    assert abs(small.value - axis.value) <= small.err_estimate + axis.err_estimate
 
 
 def test_tensor_conjugation_symmetry():
@@ -90,15 +90,24 @@ def test_tensor_conjugation_symmetry():
 
 
 def test_tensor_nonconvergence_gate():
-    with pytest.raises(NonconvergenceError):
-        g_tensor((4, 0, 0), (2, 0, 0), 0.5, QuadratureConfig(tol=1e-16))
+    # the proper-time sum's rounding bound, 1.4e-15 here, is gated at
+    # 100 * tol like the closed sum's; g_sharp raises once both fail
+    pair = ((4, 0, 0), (2, 0, 0))
+    assert g_proper_time(*pair, 0.5, QuadratureConfig(tol=1e-16)).err_estimate <= 1e-14
+    for route in (g_proper_time, g_sharp):
+        with pytest.raises(NonconvergenceError, match="exceeds the gate"):
+            route(*pair, 0.5, QuadratureConfig(tol=1e-18))
 
 
 def test_refine_disabled_reports_nan_error():
-    v = g_tensor((0, 0, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False))
+    v = coulomb_quadrature(2, QuadratureConfig(refine=False))
     assert math.isnan(v.err_estimate)
+    # the Green's values run no refinement: the same value and estimate
+    for n, nhat in (((0, 0, 0), (0, 0, 0)), ((8, 8, 8), (8, 8, 8))):
+        assert (g_proper_time(n, nhat, 0.3, QuadratureConfig(refine=False))
+                == g_proper_time(n, nhat, 0.3, CFG))
     # a parity zero is exact, refined or not
-    assert g_tensor((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
+    assert g_proper_time((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
     assert g_sharp((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
     # the axis values are closed forms: no refinement, the same estimate
     for n1 in (0, 4):
@@ -146,9 +155,9 @@ def test_axis_high_order_large_mass_regression():
 
 def test_axis_agrees_with_tensor_above_branch():
     for mu in (1.5, 4.0):
-        t = g_tensor((4, 0, 0), (0, 0, 0), mu, CFG)
+        t = g_proper_time((4, 0, 0), (0, 0, 0), mu, CFG)
         a = g_sharp_axis(4, mu, CFG)
-        assert t.value.real == pytest.approx(a.value.real, abs=2e-12)
+        assert abs(t.value - a.value) <= t.err_estimate + a.err_estimate
 
 
 def test_incomplete_gamma_values():
@@ -395,7 +404,7 @@ def test_numpy_scalar_mass_whose_square_overflows_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: g_sharp((0, 0, 0), (0, 0, 0), mu, CFG),
-                     lambda: g_tensor((2, 0, 0), (0, 0, 0), mu, CFG),
+                     lambda: g_proper_time((2, 0, 0), (0, 0, 0), mu, CFG),
                      lambda: green_contract(w, w, w, 1.0, 0.0, mu, 8)):
             with pytest.raises(DomainError, match="finite"):
                 call()
@@ -463,18 +472,18 @@ def test_axis_tables_grow_by_doubling_and_agree():
 
 def test_parity_zero_builds_nothing():
     clear_caches()
-    for route in (g_sharp, g_tensor):
+    for route in (g_sharp, g_proper_time):
         v = route((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
         assert v == GreensValue(complex(1j * 0.0), 0.0)
     assert _proper_time_rule.cache_info().currsize == 0
-    assert greens._pair_model.cache_info().currsize == 0
+    assert greens._scaled_rule.cache_info().currsize == 0
     assert _closed_coefficients.cache_info().currsize == 0
     assert _axis_table.cache_info().currsize == 0
     clear_caches()
 
 
 def test_parity_zero_checks_the_mass_first():
-    for route in (g_sharp, g_tensor):
+    for route in (g_sharp, g_proper_time):
         with pytest.raises(DomainError):
             route((1, 0, 0), (0, 0, 0), 1e300, CFG)
         with pytest.raises(DomainError):
@@ -486,11 +495,12 @@ def test_parity_zero_checks_the_mass_first():
 def test_ball_constants_match_mpmath():
     # b0 = pi^1.5 mu e^{mu^2} Gamma(-1/2, mu^2) and b2 = (pi^1.5 - mu^2 b0)/3;
     # the subtraction in b2 cancels to about 1.5/mu^2 of pi^1.5, which the
-    # 60-digit reference absorbs and the float form must not meet
+    # 60-digit reference absorbs and the float form, read off the axis
+    # table at every mass, must not meet
     mp = pytest.importorskip("mpmath")
     worst = 0.0
     with mp.workdps(60):
-        for mu in np.logspace(0, 5, 41):
+        for mu in np.logspace(-3, 5, 65):
             m = mp.mpf(float(mu))
             b0 = mp.pi ** 1.5 * m * mp.exp(m * m) * mp.gammainc(-0.5, m * m)
             b2 = (mp.pi ** 1.5 - m * m * b0) / 3
@@ -500,40 +510,43 @@ def test_ball_constants_match_mpmath():
 
 
 def test_tensor_agrees_with_axis_at_large_mass():
-    # the pole constants' error does not show in the tensor route's
-    # refinement defect; the axis route has no such constant
+    # the 3D proper-time sum against the axis route, where the pole
+    # constants of the tensor route it replaced were 4.4e-15 off
     for mu in (3.1, 30.0, 100.0):
         for n1 in (0, 2, 4, 6):
-            t = g_tensor((n1, 0, 0), (0, 0, 0), mu, CFG)
+            t = g_proper_time((n1, 0, 0), (0, 0, 0), mu, CFG)
             a = g_sharp_axis(n1, mu, CFG)
             floor = 8 * 2.0 ** -52 * abs(a.value)
             assert abs(t.value - a.value) <= t.err_estimate + a.err_estimate + floor, (mu, n1)
 
 
 def test_tensor_values_lie_within_their_estimates():
-    # axis pairs n1 <= 10 at 21 masses in [0.3, 200] and gh_nodes 16 to 256
-    # against the closed axis values: every value that passes its gate lies
-    # within its err_estimate (at most 0.23 of it when this was written)
-    worst, converged = 0.0, 0
-    for gh in (16, 32, 64, 128, 256):
-        cfg = QuadratureConfig(gh_nodes=gh)
-        for mu in np.logspace(math.log10(0.3), math.log10(200.0), 21):
-            for n1 in range(11):
-                try:
-                    t = g_tensor((n1, 0, 0), (0, 0, 0), float(mu), cfg)
-                except NonconvergenceError:
-                    continue
-                converged += 1
-                gap = abs(t.value - g_sharp_axis(n1, float(mu), cfg).value)
-                assert gap <= t.err_estimate, (gh, mu, n1)
-                if t.err_estimate:
-                    worst = max(worst, gap / t.err_estimate)
-        clear_caches()
-    assert converged >= 1100 and worst <= 0.5
+    # axis pairs n1 <= 40 at 25 masses in [1e-3, 1e4] and six past them,
+    # against mpmath's hyperu: every 3D proper-time value lies within its
+    # err_estimate, and within one ulp-sized step of the axis value
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    masses = [float(mu) for mu in np.logspace(-3, 4, 25)] + [1e-300, 1e-30, 1e10, 1e30, 1e100, 1e150]
+    with mp.workdps(30):
+        for mu in masses:
+            x = mp.mpf(mu) ** 2
+            for n1 in range(0, 41, 2):
+                j = n1 // 2
+                want = mp.sqrt(mp.factorial(n1)) / 2 ** j * mp.hyperu(j + 1, 0.5, x)
+                t = g_proper_time((n1, 0, 0), (0, 0, 0), mu, CFG)
+                gap = float(abs(t.value.real - want))
+                assert t.value.imag == 0.0 and gap <= t.err_estimate, (mu, n1)
+                worst = max(worst, gap / t.err_estimate)
+                a = g_sharp_axis(n1, mu, CFG)
+                assert abs(t.value - a.value) <= t.err_estimate + a.err_estimate + math.ulp(a.value.real)
+    assert worst <= 0.5
 
 
 def test_clear_caches_empties_every_cache():
-    g_tensor((2, 0, 0), (0, 0, 0), 0.9, CFG)
+    w = gauss_hermite(16)[1]
+    green_contract(w, w, w, 1.0, 0.0, 0.9, 16)
+    greens.origin_rows(4)
+    g_proper_time((2, 0, 0), (0, 0, 0), 0.9, CFG)
     g_sharp((2, 1, 0), (0, 1, 2), 0.9, CFG)
     g_sharp_axis(4, 0.5, CFG)
     coulomb_quadrature(2, CFG)
@@ -541,7 +554,7 @@ def test_clear_caches_empties_every_cache():
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
     assert _proper_time_rule in caches and _axis_table in caches
-    assert greens.origin_rows in caches and greens._pair_model in caches
+    assert greens.origin_rows in caches and greens._scaled_rule in caches
     assert _closed_coefficients in caches
     assert len(caches) >= 7
     assert all(f.cache_info().currsize > 0 for f in caches)
@@ -550,52 +563,40 @@ def test_clear_caches_empties_every_cache():
 
 
 def test_g_sharp_does_not_depend_on_what_ran_before():
-    # the proper-time tables depend on the mass and node count alone, so a
+    # the proper-time lattice depends on the mass and the pair alone, so a
     # value computed first in a clean process equals the value computed
     # after other pairs at the same mass have run
     mu = 1.37
-    pair = ((2, 1, 0), (0, 1, 2))
+    pairs = (((2, 1, 0), (0, 1, 2)), ((8, 8, 8), (8, 8, 8)))
     clear_caches()
-    first = g_sharp(*pair, mu, CFG), g_tensor(*pair, mu, CFG)
+    first = [(g_sharp(*pair, mu, CFG), g_proper_time(*pair, mu, CFG)) for pair in pairs]
     clear_caches()
-    for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2))):
+    for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2)),
+                  ((10, 8, 8), (8, 8, 6))):
         g_sharp(*other, mu, CFG)
-        g_tensor(*other, mu, CFG)
-    # one proper-time table per refinement level serves every pair here
-    assert _proper_time_rule.cache_info().currsize == 2
-    assert (g_sharp(*pair, mu, CFG), g_tensor(*pair, mu, CFG)) == first
+        g_proper_time(*other, mu, CFG)
+    # Green's values build no grid table
+    assert _proper_time_rule.cache_info().currsize == 0
+    assert [(g_sharp(*pair, mu, CFG), g_proper_time(*pair, mu, CFG)) for pair in pairs] == first
     clear_caches()
 
 
-def test_pair_model_is_the_taylor_data_of_the_pair_product():
-    # c0 and c2 of green_contract's pole model are the value and the summed
-    # per-axis half-second derivatives at the origin of prod_a phi_{n_a}
-    # phi_{nhat_a} (here by central differences); a pair with one odd axis
-    # has c0 = 0 and c2 from that axis' first derivatives alone
+def test_origin_rows_are_the_taylor_data_of_the_basis():
+    # the columns phi_n(0), phi_n'(0) and phi_n''(0), from which the pole
+    # models of green_contract take their Taylor data, against central
+    # differences of phi_n
     h = 1e-3
-
-    def axis(a, b, x):
-        rows = phi_row(max(a, b), np.array([x]))[:, 0]
-        return float(rows[a] * rows[b])
-
     greens.clear_caches()
-    pairs = (((0, 0, 0), (0, 0, 0)), ((2, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2)),
-             ((1, 2, 0), (3, 0, 2)), ((6, 1, 4), (8, 3, 2)), ((10, 9, 0), (12, 1, 16)))
-    for n, nhat in pairs:
-        at0 = [axis(a, b, 0.0) for a, b in zip(n, nhat)]
-        half2 = [(axis(a, b, h) - 2.0 * q0 + axis(a, b, -h)) / (2.0 * h * h)
-                 for (a, b), q0 in zip(zip(n, nhat), at0)]
-        c0, c2 = greens._pair_model(n, nhat)
-        assert c0 == pytest.approx(at0[0] * at0[1] * at0[2], rel=1e-13, abs=1e-300), (n, nhat)
-        want = half2[0] * at0[1] * at0[2] + at0[0] * half2[1] * at0[2] + at0[0] * at0[1] * half2[2]
-        assert c2 == pytest.approx(want, rel=1e-5, abs=1e-12), (n, nhat)
-        assert c2 != 0.0 or n == nhat == (0, 0, 0)
-    # one cached model per pair, read off shared read-only origin tables
-    assert greens._pair_model.cache_info().currsize == len(pairs)
     rows = greens.origin_rows(16)
     assert rows.shape == (17, 3) and not rows.flags.writeable
+    around = phi_row(16, np.array([-h, 0.0, h]))
+    assert np.array_equal(rows[:, 0], around[:, 1])
+    assert np.allclose(rows[:, 1], (around[:, 2] - around[:, 0]) / (2.0 * h), rtol=1e-5, atol=1e-12)
+    second = (around[:, 2] - 2.0 * around[:, 1] + around[:, 0]) / (h * h)
+    assert np.allclose(rows[:, 2], second, rtol=1e-5, atol=1e-9)
+    assert greens.origin_rows.cache_info().currsize == 1
     greens.clear_caches()
-    assert greens._pair_model.cache_info().currsize == greens.origin_rows.cache_info().currsize == 0
+    assert greens.origin_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("axis", (0, 1, 2))

@@ -27,6 +27,7 @@ from hermgrid.quadrature import (
     QuadratureConfig,
     fold_even,
     gauss_hermite,
+    refined,
     sized_cache,
     weighted_phi_table,
 )
@@ -277,14 +278,21 @@ def test_sized_cache_holds_its_budget():
 
 def test_tiny_mass_on_an_odd_grid_raises_without_a_warning():
     # an odd grid puts a node at y = mu^2; where mu^2 is subnormal or 0 the
-    # rule stops at y_min = 2^-1000, so the coarse level is large but finite
-    # and the gate refuses the value (a denominator cube overflowed here)
+    # rule stops at y_min = 2^-1000, so the coarse level of the refined
+    # contraction is large but finite and the gate refuses the value (a
+    # denominator cube overflowed here)
+    def contract(mu, n_nodes):
+        table = weighted_phi_table(2, n_nodes)
+        return green_contract(table[2] * table[0], table[0] ** 2, table[0] ** 2, 0.0, 0.0, mu, n_nodes)
+
+    cfg = QuadratureConfig(gh_nodes=9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mu in (1e-160, 1e-200):
             assert np.all(np.isfinite(greens._proper_time_rule(mu, 9)))
+            assert np.all(np.isfinite(contract(mu, 9)))
             with pytest.raises(NonconvergenceError):
-                greens.g_tensor((2, 0, 0), (0, 0, 0), mu, QuadratureConfig(gh_nodes=9))
+                refined(lambda k: contract(mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol, "probe")
     greens.clear_caches()
 
 
