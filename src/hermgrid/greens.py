@@ -9,14 +9,12 @@ The central object is
 which inverts (sharp Laplacian - mu^2) with a Kronecker source and stays
 finite at coincidence, unlike its continuum counterpart.
 
-Closed sums.  Write 1/(k.k + mu^2) as the proper-time integral
-int_0^inf e^{-t (k.k + mu^2)} dt and set s = 1/(1+t), tau = 1 - s.  The
-Gaussian integral over k then factorizes per axis into a polynomial in tau,
-and the integral over t of each power tau^l is l! U(l+1, 1/2, mu^2), with U
-Tricomi's confluent hypergeometric function (DLMF 13.4.4).  So every value
-is a finite sum over one per-mass table (g_sharp, the reduction McMurchie
-and Davidson use for Coulomb integrals over Hermite Gaussians), and along
-one axis a single entry of it:
+Closed forms.  Write 1/(k.k + mu^2) as the proper-time integral
+int_0^inf e^{-t (k.k + mu^2)} dt and set s = 1/(1+t), tau = 1 - s.  Along
+one axis the Gaussian integral over k is a single power tau^j, and the
+integral over t of tau^j is j! U(j+1, 1/2, mu^2), with U Tricomi's
+confluent hypergeometric function (DLMF 13.4.4), so each axis value is one
+entry of a per-mass table:
 
     G((2j,0,0), (0,0,0); mu) = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2)
 
@@ -28,10 +26,9 @@ coincidence value and the axis table (_axis_table), which runs the
 recurrence forward instead where mu^2 j is small, and the table's first two
 entries give the pole constants of the exchange element's contraction.
 
-Proper-time sum.  Where the monomial sum cancels (high order, small mu),
-g_sharp takes the proper-time integral as a trapezoid rule in log t, each
-axis' Gaussian integral an exact Gauss-Hermite sum (g_proper_time, also the
-route the checks and the CLI compare with).  The same rule separates the 3D
+Proper-time sum.  Every other pair (g_sharp) takes the proper-time
+integral as a trapezoid rule in log t, each axis' Gaussian integral an
+exact Gauss-Hermite sum (g_proper_time).  The same rule separates the 3D
 kernel of the exchange element (green_contract), which still sums on a
 Gauss-Hermite grid and subtracts a quadratic pole model at the origin.
 """
@@ -40,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul, truediv
@@ -79,10 +75,10 @@ class GreensValue:
 
 def clear_caches() -> None:
     """Drop every cache of this module: proper-time rules, pole constants,
-    origin tables, scaled Gauss-Hermite rules, closed-sum coefficients,
-    angular moments and axis tables."""
+    origin tables, scaled Gauss-Hermite rules, angular moments and axis
+    tables."""
     for cached in (_proper_time_rule, _ball_defects, origin_rows, _scaled_rule,
-                   _closed_coefficients, _angular_moment, _axis_table, _table_steps):
+                   _angular_moment, _axis_table, _table_steps):
         cached.cache_clear()
 
 
@@ -275,87 +271,22 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     return GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * value), err)
 
 
-@lru_cache(maxsize=4096)
-def _closed_coefficients(n: tuple[int, ...], nhat: tuple[int, ...]) -> tuple[tuple[int, float], ...]:
-    """The nonzero (l, R_l) of the closed sum of a parity-allowed pair
-    (g_sharp), l ascending.  The one-axis factors c_l are exact rationals;
-    their product q and each R_l^2 stay exact, and one square root per R_l
-    follows, so an axis pair's single R_j is exactly 1.  An R_l past the
-    double range is inf.  Cached per pair: every mass asks for the same."""
-    q = [Fraction(1)]
-    scale = Fraction(1)
-    for a, b in zip(n, nhat):
-        half, low = (a + b) // 2, abs(a - b) // 2
-        c = [Fraction(0)] * low + [
-            Fraction((-1) ** l * 2 ** (half - l) * math.comb(2 * l, a - half + l),
-                     math.factorial(half - l) * math.factorial(l))
-            for l in range(low, half + 1)]
-        q = [sum(q[i] * c[l - i] for i in range(max(0, l - half), min(l, len(q) - 1) + 1))
-             for l in range(len(q) + half)]
-        scale *= Fraction(math.factorial(a) * math.factorial(b), 2 ** (a + b))
-    # i^(sum n - sum nhat) = -1 when half that even difference is odd
-    flip = (sum(n) - sum(nhat)) // 2 % 2 == 1
-    out = []
-    for l, ql in enumerate(q):
-        if ql:
-            square = ql * ql * scale * Fraction(math.factorial(l) ** 2 * 4 ** l, math.factorial(2 * l))
-            try:
-                r = math.sqrt(square)
-            except OverflowError:
-                r = math.inf
-            # the sign from the exact q_l, which may underflow as a float,
-            # so compared as a Fraction
-            out.append((l, -r if (ql < 0) != flip else r))
-    return tuple(out)
-
-
-def _g_closed(n: tuple[int, ...], nhat: tuple[int, ...], mu: float) -> GreensValue:
-    """The closed sum of a parity-allowed pair (g_sharp) with its rounding
-    bound, whatever that bound is; NaN where a term leaves the double range."""
-    coefficients = _closed_coefficients(n, nhat)
-    table = _axis_entries(mu, coefficients[-1][0] + 1)
-    terms = [r * table[l] for l, r in coefficients]
-    err = 2.0 ** -52 * sum((4 * l + 72) * (abs(t) + (abs(r) + 1.0) * 2.0 ** -1022)
-                           for (l, r), t in zip(coefficients, terms))
-    # a finite bound keeps every partial sum of fsum finite
-    value = math.fsum(terms) if err < math.inf else math.nan
-    return GreensValue(complex(value), err)
-
-
 def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
-    """G(n, nhat; mu) as the exact finite sum over the axis table
-    (module docstring),
-
-        G = sum_{l=0}^{D} R_l g_l(mu),   D = sum_a (n_a + nhat_a) / 2,
-
-    g_l the entry l of _axis_table, (sqrt((2l)!) / 2^l) U(l+1, 1/2, mu^2),
-    and R_l = i^(sum n - sum nhat) q_l l! 2^l / sqrt((2l)!) prod_a
-    sqrt(n_a! nhat_a! / 2^(n_a + nhat_a)).  q is the product, as
-    polynomials in tau = 1 - s, of the per-axis sequences
-    c_l = (-1)^l 2^k C(2l, n_a - k) / (k! l!), k = (n_a + nhat_a)/2 - l,
-    for |n_a - nhat_a|/2 <= l <= (n_a + nhat_a)/2: the per-axis Gaussian
-    integral is sqrt(pi) n! m! [a^n b^m] e^{2ab - (a+b)^2 tau}, and the
-    proper-time integral of each tau^l is l! U(l+1, 1/2, mu^2) (DLMF 13.4.4).
-    The i^(sum n - sum nhat) phase makes parity-allowed values real.  An
-    axis pair ((2j,0,0), (0,0,0)) has the single term R_j = 1 and returns
-    g_sharp_axis(2j) to the bit.  A pair that violates parity on some axis
-    is returned as the exact zero phase * 0.0, err_estimate 0.0.
-
-    err_estimate of the sum is the rounding bound
-    2^-52 sum_l (4l + 72)(|R_l g_l| + (|R_l| + 1) 2^-1022): the table's own
-    (4l + 64) ulps per entry, and 8 more for R_l, the product and the sum.
-    The sum cancels at high order and small mu ((8,8,8) against itself at
-    mu = 0.3 has a bound of 5e-6), and past order about 400 its R_l leave
-    the double range.  Where the bound exceeds the gate of the Green's
-    values, 100 * cfg.tol (the one field read), the value is g_proper_time,
-    with its own bound and gate.  Within the gate the sum is returned even
-    where g_proper_time is far tighter: 3.5e-8 for (8,8,8)^2 at mu = 1.
+    """G(n, nhat; mu) by the one route for its kind of pair.  A pair that
+    violates parity on some axis is the exact zero phase * 0.0,
+    err_estimate 0.0.  An axis pair, (0,0,0) against an index with at most
+    one nonzero component n1, on any axis and in either order, is
+    g_sharp_axis(n1): one entry of the per-mass table (module docstring),
+    the coincidence value at n1 = 0, whatever cfg holds.  Every other pair
+    is g_proper_time, with its own bound, gated at 100 * cfg.tol (the one
+    field read).
     """
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
-    closed = _g_closed(n, nhat, mu)
-    return closed if closed.err_estimate <= 100.0 * cfg.tol else g_proper_time(n, nhat, mu, cfg)
+    if sum(map(bool, n + nhat)) <= 1:
+        return g_sharp_axis(max(n + nhat), mu, cfg)
+    return g_proper_time(n, nhat, mu, cfg)
 
 
 # Entries of the default axis table, n1 = 0, 2, ..., 40; a higher order asks

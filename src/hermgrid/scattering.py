@@ -260,9 +260,13 @@ def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
 def continuum_moller_reduced(kin: MollerKinematics) -> complex:
     """Continuum counterpart: prefactor / (||q||^2 + mu^2) with transfer
     q = p1 - p1', the value the discrete element should approach for
-    well-resolved low-momentum kinematics."""
+    well-resolved low-momentum kinematics.  DomainError where that is not
+    a finite double (a subnormal mu^2 at zero transfer)."""
     q2 = sum((kin.p1[a] - kin.p1_out[a]) ** 2 for a in range(3))
     denom = q2 + kin.mu ** 2
     if denom == 0:
         raise DomainError("zero momentum transfer at mu = 0 has no continuum value")
-    return complex(kin.prefactor / denom)
+    val = kin.prefactor / denom
+    if not math.isfinite(val):
+        raise DomainError(f"continuum element at q^2 = {q2}, mu = {kin.mu} is not a finite double: {val}")
+    return complex(val)

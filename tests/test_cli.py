@@ -355,6 +355,19 @@ def test_moller_cutoff_errors_name_the_vertex_flag(capsys, cutoff):
     assert f"error: --vertex-n-max: accepted range is n_max >= 1, got {cutoff}" in err
 
 
+@pytest.mark.filterwarnings("ignore::hermgrid.errors.TruncationWarning")
+def test_moller_continuum_overflow_is_a_domain_error(capsys):
+    # zero transfer at mu^2 = 1e-320, a subnormal: the continuum value
+    # overflows, which printed inf and exited 0 (the element is computed
+    # first, at the default tol, and warns of its truncation)
+    rc, out, err = run_cli(capsys, "moller", "--p1", "0.1,0,0", "--p2", "0,0.1,0",
+                           "--p1-out", "0.1,0,0", "--p2-out", "0,0.1,0",
+                           "--mu", "1e-160", "--gh-nodes", "8")
+    assert rc == 2 and out == "" and "Traceback" not in err
+    (line,) = [l for l in err.splitlines() if l.startswith("error:")]
+    assert "DomainError" in line and "not a finite double" in line
+
+
 def test_moller_spin_validation(capsys):
     rc, _, err = run_cli(capsys, "moller", "--p1", "0,0,0", "--p2", "0,0,0",
                          "--p1-out", "0,0,0", "--p2-out", "0,0,0", "--mu", "1",

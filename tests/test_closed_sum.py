@@ -1,7 +1,7 @@
-"""g_sharp as the finite sum over the per-mass axis table, against mpmath.
+"""g_sharp against mpmath: an axis pair reads one entry of the per-mass
+axis table, every other pair is the proper-time sum (g_proper_time).
 
-Two references that do not use the float coefficients of the sum.  Both
-start from the integer coefficients of the Hermite polynomials: per axis,
+Two references that share no code with either route.  Both start from the integer coefficients of the Hermite polynomials: per axis,
 the Gaussian integral of phi_n phi_nhat at y sqrt(s) is the polynomial
 J(s) = sum_p h_{2p} (2p - 1)!! / 2^p s^p / sqrt(2^(n+nhat) n! nhat!),
 h the coefficients of H_n H_nhat, and
@@ -12,11 +12,10 @@ The proper-time reference integrates that directly (mp.quad in u = sqrt(s)),
 so it shares nothing with the tau expansion.  The Tricomi reference
 re-expands the exact polynomial in tau = 1 - s and integrates each power
 exactly, integral s^{-1/2} tau^l e^{-mu^2 tau/s} ds = l! U(l+1, 1/2, mu^2),
-in 40-digit arithmetic: fast enough for a sweep, and exact where the float
-sum cancels.
+in 40-digit arithmetic: fast enough for a sweep, and exact where a float
+sum over the same powers would cancel.
 """
 
-import itertools
 import math
 import random
 import warnings
@@ -28,7 +27,7 @@ import pytest
 from hermgrid import greens
 from hermgrid.checks import _check_greens_cross_method
 from hermgrid.errors import NonconvergenceError, OrderTooLargeError
-from hermgrid.greens import _g_closed, g_proper_time, g_sharp, g_sharp_axis
+from hermgrid.greens import g_proper_time, g_sharp, g_sharp_axis
 from hermgrid.quadrature import QuadratureConfig
 
 mp = pytest.importorskip("mpmath")
@@ -144,10 +143,18 @@ def test_closed_sum_matches_the_proper_time_integral():
     for mu in (1e-3, 0.3, 0.9, 3.1, 30.0):
         for n, nhat in pairs:
             got = g_sharp(n, nhat, mu, CFG)
-            assert got == _g_closed(n, nhat, mu), (n, nhat, mu)
+            if sum(map(bool, n + nhat)) <= 1:
+                assert got == g_sharp_axis(n[0], mu, CFG), (n, nhat, mu)
+            else:
+                assert got == g_proper_time(n, nhat, mu, CFG), (n, nhat, mu)
             truth = proper_time_truth(n, nhat, mu)
             gap = float(abs(got.value.real - truth))
             assert got.value.imag == 0.0
+            if got.err_estimate == 0.0:
+                # the coincidence value, whose closed form states no
+                # rounding bound: 1.2 ulps off at mu = 3.1
+                assert gap <= 2.0 * math.ulp(got.value.real), (n, nhat, mu, gap)
+                continue
             assert gap <= got.err_estimate, (n, nhat, mu, gap, got.err_estimate)
             worst = max(worst, gap / got.err_estimate)
     assert worst < 0.5
@@ -163,15 +170,15 @@ def test_closed_sum_lies_within_its_bound():
     worst = 0.0
     for mu in (1e-4, 1e-3, 0.01, 0.1, 0.3, 0.7, 1.0, 3.1, 10.0, 100.0, 1e3):
         for n, nhat in pairs:
-            got = _g_closed(n, nhat, mu)
+            got = g_sharp(n, nhat, mu, CFG)
             truth = tricomi_truth(n, nhat, mu)
             gap = float(abs(got.value.real - truth))
             assert gap <= got.err_estimate, (n, nhat, mu, gap, got.err_estimate)
             worst = max(worst, gap / got.err_estimate)
-    # order 300, where R_l reaches 4e89 and some q_l are below the
-    # smallest double: at large mass the terms fall fast enough
+    # order 300, where a sum over the powers of tau would carry
+    # coefficients of 4e89, some of them below the smallest double
     for mu in (100.0, 1e3):
-        got = _g_closed((300, 0, 0), (300, 0, 0), mu)
+        got = g_sharp((300, 0, 0), (300, 0, 0), mu, CFG)
         truth = tricomi_truth((300, 0, 0), (300, 0, 0), mu)
         worst = max(worst, float(abs(got.value.real - truth)) / got.err_estimate)
     assert worst < 0.5
@@ -194,39 +201,24 @@ def test_axis_pairs_are_the_axis_values_to_the_bit():
             assert got.value == g_sharp_axis(n1, mu, CFG).value, (mu, n1)
 
 
-# (n1,0,0) against itself at mu = 1, from the closed sum's exact rational
-# coefficients and mpmath's hyperu at 300 and 400 digits (the two agree to
-# every digit shown); at 40 digits tricomi_truth gives 5e41 for n1 = 200
+# (n1,0,0) against itself at mu = 1, from the exact rational coefficients
+# of the sum over the powers of tau and mpmath's hyperu at 300 and 400
+# digits (the two agree to every digit shown); at 40 digits tricomi_truth
+# gives 5e41 for n1 = 200
 HIGH_ORDER_AT_1 = {200: 0.0377607658372639369, 300: 0.0308675631045899395,
                    400: 0.0267477353984268350}
 
 
 def test_ill_conditioned_sums_fall_back_to_the_proper_time_sum():
-    # (8,8,8) against itself at mu = 0.3: the sum's bound is 5.2e-6, the
-    # proper-time sum is within 2e-14 of the truth
-    pair = ((8, 8, 8), (8, 8, 8))
-    closed = _g_closed(*pair, 0.3)
-    assert closed.err_estimate > 100.0 * CFG.tol
-    got = g_sharp(*pair, 0.3, CFG)
-    assert got == g_proper_time(*pair, 0.3, CFG)
-    assert got.err_estimate <= 1e-13
-    assert abs(got.value.real - tricomi_truth(*pair, 0.3)) <= got.err_estimate
-    assert abs(got.value - closed.value) <= got.err_estimate + closed.err_estimate
-    # at mu = 1 the same sum is within the gate and is returned
-    assert g_sharp(*pair, 1.0, CFG) == _g_closed(*pair, 1.0)
-    # a looser gate keeps the sum, and refinement does not change it
-    loose = QuadratureConfig(tol=1e-7, refine=False)
-    assert g_sharp(*pair, 0.3, loose) == closed
-    # past the double range of R_l the sum has no bound, and the
-    # proper-time sum answers, where the tensor route raised
-    assert _g_closed((400, 0, 0), (400, 0, 0), 1.0).err_estimate == math.inf
+    # high orders, where the float sum over the powers of tau left the
+    # double range and the tensor route raised
     for n1, want in HIGH_ORDER_AT_1.items():
         got = g_sharp((n1, 0, 0), (n1, 0, 0), 1.0, CFG)
         assert got.value.imag == 0.0
         assert abs(got.value.real - want) <= got.err_estimate <= 2e-13, n1
-    # where both bounds fail the gate, a typed error, not a value
+    # where the bound fails the gate, a typed error, not a value
     with pytest.raises(NonconvergenceError, match="exceeds the gate"):
-        g_sharp(*pair, 0.3, QuadratureConfig(tol=1e-16))
+        g_sharp((8, 8, 8), (8, 8, 8), 0.3, QuadratureConfig(tol=1e-16))
     # past 728 nodes of an axis' rule (n_a + nhat_a > 1454) the basis seed
     # e^{-y^2/2} leaves the normal range at the outer nodes: a typed error
     # without a warning, where NaN and RuntimeWarnings came out
@@ -240,7 +232,7 @@ def test_ill_conditioned_sums_fall_back_to_the_proper_time_sum():
 
 
 def test_proper_time_sum_lies_within_its_bound():
-    # the 40 pairs of the closed-sum sweep, off-diagonal ones among them,
+    # the 40 pairs of the g_sharp sweep, off-diagonal ones among them,
     # and five high-order pairs at eleven masses over [1e-4, 1e4]: at
     # mu >= 10 the per-axis values of an off-diagonal pair cancel
     rng = random.Random(2027)
@@ -265,47 +257,54 @@ def test_closed_sum_ignores_the_quadrature_config():
             assert g_sharp(n, nhat, 0.5, cfg) == g_sharp(n, nhat, 0.5, CFG)
 
 
-def test_cross_method_check_compares_two_routes():
-    # the check's general pairs take the closed sum, and it still passes
-    for mu in (0.5, 1.0, 2.0):
-        for n, nhat in (((2, 1, 0), (0, 1, 2)), ((3, 1, 2), (1, 1, 0))):
-            greens.clear_caches()
-            assert g_sharp(n, nhat, mu, QuadratureConfig(gh_nodes=96)) == _g_closed(n, nhat, mu)
-            # no proper-time table was built on the way
-            assert greens._proper_time_rule.cache_info().currsize == 0
+def test_cross_method_check_compares_two_routes(monkeypatch):
+    # g_sharp of the check's general pairs is their proper-time sum, so the
+    # check must hold it against another route: off by 1e-9, it fails
     ok, _, obs, _ = _check_greens_cross_method()
     assert ok and obs <= 0.0
+    exact = greens.g_proper_time
+
+    def shifted(n, nhat, mu, cfg):
+        got = exact(n, nhat, mu, cfg)
+        if sum(map(bool, n + nhat)) <= 1:
+            return got
+        return greens.GreensValue(got.value + 1e-9, got.err_estimate)
+
+    monkeypatch.setattr(greens, "g_proper_time", shifted)
+    ok, tol, obs, _ = _check_greens_cross_method()
+    assert not ok and obs > tol
 
 
-def test_coefficients_are_cached_and_exact_on_the_axis():
-    greens.clear_caches()
-    for j in range(12):
-        assert greens._closed_coefficients((2 * j, 0, 0), (0, 0, 0)) == ((j, 1.0),)
-    assert greens._closed_coefficients.cache_info().currsize == 12
-    # conjugate pairs share their coefficients
-    for n, nhat in itertools.islice(_pairs_up_to(3), 200):
-        assert greens._closed_coefficients(n, nhat) == greens._closed_coefficients(nhat, n)
-    greens.clear_caches()
-    assert greens._closed_coefficients.cache_info().currsize == 0
+def test_each_kind_of_pair_takes_its_one_route():
+    # axis pairs on every axis and in both orders are the axis value and
+    # its bound to the bit, the coincidence value among them
+    for mu in (0.05, 0.3, 1.0, 3.1):
+        for n1 in range(41):
+            axis = g_sharp_axis(n1, mu, CFG)
+            for k in range(3):
+                index = tuple(n1 if a == k else 0 for a in range(3))
+                assert g_sharp(index, (0, 0, 0), mu, CFG) == axis, (mu, n1, k)
+                assert g_sharp((0, 0, 0), index, mu, CFG) == axis, (mu, n1, k)
+    # every other pair is the proper-time sum, whose bound here is 2.3e-14
+    # (4.6e-13 relative), where the closed sum over the axis table it
+    # replaced stated 3.5e-8
+    pair = ((8, 8, 8), (8, 8, 8))
+    got = g_sharp(*pair, 1.0, CFG)
+    assert got == g_proper_time(*pair, 1.0, CFG)
+    assert got.err_estimate <= 1e-12 * abs(got.value)
+    assert abs(got.value.real - tricomi_truth(*pair, 1.0)) <= got.err_estimate
 
 
 def test_conjugate_pairs_keep_their_sign_where_q_underflows():
-    # from about order 356 the exact q_l lie below the smallest double; with
-    # the index order swapped the phase exponent is negative
+    # axis pairs at orders where the closed sum's exact coefficients lay
+    # below the smallest double, and a general pair: with the index order
+    # swapped the phase exponent is negative
     for n1 in (356, 360, 400):
         axis = g_sharp_axis(n1, 1.0, CFG)
         forward = g_sharp((n1, 0, 0), (0, 0, 0), 1.0, CFG)
         backward = g_sharp((0, 0, 0), (n1, 0, 0), 1.0, CFG)
         assert backward.value == forward.value == axis.value
         assert backward == forward
-        assert greens._closed_coefficients((0, 0, 0), (n1, 0, 0)) == ((n1 // 2, 1.0),)
     pair = ((2, 0, 0), (0, 300, 0))
-    assert greens._closed_coefficients(*pair) == greens._closed_coefficients(*pair[::-1])
     assert g_sharp(*pair, 2.0, CFG) == g_sharp(*pair[::-1], 2.0, CFG)
 
-
-def _pairs_up_to(top):
-    for n in itertools.product(range(top + 1), repeat=3):
-        for nhat in itertools.product(range(top + 1), repeat=3):
-            if all((a + b) % 2 == 0 for a, b in zip(n, nhat)):
-                yield n, nhat

@@ -15,7 +15,6 @@ from hermgrid.greens import (
     _angular_moment,
     _axis_table,
     _ball_exact,
-    _closed_coefficients,
     _proper_time_rule,
     clear_caches,
     continuum_yukawa,
@@ -91,7 +90,7 @@ def test_tensor_conjugation_symmetry():
 
 def test_tensor_nonconvergence_gate():
     # the proper-time sum's rounding bound, 1.4e-15 here, is gated at
-    # 100 * tol like the closed sum's; g_sharp raises once both fail
+    # 100 * tol, and g_sharp of a general pair is that sum
     pair = ((4, 0, 0), (2, 0, 0))
     assert g_proper_time(*pair, 0.5, QuadratureConfig(tol=1e-16)).err_estimate <= 1e-14
     for route in (g_proper_time, g_sharp):
@@ -293,7 +292,8 @@ def test_difference_equation_residual_examples():
 
 def test_residual_at_default_nodes_vanishes_at_small_mass():
     # the mu = 0.5 border case needed the wider rule while g_sharp was a
-    # tensor quadrature; the closed sums leave rounding only
+    # tensor quadrature; the axis table and the proper-time sums leave
+    # rounding only
     assert difference_equation_residual((2, 0, 0), (2, 0, 0), 0.5, CFG) <= 1e-12
 
 
@@ -477,7 +477,6 @@ def test_parity_zero_builds_nothing():
         assert v == GreensValue(complex(1j * 0.0), 0.0)
     assert _proper_time_rule.cache_info().currsize == 0
     assert greens._scaled_rule.cache_info().currsize == 0
-    assert _closed_coefficients.cache_info().currsize == 0
     assert _axis_table.cache_info().currsize == 0
     clear_caches()
 
@@ -555,7 +554,6 @@ def test_clear_caches_empties_every_cache():
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
     assert _proper_time_rule in caches and _axis_table in caches
     assert greens.origin_rows in caches and greens._scaled_rule in caches
-    assert _closed_coefficients in caches
     assert len(caches) >= 7
     assert all(f.cache_info().currsize > 0 for f in caches)
     clear_caches()
