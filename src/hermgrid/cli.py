@@ -10,6 +10,11 @@ identical flags always produce byte-identical files.
 Exit codes: 0 success, 1 check-suite failure, 2 usage or flag-validation
 error (also any domain or arithmetic error the flags lead to), 3 numerical
 nonconvergence.
+
+The argument parser is built on the first `main` call and reused for the
+life of the process; importing the module builds nothing.  Each subcommand's
+`cmd_*` handler is bound into the parser at that first call, so a caller
+that replaces a handler must do so before it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .checks import run_suite
 from .errors import HermgridError, NonconvergenceError
@@ -314,7 +320,12 @@ def _add_output_flags(sub) -> None:
                           "itself, or the radial estimate sqrt(2 index + 1)")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call and
+    reused after it (parsing leaves it unchanged).  The cmd_* handlers are
+    bound here as each subcommand's default func, so patch them before the
+    first call."""
     parser = argparse.ArgumentParser(
         prog="hermgrid",
         description="Non-singular lattice potentials, Green's functions, and "
@@ -344,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_continuum)
 
-    p = subs.add_parser("greens", help="cross-method Green's function table (3D vs reduced)")
+    p = subs.add_parser("greens", help="closed-form axis values vs the 3D proper-time sum")
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
     _add_quad_flags(p)

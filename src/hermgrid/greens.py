@@ -65,7 +65,7 @@ _SQRT_PI = math.sqrt(math.pi)
 class GreensValue:
     """A Green's function sample plus the honest error bar: a rounding bound
     for g_sharp, g_sharp_axis and g_proper_time, refined or not (0.0 for
-    the exact parity zeros and coincidence value), and for
+    the exact parity zeros only), and for
     coulomb_quadrature the node-doubling defect |value(N) - value(2N)|
     (above 100*tol it raises, see quadrature.refined), NaN unrefined."""
 
@@ -346,12 +346,13 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     form (module docstring): an exact zero for odd n1, and for even n1 = 2j
     entry j of the per-mass table _axis_table.
 
-    At n1 = 0 that is the float yukawa_coincidence(mu), with err_estimate
-    0.0 as for the other closed forms.  Otherwise err_estimate is the
-    rounding bound (4 j + 64)(2^-52 |value| + 2^-1074): four roundings per
-    factor of the table's product and 64 for its seed, which covers the
-    growth of the forward recurrence and the truncation of the backward one;
-    1.0e-13 relative at n1 = 200, and measured against mpmath never reached.
+    At n1 = 0 that is the float yukawa_coincidence(mu).  err_estimate is
+    the rounding bound (4 j + 64)(2^-52 |value| + 2^-1074) at every even
+    n1: four roundings per factor of the table's product and 64 for its
+    seed, which covers the growth of the forward recurrence and the
+    truncation of the backward one (the seed itself, the coincidence value,
+    is up to about 1.2 ulps off); 1.0e-13 relative at n1 = 200, and
+    measured against mpmath never reached.
     No quadrature runs, so cfg is not read; it keeps the routes' call shape.
     """
     n1 = _order(n1)
@@ -361,7 +362,7 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
         return GreensValue(0j, 0.0)
     j = n1 // 2
     value = _axis_entries(mu, j + 1)[j]
-    err = (4 * j + 64) * (2.0 ** -52 * value + 2.0 ** -1074) if j else 0.0
+    err = (4 * j + 64) * (2.0 ** -52 * value + 2.0 ** -1074)
     return GreensValue(complex(value), err)
 
 

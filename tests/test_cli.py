@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so coverage tracks it and the
 fault-injection tests can monkeypatch the check registry.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -132,7 +133,7 @@ def test_greens_table_converges_at_small_mass(capsys):
         assert float(r["abs_difference"]) <= float(r["axis_err"]) + float(r["proper_time_err"])
 
 
-def _run_fresh(*argv, threads="1"):
+def _run_fresh(*argv, threads="1", python=("-m", "hermgrid.cli")):
     # a new interpreter, so nothing is cached and warnings reach stderr
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -140,7 +141,7 @@ def _run_fresh(*argv, threads="1"):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hermgrid.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["HERMGRID_THREADS"] = threads
-    return subprocess.run([sys.executable, "-m", "hermgrid.cli", *argv],
+    return subprocess.run([sys.executable, *python, *argv],
                           capture_output=True, env=env, text=True)
 
 
@@ -446,6 +447,68 @@ def test_tables_identical_across_thread_counts(argv):
         assert run.returncode == 0
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+
+
+def test_import_builds_no_parser():
+    run = _run_fresh(python=("-c", "import hermgrid.cli as cli; "
+                                   "print(cli._build_parser.cache_info().currsize)"))
+    assert run.returncode == 0 and run.stdout == "0\n"
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for argv in (("coulomb", "--n-max", "2"), ("yukawa", "--mu", "1", "--n-max", "2")):
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == 0
+    assert len(used) == 2
+    assert used[0] is used[1] is cli._build_parser()
+
+
+@pytest.mark.parametrize("failing, code, good", [
+    # argparse's own usage failure: --mu is required
+    (["yukawa"], 2, ["yukawa", "--mu", "1", "--n-max", "8"]),
+    # a usage error of the flag checks
+    (["greens", "--mu", "1", "--gh-nodes", "4"], 2, ["greens", "--mu", "1", "--n-max", "6"]),
+    # nonconvergence
+    (["greens", "--mu", "0.5", "--n-max", "4", "--tol", "1e-18"], 3,
+     ["greens", "--mu", "1", "--n-max", "6"]),
+], ids=["argparse-usage", "flag-usage", "nonconvergence"])
+def test_failed_call_leaves_the_next_table_unchanged(capsys, failing, code, good):
+    fresh = _run_fresh(*good)
+    assert fresh.returncode == 0
+    try:
+        rc = cli.main(failing)
+    except SystemExit as exc:
+        rc = exc.code
+    capsys.readouterr()
+    assert rc == code
+    rc, out, err = run_cli(capsys, *good)
+    assert rc == 0 and err == ""
+    assert out == fresh.stdout
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["greens", "--help"], ["yukawa", "--help"]])
+def test_help_prints_after_other_calls(capsys, monkeypatch, argv):
+    # a fixed width, so the in-process and fresh help wrap alike
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = _run_fresh(*argv)
+    assert fresh.returncode == 0
+    for earlier in (("greens", "--mu", "1", "--n-max", "2"), ("coulomb", "--n-max", "2")):
+        run_cli(capsys, *earlier)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, _ = capsys.readouterr()
+    assert out == fresh.stdout and out.startswith("usage: hermgrid")
+    if argv == ["--help"]:
+        assert "closed-form axis values vs the 3D proper-time sum" in out
 
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300)
