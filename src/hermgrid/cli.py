@@ -322,10 +322,7 @@ def _add_output_flags(sub) -> None:
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first main call and
-    reused after it (parsing leaves it unchanged).  The cmd_* handlers are
-    bound here as each subcommand's default func, so patch them before the
-    first call."""
+    """Built once, on the first main call; see the module docstring."""
     parser = argparse.ArgumentParser(
         prog="hermgrid",
         description="Non-singular lattice potentials, Green's functions, and "

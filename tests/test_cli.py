@@ -431,9 +431,10 @@ README_COMMANDS = (
 
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
-def test_tables_identical_across_thread_counts(argv):
+def test_tables_identical_across_thread_counts(capsys, argv):
     # the 3D contractions go through BLAS, whose reduction order could
-    # follow the thread count; the tables must not
+    # follow the thread count; the tables must not.  The in-process call,
+    # on the process's one parser, prints the same bytes as a fresh process.
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
@@ -447,6 +448,10 @@ def test_tables_identical_across_thread_counts(argv):
         assert run.returncode == 0
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out.encode() == outs[0]
 
 
 def test_import_builds_no_parser():
@@ -471,6 +476,14 @@ def test_main_calls_share_one_parser(capsys, monkeypatch):
     assert used[0] is used[1] is cli._build_parser()
 
 
+def _first_call(capsys, argv):
+    # the reference: the same command on a parser built for it
+    cli._build_parser.cache_clear()
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    return out, cli._build_parser()
+
+
 @pytest.mark.parametrize("failing, code, good", [
     # argparse's own usage failure: --mu is required
     (["yukawa"], 2, ["yukawa", "--mu", "1", "--n-max", "8"]),
@@ -481,8 +494,7 @@ def test_main_calls_share_one_parser(capsys, monkeypatch):
      ["greens", "--mu", "1", "--n-max", "6"]),
 ], ids=["argparse-usage", "flag-usage", "nonconvergence"])
 def test_failed_call_leaves_the_next_table_unchanged(capsys, failing, code, good):
-    fresh = _run_fresh(*good)
-    assert fresh.returncode == 0
+    first, parser = _first_call(capsys, good)
     try:
         rc = cli.main(failing)
     except SystemExit as exc:
@@ -491,22 +503,26 @@ def test_failed_call_leaves_the_next_table_unchanged(capsys, failing, code, good
     assert rc == code
     rc, out, err = run_cli(capsys, *good)
     assert rc == 0 and err == ""
-    assert out == fresh.stdout
+    assert out == first
+    assert cli._build_parser() is parser
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["greens", "--help"], ["yukawa", "--help"]])
 def test_help_prints_after_other_calls(capsys, monkeypatch, argv):
-    # a fixed width, so the in-process and fresh help wrap alike
+    # a fixed width, so every help wraps alike
     monkeypatch.setenv("COLUMNS", "80")
-    fresh = _run_fresh(*argv)
-    assert fresh.returncode == 0
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    first, _ = capsys.readouterr()
     for earlier in (("greens", "--mu", "1", "--n-max", "2"), ("coulomb", "--n-max", "2")):
         run_cli(capsys, *earlier)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0
     out, _ = capsys.readouterr()
-    assert out == fresh.stdout and out.startswith("usage: hermgrid")
+    assert out == first and out.startswith("usage: hermgrid")
     if argv == ["--help"]:
         assert "closed-form axis values vs the 3D proper-time sum" in out
 

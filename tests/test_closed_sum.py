@@ -150,8 +150,11 @@ def test_closed_sum_matches_the_proper_time_integral():
             truth = proper_time_truth(n, nhat, mu)
             gap = float(abs(got.value.real - truth))
             assert got.value.imag == 0.0
-            # the coincidence value too, 1.2 ulps off at mu = 3.1
             assert gap <= got.err_estimate, (n, nhat, mu, gap, got.err_estimate)
+            if n == nhat == (0, 0, 0):
+                # the coincidence value, 1.2 ulps off at mu = 3.1: held far
+                # tighter than its stated 64-ulp bound
+                assert gap <= 2.0 * math.ulp(got.value.real), (n, nhat, mu, gap)
             worst = max(worst, gap / got.err_estimate)
     assert worst < 0.5
 
