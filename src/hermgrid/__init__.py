@@ -62,7 +62,6 @@ from .greens import (
     g_sharp,
     g_sharp_axis,
     incomplete_gamma_neg_half,
-    v_sharp,
     w_sharp,
     yukawa_coincidence,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "g_sharp",
     "g_sharp_axis",
     "incomplete_gamma_neg_half",
-    "v_sharp",
     "w_sharp",
     "yukawa_coincidence",
     "MollerKinematics",

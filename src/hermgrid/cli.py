@@ -1,15 +1,20 @@
 """Command-line surface: potential tables, cross-method comparisons, the
 exchange element, and the invariant suites, emitted as deterministic CSV.
 
-Output contract: UTF-8, newline line endings, `#`-prefixed header lines
-echoing the full effective configuration, one column-name row, then data
-rows in index order.  Floats are rendered with repr, the shortest string
-that round-trips to the same double (at most 17 significant digits), so
-identical flags always produce byte-identical files.
+Output contract: UTF-8, newline line endings, `#`-prefixed header lines,
+one column-name row, then data rows in index order.  The header is
+`# command = <name>`, then one `# key = value` line for each flag the
+subcommand takes, defaults included, in the order the parser registers
+them (yukawa adds its closed coincidence value after them); a subcommand
+takes only the flags it reads, so the header echoes exactly its inputs.
+Floats are rendered with repr, the shortest string that round-trips to the
+same double (at most 17 significant digits), so identical flags always
+produce byte-identical files.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage or flag-validation
 error (also any domain or arithmetic error the flags lead to), 3 numerical
-nonconvergence.
+nonconvergence.  Warnings raised while the exchange element is computed
+go to stderr as one `warning:` line each.
 
 The argument parser is built on the first `main` call and reused for the
 life of the process; importing the module builds nothing.  Each subcommand's
@@ -23,7 +28,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .checks import run_suite
@@ -38,24 +44,6 @@ from .greens import (
 )
 from .quadrature import GH_NODES_MAX, QuadratureConfig
 from .scattering import MollerKinematics, VertexTruncation, moller_reduced_element, continuum_moller_reduced
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective configuration of one CLI invocation, echoed verbatim into
-    the output header so every table is self-describing."""
-
-    command: str
-    mu: float
-    m: float
-    g: float
-    n_max: int
-    gh_nodes: int
-    tol: float
-    refine: bool
-    out_path: str
-    x_map: str
-    format: str
 
 
 @dataclass(frozen=True)
@@ -80,6 +68,26 @@ def _require(cond: bool, flag: str, accepted: str, got) -> None:
         raise _UsageError(f"{flag}: accepted range is {accepted}, got {got}")
 
 
+def _check_ranges(args) -> None:
+    """The range checks of the flags the subcommand has, in one fixed order,
+    so the first bad flag is the one reported."""
+    flags = vars(args)
+    # moller's --vertex-n-max fills n_max, so the header echoes the cutoff
+    order_flag, order_min = ("--vertex-n-max", 1) if args.command == "moller" else ("--n-max", 0)
+    checks = (
+        *((f"--{key}", key, "a finite real", math.isfinite) for key in ("mu", "m", "g", "tol")),
+        ("--mu", "mu", "mu >= 0", lambda v: v >= 0),
+        ("--m", "m", "m > 0", lambda v: v > 0),
+        (order_flag, "n_max", f"n_max >= {order_min}", lambda v: v >= order_min),
+        ("--gh-nodes", "gh_nodes", "gh_nodes >= 8", lambda v: v >= 8),
+        ("--gh-nodes", "gh_nodes", f"gh_nodes <= {GH_NODES_MAX}", lambda v: v <= GH_NODES_MAX),
+        ("--tol", "tol", "tol > 0", lambda v: v > 0),
+    )
+    for flag, key, accepted, ok in checks:
+        if key in flags:
+            _require(ok(flags[key]), flag, accepted, flags[key])
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -97,10 +105,12 @@ def _emit(lines: list[str], out_path: str) -> None:
         sys.stdout.write(text)
 
 
-def _table(cfg: RunConfig, columns: list[str], rows: list[ResultRow],
+def _table(args, columns: list[str], rows: list[ResultRow],
            extra_header: list[tuple[str, str]] = ()) -> list[str]:
-    sep = "," if cfg.format == "csv" else "\t"
-    lines = [f"# {f.name} = {_fmt(getattr(cfg, f.name))}" for f in fields(RunConfig)]
+    sep = "," if args.format == "csv" else "\t"
+    # the parsed flags in registration order, after the command; func is
+    # the handler, not a flag
+    lines = [f"# {key} = {_fmt(val)}" for key, val in vars(args).items() if key != "func"]
     for key, val in extra_header:
         lines.append(f"# {key} = {val}")
     lines.append(sep.join(columns))
@@ -108,57 +118,25 @@ def _table(cfg: RunConfig, columns: list[str], rows: list[ResultRow],
     return lines
 
 
-def _quad_config(cfg: RunConfig) -> QuadratureConfig:
-    return QuadratureConfig(gh_nodes=cfg.gh_nodes, tol=cfg.tol, refine=cfg.refine)
-
-
-def _x_of(cfg: RunConfig, index: int) -> float:
-    if cfg.x_map == "index":
+def _x_of(args, index: int) -> float:
+    if args.x_map == "index":
         return float(index)
     return math.sqrt(2.0 * index + 1.0)
 
 
-def _run_config(args, command: str) -> RunConfig:
-    cfg = RunConfig(
-        command=command,
-        mu=getattr(args, "mu", 0.0),
-        m=getattr(args, "m", 1.0),
-        g=getattr(args, "g", 1.0),
-        n_max=getattr(args, "n_max", 8),
-        gh_nodes=args.gh_nodes,
-        tol=args.tol,
-        refine=not args.no_refine,
-        out_path=args.out or "",
-        x_map=args.x_map,
-        format=args.format,
-    )
-    for flag, value in (("--mu", cfg.mu), ("--m", cfg.m), ("--g", cfg.g), ("--tol", cfg.tol)):
-        _require(math.isfinite(value), flag, "a finite real", value)
-    _require(cfg.mu >= 0, "--mu", "mu >= 0", cfg.mu)
-    _require(cfg.m > 0, "--m", "m > 0", cfg.m)
-    # moller's --vertex-n-max fills n_max too, so the header echoes the cutoff
-    order_flag, order_min = ("--vertex-n-max", 1) if command == "moller" else ("--n-max", 0)
-    _require(cfg.n_max >= order_min, order_flag, f"n_max >= {order_min}", cfg.n_max)
-    _require(cfg.gh_nodes >= 8, "--gh-nodes", "gh_nodes >= 8", cfg.gh_nodes)
-    _require(cfg.gh_nodes <= GH_NODES_MAX, "--gh-nodes", f"gh_nodes <= {GH_NODES_MAX}", cfg.gh_nodes)
-    _require(cfg.tol > 0, "--tol", "tol > 0", cfg.tol)
-    return cfg
-
-
 def cmd_yukawa(args) -> int:
-    cfg = _run_config(args, "yukawa")
-    _require(cfg.mu > 0, "--mu", "mu > 0 (the massless table is `coulomb`)", cfg.mu)
-    qcfg = _quad_config(cfg)
-    closed = yukawa_coincidence(cfg.mu)
+    _require(args.mu > 0, "--mu", "mu > 0 (the massless table is `coulomb`)", args.mu)
+    qcfg = QuadratureConfig()
+    closed = yukawa_coincidence(args.mu)
     rows = []
-    for n1 in range(cfg.n_max + 1):
-        gv = g_sharp_axis(n1, cfg.mu, qcfg)
+    for n1 in range(args.n_max + 1):
+        gv = g_sharp_axis(n1, args.mu, qcfg)
         coincidence = closed if n1 == 0 else ""
-        rows.append(ResultRow((n1, _x_of(cfg, n1)),
+        rows.append(ResultRow((n1, _x_of(args, n1)),
                               (gv.value.real, gv.err_estimate, coincidence)))
-    lines = _table(cfg, ["index", "x", "w_sharp", "err_estimate", "closed_coincidence"],
+    lines = _table(args, ["index", "x", "w_sharp", "err_estimate", "closed_coincidence"],
                    rows, extra_header=[("coincidence_closed_form", repr(closed))])
-    _emit(lines, cfg.out_path)
+    _emit(lines, args.out_path)
     return 0
 
 
@@ -173,62 +151,58 @@ plot "{data}" every ::1 using 2:3 with linespoints title "discrete lattice poten
 
 
 def cmd_coulomb(args) -> int:
-    cfg = _run_config(args, "coulomb")
     rows = []
-    for half in range(cfg.n_max + 1):
+    for half in range(args.n_max + 1):
         index = 2 * half
-        x = _x_of(cfg, index)
+        x = _x_of(args, index)
         closed = coulomb_even(half)
         cont_w = 1.0 / (4.0 * math.pi * x) if x > 0 else ""
         cont_scaled = 1.0 / x if x > 0 else ""
         rows.append(ResultRow((index, x), (closed, 0.0, cont_w, cont_scaled)))
-    lines = _table(cfg, ["index", "x", "w_sharp_closed", "err_estimate",
-                         "continuum_w", "continuum_scaled"], rows)
-    _emit(lines, cfg.out_path)
-    if cfg.out_path:
-        sep = "," if cfg.format == "csv" else "\t"
-        xlabel = "index" if cfg.x_map == "index" else "sqrt(2 index + 1)"
-        script = _GNUPLOT_TEMPLATE.format(sep=sep, xlabel=xlabel, data=cfg.out_path)
-        with open(cfg.out_path + ".gp", "w", encoding="utf-8", newline="") as fh:
+    lines = _table(args, ["index", "x", "w_sharp_closed", "err_estimate",
+                          "continuum_w", "continuum_scaled"], rows)
+    _emit(lines, args.out_path)
+    if args.out_path:
+        sep = "," if args.format == "csv" else "\t"
+        xlabel = "index" if args.x_map == "index" else "sqrt(2 index + 1)"
+        script = _GNUPLOT_TEMPLATE.format(sep=sep, xlabel=xlabel, data=args.out_path)
+        with open(args.out_path + ".gp", "w", encoding="utf-8", newline="") as fh:
             fh.write(script)
     return 0
 
 
 def cmd_continuum(args) -> int:
-    cfg = _run_config(args, "continuum")
-    _require(cfg.mu > 0, "--mu", "mu > 0 (the oscillatory oracle needs a massive tail)", cfg.mu)
-    qcfg = _quad_config(cfg)
+    _require(args.mu > 0, "--mu", "mu > 0 (the oscillatory oracle needs a massive tail)", args.mu)
     rows = []
-    for n1 in range(cfg.n_max + 1):
-        r = _x_of(cfg, n1)
+    for n1 in range(args.n_max + 1):
+        r = _x_of(args, n1)
         if r <= 0:
             continue
-        closed = continuum_yukawa(r, cfg.mu, cfg.g)
-        oracle = cfg.g * cfg.g * continuum_yukawa_oracle(r, cfg.mu, qcfg)
+        closed = continuum_yukawa(r, args.mu, args.g)
+        oracle = args.g * args.g * continuum_yukawa_oracle(r, args.mu)
         rows.append(ResultRow((n1, r), (closed, oracle, abs(closed - oracle))))
-    lines = _table(cfg, ["index", "r", "yukawa_closed", "yukawa_oracle", "abs_difference"], rows)
-    _emit(lines, cfg.out_path)
+    lines = _table(args, ["index", "r", "yukawa_closed", "yukawa_oracle", "abs_difference"], rows)
+    _emit(lines, args.out_path)
     return 0
 
 
 def cmd_greens(args) -> int:
-    cfg = _run_config(args, "greens")
-    _require(cfg.mu > 0, "--mu", "mu > 0", cfg.mu)
-    qcfg = _quad_config(cfg)
+    _require(args.mu > 0, "--mu", "mu > 0", args.mu)
+    qcfg = QuadratureConfig(tol=args.tol)
     rows = []
-    for n1 in range(cfg.n_max + 1):
-        axis = g_sharp_axis(n1, cfg.mu, qcfg)
+    for n1 in range(args.n_max + 1):
+        axis = g_sharp_axis(n1, args.mu, qcfg)
         # the proper-time sum itself: g_sharp returns the axis value here
-        full = g_proper_time((n1, 0, 0), (0, 0, 0), cfg.mu, qcfg)
+        full = g_proper_time((n1, 0, 0), (0, 0, 0), args.mu, qcfg)
         rows.append(ResultRow(
             (n1,),
             (axis.value.real, axis.value.imag, axis.err_estimate,
              full.value.real, full.value.imag, full.err_estimate,
              abs(axis.value - full.value)),
         ))
-    lines = _table(cfg, ["index", "axis_re", "axis_im", "axis_err",
-                         "proper_time_re", "proper_time_im", "proper_time_err", "abs_difference"], rows)
-    _emit(lines, cfg.out_path)
+    lines = _table(args, ["index", "axis_re", "axis_im", "axis_err",
+                          "proper_time_re", "proper_time_im", "proper_time_err", "abs_difference"], rows)
+    _emit(lines, args.out_path)
     return 0
 
 
@@ -244,34 +218,41 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
     return triple
 
 
+def _warning_line(message, category, *_) -> None:
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def cmd_moller(args) -> int:
-    cfg = _run_config(args, "moller")
-    _require(cfg.mu > 0, "--mu", "mu > 0", cfg.mu)
-    spins = tuple(int(s) for s in args.spins.split(",")) if args.spins else (1, 1, 1, 1)
-    _require(len(spins) == 4 and all(s in (1, 2) for s in spins),
+    _require(args.mu > 0, "--mu", "mu > 0", args.mu)
+    spins = args.spins.split(",")
+    _require(len(spins) == 4 and all(s in ("1", "2") for s in spins),
              "--spins", "four comma-separated values in {1,2}", args.spins)
+    r1, r2, r1_out, r2_out = map(int, spins)
     kin = MollerKinematics(
         p1=_parse_triple(args.p1, "--p1"),
         p2=_parse_triple(args.p2, "--p2"),
         p1_out=_parse_triple(args.p1_out, "--p1-out"),
         p2_out=_parse_triple(args.p2_out, "--p2-out"),
-        m=cfg.m, mu=cfg.mu, g=cfg.g,
-        r1=spins[0], r2=spins[1], r1_out=spins[2], r2_out=spins[3],
+        m=args.m, mu=args.mu, g=args.g,
+        r1=r1, r2=r2, r1_out=r1_out, r2_out=r2_out,
     )
-    trunc = VertexTruncation(cfg.n_max)
-    qcfg = _quad_config(cfg)
-    element = moller_reduced_element(kin, trunc, qcfg)
+    trunc = VertexTruncation(args.n_max)
+    qcfg = QuadratureConfig(gh_nodes=args.gh_nodes, tol=args.tol, refine=args.refine)
+    # the truncation warning, like any other on the way, is one stderr line
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        element = moller_reduced_element(kin, trunc, qcfg)
     continuum = continuum_moller_reduced(kin)
     row = ResultRow(
-        (cfg.n_max,),
+        (args.n_max,),
         (element.real, element.imag, continuum.real,
          kin.conservation_defect, kin.momentum_defect,
          kin.low_momentum_ok, trunc.tail_report),
     )
-    lines = _table(cfg, ["vertex_n_max", "element_re", "element_im", "continuum_re",
-                         "energy_defect", "momentum_defect", "low_momentum_ok",
-                         "truncation_shift"], [row])
-    _emit(lines, cfg.out_path)
+    lines = _table(args, ["vertex_n_max", "element_re", "element_im", "continuum_re",
+                          "energy_defect", "momentum_defect", "low_momentum_ok",
+                          "truncation_shift"], [row])
+    _emit(lines, args.out_path)
     return 0
 
 
@@ -302,22 +283,15 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _add_quad_flags(sub) -> None:
-    sub.add_argument("--gh-nodes", type=int, default=64,
-                     help="Gauss-Hermite nodes per axis (>= 8) of the exchange element, the "
-                          "projector's radial rule and coulomb_quadrature")
-    sub.add_argument("--tol", type=float, default=1e-8,
-                     help="refinement tolerance; nonconvergence trips at 100x this")
-    sub.add_argument("--no-refine", action="store_true",
-                     help="skip node doubling; error estimates become NaN")
-
-
-def _add_output_flags(sub) -> None:
-    sub.add_argument("--out", default="", help="output file (default: stdout)")
+def _add_output_flags(sub, x_map: bool = True) -> None:
+    # --x-map sits between the two so the header keeps its order
+    sub.add_argument("--out", default="", dest="out_path", metavar="OUT",
+                     help="output file (default: stdout)")
+    if x_map:
+        sub.add_argument("--x-map", choices=("index", "sqrt2n1"), default="sqrt2n1",
+                         help="map from lattice index to the x column: the index "
+                              "itself, or the radial estimate sqrt(2 index + 1)")
     sub.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    sub.add_argument("--x-map", choices=("index", "sqrt2n1"), default="sqrt2n1",
-                     help="map from lattice index to the x column: the index "
-                          "itself, or the radial estimate sqrt(2 index + 1)")
 
 
 @lru_cache(maxsize=None)
@@ -333,14 +307,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("yukawa", help="massive axis potential table W(index; mu)")
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
-    _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_yukawa)
 
     p = subs.add_parser("coulomb", help="massless closed-form table with continuum comparison")
     p.add_argument("--n-max", type=int, default=10, dest="n_max",
                    help="largest half-index; rows run over even indices 0..2*n_max")
-    _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_coulomb)
 
@@ -348,15 +320,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--g", type=float, default=1.0, help="coupling")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
-    _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_continuum)
 
     p = subs.add_parser("greens", help="closed-form axis values vs the 3D proper-time sum")
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
-    _add_quad_flags(p)
-    _add_output_flags(p)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="a proper-time value whose bound exceeds 100x this exits 3")
+    _add_output_flags(p, x_map=False)
     p.set_defaults(func=cmd_greens)
 
     p = subs.add_parser("moller", help="one-boson-exchange reduced element at given kinematics")
@@ -364,13 +336,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", required=True, help="incoming momentum 2")
     p.add_argument("--p1-out", required=True, dest="p1_out", help="outgoing momentum 1")
     p.add_argument("--p2-out", required=True, dest="p2_out", help="outgoing momentum 2")
-    p.add_argument("--m", type=float, default=1.0, help="fermion mass (> 0)")
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
+    p.add_argument("--m", type=float, default=1.0, help="fermion mass (> 0)")
     p.add_argument("--g", type=float, default=1.0, help="coupling")
     p.add_argument("--spins", default="1,1,1,1", help="r1,r2,r1',r2', each 1 or 2")
     p.add_argument("--vertex-n-max", type=int, default=64, dest="n_max")
-    _add_quad_flags(p)
-    _add_output_flags(p)
+    p.add_argument("--gh-nodes", type=int, default=64,
+                   help=f"nodes per axis (8 to {GH_NODES_MAX}) of the element's rules; "
+                        "it is evaluated at twice this unless --no-refine")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="a last coefficient shell that moves the element by more "
+                        "than this prints a truncation warning")
+    p.add_argument("--no-refine", action="store_false", dest="refine",
+                   help="evaluate the element at --gh-nodes, not twice that")
+    _add_output_flags(p, x_map=False)
     p.set_defaults(func=cmd_moller)
 
     p = subs.add_parser("check", help="run the invariant suite")
@@ -384,6 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -521,7 +521,7 @@ def continuum_yukawa(r: float, mu: float, g: float) -> float:
     return val
 
 
-def continuum_yukawa_oracle(r: float, mu: float, cfg: QuadratureConfig) -> float:
+def continuum_yukawa_oracle(r: float, mu: float) -> float:
     """Unit-coupling continuum potential from the 1D oscillatory integral
     -(1/(2 pi^2 r)) integral_0^inf k sin(r k)/(k^2 + mu^2) dk.
 
@@ -586,7 +586,3 @@ def w_sharp(n1: int, mu: float, cfg: QuadratureConfig) -> float:
         return 0.0
     return coulomb_even(n1 // 2)
 
-
-def v_sharp(n1: int, mu: float, g: float, cfg: QuadratureConfig) -> float:
-    """Interaction potential -g^2 w_sharp(n1, mu)."""
-    return -(g * g) * w_sharp(n1, mu, cfg)

@@ -210,13 +210,12 @@ def test_criterion_08_low_momentum_slope():
 
 def test_criterion_09_continuum_yukawa_oracle():
     start = time.perf_counter()
-    cfg = QuadratureConfig()
     worst = 0.0
     for r in (0.5, 1.0, 2.0):
         for mu in (0.25, 1.0):
             closed = -math.exp(-mu * r) / (4.0 * math.pi * r)
             assert continuum_yukawa(r, mu, 1.0) == pytest.approx(closed, rel=1e-15)
-            oracle = continuum_yukawa_oracle(r, mu, cfg)
+            oracle = continuum_yukawa_oracle(r, mu)
             worst = max(worst, abs(oracle - closed) / abs(closed))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3

@@ -51,6 +51,10 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+MOLLER_KINEMATICS = ["--p1", "0.1,0,0", "--p2=-0.1,0,0",
+                     "--p1-out", "0.08,0.06,0", "--p2-out=-0.08,-0.06,0"]
+
+
 def test_flag_validation_exit_codes(capsys):
     rc, _, err = run_cli(capsys, "yukawa", "--mu", "-1")
     assert rc == 2
@@ -61,17 +65,13 @@ def test_flag_validation_exit_codes(capsys):
     assert rc == 2
     assert "--p1: accepted range is three comma-separated reals, got '1,2'" in err
 
-    rc, _, err = run_cli(capsys, "yukawa", "--mu", "1", "--gh-nodes", "4")
+    rc, _, err = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1", "--gh-nodes", "4")
     assert rc == 2
     assert "--gh-nodes: accepted range is gh_nodes >= 8, got 4" in err
 
-    rc, _, err = run_cli(capsys, "greens", "--mu", "1", "--gh-nodes", "257")
+    rc, _, err = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1", "--gh-nodes", "257")
     assert rc == 2
     assert "--gh-nodes: accepted range is gh_nodes <= 256, got 257" in err
-
-
-MOLLER_KINEMATICS = ["--p1", "0.1,0,0", "--p2=-0.1,0,0",
-                     "--p1-out", "0.08,0.06,0", "--p2-out=-0.08,-0.06,0"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -80,7 +80,7 @@ MOLLER_KINEMATICS = ["--p1", "0.1,0,0", "--p2=-0.1,0,0",
     (["moller", *MOLLER_KINEMATICS, "--mu", "1", "--m", "inf"], "--m"),
     (["moller", "--p1", "nan,0,0", *MOLLER_KINEMATICS[2:], "--mu", "1"], "--p1"),
     (["moller", *MOLLER_KINEMATICS, "--p2-out", "0,inf,0", "--mu", "1"], "--p2-out"),
-    (["yukawa", "--mu", "1", "--tol", "inf"], "--tol"),
+    (["greens", "--mu", "1", "--tol", "inf"], "--tol"),
 ])
 def test_non_finite_flags_exit_2(capsys, argv, flag):
     rc, out, err = run_cli(capsys, *argv)
@@ -185,11 +185,10 @@ def test_yukawa_table(capsys):
     assert rc == 0 and err == ""
     header, columns, rows = parse_table(out)
     assert columns == ["index", "x", "w_sharp", "err_estimate", "closed_coincidence"]
-    # every RunConfig field is echoed, plus the closed coincidence value
+    # the command and its five flags, plus the closed coincidence value
     assert header["command"] == "yukawa"
     assert header["mu"] == "1.0"
-    assert header["refine"] == "true"
-    assert len(header) == 12
+    assert len(header) == 7
     assert len(rows) == 7
 
     closed = yukawa_coincidence(1.0)
@@ -248,6 +247,63 @@ def test_radial_nodes_flag_is_gone():
     assert run.returncode == 2 and run.stdout == ""
     assert "usage:" in run.stderr and "unrecognized arguments: --radial-nodes" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+# each flag a command took without reading it; they exit 2 like any unknown flag
+REMOVED_FLAGS = [
+    *((cmd, flag) for cmd in ("yukawa", "coulomb", "continuum")
+      for flag in ("--gh-nodes=64", "--tol=1e-08", "--no-refine")),
+    ("greens", "--gh-nodes=64"), ("greens", "--no-refine"), ("greens", "--x-map=index"),
+    ("moller", "--x-map=index"),
+]
+REQUIRED = {"yukawa": ["--mu", "1"], "coulomb": [], "continuum": ["--mu", "1"],
+            "greens": ["--mu", "1"], "moller": [*MOLLER_KINEMATICS, "--mu", "1"]}
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_unread_flags_are_gone(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *REQUIRED[command], flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "usage:" in err and f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
+# a non-default accepted value of each flag, as the header echoes it
+# (None: a switch, echoed as its stored false)
+_NON_DEFAULT = {"--p1": "0.1,0,0", "--p2": "-0.1,0,0", "--p1-out": "0.08,0.06,0",
+                "--p2-out": "-0.08,-0.06,0", "--mu": "0.5", "--m": "2.0", "--g": "0.5",
+                "--spins": "1,2,1,2", "--n-max": "3", "--vertex-n-max": "4",
+                "--gh-nodes": "16", "--tol": "0.001", "--no-refine": None,
+                "--x-map": "index", "--format": "tsv"}
+
+
+def _registered_flags(command):
+    (subs,) = [a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return [(a.option_strings[0], a.dest) for a in subs.choices[command]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED))
+def test_header_echoes_exactly_the_registered_flags(capsys, tmp_path, command):
+    # every flag a command takes is in its header with the value given, in
+    # registration order; nothing else is, but the command and yukawa's
+    # closed coincidence value
+    path = tmp_path / "table.tsv"
+    argv, want = [command], {"command": command}
+    for flag, dest in _registered_flags(command):
+        value = str(path) if flag == "--out" else _NON_DEFAULT[flag]
+        argv.append(flag if value is None else f"{flag}={value}")
+        want[dest] = "false" if value is None else value
+    if command == "yukawa":
+        want["coincidence_closed_form"] = repr(yukawa_coincidence(0.5))
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out == ""
+    header, _, rows = parse_table(path.read_text(encoding="utf-8"), sep="\t")
+    assert list(header.items()) == list(want.items())
+    assert rows
 
 
 def test_coulomb_table_and_gnuplot_sidecar(capsys, tmp_path):
@@ -346,6 +402,7 @@ def test_moller_header_echoes_the_vertex_cutoff(capsys, cutoff):
     assert rc == 0
     header, _, (row,) = parse_table(out)
     assert header["n_max"] == row["vertex_n_max"] == (cutoff or "64")
+    assert header["refine"] == "false"
 
 
 @pytest.mark.parametrize("cutoff", ["0", "-1"])
@@ -356,11 +413,10 @@ def test_moller_cutoff_errors_name_the_vertex_flag(capsys, cutoff):
     assert f"error: --vertex-n-max: accepted range is n_max >= 1, got {cutoff}" in err
 
 
-@pytest.mark.filterwarnings("ignore::hermgrid.errors.TruncationWarning")
 def test_moller_continuum_overflow_is_a_domain_error(capsys):
     # zero transfer at mu^2 = 1e-320, a subnormal: the continuum value
     # overflows, which printed inf and exited 0 (the element is computed
-    # first, at the default tol, and warns of its truncation)
+    # first, at the default tol, and prints a truncation warning line)
     rc, out, err = run_cli(capsys, "moller", "--p1", "0.1,0,0", "--p2", "0,0.1,0",
                            "--p1-out", "0.1,0,0", "--p2-out", "0,0.1,0",
                            "--mu", "1e-160", "--gh-nodes", "8")
@@ -369,12 +425,35 @@ def test_moller_continuum_overflow_is_a_domain_error(capsys):
     assert "DomainError" in line and "not a finite double" in line
 
 
+def test_moller_truncation_warning_is_one_line(capsys):
+    # a fresh interpreter prints warnings in Python's default format, with
+    # the path and a source line of the caller; the command prints one line
+    run = _run_fresh("moller", *MOLLER_KINEMATICS, "--mu", "1", "--vertex-n-max", "32")
+    assert run.returncode == 0
+    (line,) = run.stderr.splitlines()
+    assert line == ("warning: TruncationWarning: last included coefficient shell moved "
+                    "the element by 3.534e-04 (> tol 1.000e-08); raise n_max past 32")
+    # in process too, on every call, and only on stderr
+    for _ in range(2):
+        rc, out, err = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1",
+                               "--vertex-n-max", "32")
+        assert rc == 0 and err == line + "\n" and out == run.stdout
+
+
 def test_moller_spin_validation(capsys):
     rc, _, err = run_cli(capsys, "moller", "--p1", "0,0,0", "--p2", "0,0,0",
                          "--p1-out", "0,0,0", "--p2-out", "0,0,0", "--mu", "1",
                          "--spins", "1,2,3,1")
     assert rc == 2
     assert "--spins" in err
+    # a non-integer named no flag, and an empty value ran at 1,1,1,1 while
+    # the header echoed it empty
+    for spins in ("a,1,1,1", ""):
+        rc, out, err = run_cli(capsys, "moller", *MOLLER_KINEMATICS, "--mu", "1",
+                               f"--spins={spins}")
+        assert rc == 2 and out == ""
+        assert err == ("error: --spins: accepted range is four comma-separated "
+                       f"values in {{1,2}}, got {spins}\n")
 
 
 def test_check_fast_healthy(capsys):
@@ -488,7 +567,7 @@ def _first_call(capsys, argv):
     # argparse's own usage failure: --mu is required
     (["yukawa"], 2, ["yukawa", "--mu", "1", "--n-max", "8"]),
     # a usage error of the flag checks
-    (["greens", "--mu", "1", "--gh-nodes", "4"], 2, ["greens", "--mu", "1", "--n-max", "6"]),
+    (["greens", "--mu", "1", "--tol=-1"], 2, ["greens", "--mu", "1", "--n-max", "6"]),
     # nonconvergence
     (["greens", "--mu", "0.5", "--n-max", "4", "--tol", "1e-18"], 3,
      ["greens", "--mu", "1", "--n-max", "6"]),
@@ -533,9 +612,9 @@ _SANE = {"--mu": "1.0", "--g": "1.0", "--m": "1.0", "--tol": "1e-08",
          "--p1": "0.1,0,0", "--p2": "-0.1,0,0", "--p1-out": "0.08,0.06,0",
          "--p2-out": "-0.08,-0.06,0"}
 _FLOAT_FLAGS = {
-    "yukawa": ("--mu", "--tol"),
-    "coulomb": ("--tol",),
-    "continuum": ("--mu", "--g", "--tol"),
+    "yukawa": ("--mu",),
+    "coulomb": (),
+    "continuum": ("--mu", "--g"),
     "greens": ("--mu", "--tol"),
     "moller": ("--mu", "--g", "--m", "--tol", "--p1", "--p2", "--p1-out", "--p2-out"),
 }
@@ -546,10 +625,10 @@ def _cli_argv(draw):
     # one or two float flags take extreme or arbitrary values and the rest
     # keep working ones, so most examples get past validation into the
     # numerics; values go in the --flag=value form, as "-inf" would
-    # otherwise read as a flag
+    # otherwise read as a flag.  Only flags the command takes are drawn.
     command = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
     flags = _FLOAT_FLAGS[command]
-    wild = draw(st.sets(st.sampled_from(flags), min_size=1, max_size=2))
+    wild = draw(st.sets(st.sampled_from(flags), min_size=1, max_size=2)) if flags else ()
     argv = [command]
     for flag in flags:
         if flag not in wild:
@@ -561,12 +640,13 @@ def _cli_argv(draw):
         argv.append(f"{flag}={value}")
     order_flag = "--vertex-n-max" if command == "moller" else "--n-max"
     argv.append(f"{order_flag}={draw(st.integers(-1, 8 if command == 'moller' else 4))}")
-    # node counts below 8 or past the budget are rejected before any rule
-    # is built; accepted ones stay small, so no example allocates a large
-    # tensor
-    argv.append(f"--gh-nodes={draw(st.sampled_from((0, 7, 8, 16, 257, 500, 10 ** 6)))}")
-    if draw(st.booleans()):
-        argv.append("--no-refine")
+    if command == "moller":
+        # node counts below 8 or past the budget are rejected before any
+        # rule is built; accepted ones stay small, so no example allocates
+        # a large tensor
+        argv.append(f"--gh-nodes={draw(st.sampled_from((0, 7, 8, 16, 257, 500, 10 ** 6)))}")
+        if draw(st.booleans()):
+            argv.append("--no-refine")
     return argv
 
 

@@ -27,7 +27,6 @@ from hermgrid.greens import (
     g_sharp_axis,
     green_contract,
     incomplete_gamma_neg_half,
-    v_sharp,
     w_sharp,
     yukawa_coincidence,
 )
@@ -281,13 +280,13 @@ def test_continuum_potential_values():
     with pytest.raises(DomainError):
         continuum_yukawa(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        continuum_yukawa_oracle(1.0, 0.0, CFG)
+        continuum_yukawa_oracle(1.0, 0.0)
 
 
 def test_continuum_oracle_agrees_with_closed_form():
     for r, mu in ((0.5, 1.0), (2.0, 0.25)):
         want = continuum_yukawa(r, mu, 1.0)
-        assert continuum_yukawa_oracle(r, mu, CFG) == pytest.approx(want, rel=1e-9)
+        assert continuum_yukawa_oracle(r, mu) == pytest.approx(want, rel=1e-9)
 
 
 def test_difference_equation_residual_examples():
@@ -309,8 +308,6 @@ def test_w_sharp_examples_and_coupling():
     assert w_sharp(2, 0.0, CFG) == pytest.approx(coulomb_even(1), rel=1e-15)
     assert w_sharp(1, 0.0, CFG) == 0.0
     assert w_sharp(0, 1.0, CFG) == pytest.approx(COINCIDENCE_AT_1, abs=1e-12)
-    assert v_sharp(0, 0.0, 1.0, CFG) == pytest.approx(-2.0, rel=1e-15)
-    assert v_sharp(2, 0.0, 2.0, CFG) == pytest.approx(-4.0 * coulomb_even(1), rel=1e-14)
     with pytest.raises(DomainError):
         w_sharp(2, math.nan, CFG)
 
@@ -426,8 +423,8 @@ def test_continuum_rejects_non_finite_results_and_underflowing_mass():
     assert math.isfinite(continuum_yukawa(1.0, 1.0, 1e150))
     for mu in (1e-300, -1.0, math.nan):
         with pytest.raises(DomainError):
-            continuum_yukawa_oracle(1.0, mu, CFG)
-    assert continuum_yukawa_oracle(1.0, 1e-100, CFG) == pytest.approx(
+            continuum_yukawa_oracle(1.0, mu)
+    assert continuum_yukawa_oracle(1.0, 1e-100) == pytest.approx(
         continuum_yukawa(1.0, 0.0, 1.0), rel=1e-9)
 
 

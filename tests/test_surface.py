@@ -23,14 +23,14 @@ EXPORTS = [
     "incomplete_gamma_neg_half", "kg_mode_residual", "laplacian_sharp",
     "low_momentum_u", "mode_function", "moller_reduced_element",
     "orthonormality_check", "restrict", "s_plus_green", "spin_sum",
-    "spinor_u", "spinor_v", "v_sharp", "vertex_axis_sum", "w_sharp", "xi",
+    "spinor_u", "spinor_v", "vertex_axis_sum", "w_sharp", "xi",
     "xi_delta_sharp", "yukawa_coincidence",
 ]
 
 
 def test_exported_names_are_pinned():
     assert sorted(hermgrid.__all__) == EXPORTS
-    assert len(EXPORTS) == 48
+    assert len(EXPORTS) == 47
     for name in EXPORTS:
         assert hasattr(hermgrid, name), name
 
