@@ -7,10 +7,10 @@ box and the exchange-element oracle comparison, which dominate runtime.
 
 This module also hosts the independent evaluation route for the exchange
 element (sum the vertices at each quadrature node first, then integrate),
-kept deliberately separate from the production contraction in scattering:
-different node count, different code path, no shared tables, no pole
-subtraction.  Their agreement is the defining correctness check for the
-scattering module, since no closed form exists.
+kept deliberately separate from the production route in scattering: a
+tensor Gauss-Hermite rule over k, not a proper-time sum of per-axis
+polynomials, with no shared tables.  Their agreement is the defining
+correctness check for the scattering module at the cutoffs it runs at.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def _zero_kinematics(mu=1.0, g=1.0):
 def _check_scattering_spin_selection():
     kin = MollerKinematics((0.1, 0, 0), (0, 0.1, 0), (0.1, 0, 0), (0, 0.1, 0),
                            m=1.0, mu=1.0, g=1.0, r1=1, r1_out=2)
-    el = moller_reduced_element(kin, VertexTruncation(8), QuadratureConfig(gh_nodes=16, refine=False))
+    el = moller_reduced_element(kin, VertexTruncation(8), QuadratureConfig())
     obs = abs(el)
     return obs <= 0.0, 0.0, obs, "mismatched spins give the exact zero element"
 
@@ -389,7 +389,7 @@ def _quiet_truncation():
 
 
 def _check_scattering_g_scaling():
-    cfg = QuadratureConfig(gh_nodes=32, refine=False)
+    cfg = QuadratureConfig()
     trunc = VertexTruncation(12)
     with _quiet_truncation():
         base = moller_reduced_element(_zero_kinematics(g=1.0), trunc, cfg)
@@ -399,7 +399,7 @@ def _check_scattering_g_scaling():
 
 
 def _check_scattering_exchange_symmetry():
-    cfg = QuadratureConfig(gh_nodes=32, refine=False)
+    cfg = QuadratureConfig()
     trunc = VertexTruncation(16)
     p1, p2 = (0.10, -0.02, 0.05), (-0.08, 0.04, 0.01)
     p1o, p2o = (0.07, 0.03, 0.02), (-0.05, -0.01, 0.04)
@@ -416,15 +416,15 @@ def moller_oracle_element(kin: MollerKinematics, trunc: VertexTruncation,
                           n_nodes: int = 96) -> complex:
     """Independent exchange-element route: evaluate both truncated vertex
     sums at every quadrature node, then do the boson-line integral with
-    explicit loops.  Shares nothing with the production contraction beyond
-    the kinematic prefactor.
+    explicit loops.  Shares nothing with the production route beyond the
+    kinematic prefactor: it sums over k on a tensor rule, where production
+    sums per-axis polynomials of the proper time on its lattice.
 
-    The default rule order is deliberately distinct from the production
-    route's 64/128 pair, so the two answers never share quadrature nodes.
     The truncated vertex sums hold polynomial content of degree ``n_max``
     per factor, and the boson denominator is not polynomial at all, so the
     rule must be generous: 96 nodes resolve the ``n_max = 32`` box to a few
-    parts in 1e7, while 48 nodes leave a per-mille defect."""
+    parts in 1e7 at mu = 1, while 48 nodes leave a per-mille defect.  The
+    rule's error grows as mu falls."""
     if kin.r1 != kin.r1_out or kin.r2 != kin.r2_out:
         return 0j
     x, w = gauss_hermite(n_nodes)
@@ -471,16 +471,15 @@ def _check_scattering_truncation_diagnostic():
     # vertex sums are distributional and the double sum has no established
     # large-cutoff limit, so convergence is reported, never asserted.  What
     # is asserted: the cutoff sweep reproduces frozen values and the
-    # last-shell diagnostic shrinks as the cutoff grows.  The pins freeze
-    # the element on this 96-node rule: they lie 1.8e-6 (n_max 8) to 3.3e-4
-    # (n_max 64) from the 512-node element, and no oracle checks them (the
-    # oracle equivalence check runs at mu = 1, not at this mu = 0.5).
-    cfg = QuadratureConfig(gh_nodes=96, refine=False)
+    # last-shell diagnostic shrinks as the cutoff grows.  The pins are the
+    # nearest doubles to the element's proper-time integral evaluated by
+    # mpmath from exact Hermite coefficients at 220 digits.
+    cfg = QuadratureConfig()
     kin = MollerKinematics((0.15, 0.05, -0.1), (-0.12, 0.08, 0.06),
                            (0.1, 0.1, -0.08), (-0.07, 0.03, 0.04),
                            m=1.0, mu=0.5, g=1.0)
-    frozen = {8: 0.01712897990804899, 16: 0.02620490184900129,
-              32: 0.035665045350317046, 64: 0.044076795503737456}
+    frozen = {8: 0.017129010505357912, 16: 0.026205307419804855,
+              32: 0.03566994587640435, 64: 0.04409116112218687}
     els, tails = {}, {}
     with _quiet_truncation():
         for n_max in (8, 16, 32, 64):

@@ -42,7 +42,7 @@ from .greens import (
     g_sharp_axis,
     yukawa_coincidence,
 )
-from .quadrature import GH_NODES_MAX, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .scattering import MollerKinematics, VertexTruncation, moller_reduced_element, continuum_moller_reduced
 
 
@@ -79,8 +79,6 @@ def _check_ranges(args) -> None:
         ("--mu", "mu", "mu >= 0", lambda v: v >= 0),
         ("--m", "m", "m > 0", lambda v: v > 0),
         (order_flag, "n_max", f"n_max >= {order_min}", lambda v: v >= order_min),
-        ("--gh-nodes", "gh_nodes", "gh_nodes >= 8", lambda v: v >= 8),
-        ("--gh-nodes", "gh_nodes", f"gh_nodes <= {GH_NODES_MAX}", lambda v: v <= GH_NODES_MAX),
         ("--tol", "tol", "tol > 0", lambda v: v > 0),
     )
     for flag, key, accepted, ok in checks:
@@ -237,7 +235,7 @@ def cmd_moller(args) -> int:
         r1=r1, r2=r2, r1_out=r1_out, r2_out=r2_out,
     )
     trunc = VertexTruncation(args.n_max)
-    qcfg = QuadratureConfig(gh_nodes=args.gh_nodes, tol=args.tol, refine=args.refine)
+    qcfg = QuadratureConfig(tol=args.tol)
     # the truncation warning, like any other on the way, is one stderr line
     with warnings.catch_warnings():
         warnings.showwarning = _warning_line
@@ -341,14 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=1.0, help="coupling")
     p.add_argument("--spins", default="1,1,1,1", help="r1,r2,r1',r2', each 1 or 2")
     p.add_argument("--vertex-n-max", type=int, default=64, dest="n_max")
-    p.add_argument("--gh-nodes", type=int, default=64,
-                   help=f"nodes per axis (8 to {GH_NODES_MAX}) of the element's rules; "
-                        "it is evaluated at twice this unless --no-refine")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="a last coefficient shell that moves the element by more "
                         "than this prints a truncation warning")
-    p.add_argument("--no-refine", action="store_false", dest="refine",
-                   help="evaluate the element at --gh-nodes, not twice that")
     _add_output_flags(p, x_map=False)
     p.set_defaults(func=cmd_moller)
 

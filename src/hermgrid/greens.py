@@ -23,14 +23,13 @@ gives coulomb_even.  The ratios U(n)/U(n+1) obey the three-term recurrence
 in a (DLMF 13.3.7), whose backward loop (_gamma_cf_levels) is also
 Legendre's continued fraction for Gamma(-1/2, x): one loop serves the
 coincidence value and the axis table (_axis_table), which runs the
-recurrence forward instead where mu^2 j is small, and the table's first two
-entries give the pole constants of the exchange element's contraction.
+recurrence forward instead where mu^2 j is small.
 
 Proper-time sum.  Every other pair (g_sharp) takes the proper-time
-integral as a trapezoid rule in log t, each axis' Gaussian integral an
-exact Gauss-Hermite sum (g_proper_time).  The same rule separates the 3D
-kernel of the exchange element (green_contract), which still sums on a
-Gauss-Hermite grid and subtracts a quadratic pole model at the origin.
+integral as a trapezoid rule in log t (pt_lattice), each axis' Gaussian
+integral an exact scaled Gauss-Hermite sum (g_proper_time).  The exchange
+element (scattering.moller_reduced_element) sums on the same lattice, with
+the same scaled rule for its per-axis factors.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .errors import DomainError, NonconvergenceError, OrderTooLargeError
-from .hermite import phi, phi_at, phi_row
+from .hermite import phi, phi_at
 from .quadrature import (
     QuadratureConfig,
     fold_even,
@@ -55,7 +54,6 @@ from .quadrature import (
     index3,
     read_only,
     refined,
-    sized_cache,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -74,11 +72,9 @@ class GreensValue:
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module: proper-time rules, pole constants,
-    origin tables, scaled Gauss-Hermite rules, angular moments and axis
-    tables."""
-    for cached in (_proper_time_rule, _ball_defects, origin_rows, _scaled_rule,
-                   _angular_moment, _axis_table, _table_steps):
+    """Drop every cache of this module: scaled Gauss-Hermite rules, angular
+    moments and axis tables."""
+    for cached in (scaled_rule, _angular_moment, _axis_table, _table_steps):
         cached.cache_clear()
 
 
@@ -91,14 +87,14 @@ def _order(n1) -> int:
     return order
 
 
-# Step h of the trapezoid rule in log proper time (_pt_lattice), whose error
+# Step h of the trapezoid rule in log proper time (pt_lattice), whose error
 # in 1/y is at most 2 |Gamma(1 - 2 pi i / h)| = 3.5e-17 relative for every
 # y > 0; _PT_ERROR adds what its cut drops (2^-60 + e^-40).
 _PT_STEP = 0.24
 _PT_ERROR = 4.1e-17
 
 
-def _pt_lattice(mu: float, y_min: float, y_max: float) -> tuple[np.ndarray, np.ndarray]:
+def pt_lattice(mu: float, y_min: float, y_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Proper times t_m = e^{m h} and weights h t_m e^{-t_m mu^2} of the
     trapezoid rule for 1/y = integral e^{v - y e^v} dv, y = k.k + mu^2, cut
     to v in [ln(2^-60/y_max), ln(40/y_min)], y_min held at >= 2^-1000."""
@@ -107,94 +103,6 @@ def _pt_lattice(mu: float, y_min: float, y_max: float) -> tuple[np.ndarray, np.n
     hi = math.ceil((math.log(40.0) - math.log(y_min)) / _PT_STEP)
     t = np.exp(_PT_STEP * np.arange(lo, hi + 1))
     return t, _PT_STEP * t * np.exp(-t * (mu * mu))
-
-
-# one table per mass and node count, 2 * 64^3 entries in all: about 37 tables
-# of the default fine rule (65 x about 215), or 8 at 512 nodes (257 x 245)
-@sized_cache(2 * 64 ** 3)
-def _proper_time_rule(mu: float, n_nodes: int) -> np.ndarray:
-    """The lattice (_pt_lattice) of the grid's y = x_i^2 + x_j^2 + x_k^2 +
-    mu^2 as one read-only table: rows E[i, m] = e^{-t_m x_i^2} on the x >= 0
-    half of the n_nodes-point grid, then the weights."""
-    x, _ = gauss_hermite(n_nodes)
-    half = x[n_nodes // 2:]
-    t, w = _pt_lattice(mu, 3.0 * float(half[0]) ** 2 + mu * mu, 3.0 * float(x[-1]) ** 2 + mu * mu)
-    table = np.vstack([np.exp(-np.outer(half ** 2, t)), w])
-    table.setflags(write=False)
-    return table
-
-
-def _separable_sum(a, b, c, mu: float, n_nodes: int) -> np.ndarray:
-    """sum_ijk a_i b_j c_k K_ijk, K_ijk = 1/(x_i^2 + x_j^2 + x_k^2 + mu^2), on
-    the n_nodes-point grid for each row of a, b and c (a stack of one row
-    broadcasts).  With K_ijk ~ sum_m w_m E_im E_jm E_km (_proper_time_rule),
-    the rows are folded onto the x >= 0 half grid (fold_even; an odd vector
-    folds to exact zeros) and sum_m w_m (aE)_m (bE)_m (cE)_m is formed.
-    Each such kernel value is within 4 ulps of K_ijk (_PT_ERROR from the
-    rule, the rest rounding), and the sum within (4 + 3H + M) ulps of
-    sum_ijk |a_i b_j c_k| K_ijk, H = ceil(n_nodes/2) and M the rule's terms
-    (190 to 245 for mu in [1e-3, 100] up to 512 nodes).  A NaN or inf entry
-    makes its row's value non-finite."""
-    rule = _proper_time_rule(mu, n_nodes)
-    rows = [np.atleast_2d(v) for v in (a, b, c)]
-    p = fold_even(np.concatenate(rows)) @ rule[:-1]
-    ra, rb = len(rows[0]), len(rows[1])
-    return (p[:ra] * p[ra:ra + rb] * p[ra + rb:]) @ rule[-1]
-
-
-def _ball_exact(mu: float) -> tuple[float, float]:
-    """b0 and b2, the integrals over R^3 of e^{-k.k}/(k.k+mu^2) and of
-    k_1^2 e^{-k.k}/(k.k+mu^2): b0 = pi^{3/2} g_0 and b2 = pi^{3/2}
-    (g_0 - sqrt(2) g_1) / 2 from the axis table, which is pi^{3/2}
-    (1 - mu^2 U(1)) / 3 by the recurrence of U at a = 1.  U(1) - U(2) is
-    between a third of U(1) and U(1) at every mass, so nothing cancels."""
-    g0, g1 = _axis_entries(mu, 2)[:2]
-    return math.pi ** 1.5 * g0, math.pi ** 1.5 * (g0 - math.sqrt(2.0) * g1) / 2.0
-
-
-@lru_cache(maxsize=64)
-def _ball_defects(mu: float, n_nodes: int) -> tuple[float, float]:
-    """Exact-minus-quadrature of the constant and per-axis quadratic pole
-    models through the contraction's kernel (_separable_sum), whose error in
-    the models they so cancel.  Cached per mass and node count."""
-    x, w = gauss_hermite(n_nodes)
-    b0q, b2q = _separable_sum(np.stack([w, x * x * w]), w, w, mu, n_nodes)
-    b0, b2 = _ball_exact(mu)
-    return b0 - float(b0q), b2 - float(b2q)
-
-
-def green_contract(a, b, c, c0, c2, mu: float, n_nodes: int) -> np.ndarray:
-    """pi^{-3/2} integral d^3k a(k_1) b(k_2) c(k_3) e^{-k.k} / (k.k + mu^2)
-    for factorized integrands, one value per row of a, b and c.
-
-    a, b and c hold each axis factor at the n_nodes Gauss-Hermite nodes with
-    the weights already applied, and are summed by the separable proper-time
-    kernel (_separable_sum).  c0 and c2 (one per row) are the value and the
-    summed per-axis half-second-derivatives at the origin of the polynomial
-    product a b c: the quadratic pole model whose quadrature defect
-    (_ball_defects) is added back in closed form.
-    """
-    mu, n_nodes = float(mu), int(n_nodes)
-    if not math.isfinite(mu * mu):
-        raise DomainError(f"mu^2 must be finite for the proper-time kernel, got mu = {mu}")
-    acc = _separable_sum(a, b, c, mu, n_nodes)
-    d0, d2 = _ball_defects(mu, n_nodes)
-    return (acc + (np.asarray(c0) * d0 + np.asarray(c2) * d2)) * math.pi ** -1.5
-
-
-@lru_cache(maxsize=64)
-def origin_rows(n_max: int) -> np.ndarray:
-    """Columns phi_n(0), phi_n'(0) = sqrt(2n) phi_{n-1}(0) and
-    phi_n''(0) = -2n phi_n(0) for n <= n_max, from the Hermite differential
-    relations: the Taylor data of the exchange element's pole models
-    (green_contract).  Cached read-only per order."""
-    z0 = phi_row(n_max, np.zeros(1))[:, 0]
-    narr = np.arange(n_max + 1)
-    z1 = np.zeros(n_max + 1)
-    z1[1:] = np.sqrt(2.0 * narr[1:]) * z0[:-1]
-    out = np.stack([z0, z1, -2.0 * narr * z0], axis=1)
-    out.setflags(write=False)
-    return out
 
 
 def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...], GreensValue | None]:
@@ -211,12 +119,12 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...],
     return n, nhat, GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * 0.0), 0.0) if odd else None
 
 
-# Most nodes of _scaled_rule (p + q <= 1454): 729 reach y = 37.65, where e^{-y^2/2} is subnormal
+# Most nodes of scaled_rule (p + q <= 1454): 729 reach y = 37.65, where e^{-y^2/2} is subnormal
 _SCALED_NODES_MAX = 728
 
 
 @lru_cache(maxsize=64)
-def _scaled_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def scaled_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """The nodes y_j >= 0 of the n_nodes-point Gauss-Hermite rule and its
     scaled weights W_j = w_j e^{y_j^2} / sqrt(pi) = 1 / sum_{k < n_nodes}
     psi_k(y_j)^2, psi_k = phi_k e^{-y^2/2}, folded for even integrands
@@ -232,8 +140,8 @@ def _axis_laplace(p: int, q: int, s: np.ndarray, tau: np.ndarray) -> tuple[np.nd
     """J = pi^{-1/2} integral phi_p phi_q e^{-(1+t) x^2} dx at s = 1/(1+t),
     tau = t s, and J with phi_p phi_q replaced by 1.  In x = y sqrt(s) it is
     an even polynomial of degree p + q against e^{-y^2}, so exactly
-    sqrt(s) sum_j W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)) (_scaled_rule)."""
-    y, weights = _scaled_rule((p + q) // 2 + 1)
+    sqrt(s) sum_j W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)) (scaled_rule)."""
+    y, weights = scaled_rule((p + q) // 2 + 1)
     root = np.sqrt(s)
     damped = np.exp(-np.outer(tau, y * y)) * weights
     z = np.outer(root, y)
@@ -243,7 +151,7 @@ def _axis_laplace(p: int, q: int, s: np.ndarray, tau: np.ndarray) -> tuple[np.nd
 
 def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """G(n, nhat; mu) = i^(sum n - sum nhat) sum_m w_m prod_a J_a(t_m) on
-    _pt_lattice's lattice for y in [mu^2, mu^2 + 2D + 16], D = sum n +
+    pt_lattice's lattice for y in [mu^2, mu^2 + 2D + 16], D = sum n +
     sum nhat (190 to 260 terms for mu in [1e-3, 1e4]), each J_a exact
     (_axis_laplace); a parity zero as in g_sharp.  prod_a J_a(t) is a
     Laplace transform in t of the integrand over k.k, so the rule's bound
@@ -259,7 +167,7 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     if zero is not None:
         return zero
     y_min, y_max = max(mu * mu, 2.0 ** -1000), mu * mu + 2.0 * (sum(n) + sum(nhat)) + 16.0
-    t, w = _pt_lattice(mu, y_min, y_max)
+    t, w = pt_lattice(mu, y_min, y_max)
     s = 1.0 / (1.0 + t)
     axes = {pair: _axis_laplace(*pair, s, t * s) for pair in set(zip(n, nhat))}
     value, ones = (w @ math.prod(axes[pair][k] for pair in zip(n, nhat)) for k in (0, 1))

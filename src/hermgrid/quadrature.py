@@ -4,20 +4,16 @@ refinement gate.
 All rules are cached by node count and returned as read-only arrays: the
 first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
-instead of rebuilding them.  The library's one 3D Gauss-Hermite sum, the
-exchange element, has a kernel even in each axis, so its vectors are folded
-onto the x >= 0 half of the grid (fold_even) and summed there by the
-proper-time kernel, greens.green_contract.  Every refined quadrature value
-passes the one refinement gate, refined.
+instead of rebuilding them.  Sums of even integrands on a Gauss-Hermite rule
+run on the x >= 0 half of its nodes (fold_even).  Every refined quadrature
+value passes the one refinement gate, refined.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, wraps
-from types import SimpleNamespace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -26,10 +22,10 @@ from scipy.special import roots_hermite, roots_legendre
 from .errors import NonconvergenceError
 from .hermite import phi_row
 
-# gh_nodes is read by the exchange element, the projector's radial rule and
-# coulomb_quadrature, whose fine levels run at twice gh_nodes.  At 512 nodes,
-# the fine level of this cap, 42 of the outermost Gauss-Hermite weights lie
-# below the normal double range (36 are 0); at 1,024 nodes 304 would.
+# gh_nodes is read by the projector's radial rule and coulomb_quadrature,
+# whose fine levels run at twice gh_nodes.  At 512 nodes, the fine level of
+# this cap, 42 of the outermost Gauss-Hermite weights lie below the normal
+# double range (36 are 0); at 1,024 nodes 304 would.
 GH_NODES_MAX = 256
 
 
@@ -40,8 +36,10 @@ class QuadratureConfig:
     refine=True evaluates each quadrature at gh_nodes Gauss-Hermite nodes
     per axis and at double that count; the difference is reported as the
     error estimate and tested against a gate (see refined).  With
-    refine=False no estimate exists and NaN is reported instead.  The
-    closed forms read none of these fields, the Green's values tol alone.
+    refine=False no estimate exists and NaN is reported instead.  Only
+    s_plus_green and coulomb_quadrature read gh_nodes and refine; the
+    closed forms read none of these fields, and the Green's values and the
+    exchange element tol alone.
     """
 
     gh_nodes: int = 64
@@ -95,33 +93,6 @@ def refined(evaluate, cfg: QuadratureConfig, gate: float, where: str, *where_arg
             f"{where.format(*where_args)}: refinement defect {err:.3e} exceeds the gate {gate:.3e}"
         )
     return fine, err
-
-
-def sized_cache(budget: int):
-    """Memoize a function of hashable arguments that returns a read-only
-    array, least recently used first out, holding at most budget array
-    entries in all (the newest array is always kept).  Like functools'
-    lru_cache, the wrapper has cache_clear() and cache_info().currsize."""
-    def wrap(fn):
-        held: OrderedDict = OrderedDict()
-
-        def entries() -> int:
-            return sum(v.size for v in held.values())
-
-        @wraps(fn)
-        def cached(*args):
-            if args in held:
-                held.move_to_end(args)
-            else:
-                held[args] = fn(*args)
-                while len(held) > 1 and entries() > budget:
-                    held.popitem(last=False)
-            return held[args]
-
-        cached.cache_clear = held.clear
-        cached.cache_info = lambda: SimpleNamespace(currsize=len(held), entries=entries())
-        return cached
-    return wrap
 
 
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -248,11 +219,9 @@ def fold_even(v: np.ndarray) -> np.ndarray:
     return out
 
 
-# 2^18 entries (2 MB): the tables of one order at both refinement levels
-# of the largest node count (a 200th order there takes 0.8 MB), or a few
-# dozen of the default-rule tables the exchange element and the checks
-# read at low orders and cutoffs.
-@sized_cache(2 ** 18)
+# 16 tables: a 200th order at 512 nodes takes 0.8 MB, the checks' order 40
+# at 200 nodes 66 kB
+@lru_cache(maxsize=16)
 def weighted_phi_table(n_max: int, n_nodes: int) -> np.ndarray:
     """Table B[n, i] = phi_n(x_i) sqrt(w_i) on the Gauss-Hermite grid, cached
     read-only per order and node count.

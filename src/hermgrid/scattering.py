@@ -14,23 +14,24 @@ The reduced element in the low-momentum regime is
 
 with per-axis coefficients A_n = prod_j xi_{n_j}(p1_j) conj(xi_{n_j}(p1'_j))
 and B likewise from the second fermion line.  Because both coefficient
-families factorize over axes, the double sum collapses to a single 3D
-quadrature of per-axis profile polynomials against the shared denominator;
-that is an exact algebraic identity, not an approximation, and turns an
-O(n_max^6) sum into a 3D contraction that the proper-time kernel separates.
+families factorize over axes, the double sum collapses to one integral over
+k of per-axis profile polynomials against the shared denominator; that is
+an exact algebraic identity, not an approximation, and turns an O(n_max^6)
+sum into a 3D integral.  Written in proper time t, with s = 1/(1 + t), the
+integral over each axis is sqrt(s) times a polynomial Q_a(s) of degree
+n_max, and the element is a sum over the proper-time lattice of the Green's
+values (greens.g_proper_time) of prod_a Q_a(s).
 
-The profiles, with their Taylor data at the origin for the pole
-correction, depend only on the momenta, the cutoff and the node count.
-They are built in one batched real pass over the axes, both fermion lines
-and both truncations (the element and its copy with the top coefficient
-shell dropped, which measures truncation), and kept read-only in a bounded
-LRU keyed on just those.  The boson mass enters through the contraction
-alone, greens.green_contract, on the proper-time lattice of the Green's
-values (greens.g_proper_time): it folds the profiles onto the x >= 0 half
-grid, multiplies them by the cached table e^{-t_m x_i^2} of its rule, and
-sums the rule's terms, pole correction included.  So a second mass at the same kinematics pays
-only for that contraction.  An independent sum-the-vertices-first
-evaluation lives in the checks module and serves as the correctness oracle.
+Each Q_a, for the element and for its copy with the top coefficient shell
+dropped (which measures truncation), is an exact scaled Gauss-Hermite sum
+at the n_max + 1 Chebyshev points of s.  These depend only on the momenta
+and the cutoff: they are built in one batched pass over the axes and both
+fermion lines and kept read-only in a bounded LRU keyed on just those.  The
+boson mass enters through the lattice alone, and one cached barycentric
+matrix per mass and cutoff carries the Q_a to it, so a second mass at the
+same kinematics pays only for that matrix product.  An independent
+sum-the-vertices-first evaluation lives in the checks module and serves as
+the correctness oracle.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, TruncationWarning
-from .greens import green_contract, origin_rows
-from .hermite import phi_row, xi_axis
-from .quadrature import QuadratureConfig, weighted_phi_table
+from .errors import DomainError, OrderTooLargeError, TruncationWarning
+from .greens import pt_lattice, scaled_rule
+from .hermite import phi_at, phi_row, xi_axis
+from .quadrature import QuadratureConfig, read_only
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -161,15 +162,43 @@ class MollerKinematics:
         return (self.g ** 2 / (4.0 * math.pi)) * self.m ** 2 / math.sqrt(e1o * e2o * e1 * e2)
 
 
-# An entry holds 3 x 2 x n_nodes doubles plus four, so 128 entries take at
-# most 3.2 MB at the largest node count the quadrature accepts (512, the
-# fine level of gh_nodes = 256): room for a few dozen kinematics, each
-# revisited at further boson masses.
+# Largest vertex cutoff of the exchange element.  Its basis table
+# (_scaled_table) holds (n_max + 1)^2 (n_max/2 + 1) doubles, 1.1 MB at the
+# default 64 and 8.6 MB here, and grows as n_max^3/2 beyond.
+_ELEMENT_N_MAX = 128
+
+
+def _chebyshev(n_max: int) -> np.ndarray:
+    """The n_max + 1 Chebyshev points sin^2(pi c / (2 n_max)) of s in [0, 1]."""
+    return np.sin(np.arange(n_max + 1) * (0.5 * math.pi / n_max)) ** 2
+
+
+# at most four cutoffs: 34 MB at _ELEMENT_N_MAX, 5.6 MB at 64 and below
+@lru_cache(maxsize=4)
+def _scaled_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows s_n phi_n(y_j sqrt(s_c)) sqrt(W_j) e^{-y_j^2/2} / sqrt(pi),
+    s_n = (-1)^(n//2), for even n, then for odd n (n <= n_max), each over
+    the Chebyshev points s_c (_chebyshev) and the nodes y_j >= 0 and folded
+    weights W_j of the (n_max + 1)-point scaled Gauss-Hermite rule
+    (greens.scaled_rule): column c * J + j of row n, J nodes.  Cached
+    read-only per cutoff."""
+    y, weights = scaled_rule(n_max + 1)
+    z = np.outer(np.sqrt(_chebyshev(n_max)), y)
+    seed = np.sqrt(weights) * np.exp(-0.5 * y * y) / _SQRT_PI
+    rows = phi_at(range(n_max + 1), z, np.broadcast_to(seed, z.shape))
+    return read_only(*(np.stack([rows[n].ravel() * (-1.0) ** (n // 2)
+                                 for n in range(parity, n_max + 1, 2)])
+                       for parity in (0, 1)))
+
+
+# An entry holds 6 (n_max + 1) doubles, 6.2 kB at _ELEMENT_N_MAX: room for
+# a few dozen kinematics at both cutoffs of a sweep, each revisited at
+# further boson masses.
 @lru_cache(maxsize=128)
-def _profiles(momenta: tuple[float, ...], n_max: int, n_nodes: int) -> tuple[np.ndarray, ...]:
-    """Weighted node profiles q (axis, truncation, node) and pole-model
-    data c0, c2 (per truncation) of the coefficient double sum at cutoff
-    n_max and with its top shell dropped; momenta holds p1, p2, p1', p2'.
+def _profiles(momenta: tuple[float, ...], n_max: int) -> np.ndarray:
+    """Per-axis factors Q_a(s_c) at the Chebyshev points (row a) and with
+    the top coefficient shell dropped (row 3 + a) of the
+    coefficient double sum at cutoff n_max; momenta holds p1, p2, p1', p2'.
 
     Per axis, line 1 carries c_n i^n and line 2 c_n conj(i^n), where the
     pair's own phases cancel in c_n = xi_n(p) conj(xi_n(p')), leaving
@@ -177,71 +206,92 @@ def _profiles(momenta: tuple[float, ...], n_max: int, n_nodes: int) -> tuple[np.
     i^n is s_n for even n and i s_n for odd n, so the profiles are
     L = L_even + i L_odd and R = R_even - i R_odd with real parts, and
     Re(L R) = L_even R_even + L_odd R_odd; Im(L R) is odd in x and
-    integrates to zero against the even denominator.  One matrix product
-    with the weighted node table (quadrature.weighted_phi_table) gives every
-    parity part of both lines, axes and truncations; one with the origin
-    table (greens.origin_rows) gives their Taylor data for the pole
-    correction.
+    integrates to zero against the even denominator.  Q_a(s) = pi^{-1/2}
+    s^{-1/2} integral Re(L R)(x) e^{-x^2/s} dx is a polynomial of degree
+    n_max in s, and in x = y sqrt(s) the exact scaled Gauss-Hermite sum
+    sum_j W_j e^{-y_j^2} Re(L R)(y_j sqrt(s)): the product of the rows of
+    signed coefficients with the cutoff's table (_scaled_table), summed
+    over the nodes.  Dropping the top shell changes only its parity's rows.
     """
     p = np.array(momenta).reshape(2, 6)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = phi_row(n_max, p.ravel())
-        coef = vals[:, :6] * vals[:, 6:] * (np.exp(-0.5 * (p[0] * p[0] + p[1] * p[1])) / _SQRT_PI)
+        # rows: line 1 by axis, then line 2 by axis; s_n and 1/sqrt(pi)
+        # are in the table
+        coef = (vals[:, :6] * vals[:, 6:]).T * np.exp(-0.5 * (p[0] * p[0] + p[1] * p[1]))[:, None]
     if not np.isfinite(coef).all():
         # phi_n(p) overflows where e^{-p^2/2} underflows: inf * 0
         raise DomainError(f"exchange coefficients are not finite at momenta {momenta} "
                           f"and n_max = {n_max}")
-    order = np.arange(n_max + 1)
-    signed = np.where(order // 2 % 2, -coef.T, coef.T)
-    # mask[t, parity, n]: n has that parity and truncation t keeps it
-    # (t = 1 drops the top shell n_max)
-    parity = np.stack([order % 2 == 0, order % 2 == 1])
-    mask = np.stack([parity, parity & (order < n_max)])
-    # batch (truncation, parity, line, axis) of coefficient rows
-    batch = (mask[:, :, None, :] * signed[None, None, :, :]).reshape(24, n_max + 1)
-    # each profile carries the square root of the weights, so their products
-    # carry the weights
-    prof = (batch @ weighted_phi_table(n_max, n_nodes)).reshape(2, 2, 2, 3, n_nodes)
-    q = prof[:, 0, 0] * prof[:, 0, 1] + prof[:, 1, 0] * prof[:, 1, 1]
-    # origin value and second derivative of the even parts, first
-    # derivative of the odd ones (the others vanish by parity)
-    orig = (batch @ origin_rows(n_max)).reshape(2, 2, 2, 3, 3)
-    l0, l2, r0, r2 = orig[:, 0, 0, :, 0], orig[:, 0, 0, :, 2], orig[:, 0, 1, :, 0], orig[:, 0, 1, :, 2]
-    l1, r1 = orig[:, 1, 0, :, 1], orig[:, 1, 1, :, 1]
-    g0 = l0 * r0
-    g2 = 0.5 * (l2 * r0 + 2.0 * l1 * r1 + l0 * r2)
-    c0 = g0[:, 0] * g0[:, 1] * g0[:, 2]
-    c2 = g2[:, 0] * g0[:, 1] * g0[:, 2] + g0[:, 0] * g2[:, 1] * g0[:, 2] + g0[:, 0] * g0[:, 1] * g2[:, 2]
-    q = np.ascontiguousarray(q.transpose(1, 0, 2))
-    for a in (q, c0, c2):
-        a.setflags(write=False)
-    return q, c0, c2
+    top = n_max % 2
+    tables = _scaled_table(n_max)
+    kept = coef[:, top::2]
+    # the top shell's parity, in full and cut, then the other parity
+    cut = np.concatenate([kept, kept])
+    cut[6:, -1] = 0.0
+    with_top = (cut @ tables[top]).reshape(2, 2, 3, n_max + 1, -1)
+    other = (coef[:, 1 - top::2] @ tables[1 - top]).reshape(2, 3, n_max + 1, -1)
+    q = (np.einsum("tacj,tacj->tac", with_top[:, 0], with_top[:, 1])
+         + np.einsum("acj,acj->ac", other[0], other[1])).reshape(6, n_max + 1)
+    q.setflags(write=False)
+    return q
+
+
+# An entry holds (n_max + 2) doubles per lattice term, about 200 terms for
+# mu in [1e-3, 1e3] and at most 3,100 (mu below 2^-500)
+@lru_cache(maxsize=16)
+def _lattice_map(mu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice of greens.g_proper_time for y in [mu^2, mu^2 + 12 n_max
+    + 16] (pt_lattice, D = 6 n_max), as the matrix of the second-form
+    barycentric formula from the Chebyshev points (_chebyshev) to its
+    s_m = 1/(1 + t_m), transposed, and the weights w_m s_m^{3/2}.  The
+    formula carries a polynomial of degree n_max from those points exactly
+    up to rounding, and stably (Berrut and Trefethen, SIAM Rev. 46, 2004).
+    Cached read-only per mass and cutoff."""
+    t, w = pt_lattice(mu, mu * mu, mu * mu + 12.0 * n_max + 16.0)
+    s = 1.0 / (1.0 + t)
+    weights = np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    d = s[:, None] - _chebyshev(n_max)
+    # t below 2^-53 gives s = 1, the last point: its row is that point's value
+    hit = d == 0.0
+    k = np.where(hit.any(axis=1, keepdims=True), hit, weights / np.where(hit, 1.0, d))
+    return read_only(np.ascontiguousarray((k / k.sum(axis=1, keepdims=True)).T), w * s ** 1.5)
 
 
 def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
                            cfg: QuadratureConfig) -> complex:
     """Reduced one-boson-exchange element at the given kinematics.
 
-    Exactly zero on any spin mismatch, and DomainError unless mu > 0; both
-    are decided before any profile is built.  The coefficient double sum is
-    evaluated through the factorized profile contraction described in the
-    module docstring, sharing the proper-time kernel and pole handling with
-    the Green's function route.  Truncation health is estimated from the
-    same contraction with the top coefficient shell dropped: when that last
-    included shell moves the element by more than cfg.tol, a
+    Exactly zero on any spin mismatch; DomainError unless mu > 0 with a
+    finite square, and OrderTooLargeError past n_max = 128
+    (_ELEMENT_N_MAX).  All three are decided before any table is built.
+    The coefficient double sum is the proper-time integral described in the
+    module docstring, summed as sum_m w_m s_m^{3/2} prod_a Q_a(s_m) on the
+    lattice of the Green's values (_lattice_map, with that lattice's error
+    bound), each Q_a (_profiles) exact up to rounding: against a 90-digit
+    evaluation of the integral the element and its shift are within 1e-13
+    relative.  Truncation health is estimated from the same sum with
+    the top coefficient shell dropped: when that last included shell moves
+    the element by more than cfg.tol (the one field read), a
     TruncationWarning is issued (the first dropped shell is comparable to
     the last included one for the slowly decaying sums this models).  A
     coefficient, element or shift that is not finite raises DomainError.
     """
     if kin.r1 != kin.r1_out or kin.r2 != kin.r2_out:
         return 0j
-    if not kin.mu > 0:
-        raise DomainError(f"the exchange element needs mu > 0, got {kin.mu}")
-    n_nodes = 2 * cfg.gh_nodes if cfg.refine else cfg.gh_nodes
-    q, c0, c2 = _profiles(kin.p1 + kin.p2 + kin.p1_out + kin.p2_out, trunc.n_max, n_nodes)
-    full, dropped = green_contract(q[0], q[1], q[2], c0, c2, kin.mu, n_nodes)
+    mu = float(kin.mu)
+    if not (mu > 0 and math.isfinite(mu * mu)):
+        raise DomainError(f"the exchange element needs mu > 0 with a finite square, got {mu}")
+    if trunc.n_max > _ELEMENT_N_MAX:
+        raise OrderTooLargeError(f"vertex cutoff n_max = {trunc.n_max} for the exchange "
+                                 f"element, at most {_ELEMENT_N_MAX}")
+    q = _profiles(kin.p1 + kin.p2 + kin.p1_out + kin.p2_out, trunc.n_max)
+    interp, weights = _lattice_map(mu, trunc.n_max)
+    on_lattice = (q @ interp).reshape(2, 3, -1)
+    full, dropped = (on_lattice[:, 0] * on_lattice[:, 1] * on_lattice[:, 2]) @ weights
     prefactor = kin.prefactor
-    element = prefactor * complex(full)
+    element = complex(prefactor * full)
     shift = abs(full - dropped) * prefactor
     if not (math.isfinite(element.real) and math.isfinite(shift)):
         raise DomainError(f"the exchange element is not finite here: {element} "

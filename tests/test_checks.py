@@ -85,12 +85,12 @@ def test_clifford_check_catches_corrupted_gammas(monkeypatch):
 
 
 def test_oracle_route_matches_production():
-    # distinct node counts on purpose: the two routes must agree without
-    # sharing a single quadrature node
+    # the oracle's tensor rule over k and the production sum over the
+    # proper-time lattice share no node
     kin = MollerKinematics((0.08, -0.03, 0.05), (-0.06, 0.04, 0.02),
                            (0.05, 0.01, 0.03), (-0.03, 0.0, 0.04),
                            m=1.0, mu=1.0, g=1.0)
-    cfg = QuadratureConfig(gh_nodes=64, refine=False, tol=1e6)
+    cfg = QuadratureConfig(tol=1e6)
     prod = moller_reduced_element(kin, VertexTruncation(8), cfg)
     oracle = moller_oracle_element(kin, VertexTruncation(8), n_nodes=96)
     assert abs(prod - oracle) / abs(oracle) <= 1e-6

@@ -7,15 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hermgrid import greens
+import grid_route
+from grid_route import _ball_exact, green_contract
+from hermgrid import MollerKinematics, VertexTruncation, greens, moller_reduced_element
 from hermgrid.dirac import s_plus_green
 from hermgrid.errors import DomainError, NonconvergenceError
 from hermgrid.greens import (
     GreensValue,
     _angular_moment,
     _axis_table,
-    _ball_exact,
-    _proper_time_rule,
     clear_caches,
     continuum_yukawa,
     continuum_yukawa_oracle,
@@ -25,7 +25,6 @@ from hermgrid.greens import (
     g_proper_time,
     g_sharp,
     g_sharp_axis,
-    green_contract,
     incomplete_gamma_neg_half,
     w_sharp,
     yukawa_coincidence,
@@ -385,12 +384,16 @@ def test_angular_moment_keeps_one_row_in_memory():
     assert peak < 8 * 2 ** 20
 
 
+def _resting(mu):
+    zero = (0.0, 0.0, 0.0)
+    return MollerKinematics(zero, zero, zero, zero, m=1.0, mu=mu, g=1.0)
+
+
 def test_overflowing_mass_square_is_a_domain_error():
     with pytest.raises(DomainError):
         g_sharp((0, 0, 0), (0, 0, 0), 1e300, CFG)
-    w = np.ones(8)
     with pytest.raises(DomainError):
-        green_contract(w, w, w, 1.0, 0.0, 1e300, 8)
+        moller_reduced_element(_resting(1e300), VertexTruncation(8), CFG)
     with pytest.raises(DomainError):
         g_sharp((2, 0, 0), (0, 0, 0), math.inf, CFG)
     # the axis route stays finite there: the value underflows to 0, and
@@ -405,12 +408,11 @@ def test_overflowing_mass_square_is_a_domain_error():
 def test_numpy_scalar_mass_whose_square_overflows_raises_without_a_warning():
     # mu * mu of a numpy scalar warns where a float overflows silently
     mu = np.float64(1e160)
-    w = np.ones(8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: g_sharp((0, 0, 0), (0, 0, 0), mu, CFG),
                      lambda: g_proper_time((2, 0, 0), (0, 0, 0), mu, CFG),
-                     lambda: green_contract(w, w, w, 1.0, 0.0, mu, 8)):
+                     lambda: moller_reduced_element(_resting(mu), VertexTruncation(8), CFG)):
             with pytest.raises(DomainError, match="finite"):
                 call()
 
@@ -480,8 +482,7 @@ def test_parity_zero_builds_nothing():
     for route in (g_sharp, g_proper_time):
         v = route((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
         assert v == GreensValue(complex(1j * 0.0), 0.0)
-    assert _proper_time_rule.cache_info().currsize == 0
-    assert greens._scaled_rule.cache_info().currsize == 0
+    assert greens.scaled_rule.cache_info().currsize == 0
     assert _axis_table.cache_info().currsize == 0
     clear_caches()
 
@@ -547,9 +548,6 @@ def test_tensor_values_lie_within_their_estimates():
 
 
 def test_clear_caches_empties_every_cache():
-    w = gauss_hermite(16)[1]
-    green_contract(w, w, w, 1.0, 0.0, 0.9, 16)
-    greens.origin_rows(4)
     g_proper_time((2, 0, 0), (0, 0, 0), 0.9, CFG)
     g_sharp((2, 1, 0), (0, 1, 2), 0.9, CFG)
     g_sharp_axis(4, 0.5, CFG)
@@ -557,9 +555,8 @@ def test_clear_caches_empties_every_cache():
     # the module's own caches; the quadrature rules it imports stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert _proper_time_rule in caches and _axis_table in caches
-    assert greens.origin_rows in caches and greens._scaled_rule in caches
-    assert len(caches) >= 7
+    assert _axis_table in caches and greens.scaled_rule in caches
+    assert len(caches) >= 4
     assert all(f.cache_info().currsize > 0 for f in caches)
     clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
@@ -578,28 +575,26 @@ def test_g_sharp_does_not_depend_on_what_ran_before():
                   ((10, 8, 8), (8, 8, 6))):
         g_sharp(*other, mu, CFG)
         g_proper_time(*other, mu, CFG)
-    # Green's values build no grid table
-    assert _proper_time_rule.cache_info().currsize == 0
     assert [(g_sharp(*pair, mu, CFG), g_proper_time(*pair, mu, CFG)) for pair in pairs] == first
     clear_caches()
 
 
 def test_origin_rows_are_the_taylor_data_of_the_basis():
     # the columns phi_n(0), phi_n'(0) and phi_n''(0), from which the pole
-    # models of green_contract take their Taylor data, against central
-    # differences of phi_n
+    # models of the grid route's green_contract take their Taylor data,
+    # against central differences of phi_n
     h = 1e-3
-    greens.clear_caches()
-    rows = greens.origin_rows(16)
+    grid_route.origin_rows.cache_clear()
+    rows = grid_route.origin_rows(16)
     assert rows.shape == (17, 3) and not rows.flags.writeable
     around = phi_row(16, np.array([-h, 0.0, h]))
     assert np.array_equal(rows[:, 0], around[:, 1])
     assert np.allclose(rows[:, 1], (around[:, 2] - around[:, 0]) / (2.0 * h), rtol=1e-5, atol=1e-12)
     second = (around[:, 2] - 2.0 * around[:, 1] + around[:, 0]) / (h * h)
     assert np.allclose(rows[:, 2], second, rtol=1e-5, atol=1e-9)
-    assert greens.origin_rows.cache_info().currsize == 1
-    greens.clear_caches()
-    assert greens.origin_rows.cache_info().currsize == 0
+    assert grid_route.origin_rows.cache_info().currsize == 1
+    grid_route.origin_rows.cache_clear()
+    assert grid_route.origin_rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("axis", (0, 1, 2))

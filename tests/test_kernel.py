@@ -1,6 +1,7 @@
-"""The proper-time kernel of every 3D contraction against explicit sums.
+"""The 3D grid route of the exchange element against explicit sums, and
+the element against that route.
 
-greens._separable_sum sums vectors on a mirror-symmetric Gauss-Hermite grid
+grid_route._separable_sum sums vectors on a mirror-symmetric Gauss-Hermite grid
 against 1/(x_i^2 + x_j^2 + x_k^2 + mu^2), written as an exponential sum in
 proper time, so that no denominator tensor is formed.  The rows are folded
 onto the x >= 0 half grid first, so every contraction is an even one.  The
@@ -10,7 +11,9 @@ term against the exact kernel, and mpmath for single kernel values.  Odd
 node counts exercise the centre node, which the fold must count once and
 which puts a denominator at y = mu^2.  Odd vectors give exact zeros,
 non-finite entries stay visible through the screen, and the cached E
-tables hold their budget.
+tables hold their bound.  At 512 nodes the grid route resolves the element
+to about 3e-11 for mu >= 0.5 and n_max <= 64, which checks the element's
+proper-time sum at cutoffs where the mpmath reference is slow.
 """
 
 import itertools
@@ -20,15 +23,15 @@ import warnings
 import numpy as np
 import pytest
 
-from hermgrid import greens
+import grid_route
+from grid_route import _proper_time_rule, _separable_sum, green_contract, grid_element
+from hermgrid import MollerKinematics, VertexTruncation, moller_reduced_element
 from hermgrid.errors import NonconvergenceError
-from hermgrid.greens import _proper_time_rule, _separable_sum, green_contract
 from hermgrid.quadrature import (
     QuadratureConfig,
     fold_even,
     gauss_hermite,
     refined,
-    sized_cache,
     weighted_phi_table,
 )
 
@@ -84,7 +87,7 @@ def test_contract_even_matches_full_grid_einsum(n, batch, complex_vectors, pole_
         scale = np.einsum("bi,bj,bk,ijk->b", abs(a), abs(b), abs(c), full)
         if pole_model:
             models = np.einsum("bi,j,k,ijk->b", np.stack([w, x * x * w]), w, w, full)
-            exact = np.array(greens._ball_exact(mu))
+            exact = np.array(grid_route._ball_exact(mu))
             want = (want + np.stack([c0, c2], 1) @ (exact - models)) * math.pi ** -1.5
             scale = (scale + np.abs(np.stack([c0, c2], 1)) @ (exact + models)) * math.pi ** -1.5
             got = green_contract(a, b, c, c0, c2, mu, n)
@@ -231,8 +234,8 @@ def test_screen_keeps_non_finite_entries_visible(axis, bad, n):
 
 def test_weighted_phi_tables_stay_within_their_budget():
     # a sweep over orders and node counts, as a high-order table of the
-    # tensor route makes, keeps at most 2^18 entries in all; the benchmark's
-    # set-up tables (orders 0-6 at 64 and 128 nodes) fit together
+    # tensor route makes, keeps at most 16 tables; orders 0-6 at 64 and 128
+    # nodes fit together
     weighted_phi_table.cache_clear()
     for n_max in range(0, 201, 10):
         for n_nodes in (256, 512):
@@ -240,7 +243,7 @@ def test_weighted_phi_tables_stay_within_their_budget():
             assert table.shape == (n_max + 1, n_nodes) and not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
-            assert weighted_phi_table.cache_info().entries <= 2 ** 18
+            assert weighted_phi_table.cache_info().currsize <= 16
     assert weighted_phi_table(200, 512) is table
     weighted_phi_table.cache_clear()
     setup = [weighted_phi_table(k, n) for n in (64, 128) for k in range(7)]
@@ -248,32 +251,6 @@ def test_weighted_phi_tables_stay_within_their_budget():
     assert all(weighted_phi_table(k, n) is t
                for t, (n, k) in zip(setup, itertools.product((64, 128), range(7))))
     weighted_phi_table.cache_clear()
-
-
-def test_sized_cache_holds_its_budget():
-    built = []
-
-    @sized_cache(100)
-    def make(k):
-        built.append(k)
-        out = np.zeros(k)
-        out.setflags(write=False)
-        return out
-
-    assert make(40) is make(40)
-    make(50)
-    make(40)  # now the most recent, so 50 goes first
-    make(30)
-    assert make.cache_info().entries <= 100
-    assert make.cache_info().currsize == 2
-    assert make(40) is not None and built == [40, 50, 30]
-    make(50)
-    assert built == [40, 50, 30, 50]
-    # a value over the budget is still kept, alone
-    big = make(500)
-    assert make.cache_info().currsize == 1 and make(500) is big
-    make.cache_clear()
-    assert make.cache_info().currsize == 0 and make.cache_info().entries == 0
 
 
 def test_tiny_mass_on_an_odd_grid_raises_without_a_warning():
@@ -289,29 +266,52 @@ def test_tiny_mass_on_an_odd_grid_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mu in (1e-160, 1e-200):
-            assert np.all(np.isfinite(greens._proper_time_rule(mu, 9)))
+            assert np.all(np.isfinite(_proper_time_rule(mu, 9)))
             assert np.all(np.isfinite(contract(mu, 9)))
             with pytest.raises(NonconvergenceError):
                 refined(lambda k: contract(mu, k * cfg.gh_nodes), cfg, 100.0 * cfg.tol, "probe")
-    greens.clear_caches()
+    _proper_time_rule.cache_clear()
 
 
 def test_exponential_tables_share_one_budget():
-    # the tables of a mass sweep at the largest node counts share one budget
-    # of 2 * 64^3 entries, and clear_caches() empties them
-    greens.clear_caches()
+    # the tables of a mass sweep at the largest node counts stay within the
+    # cache's bound, and cache_clear() empties it
+    _proper_time_rule.cache_clear()
+    bound = _proper_time_rule.cache_info().maxsize
     for mu in np.logspace(-3, 2, 12):
         for n in (256, 512):
             table = _proper_time_rule(float(mu), n)
             assert table.shape[0] == n // 2 + 1 and not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
-            assert _proper_time_rule.cache_info().entries <= 2 * 64 ** 3
+            assert _proper_time_rule.cache_info().currsize <= bound
     assert _proper_time_rule(float(mu), 512) is table
     # E rows, then the weights: at the first node x_0 >= 0 the kernel value
     # sum_m w_m E_0m^3 is 1/(3 x_0^2 + mu^2); at most 245 terms (0.5 MB)
     x0 = gauss_hermite(512)[0][256]
     assert (table[0] ** 3) @ table[-1] == pytest.approx(1.0 / (3.0 * x0 * x0 + mu * mu), rel=4 * EPS)
     assert table.shape[1] <= 245 and table.nbytes < 2 ** 19
-    greens.clear_caches()
+    _proper_time_rule.cache_clear()
     assert _proper_time_rule.cache_info().currsize == 0
+
+
+KINEMATICS = {
+    "readme": ((0.1, 0, 0), (-0.1, 0, 0), (0.08, 0.06, 0), (-0.08, -0.06, 0)),
+    "skew": ((0.15, 0.05, -0.1), (-0.12, 0.08, 0.06), (0.1, 0.1, -0.08), (-0.07, 0.03, 0.04)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINEMATICS))
+@pytest.mark.parametrize("mu", (0.5, 1.0, 2.0))
+def test_element_meets_the_512_node_grid_route(name, mu):
+    # the element and its truncation shift against the grid route at 512
+    # nodes, whose own error at these masses is below 3e-11 (measured
+    # against 256 nodes and the mpmath pins of test_frozen_values)
+    cfg = QuadratureConfig(tol=1.0)
+    for n_max in (16, 64):
+        kin = MollerKinematics(*KINEMATICS[name], m=1.0, mu=mu, g=1.0)
+        trunc = VertexTruncation(n_max)
+        value = moller_reduced_element(kin, trunc, cfg)
+        want, want_shift = grid_element(kin, n_max, 512)
+        assert abs(value.real - want) <= 1e-10 * want, n_max
+        assert abs(trunc.tail_report - want_shift) <= 1e-10 * want, n_max

@@ -13,19 +13,21 @@ import numpy as np
 import pytest
 
 from hermgrid.checks import moller_oracle_element
-from hermgrid.errors import DomainError, TruncationWarning
+from hermgrid import scattering
+from hermgrid.errors import DomainError, OrderTooLargeError, TruncationWarning
 from hermgrid.hermite import xi
-from hermgrid.quadrature import GH_NODES_MAX, QuadratureConfig, gauss_hermite
+from hermgrid.quadrature import QuadratureConfig, gauss_hermite
 from hermgrid.scattering import (
     MollerKinematics,
     VertexTruncation,
+    _chebyshev,
     _profiles,
     continuum_moller_reduced,
     moller_reduced_element,
     vertex_axis_sum,
 )
 
-CFG = QuadratureConfig(gh_nodes=48, refine=False, tol=1e6)
+CFG = QuadratureConfig(tol=1e6)
 
 KIN = MollerKinematics(
     (0.15, 0.05, -0.1), (-0.12, 0.08, 0.06),
@@ -161,7 +163,7 @@ def test_element_exchange_symmetry():
 def test_truncation_warning_and_report():
     tr = VertexTruncation(4)
     with pytest.warns(TruncationWarning):
-        moller_reduced_element(KIN, tr, QuadratureConfig(gh_nodes=48, refine=False))
+        moller_reduced_element(KIN, tr, QuadratureConfig())
     assert tr.tail_report == pytest.approx(4.046e-3, rel=1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -222,11 +224,12 @@ def test_profiles_ignore_mass_coupling_fermion_mass_and_spins():
         _element(kin, 8)
     info = _profiles.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
-    # a different cutoff, node count or momentum is another entry
+    # a different cutoff or momentum is another entry; the config is not
+    # part of the key
     _element(KIN, 9)
     _element(KIN, 8, QuadratureConfig(gh_nodes=40, refine=False))
     _element(_at(KIN, p1=(0.15, 0.05, -0.11)), 8)
-    assert _profiles.cache_info().misses == 4
+    assert _profiles.cache_info().misses == 3
 
 
 def test_spin_mismatch_and_massless_boson_build_no_profiles():
@@ -242,19 +245,17 @@ def test_spin_mismatch_and_massless_boson_build_no_profiles():
 
 def test_cached_profiles_are_read_only_and_bounded():
     _profiles.cache_clear()
-    q, c0, c2 = _profiles(KIN.p1 + KIN.p2 + KIN.p1_out + KIN.p2_out, 8, 48)
-    assert q.shape == (3, 2, 48) and c0.shape == c2.shape == (2,)
-    for a in (q, c0, c2):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[...] = 0.0
+    q = _profiles(KIN.p1 + KIN.p2 + KIN.p1_out + KIN.p2_out, 8)
+    assert q.shape == (6, 9)
+    assert not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[...] = 0.0
     bound = _profiles.cache_info().maxsize
     for i in range(bound + 10):
-        _profiles((0.001 * i,) + (0.0,) * 11, 1, 8)
+        _profiles((0.001 * i,) + (0.0,) * 11, 1)
     assert _profiles.cache_info().currsize == bound
-    # at the largest node count the quadrature accepts (the fine level of
-    # GH_NODES_MAX) a full cache holds a few MB
-    assert bound * (q.nbytes // 48 * 2 * GH_NODES_MAX + c0.nbytes + c2.nbytes) <= 4e6
+    # at the largest cutoff the element accepts a full cache holds under 1 MB
+    assert bound * q.nbytes // 9 * (scattering._ELEMENT_N_MAX + 1) <= 1e6
     _profiles.cache_clear()
 
 
@@ -265,10 +266,11 @@ LOW = MollerKinematics((0.3, -0.2, 0.35), (-0.25, 0.1, 0.4),
 
 def test_profiles_are_the_vertex_sum_products():
     # per axis, Re(L R)(x) is Re(v1 v2) e^{x^2} sqrt(pi) with v1, v2 the
-    # truncated vertex sums of the two lines at k = x; q holds it times the
-    # weights, c0 and c2 the value and summed half-second derivatives at the
-    # origin of the product over the axes (here by central differences)
-    kin, h = LOW, 1e-3
+    # truncated vertex sums of the two lines at k = x; row a of the
+    # profiles holds pi^{-1/2} integral Re(L R)(y sqrt(s)) e^{-y^2} dy at
+    # each Chebyshev point s, row 3 + a the same with the top shell
+    # dropped, here by a 24-node rule (exact to degree 47)
+    kin = LOW
     x, w = gauss_hermite(24)
 
     def product(a, n_max, k):
@@ -278,18 +280,13 @@ def test_profiles_are_the_vertex_sum_products():
         return (v1 * v2).real * math.exp(k * k) * math.sqrt(math.pi)
 
     for n_max in (1, 2, 3):
-        q, c0, c2 = _profiles(kin.p1 + kin.p2 + kin.p1_out + kin.p2_out, n_max, 24)
+        q = _profiles(kin.p1 + kin.p2 + kin.p1_out + kin.p2_out, n_max)
         # the dropped-shell profile of n_max = 1 would be VertexTruncation(0)
         for t, cut in enumerate((n_max, n_max - 1) if n_max > 1 else (n_max,)):
             for a in range(3):
-                want = w * np.array([product(a, cut, float(k)) for k in x])
-                assert np.allclose(q[a, t], want, rtol=1e-12, atol=1e-14 * abs(want).max())
-            at0 = [product(a, cut, 0.0) for a in range(3)]
-            half2 = [(product(a, cut, h) - 2.0 * at0[a] + product(a, cut, -h)) / (2.0 * h * h)
-                     for a in range(3)]
-            assert c0[t] == pytest.approx(at0[0] * at0[1] * at0[2], rel=1e-13)
-            assert c2[t] == pytest.approx(half2[0] * at0[1] * at0[2] + at0[0] * half2[1] * at0[2]
-                                          + at0[0] * at0[1] * half2[2], rel=1e-5)
+                want = np.array([w @ [product(a, cut, float(k * math.sqrt(s))) for k in x]
+                                 for s in _chebyshev(n_max)]) / math.sqrt(math.pi)
+                assert np.allclose(q[3 * t + a], want, rtol=1e-13, atol=1e-15 * abs(want).max())
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.0])
@@ -308,6 +305,93 @@ def test_element_matches_the_oracle_at_low_cutoffs(mu):
             want = abs(oracle[n_max] - oracle[n_max - 1])
             assert want > 1e-3 * abs(oracle[n_max])
             assert abs(shift - want) <= 1e-9 * abs(oracle[n_max])
+
+
+def _hermite_coefficients(n_max):
+    """Integer power coefficients of H_0 .. H_n_max, lowest power first."""
+    rows = [[1], [0, 2]]
+    for n in range(1, n_max):
+        row = [0] + [2 * c for c in rows[n]]
+        for i, c in enumerate(rows[n - 1]):
+            row[i] -= 2 * n * c
+        rows.append(row)
+    return rows[:n_max + 1]
+
+
+def _mpmath_element(kin, n_max, dps=90):
+    """The element and its truncation shift from the proper-time integral
+    prefactor * int_0^inf dt e^{-t mu^2} prod_a int (v1 v2)_a(k) e^{-t k^2} dk
+    at dps digits, with v1, v2 the truncated vertex sums: exact Hermite
+    coefficients, Gaussian moments Gamma(j + 1/2) s^{j + 1/2}, s = 1/(1+t),
+    and int_0^inf e^{-t mu^2} s^{j + 3/2} dt = U(1, 1/2 - j, mu^2)."""
+    mp = pytest.importorskip("mpmath")
+    coefs = _hermite_coefficients(n_max)
+    with mp.workdps(dps):
+        norm = [1 / (mp.pi ** mp.mpf(0.25) * mp.sqrt(mp.mpf(2) ** n * mp.factorial(n)))
+                for n in range(n_max + 1)]
+
+        def xi_value(n, k):
+            k = mp.mpf(k)
+            return 1j ** n * mp.exp(-k * k / 2) * mp.polyval(coefs[n][::-1], k) * norm[n]
+
+        def axis_moments(a, cut):
+            # v1 v2 e^{k^2} as powers of k, then its even part's moments
+            v1, v2 = [mp.mpc(0)] * (cut + 1), [mp.mpc(0)] * (cut + 1)
+            for n in range(cut + 1):
+                c1 = xi_value(n, kin.p1[a]) * mp.conj(xi_value(n, kin.p1_out[a])) * 1j ** n * norm[n]
+                c2 = xi_value(n, kin.p2[a]) * mp.conj(xi_value(n, kin.p2_out[a])) * (-1j) ** n * norm[n]
+                for i, h in enumerate(coefs[n]):
+                    v1[i] += c1 * h
+                    v2[i] += c2 * h
+            return [mp.re(mp.fsum(v1[i] * v2[2 * j - i] for i in range(max(0, 2 * j - cut), min(2 * j, cut) + 1)))
+                    * mp.gamma(j + mp.mpf(0.5)) for j in range(cut + 1)]
+
+        def total(cut):
+            poly = [mp.mpf(1)]
+            for a in range(3):
+                moments = axis_moments(a, cut)
+                product = [mp.mpf(0)] * (len(poly) + cut)
+                for i, p in enumerate(poly):
+                    for j, q in enumerate(moments):
+                        product[i + j] += p * q
+                poly = product
+            return mp.fsum(c * mp.hyperu(1, mp.mpf(0.5) - j, mp.mpf(kin.mu) ** 2) for j, c in enumerate(poly))
+
+        full, dropped = total(n_max), total(n_max - 1)
+        return float(kin.prefactor * full), float(kin.prefactor * abs(full - dropped))
+
+
+@pytest.mark.parametrize("n_max", [4, 8])
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.2, 1.0, 30.0, 1e3])
+def test_element_and_shift_match_mpmath(n_max, mu):
+    # the lattice sum of exact per-axis factors against the proper-time
+    # integral in closed form, from tiny to large boson masses
+    value, shift = _element(_at(KIN, mu=mu), n_max)
+    want, want_shift = _mpmath_element(_at(KIN, mu=mu), n_max)
+    assert value.imag == 0.0
+    assert abs(value.real - want) <= 1e-13 * want
+    assert abs(shift - want_shift) <= 1e-13 * want_shift
+
+
+def test_cutoff_past_the_cap_raises_before_any_table():
+    # the basis table grows as n_max^3 / 2 doubles, so a cutoff past the
+    # cap is refused before anything is built or cached
+    tracemalloc = pytest.importorskip("tracemalloc")
+    caches = (_profiles, scattering._scaled_table, scattering._lattice_map)
+    for cache in caches:
+        cache.cache_clear()
+    cap = scattering._ELEMENT_N_MAX
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLargeError, match=f"at most {cap}"):
+            moller_reduced_element(KIN, VertexTruncation(cap + 1), CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert all(cache.cache_info().currsize == 0 for cache in caches)
+    # the cap itself is accepted
+    assert math.isfinite(_element(KIN, cap)[0].real)
 
 
 def test_overflowing_coefficients_raise_domain_error():
