@@ -19,9 +19,25 @@ import numpy as np
 
 from hermgrid.greens import _axis_entries, pt_lattice
 from hermgrid.hermite import phi_row
-from hermgrid.quadrature import fold_even, gauss_hermite, weighted_phi_table
+from hermgrid.quadrature import gauss_hermite, weighted_phi_table
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+def fold_even(v: np.ndarray) -> np.ndarray:
+    """Fold vectors on a mirror-symmetric grid onto its x >= 0 half.
+
+    Entry k of the result is v at the k-th nonnegative node plus v at its
+    mirror node; the centre node of an odd-sized grid is counted once.  Sums
+    of v against any kernel that is even in x are then sums over the half
+    grid.  Gauss-Hermite nodes and weights are symmetric to the last bit, so
+    the fold of an odd vector is exactly zero.
+    """
+    n = v.shape[-1]
+    h = n // 2
+    out = np.array(v[..., h:])
+    out[..., n - 2 * h:] += v[..., h - 1::-1]
+    return out
 
 
 # one table per mass and node count, at most 0.5 MB each (512 nodes)

@@ -539,6 +539,26 @@ def test_import_builds_no_parser():
     assert run.returncode == 0 and run.stdout == "0\n"
 
 
+def test_fresh_process_loads_no_scipy_linalg_or_integrate(tmp_path):
+    # the README tables and check fast through cli.main in one fresh
+    # interpreter: the Gauss rules and the continuum oracle run in numpy, so
+    # scipy.special (for erfcx) is the only scipy module a call needs
+    tables = [["yukawa", "--mu", "1", "--n-max", "8"],
+              ["coulomb", "--n-max", "10", "--out", str(tmp_path / "coulomb.csv")],
+              ["continuum", "--mu", "0.5", "--n-max", "8"], *README_COMMANDS,
+              ["check", "fast"]]
+    code = ("import contextlib, io, sys, warnings\n"
+            "import hermgrid, hermgrid.checks, hermgrid.cli as cli\n"
+            "warnings.simplefilter('ignore')\n"
+            f"for argv in {tables!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print([m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])\n")
+    run = _run_fresh(python=("-c", code))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_main_calls_share_one_parser(capsys, monkeypatch):
     used = []
     parse_args = argparse.ArgumentParser.parse_args

@@ -430,6 +430,22 @@ def test_continuum_rejects_non_finite_results_and_underflowing_mass():
         continuum_yukawa(1.0, 0.0, 1.0), rel=1e-9)
 
 
+def test_continuum_oracle_over_a_grid():
+    # the double-exponential Fourier rule against -e^{-mu r}/(4 pi r): where
+    # e^{-mu r} is tiny only an absolute bound is meaningful, the integral
+    # being a sum of terms of order 1/(mu r)^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in np.geomspace(1e-3, 50.0, 17):
+            for mu in (1e-100, 1e-30, 1e-8, *np.geomspace(1e-4, 10.0, 21)):
+                got = continuum_yukawa_oracle(float(r), float(mu))
+                want = -math.exp(-mu * r) / (4.0 * math.pi * r)
+                if mu * r <= 5.0:
+                    assert abs(got - want) <= 1e-12 * abs(want), (r, mu)
+                else:
+                    assert abs(got - want) <= 1e-15, (r, mu)
+
+
 def test_axis_values_match_mpmath_hyperu():
     # G((2j,0,0),(0,0,0); mu) = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2) for
     # even n1 = 2j <= 200 at 31 masses over [1e-6, 1e3], on both sides of

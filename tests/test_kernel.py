@@ -24,12 +24,11 @@ import numpy as np
 import pytest
 
 import grid_route
-from grid_route import _proper_time_rule, _separable_sum, green_contract, grid_element
+from grid_route import _proper_time_rule, _separable_sum, fold_even, green_contract, grid_element
 from hermgrid import MollerKinematics, VertexTruncation, moller_reduced_element
 from hermgrid.errors import NonconvergenceError
 from hermgrid.quadrature import (
     QuadratureConfig,
-    fold_even,
     gauss_hermite,
     refined,
     weighted_phi_table,

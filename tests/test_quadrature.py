@@ -16,8 +16,10 @@ import sys
 import numpy as np
 import pytest
 
+from hermgrid.errors import OrderTooLargeError
 from hermgrid.quadrature import (
     GH_NODES_MAX,
+    GH_RULE_MAX,
     QuadratureConfig,
     gauss_hermite,
     gauss_laguerre_half,
@@ -48,11 +50,12 @@ def _laguerre_half_weights(n, nodes):
     return out
 
 
-def _hermite_weights(n, nodes):
+def _hermite_rule(n, nodes):
     # H_{k+1} = 2x H_k - 2k H_{k-1}, H_k' = 2k H_{k-1}, and the weight at a
-    # root of H_n is 2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x)^2)
+    # root of H_n is 2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x)^2); the root and
+    # H_{n-1} there are one Newton step from the double node
     scale = mp.mpf(2) ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / n ** 2
-    out = []
+    roots, weights = [], []
     for node in nodes:
         x = mp.mpf(float(node))
         prev, cur = mp.mpf(0), mp.mpf(1)
@@ -61,14 +64,15 @@ def _hermite_weights(n, nodes):
         h_n = 2 * x * cur - 2 * (n - 1) * prev
         step = -h_n / (2 * n * cur)
         h_prev = cur + step * 2 * (n - 1) * prev
-        out.append(scale / h_prev ** 2)
-    return out
+        roots.append(x + step)
+        weights.append(scale / h_prev ** 2)
+    return roots, weights
 
 
-def _legendre_weights(n, nodes):
+def _legendre_rule(n, nodes):
     # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, (1 - x^2) P_n' = n (P_{n-1} - x P_n),
     # and the weight at a root of P_n is 2 / ((1 - x^2) P_n'(x)^2)
-    out = []
+    roots, weights = [], []
     for node in nodes:
         x = mp.mpf(float(node))
         for _ in range(2):
@@ -77,8 +81,9 @@ def _legendre_weights(n, nodes):
                 prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
             slope = n * (prev - x * cur) / (1 - x * x)
             x -= cur / slope
-        out.append(2 / ((1 - x * x) * slope ** 2))
-    return out
+        roots.append(x)
+        weights.append(2 / ((1 - x * x) * slope ** 2))
+    return roots, weights
 
 
 def _assert_relative(weights, exact, rtol):
@@ -104,19 +109,16 @@ def test_laguerre_half_weights_relative_accuracy(n):
 def test_hermite_weights_relative_accuracy(n):
     x, w = gauss_hermite(n)
     with mp.workdps(40):
-        exact = _hermite_weights(n, x)
+        _, exact = _hermite_rule(n, x)
     _assert_relative(w, exact, 1e-10)
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])
 def test_legendre_weights_relative_accuracy(n):
-    # the library's weights are 2.4e-14 off at the median node and 5.5e-11
-    # at the worst at 128 nodes; the polished ones carry a few ulps, more
-    # only at the end nodes, where the weight is most sensitive to the
-    # rounding of its node
+    # a few ulps, more only at the end nodes, where the recurrence rounds most
     y, w = gauss_legendre(n)
     with mp.workdps(40):
-        exact = _legendre_weights(n, y)
+        _, exact = _legendre_rule(n, y)
     rel = [float(abs(a - b) / b) for a, b in zip(w, exact)]
     assert np.median(rel) <= 4e-15
     assert max(rel) <= 1e-12
@@ -131,6 +133,45 @@ def test_legendre_rule_is_symmetric_to_the_bit(n):
     if n % 2:
         assert y[n // 2] == 0.0
     assert w.sum() == pytest.approx(2.0, rel=1e-15)
+
+
+def _check_rule(x, w, rule, wtol_median, wtol_max):
+    # nodes within 2 ulps of the true roots, normal weights within the
+    # tolerances relative (a weight below the normal range must not be
+    # above it), and the rule mirrored to the last bit; the nonnegative
+    # half is compared, the other half being its mirror
+    n = len(x)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    half = slice(n // 2, None)
+    with mp.workdps(40):
+        roots, exact = rule(n, x[half])
+        ulps = [float(abs(r - mp.mpf(float(a)))) / math.ulp(a) for a, r in zip(x[half], roots)]
+    assert max(ulps) <= 2.0
+    tiny = sys.float_info.min
+    rel = [float(abs(a - b) / b) for a, b in zip(w[half], exact) if b >= tiny]
+    assert all(a <= tiny for a, b in zip(w[half], exact) if b < tiny)
+    assert np.median(rel) <= wtol_median and max(rel) <= wtol_max
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 65, 128, 256, 512, 728])
+def test_hermite_rule_against_mpmath(n):
+    _check_rule(*gauss_hermite(n), _hermite_rule, 4e-15, 5e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 128, 512])
+def test_legendre_rule_against_mpmath(n):
+    _check_rule(*gauss_legendre(n), _legendre_rule, 4e-15, 1e-12)
+
+
+def test_hermite_rule_past_its_cap_raises():
+    # the basis seed e^{-x^2/2} of the Christoffel sum is subnormal at the
+    # outer nodes past 728
+    assert gauss_hermite(GH_RULE_MAX)[0].size == 728
+    with pytest.raises(OrderTooLargeError):
+        gauss_hermite(GH_RULE_MAX + 1)
 
 
 def test_laguerre_half_rule_shape():
