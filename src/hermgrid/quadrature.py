@@ -3,9 +3,9 @@
 All rules are cached by node count and returned as read-only arrays: the
 first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
-instead of rebuilding them.  The Gauss rules are built in numpy (no
-scipy.linalg), from a start polished on the three-term recurrence.  Every
-refined quadrature value passes the one refinement gate, refined.
+instead of rebuilding them.  Every rule is built in numpy, the Gauss-Hermite
+and Gauss-Legendre rules from a start polished on the three-term recurrence.
+Every refined quadrature value passes the one refinement gate, refined.
 """
 
 from __future__ import annotations
@@ -196,8 +196,7 @@ def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # No route of the package uses the half-Laguerre rule and its weights since
 # the axis values it integrated became closed forms.  The benchmark
 # (perfbench) still builds the rule in its set-up and is its only caller,
-# so the rule goes with the next change to the benchmark.  It imports
-# scipy.linalg inside, so that no other call pays for that import.
+# so the rule goes with the next change to the benchmark.
 
 def _christoffel_weights(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mass: float) -> np.ndarray:
     """Gauss weights w_i = mass / sum_k p_k(x_i)^2 from the Jacobi matrix.
@@ -232,23 +231,21 @@ def _christoffel_weights(x: np.ndarray, diag: np.ndarray, off: np.ndarray, mass:
 def gauss_laguerre_half(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Generalized Gauss-Laguerre rule for integral sqrt(x) e^{-x} f(x) dx on [0, inf).
 
-    The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch).  The
-    library routine for this rule overflows internally and returns NaN nodes
-    already at a few hundred points.  The weights come from the Christoffel
-    function at each node (_christoffel_weights), not from squared eigenvector
-    components: those carry only absolute precision, about 1e-34 of noise
-    at the far nodes of a 400-node rule, whose true weights are many orders
-    of magnitude smaller.  Each weight is accurate to a few parts in 1e12
-    relative wherever the true weight is a normal double; a weight below
-    that range comes back as a subnormal or as exactly 0, never as noise.
+    The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch), from
+    numpy.linalg.eigvalsh of the dense matrix, the one hermite_half takes for
+    an odd rule.  The weights come from the Christoffel function at each node
+    (_christoffel_weights), not from squared eigenvector components: those
+    carry only absolute precision, about 1e-34 of noise at the far nodes of
+    a 400-node rule, whose true weights are many orders of magnitude
+    smaller.  Each weight is accurate to a few parts in 1e12 relative
+    wherever the true weight is a normal double; a weight below that range
+    comes back as a subnormal or as exactly 0, never as noise.
     """
     alpha = 0.5
     k = np.arange(n_nodes, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
-    from scipy.linalg import eigh_tridiagonal
-
-    x = eigh_tridiagonal(diag, off, eigvals_only=True)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     w = _christoffel_weights(x, diag, off, math.gamma(alpha + 1.0))
     return read_only(x, w)
 

@@ -539,10 +539,10 @@ def test_import_builds_no_parser():
     assert run.returncode == 0 and run.stdout == "0\n"
 
 
-def test_fresh_process_loads_no_scipy_linalg_or_integrate(tmp_path):
-    # the README tables and check fast through cli.main in one fresh
-    # interpreter: the Gauss rules and the continuum oracle run in numpy, so
-    # scipy.special (for erfcx) is the only scipy module a call needs
+def test_fresh_process_loads_no_scipy(tmp_path):
+    # the README tables, check fast and the benchmark's half-Laguerre rule
+    # in one fresh interpreter: every rule, the continuum oracle and the
+    # coincidence value run on numpy and math alone
     tables = [["yukawa", "--mu", "1", "--n-max", "8"],
               ["coulomb", "--n-max", "10", "--out", str(tmp_path / "coulomb.csv")],
               ["continuum", "--mu", "0.5", "--n-max", "8"], *README_COMMANDS,
@@ -553,7 +553,8 @@ def test_fresh_process_loads_no_scipy_linalg_or_integrate(tmp_path):
             f"for argv in {tables!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
-            "print([m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])\n")
+            "hermgrid.quadrature.gauss_laguerre_half(400)\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     run = _run_fresh(python=("-c", code))
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"

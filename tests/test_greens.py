@@ -204,6 +204,24 @@ def test_yukawa_coincidence_matches_mpmath():
     assert worst <= 1e-14
 
 
+def test_yukawa_coincidence_below_mass_one_in_ulps():
+    # 2 (1 - sqrt(pi) mu e^{mu^2} erfc(mu)): the product carries up to about
+    # 3 ulps of exp, erfc and its own rounding, and near mu = 1 the
+    # subtraction and the smaller value's ulp magnify that fourfold.  The
+    # two last masses are the worst of 50,000 drawn on [0, 1) and [0.85, 1)
+    # (12.2 and 10.6 ulps); scipy's erfcx form reached 21.8 there.
+    mp = pytest.importorskip("mpmath")
+    mus = [*np.logspace(-6, 0, 400, endpoint=False), *np.linspace(0.5, 1.0, 2000, endpoint=False),
+           0.9838961103762334, 0.9751452710466864]
+    ulps = []
+    with mp.workdps(40):
+        for mu in map(float, mus):
+            got = yukawa_coincidence(mu)
+            want = 2 * (1 - mp.sqrt(mp.pi) * mu * mp.exp(mp.mpf(mu) ** 2) * mp.erfc(mu))
+            ulps.append(float(abs(got - want)) / math.ulp(got))
+    assert max(ulps) <= 16.0
+
+
 def test_coincidence_monotone_decreasing_in_mass():
     mus = np.linspace(0.1, 4.0, 14)
     vals = [yukawa_coincidence(float(m)) for m in mus]
@@ -568,11 +586,12 @@ def test_clear_caches_empties_every_cache():
     g_sharp((2, 1, 0), (0, 1, 2), 0.9, CFG)
     g_sharp_axis(4, 0.5, CFG)
     coulomb_quadrature(2, CFG)
+    continuum_yukawa_oracle(1.0, 1.0)
     # the module's own caches; the quadrature rules it imports stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert _axis_table in caches and greens.scaled_rule in caches
-    assert len(caches) >= 4
+    assert _axis_table in caches and greens.scaled_rule in caches and greens._fourier_rule in caches
+    assert len(caches) >= 5
     assert all(f.cache_info().currsize > 0 for f in caches)
     clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
