@@ -172,18 +172,40 @@ def _radius(pair_degree: int) -> float:
         4 pi^-1/2 t^{-D/2} (1-t^2)^{-3/2} R e^{-b R^2} / b
 
     (the radial integral of r^2 e^{-b r^2} from R on is below R e^{-b R^2}/b
-    once b R^2 >= 1/2).  R is the least such radius over a grid of t.
+    once b R^2 >= 1/2).  R is the least such radius over a grid of 50 t in
+    [0.01, 0.5], each from at most 20 steps of the fixed-point iteration
+    r = sqrt((log C + log r) / b), stopped once a step returns its input
+    (every further step would too).  The radii fall and then rise along the
+    grid, so the least one is found by bisecting on the sign of the step
+    from grid point i to i + 1, at about a dozen points.  That gives the
+    float of the full scan at every degree from 0 to 3,000, each checked,
+    and the projector's work budget (_WORK_MAX) admits no degree above
+    about 2,500.
     """
-    best = math.inf
-    for t in np.linspace(0.01, 0.5, 50):
+    grid = np.linspace(0.01, 0.5, 50).tolist()
+    log_tail = math.log(4.0 / math.sqrt(math.pi) / _TAIL)
+
+    @lru_cache(maxsize=None)
+    def radius_at(i: int) -> float:
+        t = grid[i]
         b = (1.0 - t) / (1.0 + t)
-        log_c = (math.log(4.0 / math.sqrt(math.pi) / _TAIL) - 0.5 * pair_degree * math.log(t)
-                 - 1.5 * math.log1p(-t * t) - math.log(b))
+        log_c = log_tail - 0.5 * pair_degree * math.log(t) - 1.5 * math.log1p(-t * t) - math.log(b)
         r = 1.0
         for _ in range(20):
-            r = math.sqrt((log_c + math.log(r)) / b)
-        best = min(best, r)
-    return best
+            step = math.sqrt((log_c + math.log(r)) / b)
+            if step == r:
+                break
+            r = step
+        return r
+
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if radius_at(mid) <= radius_at(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return radius_at(lo)
 
 
 @lru_cache(maxsize=256)
@@ -327,8 +349,9 @@ def s_plus_green(
 
     The cost grows like D^3 times the order (about D^2/16 directions, D
     radial nodes, a basis recurrence to the order at each point): at the
-    default config on a 2-core VM, (60,60,60)^2 takes 0.6 s, (100,100,100)^2
-    6.5 s, (300,200,0)/(100,0,0) 6.4 s and (1000,0,0)/(0,0,0) 0.5 s (one
+    default config, with one BLAS thread on a shared 2-core Xeon VM,
+    (60,60,60)^2 takes 2.2-2.4 s, (100,100,100)^2 18.6 s,
+    (300,200,0)/(100,0,0) 18.1 s and (1000,0,0)/(0,0,0) 2.1 s (one
     azimuth).  A pair whose stated work exceeds _WORK_MAX = 4e9, as
     (150,150,150)^2 does, raises OrderTooLargeError before any rule runs.
     """

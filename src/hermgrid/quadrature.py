@@ -149,10 +149,16 @@ def gauss_hermite(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_{n-1}(x) by the three-term recurrence
-    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}."""
-    prev, cur = np.ones_like(x), x
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, rounded in that order, in
+    place through three rotating buffers."""
+    prev, cur, nxt, tmp = np.ones_like(x), x.copy(), np.empty_like(x), np.empty_like(x)
     for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+        np.multiply(x, 2 * k + 1, out=nxt)
+        nxt *= cur
+        np.multiply(prev, k, out=tmp)
+        nxt -= tmp
+        nxt /= k + 1
+        prev, cur, nxt = cur, nxt, prev
     return cur, prev
 
 
@@ -262,6 +268,7 @@ def weighted_phi_table(n_max: int, n_nodes: int) -> np.ndarray:
     O(1) for any order because the Gaussian halves live in the weights.
     """
     x, w = gauss_hermite(n_nodes)
-    table = phi_row(n_max, x) * np.sqrt(w)
+    table = phi_row(n_max, x)
+    table *= np.sqrt(w)
     table.setflags(write=False)
     return table

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, OrderTooLargeError, TruncationWarning
 from .greens import pt_lattice, scaled_rule
-from .hermite import phi_at, phi_row, xi_axis
+from .hermite import phi_fill, phi_row, xi_axis
 from .quadrature import QuadratureConfig, read_only
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -173,7 +173,10 @@ def _chebyshev(n_max: int) -> np.ndarray:
     return np.sin(np.arange(n_max + 1) * (0.5 * math.pi / n_max)) ** 2
 
 
-# at most four cutoffs: 34 MB at _ELEMENT_N_MAX, 5.6 MB at 64 and below
+# at most four cutoffs: 34 MB at _ELEMENT_N_MAX, 5.6 MB at 64 and below.
+# The recurrence writes each row straight into its parity's table and the
+# rows with s_n = -1 are negated in place, so a cold build touches each
+# table once and peaks at about their size.
 @lru_cache(maxsize=4)
 def _scaled_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows s_n phi_n(y_j sqrt(s_c)) sqrt(W_j) e^{-y_j^2/2} / sqrt(pi),
@@ -184,11 +187,12 @@ def _scaled_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     read-only per cutoff."""
     y, weights = scaled_rule(n_max + 1)
     z = np.outer(np.sqrt(_chebyshev(n_max)), y)
-    seed = np.sqrt(weights) * np.exp(-0.5 * y * y) / _SQRT_PI
-    rows = phi_at(range(n_max + 1), z, np.broadcast_to(seed, z.shape))
-    return read_only(*(np.stack([rows[n].ravel() * (-1.0) ** (n // 2)
-                                 for n in range(parity, n_max + 1, 2)])
-                       for parity in (0, 1)))
+    tables = [np.empty(((n_max + 2 - parity) // 2, z.size)) for parity in (0, 1)]
+    phi_fill([tables[n % 2][n // 2].reshape(z.shape) for n in range(n_max + 1)], z,
+             np.sqrt(weights) * np.exp(-0.5 * y * y) / _SQRT_PI)
+    for table in tables:
+        np.negative(table[1::2], out=table[1::2])
+    return read_only(*tables)
 
 
 # An entry holds 6 (n_max + 1) doubles, 6.2 kB at _ELEMENT_N_MAX: room for
@@ -238,8 +242,11 @@ def _profiles(momenta: tuple[float, ...], n_max: int) -> np.ndarray:
 
 
 # An entry holds (n_max + 2) doubles per lattice term, about 200 terms for
-# mu in [1e-3, 1e3] and at most 3,100 (mu below 2^-500)
-@lru_cache(maxsize=16)
+# mu in [1e-3, 1e3] and at most 3,110 (mu below 2^-500): 3.2 MB at
+# _ELEMENT_N_MAX, so four entries keep at most about 13 MB.  Each mass's map
+# serves every kinematics at that mass before the next mass comes, so a
+# sweep over masses gains nothing from more entries.
+@lru_cache(maxsize=4)
 def _lattice_map(mu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The lattice of greens.g_proper_time for y in [mu^2, mu^2 + 12 n_max
     + 16] (pt_lattice, D = 6 n_max), as the matrix of the second-form
