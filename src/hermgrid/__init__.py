@@ -61,7 +61,6 @@ from .greens import (
     difference_equation_residual,
     g_sharp,
     g_sharp_axis,
-    incomplete_gamma_neg_half,
     w_sharp,
     yukawa_coincidence,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "difference_equation_residual",
     "g_sharp",
     "g_sharp_axis",
-    "incomplete_gamma_neg_half",
     "w_sharp",
     "yukawa_coincidence",
     "MollerKinematics",

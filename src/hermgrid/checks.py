@@ -51,6 +51,7 @@ from .quadrature import QuadratureConfig, gauss_hermite, refined, weighted_phi_t
 from .scattering import (
     MollerKinematics,
     VertexTruncation,
+    moller_element_and_shift,
     moller_reduced_element,
     vertex_axis_sum,
 )
@@ -298,7 +299,7 @@ def _check_greens_non_singularity():
 
 def _check_greens_parity_selection():
     rng = _rng()
-    cfg = QuadratureConfig(gh_nodes=32, refine=False)
+    cfg = QuadratureConfig()
     obs = 0.0
     count = 0
     while count < 50:
@@ -356,7 +357,7 @@ def _check_greens_cross_method():
         compared = [((v.value, v.err_estimate), ref)
                     for v, ref in zip((g_proper_time(*p, mu, cfg) for p in pairs), axis)]
         if mu >= 1.0:
-            values, defect = refined(lambda k: _tensor_greens(pairs, mu, 64 * k), cfg,
+            values, defect = refined(lambda k: _tensor_greens(pairs, mu, 64 * k),
                                      100.0 * cfg.tol, "tensor Green's values at mu={}", mu)
             refs = axis + [g_sharp(n, nhat, mu, cfg) for n, nhat in pairs[3:]]
             compared += [((v, defect), ref) for v, ref in zip(values, refs)]
@@ -483,9 +484,8 @@ def _check_scattering_truncation_diagnostic():
     els, tails = {}, {}
     with _quiet_truncation():
         for n_max in (8, 16, 32, 64):
-            tr = VertexTruncation(n_max)
-            els[n_max] = moller_reduced_element(kin, tr, cfg)
-            tails[n_max] = tr.tail_report
+            trunc = VertexTruncation(n_max)
+            els[n_max], tails[n_max] = moller_element_and_shift(kin, trunc, cfg)
     obs = max(abs(els[n] - frozen[n]) / frozen[n] for n in frozen)
     tails_shrink = all(tails[2 * n] < tails[n] for n in (8, 16, 32))
     gaps = [abs(els[2 * n] - els[n]) for n in (8, 16, 32)]
@@ -495,7 +495,7 @@ def _check_scattering_truncation_diagnostic():
 
 
 def _check_greens_residual_box():
-    cfg = QuadratureConfig(gh_nodes=96)
+    cfg = QuadratureConfig()
     obs = 0.0
     for mu in (0.5, 1.0, 2.0):
         for n0 in range(3):

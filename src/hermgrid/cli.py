@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .checks import run_suite
 from .errors import HermgridError, NonconvergenceError
 from .greens import (
     continuum_yukawa,
@@ -43,7 +42,12 @@ from .greens import (
     yukawa_coincidence,
 )
 from .quadrature import QuadratureConfig
-from .scattering import MollerKinematics, VertexTruncation, moller_reduced_element, continuum_moller_reduced
+from .scattering import (
+    MollerKinematics,
+    VertexTruncation,
+    continuum_moller_reduced,
+    moller_element_and_shift,
+)
 
 
 @dataclass(frozen=True)
@@ -239,13 +243,13 @@ def cmd_moller(args) -> int:
     # the truncation warning, like any other on the way, is one stderr line
     with warnings.catch_warnings():
         warnings.showwarning = _warning_line
-        element = moller_reduced_element(kin, trunc, qcfg)
+        element, shift = moller_element_and_shift(kin, trunc, qcfg)
     continuum = continuum_moller_reduced(kin)
     row = ResultRow(
         (args.n_max,),
         (element.real, element.imag, continuum.real,
          kin.conservation_defect, kin.momentum_defect,
-         kin.low_momentum_ok, trunc.tail_report),
+         kin.low_momentum_ok, shift),
     )
     lines = _table(args, ["vertex_n_max", "element_re", "element_im", "continuum_re",
                           "energy_defect", "momentum_defect", "low_momentum_ok",
@@ -255,6 +259,9 @@ def cmd_moller(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # imported here: no table command pays for compiling the suite
+    from .checks import run_suite
+
     results = run_suite(args.suite)
     lines = []
     for res in results:

@@ -364,6 +364,6 @@ def s_plus_green(
         raise DomainError(f"time separation must be finite, got {dt}")
     n_nodes = max(cfg.gh_nodes, sum(n) + sum(nhat))
     _check_work(n, nhat, n_nodes)
-    value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * n_nodes), cfg, cfg.tol,
+    value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * n_nodes), cfg.tol,
                        "fermionic Green's function at n={}, nhat={}", n, nhat)
     return value

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of its
+integer arguments."""
 
 
 class HermgridError(Exception):
@@ -23,3 +24,18 @@ class NonconvergenceError(HermgridError, RuntimeError):
 
 class TruncationWarning(UserWarning):
     """Emitted when a truncated mode sum drops terms above the configured tolerance."""
+
+
+def whole(value, what: str, least: int = 0) -> int:
+    """value as an int of at least least, for an order, an index component,
+    a cutoff or an extent; ValueError naming what for anything else, a
+    fraction, an infinity and NaN included."""
+    if type(value) is int and value >= least:
+        return value
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value or number < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return number

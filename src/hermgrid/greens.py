@@ -42,7 +42,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .errors import DomainError, NonconvergenceError
+from .errors import DomainError, NonconvergenceError, whole
 from .hermite import phi, phi_at
 from .quadrature import (
     QuadratureConfig,
@@ -60,10 +60,9 @@ _SQRT_PI = math.sqrt(math.pi)
 @dataclass(frozen=True)
 class GreensValue:
     """A Green's function sample plus the honest error bar: a rounding bound
-    for g_sharp, g_sharp_axis and g_proper_time, refined or not (0.0 for
-    the exact parity zeros only), and for
-    coulomb_quadrature the node-doubling defect |value(N) - value(2N)|
-    (above 100*tol it raises, see quadrature.refined), NaN unrefined."""
+    for g_sharp, g_sharp_axis and g_proper_time (0.0 for the exact parity
+    zeros only), and for coulomb_quadrature the node-doubling defect
+    |value(N) - value(2N)| (above 100*tol it raises, see quadrature.refined)."""
 
     value: complex
     err_estimate: float
@@ -74,15 +73,6 @@ def clear_caches() -> None:
     moments, axis tables and the continuum oracle's Fourier rule."""
     for cached in (scaled_rule, _angular_moment, _axis_table, _table_steps, _fourier_rule):
         cached.cache_clear()
-
-
-def _order(n1) -> int:
-    """An order n1 as a nonnegative int; ValueError otherwise (see
-    quadrature.index3)."""
-    order = int(n1)
-    if order != n1 or order < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {n1!r}")
-    return order
 
 
 # Step h of the trapezoid rule in log proper time (pt_lattice), whose error
@@ -255,7 +245,7 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     measured against mpmath never reached.
     No quadrature runs, so cfg is not read; it keeps the routes' call shape.
     """
-    n1 = _order(n1)
+    n1 = whole(n1, "order")
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mu}")
     if n1 % 2:
@@ -311,42 +301,20 @@ def _gamma_cf_levels(x: float, count: int) -> list[float]:
     return out
 
 
-def _gamma_cf(x: float) -> float:
-    """x^{1/2} e^x Gamma(-1/2, x) = 1/d_0 for x >= 1 (_gamma_cf_levels).
-    No exponential is formed, so nothing overflows or cancels at large x."""
-    return 1.0 / _gamma_cf_levels(x, 1)[0]
-
-
-def incomplete_gamma_neg_half(x: float) -> float:
-    """Gamma(-1/2, x) = integral_x^inf w^{-3/2} e^{-w} dw for x > 0.
-
-    Below x = 1 uses the closed identity 2 e^{-x}/sqrt(x) - 2 sqrt(pi)
-    erfc(sqrt(x)), which holds the x -> 0 blowup; from x = 1 on, where the
-    two terms would cancel, e^{-x} x^{-1/2} times the continued fraction
-    (_gamma_cf).  Accurate to a few parts in 1e15 relative wherever the value
-    is a normal double.
-    """
-    if not x > 0:
-        raise DomainError(f"argument must be positive, got {x}")
-    s = math.sqrt(x)
-    if x >= 1.0:
-        return math.exp(-x) / s * _gamma_cf(x)
-    return 2.0 * math.exp(-x) / s - 2.0 * _SQRT_PI * math.erfc(s)
-
-
 def yukawa_coincidence(mu: float) -> float:
     """Closed coincidence value mu e^{mu^2} Gamma(-1/2, mu^2).
 
     Finite for every mu > 0 and -> 2 as mu -> 0+; the continuum kernel
     diverges at coincidence, this is the formalism's headline finite number.
     Below mu = 1 it is 2 (1 - sqrt(pi) mu e^{mu^2} erfc(mu)), within 16 ulps
-    (12 near mu = 1, where it cancels); from mu = 1 on, the continued
-    fraction _gamma_cf(mu^2), in which e^{mu^2} has cancelled.
+    (12 near mu = 1, where it cancels); from mu = 1 on, 1/d_0 of the
+    continued fraction (_gamma_cf_levels at x = mu^2), in which e^{mu^2}
+    has cancelled, so nothing overflows at large mu.
     """
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mu}")
     if mu >= 1.0:
-        return _gamma_cf(mu * mu)
+        return 1.0 / _gamma_cf_levels(mu * mu, 1)[0]
     return 2.0 * (1.0 - _SQRT_PI * mu * math.exp(mu * mu) * math.erfc(mu))
 
 
@@ -363,7 +331,7 @@ def coulomb_even(n1: int) -> float:
     1/(128n^2) + 5/(1024n^3) - 21/(32768n^4) + ...), whose next term is
     below 2e-18 there; it meets the exact ratio within one ulp.
     """
-    n1 = _order(n1)
+    n1 = whole(n1, "order")
     if n1 < 1000:
         return math.sqrt(4 ** (n1 + 1) / ((2 * n1 + 1) ** 2 * math.comb(2 * n1, n1)))
     u = 1.0 / n1
@@ -403,9 +371,9 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
     pure polynomial against the Gaussian weight and the rule is exact once
     the node count clears half the order.
     """
-    n1 = _order(n1)
+    n1 = whole(n1, "order")
     ang = max(8, n1 // 2 + 2)
-    value, err = refined(lambda k: _coulomb_eval(n1, k * cfg.gh_nodes, k * ang), cfg,
+    value, err = refined(lambda k: _coulomb_eval(n1, k * cfg.gh_nodes, k * ang),
                          100.0 * cfg.tol, "massless quadrature at index {}", n1)
     return GreensValue(complex(value), err)
 
@@ -493,7 +461,7 @@ def difference_equation_residual(n, nhat, mu: float, cfg: QuadratureConfig) -> f
 def w_sharp(n1: int, mu: float, cfg: QuadratureConfig) -> float:
     """Static potential profile along one axis: the (n1,0,0) vs origin
     Green's value, g_sharp_axis for mu > 0 and coulomb_even at mu = 0."""
-    n1 = _order(n1)
+    n1 = whole(n1, "order")
     if not mu >= 0:
         raise DomainError(f"mu must be nonnegative, got {mu}")
     if mu > 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoxTooSmallError, DomainError
+from .errors import BoxTooSmallError, DomainError, whole
 from .hermite import xi_axis
 
 _SQRT2 = math.sqrt(2.0)
@@ -37,9 +37,8 @@ class GridBox:
     def __post_init__(self) -> None:
         if len(self.extents) != 3:
             raise ValueError("a box has exactly three extents")
-        for e in self.extents:
-            if e < 2:
-                raise ValueError(f"extents must be >= 2 per axis, got {self.extents}")
+        extents = tuple(whole(e, "a box extent", 2) for e in self.extents)
+        object.__setattr__(self, "extents", extents)
 
 
 @dataclass(frozen=True)

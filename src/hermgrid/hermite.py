@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OrderTooLargeError
+from .errors import OrderTooLargeError, whole
 
 _PI_QUARTER = math.pi ** 0.25
 
@@ -35,8 +35,7 @@ def hermite_poly(n: int, k: float) -> float:
 
     Only intended for small orders; use :func:`xi` for anything serious.
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    n = whole(n, "order")
     if n > _MAX_RAW_ORDER:
         raise OrderTooLargeError(
             f"raw Hermite order {n} exceeds the stable limit {_MAX_RAW_ORDER}; "
@@ -120,8 +119,7 @@ def xi(n: int, k: float) -> complex:
     and the i^n phase is applied last, so even orders are real and odd orders
     purely imaginary.
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    n = whole(n, "order")
     return _I_POW[n % 4] * _scalar_rows(n + 1, k)[n]
 
 
@@ -129,9 +127,7 @@ def xi_axis(n_max: int, k: float) -> np.ndarray:
     """All of xi_0(k) .. xi_{n_max}(k) as one complex vector, by the same
     recurrence as :func:`xi`; used by every mode sum in the package.
     """
-    if n_max < 0:
-        raise ValueError(f"order must be nonnegative, got {n_max}")
-    count = n_max + 1
+    count = whole(n_max, "order") + 1
     vals = np.array(_scalar_rows(count, k))
     return vals * np.array(_I_POW)[np.arange(count) % 4]
 
@@ -143,8 +139,7 @@ def xi_delta_sharp(n: int, k: float) -> complex:
     lower term is absent at n = 0.  Equals k xi_n(k): the basis functions are
     eigenfunctions of the sharp difference operator with eigenvalue ik.
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    n = whole(n, "order")
     upper = math.sqrt(n + 1.0) * xi(n + 1, k)
     lower = math.sqrt(float(n)) * xi(n - 1, k) if n > 0 else 0j
     return -1j / math.sqrt(2.0) * (upper - lower)

@@ -5,7 +5,8 @@ first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
 instead of rebuilding them.  Every rule is built in numpy, the Gauss-Hermite
 and Gauss-Legendre rules from a start polished on the three-term recurrence.
-Every refined quadrature value passes the one refinement gate, refined.
+Every quadrature value passes the one refinement gate, refined, which
+always evaluates both node levels, so every error estimate is a number.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonconvergenceError, OrderTooLargeError
+from .errors import NonconvergenceError, OrderTooLargeError, whole
 from .hermite import phi_at, phi_row
 
 # gh_nodes is read by the projector's radial rule and coulomb_quadrature,
@@ -31,20 +32,17 @@ GH_RULE_MAX = 728
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node count and tolerances shared by every quadrature evaluation.
+    """Node count and tolerance shared by every quadrature evaluation.
 
-    refine=True evaluates each quadrature at gh_nodes Gauss-Hermite nodes
-    per axis and at double that count; the difference is reported as the
-    error estimate and tested against a gate (see refined).  With
-    refine=False no estimate exists and NaN is reported instead.  Only
-    s_plus_green and coulomb_quadrature read gh_nodes and refine; the
-    closed forms read none of these fields, and the Green's values and the
-    exchange element tol alone.
+    Each quadrature runs at gh_nodes Gauss-Hermite nodes per axis and at
+    double that count; the difference is reported as the error estimate
+    and tested against a gate (see refined).  Only s_plus_green and
+    coulomb_quadrature read gh_nodes; the closed forms read neither field,
+    and the Green's values and the exchange element tol alone.
     """
 
     gh_nodes: int = 64
     tol: float = 1e-8
-    refine: bool = True
 
     def __post_init__(self) -> None:
         if self.gh_nodes < 8:
@@ -60,21 +58,16 @@ def index3(n) -> tuple[int, int, int]:
     t = tuple(n)
     if len(t) != 3:
         raise ValueError(f"grid index needs three components, got {n!r}")
-    out = []
-    for v in t:
-        iv = int(v)
-        if iv != v or iv < 0:
-            raise ValueError(f"grid index components must be nonnegative integers, got {n!r}")
-        out.append(iv)
-    return tuple(out)
+    a, b, c = t
+    what = "a grid index component"
+    return whole(a, what), whole(b, what), whole(c, what)
 
 
-def refined(evaluate, cfg: QuadratureConfig, gate: float, where: str, *where_args):
+def refined(evaluate, gate: float, where: str, *where_args):
     """The one refinement gate of every quadrature value: (value, err_estimate).
 
     evaluate(k) integrates at k times the configured node counts and returns
-    a number or an array.  With refinement off, (evaluate(1), NaN) is
-    returned.  Otherwise the value at k = 2 is returned with the defect
+    a number or an array.  The value at k = 2 is returned with the defect
     max |value(2) - value(1)| (plain |.| for a number) as its err_estimate,
     and a defect above gate raises NonconvergenceError.  The comparison is
     written so that a NaN defect raises too.  Green's values pass 100*tol as
@@ -82,8 +75,6 @@ def refined(evaluate, cfg: QuadratureConfig, gate: float, where: str, *where_arg
     where.format(*where_args), built only on failure.
     """
     coarse = evaluate(1)
-    if not cfg.refine:
-        return coarse, math.nan
     fine = evaluate(2)
     err = abs(fine - coarse)
     if isinstance(err, np.ndarray):

@@ -29,9 +29,12 @@ and the cutoff: they are built in one batched pass over the axes and both
 fermion lines and kept read-only in a bounded LRU keyed on just those.  The
 boson mass enters through the lattice alone, and one cached barycentric
 matrix per mass and cutoff carries the Q_a to it, so a second mass at the
-same kinematics pays only for that matrix product.  An independent
-sum-the-vertices-first evaluation lives in the checks module and serves as
-the correctness oracle.
+same kinematics pays only for that matrix product.  The truncation shift,
+the element minus its copy without the top shell, comes back by return
+beside the element (moller_element_and_shift); moller_reduced_element
+returns the element alone, and neither writes into its arguments.  An
+independent sum-the-vertices-first evaluation lives in the checks module
+and serves as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, OrderTooLargeError, TruncationWarning
+from .errors import DomainError, OrderTooLargeError, TruncationWarning, whole
 from .greens import pt_lattice, scaled_rule
 from .hermite import phi_fill, phi_row, xi_axis
 from .quadrature import QuadratureConfig, read_only
@@ -51,18 +54,14 @@ from .quadrature import QuadratureConfig, read_only
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexTruncation:
-    """Per-axis cutoff for the vertex sums, plus the truncation shift that
-    moller_reduced_element writes back after each evaluation."""
+    """Per-axis cutoff for the vertex sums and the exchange element."""
 
     n_max: int = 64
-    tail_report: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
-        self.n_max = int(self.n_max)
+        object.__setattr__(self, "n_max", whole(self.n_max, "n_max", 1))
 
 
 def vertex_axis_sum(p: float, q: float, k: float, sign_q: int, sign_k: int,
@@ -266,27 +265,28 @@ def _lattice_map(mu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(np.ascontiguousarray((k / k.sum(axis=1, keepdims=True)).T), w * s ** 1.5)
 
 
-def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
-                           cfg: QuadratureConfig) -> complex:
-    """Reduced one-boson-exchange element at the given kinematics.
+def moller_element_and_shift(kin: MollerKinematics, trunc: VertexTruncation,
+                             cfg: QuadratureConfig) -> tuple[complex, float]:
+    """Reduced one-boson-exchange element at the given kinematics, with its
+    truncation shift: how far the last included coefficient shell moves it.
 
-    Exactly zero on any spin mismatch; DomainError unless mu > 0 with a
-    finite square, and OrderTooLargeError past n_max = 128
+    Exactly zero on any spin mismatch, with shift 0.0; DomainError unless
+    mu > 0 with a finite square, and OrderTooLargeError past n_max = 128
     (_ELEMENT_N_MAX).  All three are decided before any table is built.
     The coefficient double sum is the proper-time integral described in the
     module docstring, summed as sum_m w_m s_m^{3/2} prod_a Q_a(s_m) on the
     lattice of the Green's values (_lattice_map, with that lattice's error
     bound), each Q_a (_profiles) exact up to rounding: against a 90-digit
     evaluation of the integral the element and its shift are within 1e-13
-    relative.  Truncation health is estimated from the same sum with
-    the top coefficient shell dropped: when that last included shell moves
-    the element by more than cfg.tol (the one field read), a
+    relative.  The shift is the same sum with the top coefficient shell
+    dropped, subtracted: when it exceeds cfg.tol (the one field read), a
     TruncationWarning is issued (the first dropped shell is comparable to
-    the last included one for the slowly decaying sums this models).  A
-    coefficient, element or shift that is not finite raises DomainError.
+    the last included one for the slowly decaying sums this models),
+    attributed to the caller of moller_reduced_element.  A coefficient,
+    element or shift that is not finite raises DomainError.
     """
     if kin.r1 != kin.r1_out or kin.r2 != kin.r2_out:
-        return 0j
+        return 0j, 0.0
     mu = float(kin.mu)
     if not (mu > 0 and math.isfinite(mu * mu)):
         raise DomainError(f"the exchange element needs mu > 0 with a finite square, got {mu}")
@@ -299,19 +299,25 @@ def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
     full, dropped = (on_lattice[:, 0] * on_lattice[:, 1] * on_lattice[:, 2]) @ weights
     prefactor = kin.prefactor
     element = complex(prefactor * full)
-    shift = abs(full - dropped) * prefactor
+    shift = float(abs(full - dropped) * prefactor)
     if not (math.isfinite(element.real) and math.isfinite(shift)):
         raise DomainError(f"the exchange element is not finite here: {element} "
                           f"(truncation shift {shift})")
-    trunc.tail_report = float(shift)
     if shift > cfg.tol:
         warnings.warn(
             f"last included coefficient shell moved the element by {shift:.3e} "
             f"(> tol {cfg.tol:.3e}); raise n_max past {trunc.n_max}",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return element
+    return element, shift
+
+
+def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
+                           cfg: QuadratureConfig) -> complex:
+    """The element of moller_element_and_shift alone, with its
+    TruncationWarning and errors."""
+    return moller_element_and_shift(kin, trunc, cfg)[0]
 
 
 def continuum_moller_reduced(kin: MollerKinematics) -> complex:

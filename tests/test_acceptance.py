@@ -32,7 +32,7 @@ from hermgrid.greens import (
     difference_equation_residual,
     g_sharp,
     g_sharp_axis,
-    incomplete_gamma_neg_half,
+    yukawa_coincidence,
 )
 from hermgrid.quadrature import QuadratureConfig, weighted_phi_table
 from hermgrid.scattering import MollerKinematics, VertexTruncation, moller_reduced_element
@@ -116,6 +116,10 @@ def test_criterion_04_incomplete_gamma_vs_quadrature():
 
         val, _ = quad(f, math.log(x), np.inf, epsabs=1e-14, epsrel=1e-13, limit=500)
         return val
+
+    def incomplete_gamma_neg_half(x: float) -> float:
+        # Gamma(-1/2, x) from the coincidence value mu e^{mu^2} Gamma(-1/2, mu^2)
+        return yukawa_coincidence(math.sqrt(x)) * math.exp(-x) / math.sqrt(x)
 
     xs = np.geomspace(1e-6, 25.0, 40)
     worst = max(
@@ -250,7 +254,7 @@ def test_criterion_10_moller_oracle_equivalence():
 
 def test_criterion_11_parity_selection():
     start = time.perf_counter()
-    cfg = QuadratureConfig(gh_nodes=32, refine=False)
+    cfg = QuadratureConfig()
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     count = 0

@@ -542,22 +542,24 @@ def test_import_builds_no_parser():
 def test_fresh_process_loads_no_scipy(tmp_path):
     # the README tables, check fast and the benchmark's half-Laguerre rule
     # in one fresh interpreter: every rule, the continuum oracle and the
-    # coincidence value run on numpy and math alone
+    # coincidence value run on numpy and math alone.  Only `check` imports
+    # hermgrid.checks, so no table pays for compiling the suite
     tables = [["yukawa", "--mu", "1", "--n-max", "8"],
               ["coulomb", "--n-max", "10", "--out", str(tmp_path / "coulomb.csv")],
               ["continuum", "--mu", "0.5", "--n-max", "8"], *README_COMMANDS,
               ["check", "fast"]]
     code = ("import contextlib, io, sys, warnings\n"
-            "import hermgrid, hermgrid.checks, hermgrid.cli as cli\n"
+            "import hermgrid, hermgrid.cli as cli\n"
             "warnings.simplefilter('ignore')\n"
             f"for argv in {tables!r}:\n"
+            "    print(argv[0], 'hermgrid.checks' in sys.modules)\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "hermgrid.quadrature.gauss_laguerre_half(400)\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     run = _run_fresh(python=("-c", code))
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    assert run.stdout.splitlines() == [f"{argv[0]} False" for argv in tables] + ["[]"]
 
 
 def test_main_calls_share_one_parser(capsys, monkeypatch):

@@ -148,18 +148,18 @@ def _s_plus_spinor_route(n, nhat, dt, m, n_nodes):
 
 
 def test_s_plus_matches_spinor_projector_route():
-    cfg = QuadratureConfig(gh_nodes=16, refine=False)
+    # one level of the radial rule at 16 nodes, the count s_plus_green
+    # refines from at gh_nodes = 16
     for n, nhat, dt in [((1, 0, 1), (0, 2, 1), 0.3), ((2, 1, 0), (0, 1, 0), 0.7),
                         ((0, 0, 0), (0, 0, 0), 0.0)]:
-        prod = dirac.s_plus_green(n, nhat, dt, 1.0, cfg)
+        prod = dirac._s_plus_eval(n, nhat, dt, 1.0, 16)
         oracle = _s_plus_spinor_route(n, nhat, dt, 1.0, 16)
         assert float(np.max(np.abs(prod - oracle))) <= 1e-12
 
 
 def test_s_plus_single_axis_excitation_is_gamma1_proportional():
     gs = dirac.gamma_set()
-    cfg = QuadratureConfig(gh_nodes=24, refine=False)
-    m1 = dirac.s_plus_green((1, 0, 0), (0, 0, 0), 0.4, 1.0, cfg)
+    m1 = dirac._s_plus_eval((1, 0, 0), (0, 0, 0), 0.4, 1.0, 24)
     g1 = gs[1]
     nz = np.abs(g1) > 0
     c = m1[nz][0] / g1[nz][0]
@@ -181,8 +181,7 @@ def test_s_plus_nonconvergence_gate():
     # the gate is tol itself on the largest entry defect, not the 100*tol
     # of the Green's values
     args = ((0, 0, 0), (0, 0, 0), 0.5, 1.0)
-    coarse, fine = (dirac.s_plus_green(*args, QuadratureConfig(gh_nodes=g, refine=False))
-                    for g in (8, 16))
+    coarse, fine = (dirac._s_plus_eval(*args, g) for g in (8, 16))
     defect = float(np.max(np.abs(fine - coarse)))
     assert defect > 0
     assert np.array_equal(dirac.s_plus_green(*args, QuadratureConfig(gh_nodes=8, tol=defect)), fine)
@@ -301,7 +300,7 @@ def test_radius_rests_on_mehlers_bound_and_grows_with_the_degree():
 
 @pytest.mark.parametrize("bad", [(-1, 0, 0), (0, 0, -2), (0.5, 0, 0), (0, 0)])
 def test_s_plus_rejects_bad_indices(bad):
-    cfg = QuadratureConfig(gh_nodes=8, refine=False)
+    cfg = QuadratureConfig(gh_nodes=8)
     with pytest.raises(ValueError):
         dirac.s_plus_green(bad, (0, 0, 0), 0.1, 1.0, cfg)
     with pytest.raises(ValueError):
@@ -311,9 +310,8 @@ def test_s_plus_rejects_bad_indices(bad):
 @pytest.mark.parametrize("dt, m", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
                                    (0.1, math.inf)])
 def test_s_plus_rejects_non_finite_time_and_mass(dt, m):
-    for refine in (True, False):
-        with pytest.raises(DomainError):
-            dirac.s_plus_green((0, 0, 0), (0, 0, 0), dt, m, QuadratureConfig(gh_nodes=8, refine=refine))
+    with pytest.raises(DomainError):
+        dirac.s_plus_green((0, 0, 0), (0, 0, 0), dt, m, QuadratureConfig(gh_nodes=8))
 
 
 def test_s_plus_nan_defect_trips_the_gate():

@@ -1,8 +1,11 @@
 import itertools
+import json
 import warnings
 import math
+import pathlib
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from hermgrid.greens import (
     g_proper_time,
     g_sharp,
     g_sharp_axis,
-    incomplete_gamma_neg_half,
     w_sharp,
     yukawa_coincidence,
 )
@@ -96,19 +98,18 @@ def test_tensor_nonconvergence_gate():
             route(*pair, 0.5, QuadratureConfig(tol=1e-18))
 
 
-def test_refine_disabled_reports_nan_error():
-    v = coulomb_quadrature(2, QuadratureConfig(refine=False))
-    assert math.isnan(v.err_estimate)
-    # the Green's values run no refinement: the same value and estimate
+def test_green_values_read_no_node_count():
+    # the Green's values run no quadrature: the same value and estimate at
+    # any node count
+    coarse = QuadratureConfig(gh_nodes=16)
     for n, nhat in (((0, 0, 0), (0, 0, 0)), ((8, 8, 8), (8, 8, 8))):
-        assert (g_proper_time(n, nhat, 0.3, QuadratureConfig(refine=False))
-                == g_proper_time(n, nhat, 0.3, CFG))
-    # a parity zero is exact, refined or not
-    assert g_proper_time((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
-    assert g_sharp((0, 1, 0), (0, 0, 0), 1.0, QuadratureConfig(refine=False)).err_estimate == 0.0
-    # the axis values are closed forms: no refinement, the same estimate
+        assert g_proper_time(n, nhat, 0.3, coarse) == g_proper_time(n, nhat, 0.3, CFG)
+    # a parity zero is exact
+    assert g_proper_time((0, 1, 0), (0, 0, 0), 1.0, CFG).err_estimate == 0.0
+    assert g_sharp((0, 1, 0), (0, 0, 0), 1.0, CFG).err_estimate == 0.0
+    # the axis values are closed forms: the same estimate
     for n1 in (0, 4):
-        assert g_sharp_axis(n1, 1.0, QuadratureConfig(refine=False)) == g_sharp_axis(n1, 1.0, CFG)
+        assert g_sharp_axis(n1, 1.0, coarse) == g_sharp_axis(n1, 1.0, CFG)
     # the coincidence value carries the table's rounding bound, and lies
     # within it of e Gamma(-1/2, 1)
     mp = pytest.importorskip("mpmath")
@@ -162,33 +163,6 @@ def test_axis_agrees_with_tensor_above_branch():
         t = g_proper_time((4, 0, 0), (0, 0, 0), mu, CFG)
         a = g_sharp_axis(4, mu, CFG)
         assert abs(t.value - a.value) <= t.err_estimate + a.err_estimate
-
-
-def test_incomplete_gamma_values():
-    assert incomplete_gamma_neg_half(1.0) == pytest.approx(0.17814771178156075, rel=1e-14)
-    assert incomplete_gamma_neg_half(1e-6) == pytest.approx(1996.4570922978558, rel=1e-14)
-    with pytest.raises(DomainError):
-        incomplete_gamma_neg_half(0.0)
-
-
-def test_incomplete_gamma_asymptotic_band():
-    # v * x^{3/2} e^x -> 1 with relative deviation bounded by 2/x
-    for x in (25.0, 50.0, 100.0, 500.0):
-        ratio = incomplete_gamma_neg_half(x) * x ** 1.5 * math.exp(x)
-        assert abs(ratio - 1.0) <= 2.0 / x
-
-
-def test_incomplete_gamma_matches_mpmath():
-    # log grid across the branch switch at x = 1, up to where the value
-    # leaves the normal double range
-    mp = pytest.importorskip("mpmath")
-    worst = 0.0
-    with mp.workdps(40):
-        for x in np.logspace(-6, math.log10(700.0), 241):
-            want = mp.gammainc(-0.5, mp.mpf(float(x)))
-            got = incomplete_gamma_neg_half(float(x))
-            worst = max(worst, float(abs(got - want) / want))
-    assert worst <= 1e-14
 
 
 def test_yukawa_coincidence_matches_mpmath():
@@ -365,11 +339,10 @@ def test_angular_moment_matches_the_full_grid_sum():
 def test_refinement_gate_trips_on_nan_defect():
     gate = 100.0 * CFG.tol
     with pytest.raises(NonconvergenceError, match="defect nan"):
-        refined(lambda k: (1.0, math.nan)[k - 1], CFG, gate, "probe")
+        refined(lambda k: (1.0, math.nan)[k - 1], gate, "probe")
     with pytest.raises(NonconvergenceError):
-        refined(lambda k: math.nan, CFG, gate, "probe")
-    assert math.isnan(refined(lambda k: math.nan, QuadratureConfig(refine=False), gate, "probe")[1])
-    assert refined(lambda k: 1.0, CFG, gate, "probe") == (1.0, 0.0)
+        refined(lambda k: math.nan, gate, "probe")
+    assert refined(lambda k: 1.0, gate, "probe") == (1.0, 0.0)
 
 
 def test_refinement_gate_takes_the_largest_entry_defect():
@@ -377,13 +350,13 @@ def test_refinement_gate_takes_the_largest_entry_defect():
     # maximum, and a NaN entry trips the gate like a NaN number
     coarse = np.array([[1.0, 2.0], [3.0, 4.0]])
     fine = coarse + np.array([[1e-9, -3e-9], [0.0, 2e-9]])
-    value, err = refined(lambda k: (coarse, fine)[k - 1], CFG, 4e-9, "probe")
+    value, err = refined(lambda k: (coarse, fine)[k - 1], 4e-9, "probe")
     assert value is fine and err == float(np.max(np.abs(fine - coarse)))
     with pytest.raises(NonconvergenceError):
-        refined(lambda k: (coarse, fine)[k - 1], CFG, 2e-9, "probe")
+        refined(lambda k: (coarse, fine)[k - 1], 2e-9, "probe")
     fine[0, 0] = math.nan
     with pytest.raises(NonconvergenceError, match="defect nan"):
-        refined(lambda k: (coarse, fine)[k - 1], CFG, 1.0, "probe")
+        refined(lambda k: (coarse, fine)[k - 1], 1.0, "probe")
 
 
 def test_angular_moment_keeps_one_row_in_memory():
@@ -467,30 +440,28 @@ def test_continuum_oracle_over_a_grid():
 def test_axis_values_match_mpmath_hyperu():
     # G((2j,0,0),(0,0,0); mu) = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2) for
     # even n1 = 2j <= 200 at 31 masses over [1e-6, 1e3], on both sides of
-    # the forward/backward switch, wherever the value is a normal double
-    mp = pytest.importorskip("mpmath")
+    # the forward/backward switch, wherever the value is a normal double;
+    # the 30-digit references come from mpmath's hyperu (hyperu_pins.py)
+    pins = json.loads(pathlib.Path(__file__).with_name("hyperu_pins.json").read_text("utf-8"))
+    assert pins["digits"] == 30
+    assert [mu for mu, _ in pins["pins"]] == [float(mu) for mu in np.logspace(-6, 3, 31)]
     worst_low = worst_ratio = worst_bound = 0.0
-    with mp.workdps(30):
-        for mu in np.logspace(-6, 3, 31):
-            mu = float(mu)
-            x = mp.mpf(mu) ** 2
-            prefactor = mp.mpf(1)
-            for j in range(101):
-                if j:
-                    prefactor *= mp.sqrt(j * (2 * j - 1) / mp.mpf(2))
-                want = prefactor * mp.hyperu(j + 1, 0.5, x)
-                got = g_sharp_axis(2 * j, mu, CFG)
-                assert got.value.imag == 0.0
-                if j == 0:
-                    assert got.value.real == yukawa_coincidence(mu)
-                if want < sys.float_info.min:
-                    continue
-                gap = float(abs(got.value.real - want))
-                if j <= 20:
-                    worst_low = max(worst_low, gap / float(want))
-                # the coincidence value (j = 0) too lies within its bound
-                worst_ratio = max(worst_ratio, gap / got.err_estimate)
-                worst_bound = max(worst_bound, got.err_estimate / got.value.real)
+    for mu, column in pins["pins"]:
+        assert len(column) == 101
+        for j, text in enumerate(column):
+            want = Fraction(text)
+            got = g_sharp_axis(2 * j, mu, CFG)
+            assert got.value.imag == 0.0
+            if j == 0:
+                assert got.value.real == yukawa_coincidence(mu)
+            if want < sys.float_info.min:
+                continue
+            gap = float(abs(Fraction(got.value.real) - want))
+            if j <= 20:
+                worst_low = max(worst_low, gap / float(want))
+            # the coincidence value (j = 0) too lies within its bound
+            worst_ratio = max(worst_ratio, gap / got.err_estimate)
+            worst_bound = max(worst_bound, got.err_estimate / got.value.real)
     assert worst_low <= 2e-14
     assert worst_ratio <= 1.0
     assert worst_bound <= 1e-12

@@ -6,6 +6,7 @@ the focus is the algebraic structure: completeness of the truncated sums
 under smearing, symmetry and scaling laws, and the truncation diagnostics.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from hermgrid.scattering import (
     _chebyshev,
     _profiles,
     continuum_moller_reduced,
+    moller_element_and_shift,
     moller_reduced_element,
     vertex_axis_sum,
 )
@@ -54,12 +56,16 @@ def test_vertex_axis_sum_sign_validation():
 
 
 def test_vertex_sums_leave_their_truncation_alone():
-    # neither the vertex sum nor the oracle built on it writes a diagnostic
-    # into the caller's truncation; only the exchange element reports one
+    # the truncation is frozen: the vertex sum, the oracle built on it and
+    # the exchange element read it, and the element's shift comes back by
+    # return
     tr = VertexTruncation(5)
     vertex_axis_sum(0.4, 0.2, -0.3, -1, 1, tr)
     moller_oracle_element(KIN, tr, n_nodes=8)
-    assert (tr.n_max, tr.tail_report) == (5, 0.0)
+    moller_element_and_shift(KIN, tr, CFG)
+    assert tr == VertexTruncation(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tr.n_max = 6
 
 
 def test_vertex_sum_smeared_completeness():
@@ -162,9 +168,14 @@ def test_element_exchange_symmetry():
 
 def test_truncation_warning_and_report():
     tr = VertexTruncation(4)
+    with pytest.warns(TruncationWarning) as record:
+        value = moller_reduced_element(KIN, tr, QuadratureConfig())
+    # the warning points at the caller of the public element
+    assert record[0].filename == __file__
     with pytest.warns(TruncationWarning):
-        moller_reduced_element(KIN, tr, QuadratureConfig())
-    assert tr.tail_report == pytest.approx(4.046e-3, rel=1e-2)
+        element, shift = moller_element_and_shift(KIN, tr, QuadratureConfig())
+    assert element == value
+    assert shift == pytest.approx(4.046e-3, rel=1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         moller_reduced_element(KIN, VertexTruncation(4), CFG)
@@ -184,11 +195,9 @@ def test_continuum_element():
 
 
 def _element(kin, n_max, cfg=CFG):
-    trunc = VertexTruncation(n_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        value = moller_reduced_element(kin, trunc, cfg)
-    return value, trunc.tail_report
+        return moller_element_and_shift(kin, VertexTruncation(n_max), cfg)
 
 
 def _at(kin, **changes):
@@ -227,7 +236,7 @@ def test_profiles_ignore_mass_coupling_fermion_mass_and_spins():
     # a different cutoff or momentum is another entry; the config is not
     # part of the key
     _element(KIN, 9)
-    _element(KIN, 8, QuadratureConfig(gh_nodes=40, refine=False))
+    _element(KIN, 8, QuadratureConfig(gh_nodes=40, tol=1e-3))
     _element(_at(KIN, p1=(0.15, 0.05, -0.11)), 8)
     assert _profiles.cache_info().misses == 3
 

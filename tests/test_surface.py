@@ -3,11 +3,15 @@
 A name joins __all__ only when production code needs it, so a change to
 the exported list shows here and has to be made on purpose.  Modules share
 code through public names only: no module imports another hermgrid
-module's underscore name.
+module's underscore name.  Every order, index component, cutoff and box
+extent passes one check, so a fraction, an infinity or NaN is refused alike.
 """
 
 import ast
+import math
 import pathlib
+
+import pytest
 
 import hermgrid
 
@@ -20,7 +24,7 @@ EXPORTS = [
     "coulomb_quadrature", "delta_bwd", "delta_circle", "delta_fwd",
     "delta_sharp", "difference_equation_residual", "dirac_adjoint", "energy",
     "g_sharp", "g_sharp_axis", "gamma_set", "hermite_poly",
-    "incomplete_gamma_neg_half", "kg_mode_residual", "laplacian_sharp",
+    "kg_mode_residual", "laplacian_sharp",
     "low_momentum_u", "mode_function", "moller_reduced_element",
     "orthonormality_check", "restrict", "s_plus_green", "spin_sum",
     "spinor_u", "spinor_v", "vertex_axis_sum", "w_sharp", "xi",
@@ -30,7 +34,7 @@ EXPORTS = [
 
 def test_exported_names_are_pinned():
     assert sorted(hermgrid.__all__) == EXPORTS
-    assert len(EXPORTS) == 47
+    assert len(EXPORTS) == 46
     for name in EXPORTS:
         assert hasattr(hermgrid, name), name
 
@@ -48,3 +52,56 @@ def test_no_module_imports_another_modules_private_name():
                 offenders.extend(f"{path.name}: {alias.name}" for alias in node.names
                                  if alias.name.startswith("_"))
     assert offenders == []
+
+
+def test_no_function_writes_into_its_arguments():
+    # results come back by return: no function assigns to an attribute of
+    # one of its parameters (a method's own self aside)
+    package = pathlib.Path(hermgrid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} - {"self"}
+            for node in ast.walk(func):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                           else [])
+                offenders.extend(f"{path.name}:{node.lineno} {func.name}" for t in targets
+                                 if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                                 and t.value.id in params)
+    assert offenders == []
+
+
+CFG = hermgrid.QuadratureConfig()
+
+# every entry point that takes an order, an index triple, a cutoff or a box
+# extent, called with the bad value v in that place
+INTEGER_ARGUMENTS = {
+    "g_sharp": lambda v: hermgrid.g_sharp((v, 0, 0), (0, 0, 0), 1.0, CFG),
+    "g_sharp_axis": lambda v: hermgrid.g_sharp_axis(v, 1.0, CFG),
+    "s_plus_green": lambda v: hermgrid.s_plus_green((0, 0, 0), (0, v, 0), 0.1, 1.0, CFG),
+    "coulomb_even": lambda v: hermgrid.coulomb_even(v),
+    "coulomb_quadrature": lambda v: hermgrid.coulomb_quadrature(v, CFG),
+    "w_sharp": lambda v: hermgrid.w_sharp(v, 1.0, CFG),
+    "difference_equation_residual":
+        lambda v: hermgrid.difference_equation_residual((0, 0, v), (0, 0, 0), 1.0, CFG),
+    "VertexTruncation": lambda v: hermgrid.VertexTruncation(v),
+    "hermite_poly": lambda v: hermgrid.hermite_poly(v, 0.5),
+    "xi": lambda v: hermgrid.xi(v, 0.5),
+    "xi_delta_sharp": lambda v: hermgrid.xi_delta_sharp(v, 0.5),
+    "xi_axis": lambda v: hermgrid.hermite.xi_axis(v, 0.5),
+    "GridBox": lambda v: hermgrid.GridBox((v, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan], ids=["fraction", "inf", "nan"])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_fractions_infinities_and_nan(name, value):
+    # one shared check turns each into a ValueError that names the rule,
+    # never an OverflowError or TypeError from int() or list indexing
+    with pytest.raises(ValueError, match=r"must be an integer >= \d, got"):
+        INTEGER_ARGUMENTS[name](value)
