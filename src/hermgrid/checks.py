@@ -309,7 +309,7 @@ def _check_greens_parity_selection():
             continue
         count += 1
         obs = max(obs, abs(g_sharp(n, nhat, 1.0, cfg).value))
-    return obs <= 1e-10, 1e-10, obs, "50 parity-violating pairs at mu=1 cancel by node symmetry"
+    return obs <= 0.0, 0.0, obs, "50 parity-violating pairs at mu=1 give exact zeros"
 
 
 def _check_greens_symmetry():

@@ -15,8 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OrderTooLargeError
-from .hermite import phi_at
-from .quadrature import QuadratureConfig, gauss_legendre, index3, read_only, refined
+from .greens import scaled_rule
+from .hermite import phi_at, phi_fill
+from .quadrature import GH_RULE_MAX, QuadratureConfig, gauss_legendre, index3, read_only, refined
 
 _I = 1j
 
@@ -148,13 +149,9 @@ def spin_sum(p: tuple[float, float, float], m: float) -> np.ndarray:
 _GAMMAS = read_only(*_gamma_matrices())
 # Share of every matrix entry that the radial rule may drop past its radius.
 _TAIL = 2.0 ** -64
-# Largest stated work of one projector (_check_work): (100,100,100)^2 has
-# 1.8e9, (300,200,0)/(100,0,0) 2.8e9, (150,150,150)^2 9.2e9 and
-# (300,300,300)^2 1.5e11.
-_WORK_MAX = 4e9
-# Points evaluated at once: the sphere rule of a high order is walked through
-# in blocks of about this many points, so memory does not grow with the order.
-_BLOCK = 2 ** 18
+# ln 2 in two parts (Cody and Waite): e * _LN2_HI is exact for whole e below 2^21.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 @lru_cache(maxsize=256)
@@ -179,8 +176,8 @@ def _radius(pair_degree: int) -> float:
     grid, so the least one is found by bisecting on the sign of the step
     from grid point i to i + 1, at about a dozen points.  That gives the
     float of the full scan at every degree from 0 to 3,000, each checked,
-    and the projector's work budget (_WORK_MAX) admits no degree above
-    about 2,500.
+    and the projector's Gauss-Hermite cap (GH_RULE_MAX) admits no degree
+    above 2,178 (726 on each axis).
     """
     grid = np.linspace(0.01, 0.5, 50).tolist()
     log_tail = math.log(4.0 / math.sqrt(math.pi) / _TAIL)
@@ -209,12 +206,13 @@ def _radius(pair_degree: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _radial_rule(n_nodes: int, pair_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes r on [0, R] and weights w r^2 e^{-r^2}.
-
-    r^2 is formed exactly as hi + lo (Dekker's product), so that
-    r^2 e^{-r^2} = hi e^{-hi} (1 + lo/hi - lo) carries about one ulp however
-    large r^2 is; rounding r^2 alone would cost r^2 ulps in e^{-r^2}."""
+def _radial_rule(n_nodes: int, pair_degree: int) -> tuple[np.ndarray, ...]:
+    """Gauss-Legendre nodes r on [0, R], weights w r^2, and the Gaussian
+    e^{-r^2} = g 2^-e as a mantissa g and a whole exponent e: past r = 27.3
+    it is 0 as a double.  r^2 is formed exactly as hi + lo (Dekker's
+    product) and e = round(r^2 / ln 2) is taken off it against ln 2 in two
+    parts, so g = e^{e ln 2 - hi - lo} carries about one ulp however large
+    r^2 is; rounding r^2 alone would cost r^2 ulps."""
     radius = _radius(pair_degree)
     y, wy = gauss_legendre(n_nodes)
     r = 0.5 * radius * (1.0 + y)
@@ -223,77 +221,71 @@ def _radial_rule(n_nodes: int, pair_degree: int) -> tuple[np.ndarray, np.ndarray
     r_hi = split - (split - r)
     r_lo = r - r_hi
     lo = ((r_hi * r_hi - hi) + 2.0 * r_hi * r_lo) + r_lo * r_lo
-    w = (0.5 * radius * wy) * (hi * np.exp(-hi)) * (1.0 + (lo / hi - lo))
-    return read_only(r, w)
+    e = np.rint(hi / math.log(2.0))
+    gauss = np.exp((e * _LN2_HI - hi) + (e * _LN2_LO - lo))
+    return read_only(r, (0.5 * radius * wy) * hi, gauss, e.astype(int))
 
 
-@lru_cache(maxsize=256)
-def _sphere_rule(degree: int, equator: int) -> tuple[np.ndarray, ...]:
-    """Product rule over the unit sphere for polynomials even in each axis,
-    of degree <= degree in all and <= equator in the two equatorial axes.
+# Bounded: an entry holds at most 364 doubles (p + q + lift = 727).
+@lru_cache(maxsize=1024)
+def _axis_overlaps(p: int, q: int, lift: int) -> np.ndarray:
+    """g(k) = b_k O(2k) for 2k <= p + q + lift (read-only), with b_k =
+    sqrt((2k)!) / (k! 2^k) and O(j) = sum_i W_i psi_j(y_i) psi_p psi_q(z_i)
+    z_i^lift, psi_j = phi_j e^{-y^2/2} and z = y / sqrt(2), on the
+    (p + q + lift + 1)-point greens.scaled_rule.  The integrand is an even
+    polynomial of degree j + p + q + lift times e^{-y^2}, so the rule is
+    exact, and O(j) vanishes for j > p + q + lift by orthogonality."""
+    count = p + q + lift + 1
+    y, weights = scaled_rule(count)
+    z = y / math.sqrt(2.0)
+    pair = phi_at((p, q), z, np.exp(-0.5 * z * z))
+    line = weights * pair[p] * pair[q] * z ** lift
+    rows = np.empty((count, y.size))
+    phi_fill(rows, y, np.exp(-0.5 * y * y))
+    even = rows[::2] @ line
+    k = np.arange(1.0, even.size)
+    b = np.sqrt(np.cumprod(np.concatenate([[1.0], (2.0 * k - 1.0) / (2.0 * k)])))
+    return read_only(b * even)[0]
 
-    Returns the polar nodes u = cos(theta) >= 0, sin(theta), the weights and
-    the azimuth cosines c_j.  The integral of f over the whole sphere is
-    sum_t w_t sum_j f(s_t c_j, s_t c_{M-1-j}, u_t), exact for such f:
-    Gauss-Legendre in u with degree//2 + 1 nodes, folded onto u >= 0 by
-    parity (a node at 0 counted once), and the midpoint rule in the azimuth
-    on [0, pi/2] with M = equator//4 + 1 points.  The latter is the
-    4M-point rule over the circle folded by parity, and an integrand even in
-    both equatorial axes carries only the harmonics cos(2 l phi) with
-    2 l <= equator < 4M, which it integrates exactly.
+
+def _shell_profile(n, nhat, odd, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, f): n_nodes radial nodes and weights, sum_i f_i K(r_i) the integral
+    over momentum of prod_a phi_{n_a} phi_{nhat_a}(k_a) (times k_a on the
+    axis in odd, at most one) e^{-k.k} K(|k|), in O(D^2) work at degree D.
+
+    Only the product's l = 0 part survives the angular integral: a sum over
+    the l = 0 oscillator shells at scale sqrt(2) (Moshinsky and Smirnov, The
+    Harmonic Oscillator in Modern Physics, 1996).  Shell K is the sum S_K
+    of the products of even one-axis states of half-orders k_1 + k_2 + k_3
+    = K, weighted b_{k_1} b_{k_2} b_{k_3}, whose radial function is
+    (-1)^K L_K(x) e^{-x/2} at x = 2 r^2 (L_K the Laguerre polynomial of
+    alpha = 1/2).  The pair's overlap with S_K is the convolution C_K of
+    the axes' g (_axis_overlaps), and |S_K|^2 = (b^2 * b^2 * b^2)[K] is
+    L_K(0) = prod_{i<=K} (2i + 1)/(2i) (b_k^2 has the generating function
+    (1 - t)^{-1/2}).  So the profile is 4 pi sum_K C_K P_K(x) e^{-x/2},
+    with P_K = (-1)^K L_K / L_K(0) run by the recurrence (K + 3/2) P_{K+1}
+    = (x - 2K - 3/2) P_K - K P_{K-1} from P_0 = 1, the Gaussian's mantissa
+    (_radial_rule); at r = 0 it is 4 pi times the polynomial at 0.  Far
+    nodes drive P_K past the double range, so, as in
+    quadrature._christoffel_weights, a node's state is divided by an exact
+    power of two whenever a value exceeds 2^256; that exponent and the
+    Gaussian's apply only at the end.
     """
-    u, wu = gauss_legendre(degree // 2 + 1)
-    half = u >= 0
-    u, wu = u[half], np.where(u[half] > 0, 2.0 * wu[half], wu[half])
-    m = equator // 4 + 1
-    c = np.cos((np.arange(m) + 0.5) * (math.pi / (2 * m)))
-    return read_only(u, np.sqrt((1.0 - u) * (1.0 + u)), wu * (2.0 * math.pi / m), c)
-
-
-def _radial_profile(n, nhat, odd, r: np.ndarray) -> np.ndarray:
-    """At each radius r_i, the integral over the unit sphere of the
-    basis-pair polynomial prod_a phi_{n_a} phi_{nhat_a}(k_a), times k_a for
-    the axis a in odd (at most one), at k = r_i times the direction.
-
-    The axis of the highest degree is the polar one, so that a pair that
-    excites one axis alone needs a single azimuth."""
-    deg = [n[a] + nhat[a] + (a in odd) for a in range(3)]
-    pole = deg.index(max(deg))
-    eq = [a for a in range(3) if a != pole]
-    u, s, w, c = _sphere_rule(sum(deg), sum(deg) - deg[pole])
-    cs = np.stack([c, c[::-1]])
-    mb = min(c.size, max(1, _BLOCK // (2 * r.size)))
-    tb = max(1, _BLOCK // (2 * r.size * mb))
-    profile = np.zeros(r.size)
-    for t in (slice(i, i + tb) for i in range(0, u.size, tb)):
-        z = r[:, None] * u[t]
-        rows = phi_at((n[pole], nhat[pole]), z)
-        polar = rows[n[pole]] * rows[nhat[pole]]
-        if pole in odd:
-            polar *= z
-        rs = (r[:, None] * s[t])[:, :, None, None]
-        ring = 0.0
-        for j in range(0, c.size, mb):
-            # equatorial coordinates, indexed (radius, polar node, axis, azimuth)
-            k = rs * cs[:, j:j + mb]
-            rows = phi_at([n[a] for a in eq] + [nhat[a] for a in eq], k)
-            q = (rows[n[eq[0]]][:, :, 0] * rows[nhat[eq[0]]][:, :, 0]
-                 * (rows[n[eq[1]]][:, :, 1] * rows[nhat[eq[1]]][:, :, 1]))
-            if odd and odd[0] != pole:
-                q *= k[:, :, eq.index(odd[0])]
-            ring = ring + q.sum(axis=-1)
-        profile += (ring * polar) @ w[t]
-    return profile
-
-
-def _check_work(n: tuple[int, ...], nhat: tuple[int, ...], n_nodes: int) -> None:
-    """OrderTooLargeError where sphere points (as _radial_profile sizes them) x fine
-    radial nodes x highest order passes _WORK_MAX; a pair odd in two axes needs no rule."""
-    deg = [a + b + (a + b) % 2 for a, b in zip(n, nhat)]
-    work = (sum(deg) // 2 + 2) // 2 * ((sum(deg) - max(deg)) // 4 + 1) * 2 * n_nodes * max(n + nhat)
-    if work > _WORK_MAX and sum(deg) - sum(n) - sum(nhat) <= 1:
-        raise OrderTooLargeError(f"fermionic Green's function at n={n}, nhat={nhat}: stated work "
-                                 f"{work:.2e} exceeds the budget {_WORK_MAX:.0e}")
+    g = [_axis_overlaps(min(p, q), max(p, q), int(a in odd)) for a, (p, q) in enumerate(zip(n, nhat))]
+    coef = np.convolve(np.convolve(g[0], g[1]), g[2]).tolist()
+    r, w, gauss, exponent = _radial_rule(n_nodes, sum(n) + sum(nhat))
+    x = 2.0 * r * r
+    prev, cur = 0.0, gauss
+    total = coef[0] * cur
+    shift = -exponent
+    for k in range(len(coef) - 1):
+        prev, cur = cur, ((x - (2 * k + 1.5)) * cur - k * prev) / (k + 1.5)
+        total += coef[k + 1] * cur
+        if abs(cur).max() > 2.0 ** 256:
+            e = np.where(abs(cur) > 1.0, np.frexp(cur)[1], 0)
+            prev, cur, total = (np.ldexp(v, -e) for v in (prev, cur, total))
+            shift = shift + e
+    return r, (4.0 * math.pi) * w * np.ldexp(total, shift)
 
 
 def _s_plus_eval(
@@ -304,7 +296,7 @@ def _s_plus_eval(
     n_nodes: int,
 ) -> np.ndarray:
     # The kernels e^{-iE dt}/2E and e^{-iE dt} depend on |k| alone, so each
-    # integral is a radial sum of the pair polynomial's spherical average.
+    # integral is a radial sum against the pair polynomial's l = 0 profile.
     # The pair is odd in the axes where n_a + nhat_a is odd.  Only integrals
     # whose integrand is even in every axis survive: those of m and gamma4
     # for an even pair, that of gamma_a for a pair odd in axis a alone, and
@@ -312,8 +304,7 @@ def _s_plus_eval(
     odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
     core = np.zeros((4, 4), dtype=complex)
     if len(odd) <= 1:
-        r, w = _radial_rule(n_nodes, sum(n) + sum(nhat))
-        f = w * _radial_profile(n, nhat, odd, r)
+        r, f = _shell_profile(n, nhat, odd, n_nodes)
         e = np.sqrt(r * r + m * m)
         osc = np.exp((-_I * dt) * e)
         i_k = f @ (osc / (2.0 * e))
@@ -336,24 +327,19 @@ def s_plus_green(
 
     Evaluates i * integral of [(i gamma.p - i gamma4 E - m)/2E] times the
     basis-pair product times e^{-iE dt} over momentum.  The kernels depend
-    on |k| alone, so the integral splits into the average of the pair
-    polynomial over the sphere, by a product rule exact for its degree, and
-    a radial Gauss-Legendre sum on [0, R] against r^2 e^{-r^2} and the
-    kernels, evaluated at the radial nodes only.  R follows from a stated
-    tail bound (_radius); on [0, R] the rule resolves the branch point of E
-    at |k| = i m at any mass.  Only the radial rule is refined: it runs at
-    k * max(gh_nodes, D) nodes for k = 1, 2, with D = sum n + sum nhat the
-    pair's degree, since a pair of high degree needs about as many radial
-    nodes as its degree.  The refinement gate (quadrature.refined) is tol
-    on the largest entry defect.  A pair odd in two axes gives exact zeros.
-
-    The cost grows like D^3 times the order (about D^2/16 directions, D
-    radial nodes, a basis recurrence to the order at each point): at the
-    default config, with one BLAS thread on a shared 2-core Xeon VM,
-    (60,60,60)^2 takes 2.2-2.4 s, (100,100,100)^2 18.6 s,
-    (300,200,0)/(100,0,0) 18.1 s and (1000,0,0)/(0,0,0) 2.1 s (one
-    azimuth).  A pair whose stated work exceeds _WORK_MAX = 4e9, as
-    (150,150,150)^2 does, raises OrderTooLargeError before any rule runs.
+    on |k| alone, so the integral is a radial Gauss-Legendre sum on [0, R]
+    of the kernels against the pair polynomial's l = 0 profile, a sum over
+    oscillator shells in O(D^2) work (_shell_profile), with D = sum n +
+    sum nhat the pair's degree.  R follows from a stated tail bound
+    (_radius); on [0, R] the rule resolves the branch point of E at
+    |k| = i m at any mass.  Only the radial rule is refined: it runs at
+    k * max(gh_nodes, D) nodes for k = 1, 2, since a pair of high degree
+    needs about as many radial nodes as its degree.  The refinement gate
+    (quadrature.refined) is tol on the largest entry defect.  A pair odd in
+    two axes gives exact zeros at any order.  An axis whose n_a + nhat_a,
+    plus one on the odd axis, reaches GH_RULE_MAX = 728 would need a
+    Gauss-Hermite rule past that cap: OrderTooLargeError, before any rule
+    is built.
     """
     n = index3(n)
     nhat = index3(nhat)
@@ -362,8 +348,12 @@ def s_plus_green(
     m = float(m)
     if not math.isfinite(dt):
         raise DomainError(f"time separation must be finite, got {dt}")
+    odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
+    rule = max(n[a] + nhat[a] + (a in odd) for a in range(3)) + 1
+    if len(odd) <= 1 and rule > GH_RULE_MAX:
+        raise OrderTooLargeError(f"fermionic Green's function at n={n}, nhat={nhat}: its overlaps need a "
+                                 f"{rule}-point Gauss-Hermite rule, at most {GH_RULE_MAX}")
     n_nodes = max(cfg.gh_nodes, sum(n) + sum(nhat))
-    _check_work(n, nhat, n_nodes)
     value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * n_nodes), cfg.tol,
                        "fermionic Green's function at n={}, nhat={}", n, nhat)
     return value

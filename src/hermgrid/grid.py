@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import BoxTooSmallError, DomainError, whole
 from .hermite import xi_axis
+from .quadrature import index3
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -50,8 +51,9 @@ class GridFunction:
     origin: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "origin", index3(self.origin))
         spans = tuple(e - o for e, o in zip(self.box.extents, self.origin))
-        if any(o < 0 for o in self.origin) or any(s < 1 for s in spans):
+        if any(s < 1 for s in spans):
             raise ValueError(f"origin {self.origin} incompatible with box {self.box.extents}")
         if self.values.shape != spans:
             raise ValueError(f"values shape {self.values.shape} != valid spans {spans}")
@@ -135,6 +137,7 @@ def delta_circle(f: GridFunction, axis: int) -> GridFunction:
 
 def restrict(f: GridFunction, origin: tuple[int, int, int], extents: tuple[int, int, int]) -> GridFunction:
     """Crop to a sub-region (must lie inside f's valid region)."""
+    origin, extents = index3(origin), GridBox(extents).extents
     slicer = []
     for ax in range(3):
         if origin[ax] < f.origin[ax] or extents[ax] > f.box.extents[ax] or extents[ax] - origin[ax] < 1:

@@ -153,8 +153,7 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cur, prev
 
 
-# Bounded: s_plus_green asks for a rule per radial node count of a high
-# degree, and the sphere rules of every degree it meets.
+# Bounded: s_plus_green asks for a rule per radial node count of a high degree.
 @lru_cache(maxsize=128)
 def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integral f(y) dy over [-1, 1].

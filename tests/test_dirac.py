@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import hermgrid
+import sphere_route
 from hermgrid import dirac
 from hermgrid.errors import DomainError, NonconvergenceError, OrderTooLargeError
 from hermgrid.hermite import phi_row, xi
-from hermgrid.quadrature import QuadratureConfig, gauss_hermite, gauss_legendre, weighted_phi_table
+from hermgrid.quadrature import QuadratureConfig, gauss_hermite, gauss_legendre, hermite_half, weighted_phi_table
 
 
 def test_gamma_entries():
@@ -115,10 +116,11 @@ def test_low_momentum_domain():
 
 
 def _sphere_points(degree):
-    # the octant rule of dirac unfolded onto the whole sphere by the eight
-    # reflections (four for a polar node at 0), each taking its share of the
-    # weight; it is then exact for every polynomial of the degree, odd ones too
-    u, s, w, c = dirac._sphere_rule(degree, degree)
+    # the octant rule of the sphere route unfolded onto the whole sphere by
+    # the eight reflections (four for a polar node at 0), each taking its
+    # share of the weight; it is then exact for every polynomial of the
+    # degree, odd ones too
+    u, s, w, c = sphere_route.sphere_rule(degree, degree)
     points = []
     for t in range(u.size):
         for j in range(c.size):
@@ -129,17 +131,17 @@ def _sphere_points(degree):
 
 
 def _s_plus_spinor_route(n, nhat, dt, m, n_nodes):
-    # on the points of the projector's own radial and sphere rules, assembled
-    # from explicit spinor projectors instead of gamma-moment accumulation:
-    # i * integral of basis pair times (-(m/E) sum_r u u~) e^{-iE dt}.  The
-    # radial weights carry r^2 e^{-r^2}, which the Gaussians of xi undo
+    # on the projector's own radial rule and the sphere route's points,
+    # assembled from explicit spinor projectors instead of gamma-moment
+    # accumulation: i * integral of basis pair times (-(m/E) sum_r u u~)
+    # e^{-iE dt}.  The radial weights carry r^2 and the xi the Gaussian
     degree = sum(n) + sum(nhat)
-    r, wr = dirac._radial_rule(n_nodes, degree)
+    r, wr, _, _ = dirac._radial_rule(n_nodes, degree)
     acc = np.zeros((4, 4), complex)
     for direction, wd in _sphere_points(degree + 1):
         for ri, wi in zip(r, wr):
             k = tuple(float(v) for v in ri * direction)
-            pair = math.exp(ri * ri)
+            pair = 1.0
             for a in range(3):
                 pair *= xi(n[a], k[a]) * np.conj(xi(nhat[a], k[a]))
             e = dirac.energy(k, m)
@@ -247,26 +249,60 @@ POLYNOMIAL_PAIRS = [((0, 0, 0), (0, 0, 0)), ((2, 0, 0), (0, 0, 0)), ((1, 0, 0), 
                     ((40, 0, 1), (40, 0, 0))]
 
 
-@pytest.mark.parametrize("block", (dirac._BLOCK, 64))
-@pytest.mark.parametrize("n, nhat", POLYNOMIAL_PAIRS)
-def test_spherical_rule_is_exact_for_polynomial_kernels(n, nhat, block, monkeypatch):
-    # the radial and sphere rules against the closed-form Gaussian moments of
-    # the pair polynomial for K = 1 and K = k.k (times k_a for the axis a
-    # where the pair is odd), also when the sphere is walked in small blocks.
-    # At high orders the radius must grow with the order: R = 10 is 4e-2 off
-    # at (20, 20, 20)^2
-    monkeypatch.setattr(dirac, "_BLOCK", block)
+def _assert_moments(n, nhat, r, f):
+    # the weighted profile against the closed-form Gaussian moments of the
+    # pair polynomial for K = 1 and K = k.k (times k_a for the axis a where
+    # the pair is odd)
     odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
-    degree = sum(n) + sum(nhat)
-    r, w = dirac._radial_rule(max(64, degree), degree)
-    profile = w * dirac._radial_profile(n, nhat, odd, r)
     lift = [1 if a in odd else 0 for a in range(3)]
     one = math.prod(_gauss_moment(lift[a], n[a], nhat[a]) for a in range(3))
     kk = sum(math.prod(_gauss_moment(lift[a] + 2 * (a == b), n[a], nhat[a]) for a in range(3))
              for b in range(3))
     assert one != 0 or kk != 0
-    assert abs(profile.sum() - one) <= 2e-13
-    assert abs(profile @ (r * r) - kk) <= 2e-13 * (degree + 3)
+    assert abs(f.sum() - one) <= 2e-13
+    assert abs(f @ (r * r) - kk) <= 2e-13 * (sum(n) + sum(nhat) + 3)
+
+
+@pytest.mark.parametrize("block", (sphere_route.BLOCK, 64))
+@pytest.mark.parametrize("n, nhat", POLYNOMIAL_PAIRS)
+def test_spherical_rule_is_exact_for_polynomial_kernels(n, nhat, block):
+    # the reference route: the radial and sphere rules, also when the sphere
+    # is walked in small blocks.  At high orders the radius must grow with
+    # the order: R = 10 is 4e-2 off at (20, 20, 20)^2
+    odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
+    r, f = sphere_route.weighted_profile(n, nhat, odd, max(64, sum(n) + sum(nhat)), block)
+    _assert_moments(n, nhat, r, f)
+
+
+@pytest.mark.parametrize("n, nhat", POLYNOMIAL_PAIRS)
+def test_shell_profile_is_exact_for_polynomial_kernels(n, nhat):
+    odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
+    r, f = dirac._shell_profile(n, nhat, odd, max(64, sum(n) + sum(nhat)))
+    _assert_moments(n, nhat, r, f)
+
+
+@pytest.mark.parametrize("n, nhat", [((150, 150, 150), (150, 150, 150)),
+                                     ((150, 150, 151), (150, 150, 150)),
+                                     ((363, 363, 363), (363, 363, 363))])
+def test_shell_profile_is_exact_at_high_degree(n, nhat):
+    # K = 1 against prod_a integral of phi_{n_a} phi_{nhat_a} (times k_a) e^{-k_a^2},
+    # pi^{3/2} for the squares: past r = 27.3 e^{-r^2} is below the double
+    # range, and without the exponent carried apart (150,150,150)^2 is 6% off
+    odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
+    r, f = dirac._shell_profile(n, nhat, odd, sum(n) + sum(nhat))
+    one = math.prod(_gauss_moment(int(a in odd), n[a], nhat[a]) for a in range(3))
+    assert abs(f.sum() - one) <= 5e-14 * abs(one)
+
+
+@pytest.mark.parametrize("n, nhat", POLYNOMIAL_PAIRS + [((100, 0, 0), (0, 50, 50))])
+def test_shell_profile_matches_the_sphere_route(n, nhat):
+    # two routes to the same weighted profile at the same radial nodes: the
+    # l = 0 shell sum and the average over a product sphere rule
+    odd = [a for a in range(3) if (n[a] + nhat[a]) % 2]
+    n_nodes = max(64, sum(n) + sum(nhat))
+    r, f = dirac._shell_profile(n, nhat, odd, n_nodes)
+    _, ref = sphere_route.weighted_profile(n, nhat, odd, n_nodes)
+    assert float(np.max(np.abs(f - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("n_nodes, degree", [(64, 0), (128, 12), (256, 120)])
@@ -275,7 +311,8 @@ def test_radial_weights_carry_about_one_ulp(n_nodes, degree):
     # Gauss-Legendre weight: rounding r^2 first would cost r^2 ulps (up to
     # 200 at the outer nodes of degree 120)
     mp = pytest.importorskip("mpmath")
-    r, w = dirac._radial_rule(n_nodes, degree)
+    r, wr, gauss, exponent = dirac._radial_rule(n_nodes, degree)
+    w = wr * np.ldexp(gauss, -exponent)
     _, wy = gauss_legendre(n_nodes)
     half = 0.5 * dirac._radius(degree)
     with mp.workdps(40):
@@ -373,27 +410,21 @@ def test_s_plus_identical_across_thread_counts():
     assert outs[0] == outs[1]
 
 
-def test_s_plus_refuses_a_pair_past_its_work_budget(monkeypatch):
-    # (100,100,100)^2 (6.5 s) and (300,200,0)/(100,0,0) (6.4 s) stay within
-    # the budget, checked here without their evaluation; (150,150,150)^2
-    # and (300,300,300)^2 are refused before any rule is built
-    evaluated = []
-    monkeypatch.setattr(dirac, "_s_plus_eval", lambda *args: evaluated.append(args[:2]) or np.zeros((4, 4)))
+def test_s_plus_refuses_a_pair_past_the_gauss_hermite_cap():
+    # an axis whose n_a + nhat_a (plus one where the pair is odd in that axis
+    # alone) reaches GH_RULE_MAX = 728 would need a Gauss-Hermite rule past
+    # the cap, and is refused before any rule is built.  The largest pairs
+    # below the cap converge at the default config, a pair odd in two axes
+    # is an exact zero at any order, and nothing warns
     cfg = QuadratureConfig()
-    accepted = [((100, 100, 100), (100, 100, 100)), ((300, 200, 0), (100, 0, 0))]
-    for n, nhat in accepted:
-        dirac.s_plus_green(n, nhat, 0.4, 1.0, cfg)
-    assert evaluated == [pair for pair in accepted for _ in range(2)]
-    evaluated.clear()
-    rules = dirac._radial_rule.cache_info().currsize, dirac._sphere_rule.cache_info().currsize
-    for n in ((150, 150, 150), (300, 300, 300)):
-        with pytest.raises(OrderTooLargeError, match="work"):
-            dirac.s_plus_green(n, n, 0.4, 1.0, cfg)
-    assert evaluated == []
-    assert (dirac._radial_rule.cache_info().currsize, dirac._sphere_rule.cache_info().currsize) == rules
-    # the stated work: sphere points x fine radial nodes x highest order
-    # (226 x 151 x 1800 x 150 for (150,150,150)^2); a pair odd in two axes is
-    # an exact zero whatever its order
-    with pytest.raises(OrderTooLargeError, match=re.escape(f"{226 * 151 * 1800 * 150:.2e}")):
-        dirac._check_work((150, 150, 150), (150, 150, 150), 900)
-    dirac._check_work((1001, 1001, 0), (0, 0, 0), 2002)
+    caches = (dirac._radial_rule, dirac._axis_overlaps, hermite_half, gauss_legendre)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sizes = [c.cache_info().currsize for c in caches]
+        for n, nhat in (((728, 0, 0), (0, 0, 0)), ((400, 0, 0), (400, 0, 0))):
+            with pytest.raises(OrderTooLargeError, match=re.escape(f"n={n}, nhat={nhat}")):
+                dirac.s_plus_green(n, nhat, 0.4, 1.0, cfg)
+        assert [c.cache_info().currsize for c in caches] == sizes
+        for n in ((363, 363, 363), (150, 150, 150)):
+            assert np.all(np.isfinite(dirac.s_plus_green(n, n, 0.4, 1.0, cfg)))
+        assert not dirac.s_plus_green((1001, 1001, 0), (0, 0, 0), 0.4, 1.0, cfg).any()

@@ -125,16 +125,6 @@ def test_radius_search_matches_the_full_scan():
     assert got == want
 
 
-def test_projector_budget_refuses_the_largest_one_axis_pairs():
-    # the radius search is checked up to degree 3,000; the largest degree
-    # the work budget admits is a pair on one axis, split evenly
-    dirac._check_work((1259, 0, 0), (1259, 0, 0), 2518)
-    with pytest.raises(dirac.OrderTooLargeError):
-        dirac._check_work((1260, 0, 0), (1260, 0, 0), 2520)
-    with pytest.raises(dirac.OrderTooLargeError):
-        dirac._check_work((2001, 0, 0), (0, 0, 0), 2001)
-
-
 def test_lattice_map_cache_stays_within_its_bound():
     # four entries at most, each at most 129 x 3,110 doubles (3.2 MB) at
     # the largest cutoff and the smallest masses

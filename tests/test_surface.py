@@ -11,6 +11,7 @@ import ast
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 import hermgrid
@@ -95,6 +96,9 @@ INTEGER_ARGUMENTS = {
     "xi_delta_sharp": lambda v: hermgrid.xi_delta_sharp(v, 0.5),
     "xi_axis": lambda v: hermgrid.hermite.xi_axis(v, 0.5),
     "GridBox": lambda v: hermgrid.GridBox((v, 2, 2)),
+    "GridFunction": lambda v: hermgrid.GridFunction(hermgrid.GridBox((3, 3, 3)), np.zeros((3, 3, 3)), (v, 0, 0)),
+    "restrict": lambda v: hermgrid.restrict(
+        hermgrid.GridFunction(hermgrid.GridBox((3, 3, 3)), np.zeros((3, 3, 3))), (v, 0, 0), (3, 3, 3)),
 }
 
 
