@@ -264,6 +264,22 @@ def _check_dirac_low_momentum_order():
     return obs <= 0.2, 0.2, obs, f"log-log error slope {slope:.3f}, expected quartic"
 
 
+def _check_dirac_projector_orthonormality():
+    # at dt = 0 the gamma4 part of s_plus_green is -i/2 pi^{-3/2} times the
+    # pair's orthonormality integral, pi^{3/2} delta(n, nhat), at any mass,
+    # and gamma4 = diag(-i, -i, i, i), so S[0,0] - S[2,2] = -i delta(n, nhat)
+    # for a pair even in every axis: six on the diagonal, four off it
+    pairs = [(n, n) for n in ((0, 0, 0), (1, 1, 0), (4, 4, 4), (11, 7, 5), (20, 20, 20), (60, 60, 60))]
+    pairs += [((2, 0, 0), (0, 0, 0)), ((2, 1, 3), (0, 3, 1)), ((6, 2, 0), (2, 4, 2)), ((40, 0, 2), (0, 40, 2))]
+    cfg = QuadratureConfig()
+    obs = 0.0
+    for m in (0.5, 1.0, 3.0):
+        for n, nhat in pairs:
+            s = dirac.s_plus_green(n, nhat, 0.0, m, cfg)
+            obs = max(obs, abs(s[0, 0] - s[2, 2] + (1j if n == nhat else 0.0)))
+    return obs <= 1e-13, 1e-13, obs, "s_plus_green at dt = 0: S[0,0] - S[2,2] = -i delta(n, nhat), 10 pairs"
+
+
 def _check_kg_mode_residual():
     rng = _rng()
     box = GridBox((12, 11, 10))
@@ -413,8 +429,7 @@ def _check_scattering_exchange_symmetry():
     return obs <= 1e-10, 1e-10, obs, "swapping the fermion lines leaves the element unchanged"
 
 
-def moller_oracle_element(kin: MollerKinematics, trunc: VertexTruncation,
-                          n_nodes: int = 96) -> complex:
+def moller_oracle_element(kin: MollerKinematics, trunc: VertexTruncation) -> complex:
     """Independent exchange-element route: evaluate both truncated vertex
     sums at every quadrature node, then do the boson-line integral with
     explicit loops.  Shares nothing with the production route beyond the
@@ -423,16 +438,16 @@ def moller_oracle_element(kin: MollerKinematics, trunc: VertexTruncation,
 
     The truncated vertex sums hold polynomial content of degree ``n_max``
     per factor, and the boson denominator is not polynomial at all, so the
-    rule must be generous: 96 nodes resolve the ``n_max = 32`` box to a few
-    parts in 1e7 at mu = 1, while 48 nodes leave a per-mille defect.  The
-    rule's error grows as mu falls."""
+    rule must be generous: its 96 nodes per axis resolve the ``n_max = 32``
+    box to a few parts in 1e7 at mu = 1, while 48 nodes leave a per-mille
+    defect.  The rule's error grows as mu falls."""
     if kin.r1 != kin.r1_out or kin.r2 != kin.r2_out:
         return 0j
-    x, w = gauss_hermite(n_nodes)
+    x, w = gauss_hermite(96)
     g = []
     for a in range(3):
-        row = np.empty(n_nodes, complex)
-        for i in range(n_nodes):
+        row = np.empty(x.size, complex)
+        for i in range(x.size):
             v1 = vertex_axis_sum(kin.p1[a], kin.p1_out[a], float(x[i]), -1, +1, trunc)
             v2 = vertex_axis_sum(kin.p2[a], kin.p2_out[a], float(x[i]), -1, -1, trunc)
             row[i] = v1 * v2
@@ -440,9 +455,9 @@ def moller_oracle_element(kin: MollerKinematics, trunc: VertexTruncation,
     x2 = x * x
     mu2 = kin.mu ** 2
     acc = 0j
-    for i in range(n_nodes):
+    for i in range(x.size):
         di = x2[i] + mu2
-        for j in range(n_nodes):
+        for j in range(x.size):
             acc += g[0][i] * g[1][j] * np.sum(g[2] / (di + x2[j] + x2))
     return kin.prefactor * complex(acc)
 
@@ -462,7 +477,7 @@ def _check_scattering_oracle_equivalence():
     for kin in cases:
         with _quiet_truncation():
             prod = moller_reduced_element(kin, trunc, cfg)
-        oracle = moller_oracle_element(kin, trunc, n_nodes=96)
+        oracle = moller_oracle_element(kin, trunc)
         obs = max(obs, abs(prod - oracle) / abs(oracle))
     return obs <= 1e-4, 1e-4, obs, "profile contraction vs sum-vertices-first, n_max=32"
 
@@ -525,6 +540,7 @@ _FAST = [
     ("dirac_spin_sum", _check_dirac_spin_sum),
     ("dirac_mode_equation", _check_dirac_mode_equation),
     ("dirac_low_momentum_order", _check_dirac_low_momentum_order),
+    ("dirac_projector_orthonormality", _check_dirac_projector_orthonormality),
     ("kg_mode_residual", _check_kg_mode_residual),
     ("greens_non_singularity", _check_greens_non_singularity),
     ("greens_parity_selection", _check_greens_parity_selection),

@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import HermgridError, NonconvergenceError
@@ -48,19 +47,6 @@ from .scattering import (
     continuum_moller_reduced,
     moller_element_and_shift,
 )
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One output row: label cells (indices, coordinates) then value cells
-    (discrete value, continuum comparison, error estimate)."""
-
-    labels: tuple
-    values: tuple
-
-    @property
-    def cells(self) -> tuple:
-        return self.labels + self.values
 
 
 class _UsageError(Exception):
@@ -107,7 +93,7 @@ def _emit(lines: list[str], out_path: str) -> None:
         sys.stdout.write(text)
 
 
-def _table(args, columns: list[str], rows: list[ResultRow],
+def _table(args, columns: list[str], rows: list[tuple],
            extra_header: list[tuple[str, str]] = ()) -> list[str]:
     sep = "," if args.format == "csv" else "\t"
     # the parsed flags in registration order, after the command; func is
@@ -116,7 +102,7 @@ def _table(args, columns: list[str], rows: list[ResultRow],
     for key, val in extra_header:
         lines.append(f"# {key} = {val}")
     lines.append(sep.join(columns))
-    lines.extend(sep.join(_fmt(c) for c in row.cells) for row in rows)
+    lines.extend(sep.join(_fmt(c) for c in row) for row in rows)
     return lines
 
 
@@ -134,8 +120,7 @@ def cmd_yukawa(args) -> int:
     for n1 in range(args.n_max + 1):
         gv = g_sharp_axis(n1, args.mu, qcfg)
         coincidence = closed if n1 == 0 else ""
-        rows.append(ResultRow((n1, _x_of(args, n1)),
-                              (gv.value.real, gv.err_estimate, coincidence)))
+        rows.append((n1, _x_of(args, n1), gv.value.real, gv.err_estimate, coincidence))
     lines = _table(args, ["index", "x", "w_sharp", "err_estimate", "closed_coincidence"],
                    rows, extra_header=[("coincidence_closed_form", repr(closed))])
     _emit(lines, args.out_path)
@@ -160,7 +145,7 @@ def cmd_coulomb(args) -> int:
         closed = coulomb_even(half)
         cont_w = 1.0 / (4.0 * math.pi * x) if x > 0 else ""
         cont_scaled = 1.0 / x if x > 0 else ""
-        rows.append(ResultRow((index, x), (closed, 0.0, cont_w, cont_scaled)))
+        rows.append((index, x, closed, 0.0, cont_w, cont_scaled))
     lines = _table(args, ["index", "x", "w_sharp_closed", "err_estimate",
                           "continuum_w", "continuum_scaled"], rows)
     _emit(lines, args.out_path)
@@ -182,7 +167,7 @@ def cmd_continuum(args) -> int:
             continue
         closed = continuum_yukawa(r, args.mu, args.g)
         oracle = args.g * args.g * continuum_yukawa_oracle(r, args.mu)
-        rows.append(ResultRow((n1, r), (closed, oracle, abs(closed - oracle))))
+        rows.append((n1, r, closed, oracle, abs(closed - oracle)))
     lines = _table(args, ["index", "r", "yukawa_closed", "yukawa_oracle", "abs_difference"], rows)
     _emit(lines, args.out_path)
     return 0
@@ -196,12 +181,9 @@ def cmd_greens(args) -> int:
         axis = g_sharp_axis(n1, args.mu, qcfg)
         # the proper-time sum itself: g_sharp returns the axis value here
         full = g_proper_time((n1, 0, 0), (0, 0, 0), args.mu, qcfg)
-        rows.append(ResultRow(
-            (n1,),
-            (axis.value.real, axis.value.imag, axis.err_estimate,
-             full.value.real, full.value.imag, full.err_estimate,
-             abs(axis.value - full.value)),
-        ))
+        rows.append((n1, axis.value.real, axis.value.imag, axis.err_estimate,
+                     full.value.real, full.value.imag, full.err_estimate,
+                     abs(axis.value - full.value)))
     lines = _table(args, ["index", "axis_re", "axis_im", "axis_err",
                           "proper_time_re", "proper_time_im", "proper_time_err", "abs_difference"], rows)
     _emit(lines, args.out_path)
@@ -245,12 +227,8 @@ def cmd_moller(args) -> int:
         warnings.showwarning = _warning_line
         element, shift = moller_element_and_shift(kin, trunc, qcfg)
     continuum = continuum_moller_reduced(kin)
-    row = ResultRow(
-        (args.n_max,),
-        (element.real, element.imag, continuum.real,
-         kin.conservation_defect, kin.momentum_defect,
-         kin.low_momentum_ok, shift),
-    )
+    row = (args.n_max, element.real, element.imag, continuum.real,
+           kin.conservation_defect, kin.momentum_defect, kin.low_momentum_ok, shift)
     lines = _table(args, ["vertex_n_max", "element_re", "element_im", "continuum_re",
                           "energy_defect", "momentum_defect", "low_momentum_ok",
                           "truncation_shift"], [row])

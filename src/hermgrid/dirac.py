@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, OrderTooLargeError
+from .errors import DomainError, OrderTooLargeError, momentum
 from .greens import scaled_rule
 from .hermite import phi_at, phi_fill
 from .quadrature import GH_RULE_MAX, QuadratureConfig, gauss_legendre, index3, read_only, refined
@@ -54,10 +54,11 @@ def gamma_set() -> GammaSet:
 
 
 def energy(p: tuple[float, float, float], m: float) -> float:
-    """On-shell energy +sqrt(p.p + m^2)."""
-    if not m > 0:
-        raise DomainError(f"mass must be positive, got {m}")
-    return math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + m * m)
+    """On-shell energy +sqrt(p.p + m^2) by math.hypot, so no square overflows;
+    DomainError for a bad momentum (errors.momentum) or mass."""
+    if not (m > 0 and math.isfinite(m)):
+        raise DomainError(f"mass must be positive and finite, got {m}")
+    return math.hypot(*momentum(p), m)
 
 
 def _sigma_dot(p: tuple[float, float, float]) -> np.ndarray:
@@ -332,10 +333,10 @@ def s_plus_green(
     oscillator shells in O(D^2) work (_shell_profile), with D = sum n +
     sum nhat the pair's degree.  R follows from a stated tail bound
     (_radius); on [0, R] the rule resolves the branch point of E at
-    |k| = i m at any mass.  Only the radial rule is refined: it runs at
-    k * max(gh_nodes, D) nodes for k = 1, 2, since a pair of high degree
-    needs about as many radial nodes as its degree.  The refinement gate
-    (quadrature.refined) is tol on the largest entry defect.  A pair odd in
+    |k| = i m at any mass.  Only the radial rule is refined, at k *
+    max(QuadratureConfig.gh_nodes, D) nodes for k = 1, 2: a pair of high
+    degree needs about as many radial nodes as its degree.  The gate
+    (quadrature.refined) is cfg.tol on the largest entry defect.  A pair odd in
     two axes gives exact zeros at any order.  An axis whose n_a + nhat_a,
     plus one on the odd axis, reaches GH_RULE_MAX = 728 would need a
     Gauss-Hermite rule past that cap: OrderTooLargeError, before any rule
@@ -353,7 +354,7 @@ def s_plus_green(
     if len(odd) <= 1 and rule > GH_RULE_MAX:
         raise OrderTooLargeError(f"fermionic Green's function at n={n}, nhat={nhat}: its overlaps need a "
                                  f"{rule}-point Gauss-Hermite rule, at most {GH_RULE_MAX}")
-    n_nodes = max(cfg.gh_nodes, sum(n) + sum(nhat))
+    n_nodes = max(QuadratureConfig.gh_nodes, sum(n) + sum(nhat))
     value, _ = refined(lambda k: _s_plus_eval(n, nhat, dt, m, k * n_nodes), cfg.tol,
                        "fermionic Green's function at n={}, nhat={}", n, nhat)
     return value

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one check of its
-integer arguments."""
+"""Exception types shared across the package, and the one check each of its
+integer arguments and its momenta."""
+
+import math
 
 
 class HermgridError(Exception):
@@ -39,3 +41,12 @@ def whole(value, what: str, least: int = 0) -> int:
     if number is None or number != value or number < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return number
+
+
+def momentum(p) -> tuple[float, float, float]:
+    """p as three finite floats, for a momentum or a mode's wave vector;
+    DomainError for any other length, an infinity and NaN."""
+    t = tuple(map(float, p))
+    if len(t) != 3 or not all(map(math.isfinite, t)):
+        raise DomainError(f"a momentum needs three finite components, got {p!r}")
+    return t

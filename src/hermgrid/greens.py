@@ -42,9 +42,10 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .errors import DomainError, NonconvergenceError, whole
-from .hermite import phi, phi_at
+from .errors import DomainError, NonconvergenceError, OrderTooLargeError, whole
+from .hermite import phi_at
 from .quadrature import (
+    GH_RULE_MAX,
     QuadratureConfig,
     gauss_hermite,
     gauss_legendre,
@@ -142,8 +143,8 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     recurrence and sums, in the nodes v_m = m h (2^-53 |v_m|, the terms
     mattering where |v| <= L + 4, L = max |ln y|), and the rule's error.
     Absolute terms alone bound nothing: the recurrence cancels near s = 1.
-    It raises NonconvergenceError above 100 * cfg.tol (the one field read),
-    and OrderTooLargeError past n_a + nhat_a = 1454 (quadrature.GH_RULE_MAX).
+    It raises NonconvergenceError above 100 * cfg.tol and
+    OrderTooLargeError past n_a + nhat_a = 1454 (quadrature.GH_RULE_MAX).
     """
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
@@ -168,8 +169,7 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     one nonzero component n1, on any axis and in either order, is
     g_sharp_axis(n1): one entry of the per-mass table (module docstring),
     the coincidence value at n1 = 0, whatever cfg holds.  Every other pair
-    is g_proper_time, with its own bound, gated at 100 * cfg.tol (the one
-    field read).
+    is g_proper_time, with its own bound, gated at 100 * cfg.tol.
     """
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
@@ -348,16 +348,16 @@ def _angular_moment(n1: int, n_nodes: int, ang_nodes: int) -> np.ndarray:
     ang_nodes > n1 / 2.  Cached read-only per order and node counts."""
     k, _ = gauss_hermite(n_nodes)
     y, wy = gauss_legendre(ang_nodes)
-    s = phi(n1, np.outer(k, y)) @ wy
+    s = phi_at((n1,), np.outer(k, y))[n1] @ wy
     s.setflags(write=False)
     return s
 
 
-def _coulomb_eval(n1: int, gh_nodes: int, ang_nodes: int) -> complex:
-    _, w = gauss_hermite(gh_nodes)
+def _coulomb_eval(n1: int, n_nodes: int, ang_nodes: int) -> complex:
+    _, w = gauss_hermite(n_nodes)
     # half-line radial integral folded onto the full line by joint
     # (k, y) -> (-k, -y) symmetry of the integrand
-    val = (w @ _angular_moment(n1, gh_nodes, ang_nodes)) / _SQRT_PI
+    val = (w @ _angular_moment(n1, n_nodes, ang_nodes)) / _SQRT_PI
     phase = 1j ** (n1 % 4)
     return complex(phase * val)
 
@@ -368,12 +368,18 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
     Takes the full grid index: even indices reproduce coulomb_even(index/2),
     odd indices integrate to zero by angular parity.  The mass-zero
     denominator cancels against the radial Jacobian, so the integrand is a
-    pure polynomial against the Gaussian weight and the rule is exact once
-    the node count clears half the order.
+    polynomial of degree n1 against the Gaussian weight: the rule, at
+    max(QuadratureConfig.gh_nodes, n1 // 2 + 1) nodes and twice that, is
+    exact at both levels, gated at 100 * cfg.tol.  An order whose fine level
+    would pass GH_RULE_MAX (n1 >= 728) raises OrderTooLargeError first.
     """
     n1 = whole(n1, "order")
+    nodes = max(QuadratureConfig.gh_nodes, n1 // 2 + 1)
+    if 2 * nodes > GH_RULE_MAX:
+        raise OrderTooLargeError(f"massless quadrature at index {n1} needs {2 * nodes} "
+                                 f"Gauss-Hermite nodes, at most {GH_RULE_MAX}")
     ang = max(8, n1 // 2 + 2)
-    value, err = refined(lambda k: _coulomb_eval(n1, k * cfg.gh_nodes, k * ang),
+    value, err = refined(lambda k: _coulomb_eval(n1, k * nodes, k * ang),
                          100.0 * cfg.tol, "massless quadrature at index {}", n1)
     return GreensValue(complex(value), err)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoxTooSmallError, DomainError, whole
+from .errors import BoxTooSmallError, DomainError, momentum, whole
 from .hermite import xi_axis
 from .quadrature import index3
 
@@ -51,6 +51,8 @@ class GridFunction:
     origin: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.values, np.ndarray):
+            raise ValueError(f"values must be a numpy array, got {type(self.values).__name__}")
         object.__setattr__(self, "origin", index3(self.origin))
         spans = tuple(e - o for e, o in zip(self.box.extents, self.origin))
         if any(s < 1 for s in spans):
@@ -163,30 +165,24 @@ def laplacian_sharp(f: GridFunction) -> GridFunction:
 
 def mode_function(box: GridBox, k: tuple[float, float, float]) -> GridFunction:
     """The spatial mode factor prod_j xi_{n_j}(k_j) sampled over the box."""
+    k = momentum(k)
     axes = [xi_axis(box.extents[ax] - 1, k[ax]) for ax in range(3)]
     vals = np.einsum("a,b,c->abc", axes[0], axes[1], axes[2])
     return GridFunction(box, vals)
 
 
-def kg_mode_residual(
-    k: tuple[float, float, float],
-    mu: float,
-    box: GridBox,
-    omega: float | None = None,
-) -> float:
+def kg_mode_residual(k: tuple[float, float, float], mu: float, box: GridBox) -> float:
     """Max-norm residual of the scalar-field difference equation on a plane-wave mode.
 
     The mode prod_j xi_{n_j}(k_j) e^{-i omega t} with omega^2 = k.k + mu^2
     solves  laplacian_sharp f - (d/dt)^2 f - mu^2 f = 0  exactly; the time
     derivative contributes -omega^2 analytically, so the residual reduces to
-    laplacian_sharp f + (omega^2 - mu^2) f on the interior.  Passing an
-    explicit omega violates the dispersion relation on purpose (test hook).
+    laplacian_sharp f + (omega^2 - mu^2) f on the interior.
     """
     if not mu > 0:
         raise DomainError(f"mu must be positive, got {mu}")
-    if omega is None:
-        omega = math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + mu * mu)
     f = mode_function(box, k)
+    omega = math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + mu * mu)
     lap = laplacian_sharp(f)
     core = restrict(f, lap.origin, lap.box.extents)
     residual = lap.values + (omega * omega - mu * mu) * core.values

@@ -158,11 +158,6 @@ def phi_row(n_max: int, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def phi(n: int, x: np.ndarray) -> np.ndarray:
-    """phi_n(x) alone: row n of phi_row(n, x), without storing the rows below it."""
-    return phi_at((n,), x)[n]
-
-
 def phi_at(orders, x: np.ndarray, seed=None) -> dict[int, np.ndarray]:
     """phi_n(x) (times seed, if given: e^{-x^2/2} keeps them in range) for
     each n in orders, keyed by n, from one pass of the recurrence that

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, OrderTooLargeError, TruncationWarning, whole
+from .errors import DomainError, OrderTooLargeError, TruncationWarning, momentum, whole
 from .greens import pt_lattice, scaled_rule
 from .hermite import phi_fill, phi_row, xi_axis
 from .quadrature import QuadratureConfig, read_only
@@ -83,13 +83,6 @@ def vertex_axis_sum(p: float, q: float, k: float, sign_q: int, sign_k: int,
     return complex((a * b * c).sum())
 
 
-def _vec3(p) -> tuple[float, float, float]:
-    t = tuple(float(v) for v in p)
-    if len(t) != 3 or not all(map(math.isfinite, t)):
-        raise ValueError(f"momentum needs three finite components, got {p!r}")
-    return t
-
-
 @dataclass(frozen=True)
 class MollerKinematics:
     """External momenta, spins, masses, and coupling for the one-boson
@@ -110,19 +103,19 @@ class MollerKinematics:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p1_out", "p2_out"):
-            object.__setattr__(self, name, _vec3(getattr(self, name)))
+            object.__setattr__(self, name, momentum(getattr(self, name)))
         if not (self.m > 0 and math.isfinite(self.m)):
-            raise ValueError(f"m must be positive and finite, got {self.m}")
+            raise DomainError(f"m must be positive and finite, got {self.m}")
         if not (self.mu >= 0 and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
+            raise DomainError(f"mu must be nonnegative and finite, got {self.mu}")
         if not math.isfinite(self.g):
-            raise ValueError(f"g must be finite, got {self.g}")
+            raise DomainError(f"g must be finite, got {self.g}")
         for name in ("r1", "r2", "r1_out", "r2_out"):
             if getattr(self, name) not in (1, 2):
                 raise ValueError(f"{name} must be 1 or 2, got {getattr(self, name)}")
 
     def _energy(self, p: tuple[float, float, float]) -> float:
-        return math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + self.m ** 2)
+        return math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + self.m * self.m)
 
     @property
     def energies(self) -> tuple[float, float, float, float]:
@@ -150,7 +143,7 @@ class MollerKinematics:
         validity window of the static-limit reduction."""
         lim = self.m / 5.0
         return all(
-            math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2) < lim
+            math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2]) < lim
             for p in (self.p1, self.p2, self.p1_out, self.p2_out)
         )
 
@@ -158,7 +151,7 @@ class MollerKinematics:
     def prefactor(self) -> float:
         """(g^2 / 4 pi) m^2 / sqrt(E1' E2' E1 E2)."""
         e1, e2, e1o, e2o = self.energies
-        return (self.g ** 2 / (4.0 * math.pi)) * self.m ** 2 / math.sqrt(e1o * e2o * e1 * e2)
+        return (self.g * self.g / (4.0 * math.pi)) * (self.m * self.m) / math.sqrt(e1o * e2o * e1 * e2)
 
 
 # Largest vertex cutoff of the exchange element.  Its basis table
@@ -265,26 +258,10 @@ def _lattice_map(mu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(np.ascontiguousarray((k / k.sum(axis=1, keepdims=True)).T), w * s ** 1.5)
 
 
-def moller_element_and_shift(kin: MollerKinematics, trunc: VertexTruncation,
-                             cfg: QuadratureConfig) -> tuple[complex, float]:
-    """Reduced one-boson-exchange element at the given kinematics, with its
-    truncation shift: how far the last included coefficient shell moves it.
-
-    Exactly zero on any spin mismatch, with shift 0.0; DomainError unless
-    mu > 0 with a finite square, and OrderTooLargeError past n_max = 128
-    (_ELEMENT_N_MAX).  All three are decided before any table is built.
-    The coefficient double sum is the proper-time integral described in the
-    module docstring, summed as sum_m w_m s_m^{3/2} prod_a Q_a(s_m) on the
-    lattice of the Green's values (_lattice_map, with that lattice's error
-    bound), each Q_a (_profiles) exact up to rounding: against a 90-digit
-    evaluation of the integral the element and its shift are within 1e-13
-    relative.  The shift is the same sum with the top coefficient shell
-    dropped, subtracted: when it exceeds cfg.tol (the one field read), a
-    TruncationWarning is issued (the first dropped shell is comparable to
-    the last included one for the slowly decaying sums this models),
-    attributed to the caller of moller_reduced_element.  A coefficient,
-    element or shift that is not finite raises DomainError.
-    """
+def _element_and_shift(kin: MollerKinematics, trunc: VertexTruncation,
+                       cfg: QuadratureConfig) -> tuple[complex, float]:
+    """The work of both public element functions, each of which calls it
+    directly, so that its warning reaches the caller of either."""
     if kin.r1 != kin.r1_out or kin.r2 != kin.r2_out:
         return 0j, 0.0
     mu = float(kin.mu)
@@ -308,16 +285,40 @@ def moller_element_and_shift(kin: MollerKinematics, trunc: VertexTruncation,
             f"last included coefficient shell moved the element by {shift:.3e} "
             f"(> tol {cfg.tol:.3e}); raise n_max past {trunc.n_max}",
             TruncationWarning,
+            # this frame, the public function, its caller
             stacklevel=3,
         )
     return element, shift
+
+
+def moller_element_and_shift(kin: MollerKinematics, trunc: VertexTruncation,
+                             cfg: QuadratureConfig) -> tuple[complex, float]:
+    """Reduced one-boson-exchange element at the given kinematics, with its
+    truncation shift: how far the last included coefficient shell moves it.
+
+    Exactly zero on any spin mismatch, with shift 0.0; DomainError unless
+    mu > 0 with a finite square, and OrderTooLargeError past n_max = 128
+    (_ELEMENT_N_MAX).  All three are decided before any table is built.
+    The coefficient double sum is the proper-time integral described in the
+    module docstring, summed as sum_m w_m s_m^{3/2} prod_a Q_a(s_m) on the
+    lattice of the Green's values (_lattice_map, with that lattice's error
+    bound), each Q_a (_profiles) exact up to rounding: against a 90-digit
+    evaluation of the integral the element and its shift are within 1e-13
+    relative.  The shift is the same sum with the top coefficient shell
+    dropped, subtracted: when it exceeds cfg.tol, a TruncationWarning is
+    issued (the first dropped shell is comparable to the last included one
+    for the slowly decaying sums this models), attributed to the caller of
+    this function or of moller_reduced_element.  A coefficient, element or
+    shift that is not finite raises DomainError.
+    """
+    return _element_and_shift(kin, trunc, cfg)
 
 
 def moller_reduced_element(kin: MollerKinematics, trunc: VertexTruncation,
                            cfg: QuadratureConfig) -> complex:
     """The element of moller_element_and_shift alone, with its
     TruncationWarning and errors."""
-    return moller_element_and_shift(kin, trunc, cfg)[0]
+    return _element_and_shift(kin, trunc, cfg)[0]
 
 
 def continuum_moller_reduced(kin: MollerKinematics) -> complex:

@@ -133,7 +133,7 @@ def test_criterion_04_incomplete_gamma_vs_quadrature():
 
 def test_criterion_05_difference_equation_residual_box():
     start = time.perf_counter()
-    cfg = QuadratureConfig(gh_nodes=96)
+    cfg = QuadratureConfig()
     worst = 0.0
     for mu in (0.5, 1.0, 2.0):
         for n0 in range(3):
@@ -245,7 +245,7 @@ def test_criterion_10_moller_oracle_equivalence():
             # n_max = 32 under-truncates on purpose; both routes share the cut
             warnings.simplefilter("ignore", TruncationWarning)
             prod = moller_reduced_element(kin, trunc, cfg)
-        oracle = moller_oracle_element(kin, trunc, n_nodes=96)
+        oracle = moller_oracle_element(kin, trunc)
         worst = max(worst, abs(prod - oracle) / abs(oracle))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-4

@@ -20,8 +20,9 @@ from hermgrid.scattering import MollerKinematics, VertexTruncation, moller_reduc
 def test_suite_names():
     fast = suite_names("fast")
     full = suite_names("full")
-    assert len(fast) == 23
-    assert len(full) == 26
+    assert len(fast) == 24
+    assert len(full) == 27
+    assert "dirac_projector_orthonormality" in fast
     assert full[: len(fast)] == fast
     assert set(full) - set(fast) == {
         "greens_residual_box",
@@ -62,6 +63,22 @@ def test_run_suite_turns_exceptions_into_failures(monkeypatch):
     assert second.passed
 
 
+def test_projector_check_holds_s_plus_green_to_its_orthonormality(monkeypatch):
+    # the check is the only one that calls s_plus_green: with every profile
+    # weight scaled by 1 + 1e-9 it fails
+    ok, tol, obs, _ = checks._check_dirac_projector_orthonormality()
+    assert ok and obs <= tol
+    exact = dirac._shell_profile
+
+    def scaled(*args):
+        r, f = exact(*args)
+        return r, f * (1.0 + 1e-9)
+
+    monkeypatch.setattr(dirac, "_shell_profile", scaled)
+    ok, tol, obs, _ = checks._check_dirac_projector_orthonormality()
+    assert not ok and obs > tol
+
+
 def test_clifford_check_catches_corrupted_gammas(monkeypatch):
     sub = [entry for entry in checks._FAST if entry[0] == "dirac_clifford"]
     monkeypatch.setattr(checks, "_FAST", sub)
@@ -92,7 +109,7 @@ def test_oracle_route_matches_production():
                            m=1.0, mu=1.0, g=1.0)
     cfg = QuadratureConfig(tol=1e6)
     prod = moller_reduced_element(kin, VertexTruncation(8), cfg)
-    oracle = moller_oracle_element(kin, VertexTruncation(8), n_nodes=96)
+    oracle = moller_oracle_element(kin, VertexTruncation(8))
     assert abs(prod - oracle) / abs(oracle) <= 1e-6
 
 

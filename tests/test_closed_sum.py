@@ -251,7 +251,7 @@ def test_proper_time_sum_lies_within_its_bound():
 
 
 def test_closed_sum_ignores_the_quadrature_config():
-    for cfg in (QuadratureConfig(gh_nodes=8), QuadratureConfig(gh_nodes=16, tol=1e-12)):
+    for cfg in (QuadratureConfig(tol=1e-3), QuadratureConfig(tol=1e-12)):
         for n, nhat in (((0, 0, 0), (0, 0, 0)), ((2, 1, 0), (0, 1, 2)), ((3, 1, 2), (1, 1, 0))):
             assert g_sharp(n, nhat, 0.5, cfg) == g_sharp(n, nhat, 0.5, CFG)
 

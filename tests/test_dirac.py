@@ -150,8 +150,7 @@ def _s_plus_spinor_route(n, nhat, dt, m, n_nodes):
 
 
 def test_s_plus_matches_spinor_projector_route():
-    # one level of the radial rule at 16 nodes, the count s_plus_green
-    # refines from at gh_nodes = 16
+    # one level of the radial rule at 16 nodes
     for n, nhat, dt in [((1, 0, 1), (0, 2, 1), 0.3), ((2, 1, 0), (0, 1, 0), 0.7),
                         ((0, 0, 0), (0, 0, 0), 0.0)]:
         prod = dirac._s_plus_eval(n, nhat, dt, 1.0, 16)
@@ -177,18 +176,19 @@ def test_s_plus_equal_time_is_finite_and_refines():
 
 
 def test_s_plus_nonconvergence_gate():
+    # at m = 0.01 the branch point of E sits near the real axis, and 64 and
+    # 128 radial nodes differ by 2.6e-9
+    args = ((0, 0, 0), (0, 0, 0), 0.5, 0.01)
     with pytest.raises(NonconvergenceError):
-        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, 1.0,
-                           QuadratureConfig(gh_nodes=8, tol=1e-15))
+        dirac.s_plus_green(*args, QuadratureConfig(tol=1e-15))
     # the gate is tol itself on the largest entry defect, not the 100*tol
     # of the Green's values
-    args = ((0, 0, 0), (0, 0, 0), 0.5, 1.0)
-    coarse, fine = (dirac._s_plus_eval(*args, g) for g in (8, 16))
+    coarse, fine = (dirac._s_plus_eval(*args, g) for g in (64, 128))
     defect = float(np.max(np.abs(fine - coarse)))
     assert defect > 0
-    assert np.array_equal(dirac.s_plus_green(*args, QuadratureConfig(gh_nodes=8, tol=defect)), fine)
+    assert np.array_equal(dirac.s_plus_green(*args, QuadratureConfig(tol=defect)), fine)
     with pytest.raises(NonconvergenceError):
-        dirac.s_plus_green(*args, QuadratureConfig(gh_nodes=8, tol=defect / 10))
+        dirac.s_plus_green(*args, QuadratureConfig(tol=defect / 10))
 
 
 def _s_plus_full_grid(n, nhat, dt, m, n_nodes):
@@ -215,16 +215,16 @@ def _s_plus_full_grid(n, nhat, dt, m, n_nodes):
     return 1j * 1j ** ((sum(n) - sum(nhat)) % 4) * math.pi ** -1.5 * core
 
 
-@pytest.mark.parametrize("gh_nodes", (9, 33))
-def test_s_plus_matches_full_grid_at_odd_node_counts(gh_nodes):
+@pytest.mark.parametrize("n_nodes", (9, 33))
+def test_s_plus_matches_full_grid_at_odd_node_counts(n_nodes):
     # an independent oracle: the full-grid sum at 2N - 1 nodes, whose error
     # its defect against N nodes bounds; the projector at the default config
     # lies within that defect of it (odd rules put a grid node at k = 0)
     for n, nhat, dt, m in [((1, 0, 0), (0, 0, 0), 0.4, 1.0), ((1, 1, 2), (0, 1, 0), 0.8, 1.0),
                            ((2, 2, 0), (0, 0, 2), 1.3, 0.6), ((0, 0, 0), (0, 0, 0), 0.0, 2.0)]:
         got = dirac.s_plus_green(n, nhat, dt, m, QuadratureConfig())
-        coarse = _s_plus_full_grid(n, nhat, dt, m, gh_nodes)
-        oracle = _s_plus_full_grid(n, nhat, dt, m, 2 * gh_nodes - 1)
+        coarse = _s_plus_full_grid(n, nhat, dt, m, n_nodes)
+        oracle = _s_plus_full_grid(n, nhat, dt, m, 2 * n_nodes - 1)
         assert float(np.max(np.abs(got - oracle))) <= float(np.max(np.abs(coarse - oracle))) + 1e-15
 
 
@@ -337,7 +337,7 @@ def test_radius_rests_on_mehlers_bound_and_grows_with_the_degree():
 
 @pytest.mark.parametrize("bad", [(-1, 0, 0), (0, 0, -2), (0.5, 0, 0), (0, 0)])
 def test_s_plus_rejects_bad_indices(bad):
-    cfg = QuadratureConfig(gh_nodes=8)
+    cfg = QuadratureConfig()
     with pytest.raises(ValueError):
         dirac.s_plus_green(bad, (0, 0, 0), 0.1, 1.0, cfg)
     with pytest.raises(ValueError):
@@ -348,14 +348,14 @@ def test_s_plus_rejects_bad_indices(bad):
                                    (0.1, math.inf)])
 def test_s_plus_rejects_non_finite_time_and_mass(dt, m):
     with pytest.raises(DomainError):
-        dirac.s_plus_green((0, 0, 0), (0, 0, 0), dt, m, QuadratureConfig(gh_nodes=8))
+        dirac.s_plus_green((0, 0, 0), (0, 0, 0), dt, m, QuadratureConfig())
 
 
 def test_s_plus_nan_defect_trips_the_gate():
     # dt E overflows to inf at the outer radial nodes, e^{-i inf} is NaN, and
     # so are the values and their defect
     with pytest.raises(NonconvergenceError), np.errstate(over="ignore", invalid="ignore"):
-        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 1e308, 1.0, QuadratureConfig(gh_nodes=9))
+        dirac.s_plus_green((0, 0, 0), (0, 0, 0), 1e308, 1.0, QuadratureConfig())
 
 
 @pytest.mark.parametrize("m", [1e160, 1e200, pytest.param(np.float64(1e160), id="float64-1e+160")])
@@ -365,7 +365,7 @@ def test_s_plus_rejects_a_mass_whose_square_overflows(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite square"):
-            dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, m, QuadratureConfig(gh_nodes=8))
+            dirac.s_plus_green((0, 0, 0), (0, 0, 0), 0.5, m, QuadratureConfig())
 
 
 @pytest.mark.parametrize("m", (0.25, 0.5, 1.0))
@@ -376,7 +376,7 @@ def test_s_plus_converges_at_small_mass(m):
     # resolves it
     cfg = QuadratureConfig()
     for n in itertools.product(range(3), repeat=3):
-        coarse, fine = (dirac._s_plus_eval(n, (0, 0, 0), 0.4, m, k * cfg.gh_nodes) for k in (1, 2))
+        coarse, fine = (dirac._s_plus_eval(n, (0, 0, 0), 0.4, m, 64 * k) for k in (1, 2))
         assert float(np.max(np.abs(fine - coarse))) <= 1e-12
         assert np.array_equal(dirac.s_plus_green(n, (0, 0, 0), 0.4, m, cfg), fine)
 
@@ -384,10 +384,10 @@ def test_s_plus_converges_at_small_mass(m):
 @pytest.mark.parametrize("n", [(16, 16, 16), (20, 20, 20), (24, 12, 1)])
 def test_s_plus_converges_at_high_degree(n):
     # a pair of degree D needs about D radial nodes: at 64 and 128 nodes the
-    # defect of (20, 20, 20)^2 is 7e-4, so the rule runs at max(gh_nodes, D)
-    cfg = QuadratureConfig()
-    got = dirac.s_plus_green(n, n, 0.4, 1.0, cfg)
-    wide = dirac.s_plus_green(n, n, 0.4, 1.0, QuadratureConfig(gh_nodes=256))
+    # defect of (20, 20, 20)^2 is 7e-4, so the rule runs at max(64, D);
+    # against one level at 512 nodes
+    got = dirac.s_plus_green(n, n, 0.4, 1.0, QuadratureConfig())
+    wide = dirac._s_plus_eval(n, n, 0.4, 1.0, 512)
     assert float(np.max(np.abs(got - wide))) <= 1e-13
 
 

@@ -14,7 +14,7 @@ import grid_route
 from grid_route import _ball_exact, green_contract
 from hermgrid import MollerKinematics, VertexTruncation, greens, moller_reduced_element
 from hermgrid.dirac import s_plus_green
-from hermgrid.errors import DomainError, NonconvergenceError
+from hermgrid.errors import DomainError, NonconvergenceError, OrderTooLargeError
 from hermgrid.greens import (
     GreensValue,
     _angular_moment,
@@ -36,6 +36,7 @@ from hermgrid.quadrature import (
     QuadratureConfig,
     gauss_hermite,
     gauss_legendre,
+    hermite_half,
     refined,
 )
 
@@ -99,17 +100,17 @@ def test_tensor_nonconvergence_gate():
 
 
 def test_green_values_read_no_node_count():
-    # the Green's values run no quadrature: the same value and estimate at
-    # any node count
-    coarse = QuadratureConfig(gh_nodes=16)
+    # the Green's values run no quadrature: the same value and estimate
+    # whatever the config holds (its tolerance only gates them)
+    loose = QuadratureConfig(tol=1e-3)
     for n, nhat in (((0, 0, 0), (0, 0, 0)), ((8, 8, 8), (8, 8, 8))):
-        assert g_proper_time(n, nhat, 0.3, coarse) == g_proper_time(n, nhat, 0.3, CFG)
+        assert g_proper_time(n, nhat, 0.3, loose) == g_proper_time(n, nhat, 0.3, CFG)
     # a parity zero is exact
     assert g_proper_time((0, 1, 0), (0, 0, 0), 1.0, CFG).err_estimate == 0.0
     assert g_sharp((0, 1, 0), (0, 0, 0), 1.0, CFG).err_estimate == 0.0
     # the axis values are closed forms: the same estimate
     for n1 in (0, 4):
-        assert g_sharp_axis(n1, 1.0, coarse) == g_sharp_axis(n1, 1.0, CFG)
+        assert g_sharp_axis(n1, 1.0, loose) == g_sharp_axis(n1, 1.0, CFG)
     # the coincidence value carries the table's rounding bound, and lies
     # within it of e Gamma(-1/2, 1)
     mp = pytest.importorskip("mpmath")
@@ -228,6 +229,30 @@ def test_coulomb_quadrature_examples():
         coulomb_even(1), rel=1e-6)
 
 
+def test_coulomb_quadrature_derives_its_node_count():
+    # max(64, n1 // 2 + 1) Gauss-Hermite nodes and twice that: 64 and 128
+    # up to order 126, and past it as many as the order needs, so both
+    # levels stay exact (64 and 128 nodes failed the gate at order 200)
+    for n1 in (0, 3, 126):
+        ang = max(8, n1 // 2 + 2)
+        coarse, fine = (greens._coulomb_eval(n1, 64 * k, ang * k) for k in (1, 2))
+        assert coulomb_quadrature(n1, CFG) == GreensValue(fine, abs(fine - coarse))
+    for n1 in (200, 400, 726):
+        got = coulomb_quadrature(n1, CFG)
+        want = coulomb_even(n1 // 2)
+        assert abs(got.value - want) <= got.err_estimate + 1e-14 * want, n1
+
+
+def test_coulomb_quadrature_refuses_an_order_past_the_cap():
+    # a fine level past 728 nodes is refused before any rule is built
+    caches = (gauss_hermite, hermite_half, gauss_legendre, _angular_moment)
+    before = [c.cache_info().currsize for c in caches]
+    for n1 in (728, 729, 10 ** 6):
+        with pytest.raises(OrderTooLargeError, match=f"index {n1} needs"):
+            coulomb_quadrature(n1, CFG)
+    assert [c.cache_info().currsize for c in caches] == before
+
+
 def test_euler_beta():
     # the paper's claim: the divergence-free Coulomb value between two
     # fermions is an Euler beta value, B(n+1, 1/2) sqrt((2n-1)!!/(2n)!!).
@@ -281,10 +306,9 @@ def test_continuum_oracle_agrees_with_closed_form():
 
 
 def test_difference_equation_residual_examples():
-    cfg96 = QuadratureConfig(gh_nodes=96)
-    assert difference_equation_residual((0, 0, 0), (0, 0, 0), 1.0, cfg96) <= 1e-6
-    assert difference_equation_residual((1, 1, 0), (0, 0, 0), 1.0, cfg96) <= 1e-6
-    assert difference_equation_residual((2, 0, 0), (2, 0, 0), 0.5, cfg96) <= 1e-6
+    assert difference_equation_residual((0, 0, 0), (0, 0, 0), 1.0, CFG) <= 1e-6
+    assert difference_equation_residual((1, 1, 0), (0, 0, 0), 1.0, CFG) <= 1e-6
+    assert difference_equation_residual((2, 0, 0), (2, 0, 0), 0.5, CFG) <= 1e-6
 
 
 def test_residual_at_default_nodes_vanishes_at_small_mass():
@@ -317,7 +341,7 @@ def test_angular_moment_is_cached_read_only_and_cleared():
     coulomb_quadrature(4, CFG)
     # one moment per refinement level
     assert _angular_moment.cache_info().currsize == 2
-    s = _angular_moment(4, CFG.gh_nodes, 8)
+    s = _angular_moment(4, 64, 8)
     assert not s.flags.writeable
     with pytest.raises(ValueError):
         s[0] = 1.0

@@ -143,10 +143,16 @@ def test_kg_mode_residual_vanishes_on_shell():
 
 
 def test_kg_mode_residual_detects_wrong_frequency():
-    # omega = mu/2 misses the dispersion relation by 0.75 mu^2, and the
-    # residual peaks at the origin where the mode value is pi^{-3/4}
-    res = kg_mode_residual((0.0, 0.0, 0.0), 1.0, GridBox((4, 4, 4)), omega=0.5)
+    # the residual laplacian_sharp f + (omega^2 - mu^2) f at omega = mu/2,
+    # which misses the dispersion relation by 0.75 mu^2, peaks at the origin
+    # where the mode value is pi^{-3/4}; on shell it vanishes
+    box = GridBox((4, 4, 4))
+    f = mode_function(box, (0.0, 0.0, 0.0))
+    lap = laplacian_sharp(f)
+    core = restrict(f, lap.origin, lap.box.extents)
+    res = np.max(np.abs(lap.values + (0.5 * 0.5 - 1.0) * core.values))
     assert res == pytest.approx(0.75 * math.pi ** -0.75, rel=1e-12)
+    assert kg_mode_residual((0.0, 0.0, 0.0), 1.0, box) <= 1e-12
 
 
 def test_kg_mode_residual_domain():

@@ -6,7 +6,7 @@ import pytest
 from hermgrid.errors import OrderTooLargeError
 from hermgrid.hermite import (
     hermite_poly,
-    phi,
+    phi_at,
     phi_row,
     xi,
     xi_axis,
@@ -85,7 +85,7 @@ def test_phi_at_zero_values_and_recurrence():
 def test_phi_is_the_last_row_of_phi_row():
     x = np.linspace(-6.0, 6.0, 35).reshape(5, 7)
     for n in (0, 1, 2, 17, 60):
-        got = phi(n, x)
+        got = phi_at((n,), x)[n]
         assert got.shape == x.shape
         assert np.array_equal(got, phi_row(n, x.ravel())[n].reshape(x.shape))
 
@@ -112,4 +112,4 @@ def test_negative_order_rejected():
     with pytest.raises(ValueError):
         xi(-1, 0.0)
     with pytest.raises(ValueError):
-        phi(-2, 0.0)
+        phi_at((-2,), 0.0)

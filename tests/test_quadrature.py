@@ -10,15 +10,16 @@ where the true weights are tiny.  The oracle of the Gauss-Legendre rule
 takes two Newton steps, from the double node and from the first step.
 """
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
+from hermgrid import quadrature
 from hermgrid.errors import OrderTooLargeError
 from hermgrid.quadrature import (
-    GH_NODES_MAX,
     GH_RULE_MAX,
     QuadratureConfig,
     gauss_hermite,
@@ -185,9 +186,14 @@ def test_laguerre_half_rule_shape():
     assert w @ x == pytest.approx(math.gamma(2.5), rel=1e-14)
 
 
-def test_config_rejects_node_counts_past_the_budget():
-    # checked at construction, before any rule or tensor is built
-    assert QuadratureConfig(gh_nodes=GH_NODES_MAX).gh_nodes == 256
-    for n in (GH_NODES_MAX + 1, 500, 10 ** 6):
-        with pytest.raises(ValueError, match="gh_nodes must be <= 256"):
-            QuadratureConfig(gh_nodes=n)
+def test_config_holds_a_checked_tolerance_alone():
+    # no node count to set: each route works its own out from its input,
+    # and gh_nodes is a class constant, not a field
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["tol"]
+    assert QuadratureConfig().gh_nodes == QuadratureConfig.gh_nodes == 64
+    assert not hasattr(quadrature, "GH_NODES_MAX")
+    with pytest.raises(TypeError):
+        QuadratureConfig(gh_nodes=8)
+    for bad in (0, -1, math.nan, math.inf, "1e-8"):
+        with pytest.raises(ValueError, match="tol must be a finite positive real"):
+            QuadratureConfig(tol=bad)

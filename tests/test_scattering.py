@@ -61,7 +61,7 @@ def test_vertex_sums_leave_their_truncation_alone():
     # return
     tr = VertexTruncation(5)
     vertex_axis_sum(0.4, 0.2, -0.3, -1, 1, tr)
-    moller_oracle_element(KIN, tr, n_nodes=8)
+    moller_oracle_element(KIN, tr)
     moller_element_and_shift(KIN, tr, CFG)
     assert tr == VertexTruncation(5)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -170,10 +170,11 @@ def test_truncation_warning_and_report():
     tr = VertexTruncation(4)
     with pytest.warns(TruncationWarning) as record:
         value = moller_reduced_element(KIN, tr, QuadratureConfig())
-    # the warning points at the caller of the public element
+    # the warning points at the direct caller of either public function
     assert record[0].filename == __file__
-    with pytest.warns(TruncationWarning):
+    with pytest.warns(TruncationWarning) as record:
         element, shift = moller_element_and_shift(KIN, tr, QuadratureConfig())
+    assert record[0].filename == __file__
     assert element == value
     assert shift == pytest.approx(4.046e-3, rel=1e-2)
     with warnings.catch_warnings():
@@ -236,7 +237,7 @@ def test_profiles_ignore_mass_coupling_fermion_mass_and_spins():
     # a different cutoff or momentum is another entry; the config is not
     # part of the key
     _element(KIN, 9)
-    _element(KIN, 8, QuadratureConfig(gh_nodes=40, tol=1e-3))
+    _element(KIN, 8, QuadratureConfig(tol=1e-3))
     _element(_at(KIN, p1=(0.15, 0.05, -0.11)), 8)
     assert _profiles.cache_info().misses == 3
 

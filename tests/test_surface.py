@@ -8,8 +8,10 @@ extent passes one check, so a fraction, an infinity or NaN is refused alike.
 """
 
 import ast
+import inspect
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -109,3 +111,48 @@ def test_integer_arguments_refuse_fractions_infinities_and_nan(name, value):
     # never an OverflowError or TypeError from int() or list indexing
     with pytest.raises(ValueError, match=r"must be an integer >= \d, got"):
         INTEGER_ARGUMENTS[name](value)
+
+
+def test_options_no_caller_varies_are_constants():
+    from hermgrid.checks import moller_oracle_element
+
+    assert list(inspect.signature(moller_oracle_element).parameters) == ["kin", "trunc"]
+    assert list(inspect.signature(hermgrid.kg_mode_residual).parameters) == ["k", "mu", "box"]
+
+
+def _kinematics(m=1.0, mu=1.0, g=1.0):
+    zero = (0.0, 0.0, 0.0)
+    return hermgrid.MollerKinematics(zero, zero, zero, zero, m=m, mu=mu, g=g)
+
+
+BOX = hermgrid.GridBox((3, 3, 3))
+
+# out-of-range physics inputs, each with the typed error it raises: never an
+# OverflowError, IndexError, AttributeError or a numpy warning
+OUT_OF_RANGE = {
+    "spin_sum-nan": (lambda: hermgrid.spin_sum((math.nan, 0, 0), 1.0), hermgrid.DomainError),
+    "element-m": (lambda: hermgrid.moller_reduced_element(
+        _kinematics(m=1e300), hermgrid.VertexTruncation(8), CFG), hermgrid.DomainError),
+    "element-g": (lambda: hermgrid.moller_reduced_element(
+        _kinematics(g=1e200), hermgrid.VertexTruncation(8), CFG), hermgrid.DomainError),
+    "kinematics-m": (lambda: _kinematics(m=-1.0), hermgrid.DomainError),
+    "kinematics-mu": (lambda: _kinematics(mu=math.nan), hermgrid.DomainError),
+    "kinematics-g": (lambda: _kinematics(g=math.inf), hermgrid.DomainError),
+    "mode_function": (lambda: hermgrid.mode_function(BOX, (0.1, 0.2)), hermgrid.DomainError),
+    "kg_mode_residual": (lambda: hermgrid.kg_mode_residual((0.1, 0.2), 1.0, BOX), hermgrid.DomainError),
+    "GridFunction": (lambda: hermgrid.GridFunction(BOX, np.zeros((3, 3, 3)).tolist()), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_physics_inputs_raise_typed_errors(name):
+    call, error = OUT_OF_RANGE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+def test_large_momenta_give_finite_energies_and_spinors():
+    assert hermgrid.energy((1e200, 0, 0), 1.0) == 1e200
+    assert np.all(np.isfinite(hermgrid.spinor_u(1, (1e200, 0, 0), 1.0)))
