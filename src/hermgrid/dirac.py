@@ -15,9 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OrderTooLargeError, momentum
-from .greens import scaled_rule
 from .hermite import phi_at, phi_fill
-from .quadrature import GH_RULE_MAX, QuadratureConfig, gauss_legendre, index3, read_only, refined
+from .quadrature import GH_RULE_MAX, QuadratureConfig, gauss_legendre, hermite_half, index3, read_only, refined
 
 _I = 1j
 
@@ -98,13 +97,13 @@ def spinor_v(r: int, p: tuple[float, float, float], m: float) -> np.ndarray:
 
 def dirac_adjoint(s: np.ndarray) -> np.ndarray:
     """Row vector i s^dagger gamma4."""
-    g4 = _gamma_matrices()[3]
-    return _I * (np.conj(s) @ g4)
+    return _I * (np.conj(s) @ _GAMMAS[3])
 
 
 def orthonormality_check(p: tuple[float, float, float], m: float) -> float:
     """Max deviation over all 16 inner products from u~u = delta, v~v = -delta,
-    u~v = v~u = 0."""
+    u~v = v~u = 0, divided by E/m, the size of the two terms that cancel in
+    each (u~u = ((E + m) - (E - m)) / 2m): a few ulps at any momentum."""
     us = [spinor_u(r, p, m) for r in (1, 2)]
     vs = [spinor_v(r, p, m) for r in (1, 2)]
     uts = [dirac_adjoint(u) for u in us]
@@ -117,16 +116,20 @@ def orthonormality_check(p: tuple[float, float, float], m: float) -> float:
             worst = max(worst, abs(vts[r] @ vs[s] + delta))
             worst = max(worst, abs(uts[r] @ vs[s]))
             worst = max(worst, abs(vts[r] @ us[s]))
-    return worst
+    return worst / (energy(p, m) / m)
 
 
 def low_momentum_u(r: int, p: tuple[float, float, float], m: float) -> np.ndarray:
     """Truncated expansion of spinor_u through third order in |p|/m.
 
     Upper components chi (1 + t/2), lower -i (sigma.p) chi (1 - t/2) / (2m)
-    with t = (|p|/2m)^2; the neglected remainder is O(|p|^4).
+    with t = (|p|/2m)^2; the neglected remainder is O(|p|^4).  DomainError
+    for a bad momentum (errors.momentum) or mass, and for |p| >= m.
     """
-    norm2 = p[0] ** 2 + p[1] ** 2 + p[2] ** 2
+    if not (m > 0 and math.isfinite(m)):
+        raise DomainError(f"mass must be positive and finite, got {m}")
+    p = momentum(p)
+    norm2 = p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
     if norm2 >= m * m:
         raise DomainError(f"|p| = {math.sqrt(norm2)} not below m = {m}")
     t = norm2 / (4.0 * m * m)
@@ -233,11 +236,12 @@ def _axis_overlaps(p: int, q: int, lift: int) -> np.ndarray:
     """g(k) = b_k O(2k) for 2k <= p + q + lift (read-only), with b_k =
     sqrt((2k)!) / (k! 2^k) and O(j) = sum_i W_i psi_j(y_i) psi_p psi_q(z_i)
     z_i^lift, psi_j = phi_j e^{-y^2/2} and z = y / sqrt(2), on the
-    (p + q + lift + 1)-point greens.scaled_rule.  The integrand is an even
+    half of the (p + q + lift + 1)-point Gauss-Hermite rule, W its folded
+    scaled weights (quadrature.hermite_half).  The integrand is an even
     polynomial of degree j + p + q + lift times e^{-y^2}, so the rule is
     exact, and O(j) vanishes for j > p + q + lift by orthogonality."""
     count = p + q + lift + 1
-    y, weights = scaled_rule(count)
+    y, weights, _ = hermite_half(count)
     z = y / math.sqrt(2.0)
     pair = phi_at((p, q), z, np.exp(-0.5 * z * z))
     line = weights * pair[p] * pair[q] * z ** lift

@@ -26,10 +26,11 @@ coincidence value and the axis table (_axis_table), which runs the
 recurrence forward instead where mu^2 j is small.
 
 Proper-time sum.  Every other pair (g_sharp) takes the proper-time
-integral as a trapezoid rule in log t (pt_lattice), each axis' Gaussian
-integral an exact scaled Gauss-Hermite sum (g_proper_time).  The exchange
-element (scattering.moller_reduced_element) sums on the same lattice, with
-the same scaled rule for its per-axis factors.
+integral as a trapezoid rule in log t (quadrature.pt_lattice), each axis'
+Gaussian integral an exact sum on the half of a Gauss-Hermite rule with its
+folded scaled weights (quadrature.hermite_half, g_proper_time).  The
+exchange element (scattering.moller_reduced_element) sums on the same
+lattice, with the same rule for its per-axis factors.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from .errors import DomainError, NonconvergenceError, OrderTooLargeError, whole
 from .hermite import phi_at
 from .quadrature import (
     GH_RULE_MAX,
+    PT_ERROR,
     QuadratureConfig,
-    gauss_hermite,
     gauss_legendre,
     hermite_half,
     index3,
+    pt_lattice,
     read_only,
-    refined,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -60,38 +61,20 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class GreensValue:
-    """A Green's function sample plus the honest error bar: a rounding bound
-    for g_sharp, g_sharp_axis and g_proper_time (0.0 for the exact parity
-    zeros only), and for coulomb_quadrature the node-doubling defect
-    |value(N) - value(2N)| (above 100*tol it raises, see quadrature.refined)."""
+    """A Green's function sample plus the honest error bar: a stated
+    rounding bound for every route, g_sharp, g_sharp_axis, g_proper_time and
+    coulomb_quadrature, each of which evaluates an exact form or an exact
+    rule once (0.0 for exact zeros only)."""
 
     value: complex
     err_estimate: float
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module: scaled Gauss-Hermite rules, angular
-    moments, axis tables and the continuum oracle's Fourier rule."""
-    for cached in (scaled_rule, _angular_moment, _axis_table, _table_steps, _fourier_rule):
+    """Drop every cache of this module: axis tables and the continuum
+    oracle's Fourier rule (the quadrature rules it reads stay)."""
+    for cached in (_axis_table, _table_steps, _fourier_rule):
         cached.cache_clear()
-
-
-# Step h of the trapezoid rule in log proper time (pt_lattice), whose error
-# in 1/y is at most 2 |Gamma(1 - 2 pi i / h)| = 3.5e-17 relative for every
-# y > 0; _PT_ERROR adds what its cut drops (2^-60 + e^-40).
-_PT_STEP = 0.24
-_PT_ERROR = 4.1e-17
-
-
-def pt_lattice(mu: float, y_min: float, y_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Proper times t_m = e^{m h} and weights h t_m e^{-t_m mu^2} of the
-    trapezoid rule for 1/y = integral e^{v - y e^v} dv, y = k.k + mu^2, cut
-    to v in [ln(2^-60/y_max), ln(40/y_min)], y_min held at >= 2^-1000."""
-    y_min = max(y_min, 2.0 ** -1000)
-    lo = math.floor((-60.0 * math.log(2.0) - math.log(y_max)) / _PT_STEP)
-    hi = math.ceil((math.log(40.0) - math.log(y_min)) / _PT_STEP)
-    t = np.exp(_PT_STEP * np.arange(lo, hi + 1))
-    return t, _PT_STEP * t * np.exp(-t * (mu * mu))
 
 
 def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...], GreensValue | None]:
@@ -108,23 +91,13 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...],
     return n, nhat, GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * 0.0), 0.0) if odd else None
 
 
-@lru_cache(maxsize=64)
-def scaled_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes y_j >= 0 of the n_nodes-point Gauss-Hermite rule and its
-    scaled weights W_j = w_j e^{y_j^2} / sqrt(pi) = 1 / sum_{k < n_nodes}
-    psi_k(y_j)^2, psi_k = phi_k e^{-y^2/2} (quadrature.hermite_half), doubled
-    but at y = 0 for even integrands.  No W_j underflows where w_j does
-    (two of 401 do)."""
-    y, scaled, _ = hermite_half(n_nodes)
-    return read_only(y, np.where(y > 0.0, 2.0 * scaled, scaled))
-
-
 def _axis_laplace(p: int, q: int, s: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J = pi^{-1/2} integral phi_p phi_q e^{-(1+t) x^2} dx at s = 1/(1+t),
     tau = t s, and J with phi_p phi_q replaced by 1.  In x = y sqrt(s) it is
     an even polynomial of degree p + q against e^{-y^2}, so exactly
-    sqrt(s) sum_j W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)) (scaled_rule)."""
-    y, weights = scaled_rule((p + q) // 2 + 1)
+    sqrt(s) sum_j W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)), W_j the
+    folded scaled weights of quadrature.hermite_half."""
+    y, weights, _ = hermite_half((p + q) // 2 + 1)
     root = np.sqrt(s)
     damped = np.exp(-np.outer(tau, y * y)) * weights
     z = np.outer(root, y)
@@ -139,7 +112,7 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     (_axis_laplace); a parity zero as in g_sharp.  prod_a J_a(t) is a
     Laplace transform in t of the integrand over k.k, so the rule's bound
     for 1/y holds.  err_estimate is (2^-52 (max order + 2) + 2^-53 (L + 4)
-    + _PT_ERROR) times the sum with every basis value 1: rounding in the
+    + PT_ERROR) times the sum with every basis value 1: rounding in the
     recurrence and sums, in the nodes v_m = m h (2^-53 |v_m|, the terms
     mattering where |v| <= L + 4, L = max |ln y|), and the rule's error.
     Absolute terms alone bound nothing: the recurrence cancels near s = 1.
@@ -155,7 +128,7 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     axes = {pair: _axis_laplace(*pair, s, t * s) for pair in set(zip(n, nhat))}
     value, ones = (w @ math.prod(axes[pair][k] for pair in zip(n, nhat)) for k in (0, 1))
     big_log = max(-math.log(y_min), math.log(y_max))
-    err = float((2.0 ** -52 * (max(n + nhat) + 4 + 0.5 * big_log) + _PT_ERROR) * ones)
+    err = float((2.0 ** -52 * (max(n + nhat) + 4 + 0.5 * big_log) + PT_ERROR) * ones)
     if not err <= 100.0 * cfg.tol:
         raise NonconvergenceError(f"Green's function at n={n}, nhat={nhat}, mu={mu}: rounding "
                                   f"bound {err:.3e} exceeds the gate {100.0 * cfg.tol:.3e}")
@@ -339,49 +312,42 @@ def coulomb_even(n1: int) -> float:
     return 2.0 * (math.pi * n1) ** 0.25 / ((2.0 * n1 + 1.0) * math.sqrt(series))
 
 
-@lru_cache(maxsize=256)
-def _angular_moment(n1: int, n_nodes: int, ang_nodes: int) -> np.ndarray:
-    """s_i = sum_j wy_j phi_{n1}(k_i y_j) at each node k_i of the n_nodes-point
-    Gauss-Hermite rule, with the ang_nodes-point Gauss-Legendre rule in
-    y = cos(theta).  For even n1, phi_{n1}(k y) is an even polynomial of
-    degree n1 in y, which the angular rule integrates exactly once
-    ang_nodes > n1 / 2.  Cached read-only per order and node counts."""
-    k, _ = gauss_hermite(n_nodes)
-    y, wy = gauss_legendre(ang_nodes)
-    s = phi_at((n1,), np.outer(k, y))[n1] @ wy
-    s.setflags(write=False)
-    return s
-
-
-def _coulomb_eval(n1: int, n_nodes: int, ang_nodes: int) -> complex:
-    _, w = gauss_hermite(n_nodes)
-    # half-line radial integral folded onto the full line by joint
-    # (k, y) -> (-k, -y) symmetry of the integrand
-    val = (w @ _angular_moment(n1, n_nodes, ang_nodes)) / _SQRT_PI
-    phase = 1j ** (n1 % 4)
-    return complex(phase * val)
-
-
 def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
     """Massless axis values by direct 2D quadrature (radius times angle).
 
     Takes the full grid index: even indices reproduce coulomb_even(index/2),
     odd indices integrate to zero by angular parity.  The mass-zero
-    denominator cancels against the radial Jacobian, so the integrand is a
-    polynomial of degree n1 against the Gaussian weight: the rule, at
-    max(QuadratureConfig.gh_nodes, n1 // 2 + 1) nodes and twice that, is
-    exact at both levels, gated at 100 * cfg.tol.  An order whose fine level
-    would pass GH_RULE_MAX (n1 >= 728) raises OrderTooLargeError first.
+    denominator cancels against the radial Jacobian, so the integrand is
+    phi_{n1}(k y), a polynomial of degree n1, against e^{-k^2} dk dy: the
+    product of the (n1 // 2 + 1)-point Gauss-Hermite rule in k and
+    Gauss-Legendre rule in y = cos(theta) is exact, and runs once.  The
+    integrand is even under (k, y) -> (-k, -y), so the sum runs on the
+    rule's half k >= 0 with its folded scaled weights W
+    (quadrature.hermite_half), as W e^{-k^2 (1 - y^2/2)} psi_{n1}(k y) with
+    psi = phi e^{-z^2/2}: both factors stay in range at every node.
+    err_estimate is the rounding bound (n1 + 8) 2^-52 sum |terms|; against
+    the exact integer ratio at n1 = 0..300, 726 and 1454 no value comes
+    within a fifth of it.  A bound above 100 * cfg.tol raises
+    NonconvergenceError, and an order whose rule would pass GH_RULE_MAX
+    (n1 >= 1456) raises OrderTooLargeError before any rule is built.
     """
     n1 = whole(n1, "order")
-    nodes = max(QuadratureConfig.gh_nodes, n1 // 2 + 1)
-    if 2 * nodes > GH_RULE_MAX:
-        raise OrderTooLargeError(f"massless quadrature at index {n1} needs {2 * nodes} "
+    nodes = n1 // 2 + 1
+    if nodes > GH_RULE_MAX:
+        raise OrderTooLargeError(f"massless quadrature at index {n1} needs {nodes} "
                                  f"Gauss-Hermite nodes, at most {GH_RULE_MAX}")
-    ang = max(8, n1 // 2 + 2)
-    value, err = refined(lambda k: _coulomb_eval(n1, k * nodes, k * ang),
-                         100.0 * cfg.tol, "massless quadrature at index {}", n1)
-    return GreensValue(complex(value), err)
+    k, weights, _ = hermite_half(nodes)
+    y, wy = gauss_legendre(nodes)
+    z = np.outer(k, y)
+    terms = phi_at((n1,), z, np.exp(-0.5 * z * z))[n1]
+    terms *= np.exp(np.outer(-k * k, 1.0 - 0.5 * y * y))
+    terms *= wy
+    value = weights @ terms.sum(axis=1)
+    err = (n1 + 8) * 2.0 ** -52 * float(weights @ np.abs(terms).sum(axis=1))
+    if not err <= 100.0 * cfg.tol:
+        raise NonconvergenceError(f"massless quadrature at index {n1}: rounding bound "
+                                  f"{err:.3e} exceeds the gate {100.0 * cfg.tol:.3e}")
+    return GreensValue(complex(1j ** (n1 % 4) * value), err)
 
 
 def continuum_yukawa(r: float, mu: float, g: float) -> float:

@@ -177,13 +177,17 @@ def kg_mode_residual(k: tuple[float, float, float], mu: float, box: GridBox) -> 
     The mode prod_j xi_{n_j}(k_j) e^{-i omega t} with omega^2 = k.k + mu^2
     solves  laplacian_sharp f - (d/dt)^2 f - mu^2 f = 0  exactly; the time
     derivative contributes -omega^2 analytically, so the residual reduces to
-    laplacian_sharp f + (omega^2 - mu^2) f on the interior.
+    laplacian_sharp f + (omega^2 - mu^2) f on the interior.  A mode that
+    underflows to zero (past |k_a| = 38.6, before k.k can overflow) solves
+    it exactly.  DomainError for mu not positive with a finite square.
     """
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    if not (mu > 0 and math.isfinite(float(mu) * float(mu))):
+        raise DomainError(f"mu must be positive with a finite square, got {mu}")
     f = mode_function(box, k)
-    omega = math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + mu * mu)
     lap = laplacian_sharp(f)
+    if not f.values.any():
+        return 0.0
+    omega = math.sqrt(k[0] * k[0] + k[1] * k[1] + k[2] * k[2] + mu * mu)
     core = restrict(f, lap.origin, lap.box.extents)
     residual = lap.values + (omega * omega - mu * mu) * core.values
     return float(np.max(np.abs(residual)))

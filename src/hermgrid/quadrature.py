@@ -1,14 +1,14 @@
-"""Quadrature rules, cached basis tables, and the one refinement gate.
+"""Quadrature rules, the proper-time lattice, cached tables, one refinement gate.
 
 All rules are cached by node count and returned as read-only arrays: the
 first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
 instead of rebuilding them.  Every rule is built in numpy, the Gauss-Hermite
 and Gauss-Legendre rules from a start polished on the three-term recurrence.
-Every quadrature value passes the one refinement gate, refined, which
-always evaluates both node levels, so every error estimate is a number.
-Each route works its node counts out from its input; QuadratureConfig
-holds the tolerance alone.
+A route whose rule is exact evaluates it once and states a rounding bound;
+s_plus_green, whose rule is not, passes the one refinement gate, refined,
+which always evaluates both node levels.  Each route works its node counts
+out from its input; QuadratureConfig holds the tolerance alone.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ import numpy as np
 from .errors import NonconvergenceError, OrderTooLargeError, whole
 from .hermite import phi_at, phi_row
 
+# Step h of the trapezoid rule in log proper time (pt_lattice), whose error
+# in 1/y is at most 2 |Gamma(1 - 2 pi i / h)| = 3.5e-17 relative for every
+# y > 0; PT_ERROR adds what its cut drops (2^-60 + e^-40).
+_PT_STEP = 0.24
+PT_ERROR = 4.1e-17
+
 # Most nodes of a Gauss-Hermite rule: at 729, x reaches 37.65, where e^{-x^2/2} is subnormal
 GH_RULE_MAX = 728
 
@@ -32,10 +38,11 @@ GH_RULE_MAX = 728
 class QuadratureConfig:
     """The tolerance tol, a finite positive real, of every gate.
 
-    Each quadrature runs at its node counts and at double them, and the
-    difference, its error estimate, is gated (see refined).  No node count
-    is settable: s_plus_green and coulomb_quadrature take gh_nodes, a class
-    constant, or more where the input's order needs them.
+    s_plus_green runs at its node counts and at double them, and the
+    difference, its error estimate, is gated at tol (see refined);
+    g_proper_time and coulomb_quadrature gate their rounding bounds at
+    100 tol.  No node count is settable: s_plus_green alone reads gh_nodes,
+    a class constant, as the floor of its radial rule.
     """
 
     gh_nodes: ClassVar[int] = 64
@@ -63,9 +70,9 @@ def refined(evaluate, gate: float, where: str, *where_args):
     a number or an array.  The value at k = 2 is returned with the defect
     max |value(2) - value(1)| (plain |.| for a number) as its err_estimate,
     and a defect above gate raises NonconvergenceError.  The comparison is
-    written so that a NaN defect raises too.  Green's values pass 100*tol as
-    the gate, the fermion projector tol.  The message names the value by
-    where.format(*where_args), built only on failure.
+    written so that a NaN defect raises too.  The fermion projector passes
+    tol as the gate, the checks' tensor Green's values 100*tol.  The message
+    names the value by where.format(*where_args), built only on failure.
     """
     coarse = evaluate(1)
     fine = evaluate(2)
@@ -77,6 +84,17 @@ def refined(evaluate, gate: float, where: str, *where_args):
             f"{where.format(*where_args)}: refinement defect {err:.3e} exceeds the gate {gate:.3e}"
         )
     return fine, err
+
+
+def pt_lattice(mu: float, y_min: float, y_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Proper times t_m = e^{m h} and weights h t_m e^{-t_m mu^2} of the
+    trapezoid rule for 1/y = integral e^{v - y e^v} dv, y = k.k + mu^2, cut
+    to v in [ln(2^-60/y_max), ln(40/y_min)], y_min held at >= 2^-1000."""
+    y_min = max(y_min, 2.0 ** -1000)
+    lo = math.floor((-60.0 * math.log(2.0) - math.log(y_max)) / _PT_STEP)
+    hi = math.ceil((math.log(40.0) - math.log(y_min)) / _PT_STEP)
+    t = np.exp(_PT_STEP * np.arange(lo, hi + 1))
+    return t, _PT_STEP * t * np.exp(-t * (mu * mu))
 
 
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -96,13 +114,15 @@ def _mirrored(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
 def hermite_half(n_nodes: int) -> tuple[np.ndarray, ...]:
     """Nodes x >= 0 of the n_nodes-point Gauss-Hermite rule (an odd rule's
     0 first), scaled weights W = 1 / sum_{k<n} psi_k(x)^2 (psi_k = phi_k
-    e^{-x^2/2}) and weights w = sqrt(pi) e^{-x^2} W; OrderTooLargeError
-    past GH_RULE_MAX nodes.  x^2 start as Gauss-Laguerre nodes of alpha =
-    -1/2 or 1/2 (even or odd n) from the half-size Jacobi matrix, and take
-    one Newton step, phi_n' = sqrt(2n) phi_{n-1}.  The Christoffel sum, as
-    n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n, is stationary at a node,
-    so it is taken at the start in the same pass; w, which moves by -2x
-    per unit of node shift, takes the step's first-order factor.  Against
+    e^{-x^2/2}) folded for even integrands (2W off the origin), and weights
+    w = sqrt(pi) e^{-x^2} W; OrderTooLargeError past GH_RULE_MAX nodes.  No
+    W underflows where w does (two of 401 do).  x^2 start as Gauss-Laguerre
+    nodes of alpha = -1/2 or 1/2 (even or odd n) from the half-size Jacobi
+    matrix, and take one Newton step, phi_n' = sqrt(2n) phi_{n-1}.  The
+    Christoffel sum, as n psi_{n-1}^2 - sqrt(n(n-1)) psi_{n-2} psi_n, is
+    stationary at a node, so it is taken at the start in the same pass; w,
+    which moves by -2x per unit of node shift, takes the step's first-order
+    factor.  Against
     40-digit rules the nodes are within 2 ulps at the tested counts, the
     smallest positive one, where the recurrence rounds most against it, up
     to 10 (548 nodes); normal weights within 4e-14 relative at 1 to 728
@@ -120,7 +140,8 @@ def hermite_half(n_nodes: int) -> tuple[np.ndarray, ...]:
     total = n_nodes * mid * mid - math.sqrt(n_nodes * (n_nodes - 1.0)) * below * top
     step = -top / (math.sqrt(2.0 * n_nodes) * mid)
     w = math.sqrt(math.pi) * seed * seed * (1.0 - 2.0 * x * step) / total
-    return read_only(x + step, 1.0 / total, w)
+    x = x + step
+    return read_only(x, np.where(x > 0.0, 2.0, 1.0) / total, w)
 
 
 @lru_cache(maxsize=None)

@@ -47,9 +47,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, OrderTooLargeError, TruncationWarning, momentum, whole
-from .greens import pt_lattice, scaled_rule
 from .hermite import phi_fill, phi_row, xi_axis
-from .quadrature import QuadratureConfig, read_only
+from .quadrature import QuadratureConfig, hermite_half, pt_lattice, read_only
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -174,10 +173,10 @@ def _scaled_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows s_n phi_n(y_j sqrt(s_c)) sqrt(W_j) e^{-y_j^2/2} / sqrt(pi),
     s_n = (-1)^(n//2), for even n, then for odd n (n <= n_max), each over
     the Chebyshev points s_c (_chebyshev) and the nodes y_j >= 0 and folded
-    weights W_j of the (n_max + 1)-point scaled Gauss-Hermite rule
-    (greens.scaled_rule): column c * J + j of row n, J nodes.  Cached
+    scaled weights W_j of the (n_max + 1)-point Gauss-Hermite rule
+    (quadrature.hermite_half): column c * J + j of row n, J nodes.  Cached
     read-only per cutoff."""
-    y, weights = scaled_rule(n_max + 1)
+    y, weights, _ = hermite_half(n_max + 1)
     z = np.outer(np.sqrt(_chebyshev(n_max)), y)
     tables = [np.empty(((n_max + 2 - parity) // 2, z.size)) for parity in (0, 1)]
     phi_fill([tables[n % 2][n // 2].reshape(z.shape) for n in range(n_max + 1)], z,
@@ -326,8 +325,9 @@ def continuum_moller_reduced(kin: MollerKinematics) -> complex:
     q = p1 - p1', the value the discrete element should approach for
     well-resolved low-momentum kinematics.  DomainError where that is not
     a finite double (a subnormal mu^2 at zero transfer)."""
-    q2 = sum((kin.p1[a] - kin.p1_out[a]) ** 2 for a in range(3))
-    denom = q2 + kin.mu ** 2
+    q = [kin.p1[a] - kin.p1_out[a] for a in range(3)]
+    q2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
+    denom = q2 + kin.mu * kin.mu
     if denom == 0:
         raise DomainError("zero momentum transfer at mu = 0 has no continuum value")
     val = kin.prefactor / denom

@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from hermgrid.dirac import _TAIL
-from hermgrid.greens import scaled_rule
+from hermgrid.quadrature import hermite_half
 from hermgrid.scattering import _chebyshev
 
 _PI_QUARTER = math.pi ** 0.25
@@ -63,7 +63,7 @@ def legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scaled_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    y, weights = scaled_rule(n_max + 1)
+    y, weights, _ = hermite_half(n_max + 1)
     z = np.outer(np.sqrt(_chebyshev(n_max)), y)
     seed = np.sqrt(weights) * np.exp(-0.5 * y * y) / math.sqrt(math.pi)
     rows = phi_at(range(n_max + 1), z, np.broadcast_to(seed, z.shape))

@@ -4,7 +4,7 @@ a sum over the proper-time lattice, kept here as an independent reference.
 
 green_contract sums factorized integrands against 1/(k.k + mu^2) on the
 n_nodes-point grid in each axis.  It writes the kernel as the proper-time
-lattice of greens.pt_lattice (_proper_time_rule), folds the rows onto the
+lattice of quadrature.pt_lattice (_proper_time_rule), folds the rows onto the
 x >= 0 half grid, and adds back the closed-form defect of a quadratic pole
 model (_ball_defects).  grid_element feeds it the profiles of the two
 fermion lines on that grid.  Nothing here is shared with the element's
@@ -17,9 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from hermgrid.greens import _axis_entries, pt_lattice
+from hermgrid import QuadratureConfig, g_sharp_axis
 from hermgrid.hermite import phi_row
-from hermgrid.quadrature import gauss_hermite, weighted_phi_table
+from hermgrid.quadrature import gauss_hermite, pt_lattice, weighted_phi_table
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -74,8 +74,8 @@ def _separable_sum(a, b, c, mu: float, n_nodes: int) -> np.ndarray:
 def _ball_exact(mu: float) -> tuple[float, float]:
     """b0 and b2, the integrals over R^3 of e^{-k.k}/(k.k+mu^2) and of
     k_1^2 e^{-k.k}/(k.k+mu^2): b0 = pi^{3/2} g_0 and b2 = pi^{3/2}
-    (g_0 - sqrt(2) g_1) / 2 from the axis table."""
-    g0, g1 = _axis_entries(mu, 2)[:2]
+    (g_0 - sqrt(2) g_1) / 2 from the axis values g_0 and g_1 (n1 = 0, 2)."""
+    g0, g1 = (g_sharp_axis(n1, mu, QuadratureConfig()).value.real for n1 in (0, 2))
     return math.pi ** 1.5 * g0, math.pi ** 1.5 * (g0 - math.sqrt(2.0) * g1) / 2.0
 
 

@@ -428,3 +428,16 @@ def test_s_plus_refuses_a_pair_past_the_gauss_hermite_cap():
         for n in ((363, 363, 363), (150, 150, 150)):
             assert np.all(np.isfinite(dirac.s_plus_green(n, n, 0.4, 1.0, cfg)))
         assert not dirac.s_plus_green((1001, 1001, 0), (0, 0, 0), 0.4, 1.0, cfg).any()
+
+
+def test_dirac_adjoint_reads_the_shared_gamma4(monkeypatch):
+    # the adjoint multiplies by the module's read-only gamma4, built once,
+    # and gives the bits of a freshly built one
+    s = dirac.spinor_u(1, (0.3, -0.2, 0.5), 1.0)
+    want = 1j * (np.conj(s) @ dirac.gamma_set()[4])
+
+    def refuse():
+        raise AssertionError("gamma matrices rebuilt")
+
+    monkeypatch.setattr(dirac, "_gamma_matrices", refuse)
+    assert np.array_equal(dirac.dirac_adjoint(s), want)

@@ -17,7 +17,6 @@ from hermgrid.dirac import s_plus_green
 from hermgrid.errors import DomainError, NonconvergenceError, OrderTooLargeError
 from hermgrid.greens import (
     GreensValue,
-    _angular_moment,
     _axis_table,
     clear_caches,
     continuum_yukawa,
@@ -229,28 +228,48 @@ def test_coulomb_quadrature_examples():
         coulomb_even(1), rel=1e-6)
 
 
-def test_coulomb_quadrature_derives_its_node_count():
-    # max(64, n1 // 2 + 1) Gauss-Hermite nodes and twice that: 64 and 128
-    # up to order 126, and past it as many as the order needs, so both
-    # levels stay exact (64 and 128 nodes failed the gate at order 200)
-    for n1 in (0, 3, 126):
-        ang = max(8, n1 // 2 + 2)
-        coarse, fine = (greens._coulomb_eval(n1, 64 * k, ang * k) for k in (1, 2))
-        assert coulomb_quadrature(n1, CFG) == GreensValue(fine, abs(fine - coarse))
-    for n1 in (200, 400, 726):
+def test_coulomb_quadrature_derives_its_node_count(monkeypatch):
+    # one product rule of n1 // 2 + 1 nodes on each axis, exact for the
+    # degree-n1 integrand, evaluated once: no second level and no floor of
+    # 64 nodes (with 64 and 128 the old two-level form failed at order 200)
+    asked = []
+    for name in ("hermite_half", "gauss_legendre"):
+        rule = getattr(greens, name)
+        monkeypatch.setattr(greens, name, lambda n, rule=rule, name=name: asked.append((name, n)) or rule(n))
+    for n1 in (0, 3, 126, 200, 400):
+        asked.clear()
         got = coulomb_quadrature(n1, CFG)
-        want = coulomb_even(n1 // 2)
-        assert abs(got.value - want) <= got.err_estimate + 1e-14 * want, n1
+        assert asked == [("hermite_half", n1 // 2 + 1), ("gauss_legendre", n1 // 2 + 1)], n1
+        want = coulomb_even(n1 // 2) if n1 % 2 == 0 else 0.0
+        assert 0.0 < got.err_estimate <= 1e-13 and abs(got.value - want) <= got.err_estimate, n1
 
 
 def test_coulomb_quadrature_refuses_an_order_past_the_cap():
-    # a fine level past 728 nodes is refused before any rule is built
-    caches = (gauss_hermite, hermite_half, gauss_legendre, _angular_moment)
+    # a rule past 728 nodes is refused before any rule is built
+    caches = (gauss_hermite, hermite_half, gauss_legendre)
     before = [c.cache_info().currsize for c in caches]
-    for n1 in (728, 729, 10 ** 6):
+    for n1 in (1456, 1457, 10 ** 6):
         with pytest.raises(OrderTooLargeError, match=f"index {n1} needs"):
             coulomb_quadrature(n1, CFG)
     assert [c.cache_info().currsize for c in caches] == before
+
+
+def test_coulomb_quadrature_values_lie_within_their_estimates():
+    # against the exact integer ratio 4^(h+1) / ((2h+1)^2 C(2h, h)) under a
+    # 40-digit square root (zero at odd orders), every value lies within
+    # its err_estimate; the two-level form put 60 of 305 outside theirs and
+    # refused every order from 728 on
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for n1 in [*range(301), 726, 1454]:
+            got = coulomb_quadrature(n1, CFG)
+            h = n1 // 2
+            want = 0 if n1 % 2 else mp.sqrt(mp.mpf(4 ** (h + 1)) / ((2 * h + 1) ** 2 * math.comb(2 * h, h)))
+            gap = float(abs(mp.mpc(got.value.real, got.value.imag) - want))
+            assert gap <= got.err_estimate, n1
+            worst = max(worst, gap / got.err_estimate if gap else 0.0)
+    assert worst <= 0.5
 
 
 def test_euler_beta():
@@ -335,29 +354,17 @@ def test_clear_caches_is_idempotent_and_preserves_values():
     assert before == after
 
 
-def test_angular_moment_is_cached_read_only_and_cleared():
-    clear_caches()
-    assert _angular_moment.cache_info().currsize == 0
-    coulomb_quadrature(4, CFG)
-    # one moment per refinement level
-    assert _angular_moment.cache_info().currsize == 2
-    s = _angular_moment(4, 64, 8)
-    assert not s.flags.writeable
-    with pytest.raises(ValueError):
-        s[0] = 1.0
-    clear_caches()
-    assert _angular_moment.cache_info().currsize == 0
-
-
-def test_angular_moment_matches_the_full_grid_sum():
-    # the moment is the angular half of a full radius-angle grid sum
-    x, _ = gauss_hermite(64)
-    y, wy = gauss_legendre(12)
-    for n1 in (0, 6, 20):
-        grid = phi_row(n1, np.outer(x, y).ravel())
-        want = np.array([math.fsum(row) for row in grid[n1].reshape(64, 12) * wy])
-        got = _angular_moment(n1, 64, 12)
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+def test_coulomb_quadrature_matches_the_full_grid_sum():
+    # the half-rule sum with the Gaussian split into its factors is the
+    # full radius-angle grid sum of w_i wy_j phi_{n1}(x_i y_j) / sqrt(pi)
+    for n1 in (0, 6, 20, 21):
+        nodes = n1 // 2 + 1
+        x, w = gauss_hermite(nodes)
+        y, wy = gauss_legendre(nodes)
+        grid = phi_row(n1, np.outer(x, y).ravel())[n1].reshape(nodes, nodes) * np.outer(w, wy)
+        want = 1j ** (n1 % 4) * math.fsum(grid.ravel()) / math.sqrt(math.pi)
+        scale = math.fsum(np.abs(grid).ravel()) / math.sqrt(math.pi)
+        assert abs(coulomb_quadrature(n1, CFG).value - want) <= 1e-13 * scale, n1
 
 
 def test_refinement_gate_trips_on_nan_defect():
@@ -383,19 +390,17 @@ def test_refinement_gate_takes_the_largest_entry_defect():
         refined(lambda k: (coarse, fine)[k - 1], 1.0, "probe")
 
 
-def test_angular_moment_keeps_one_row_in_memory():
-    # the moment needs only phi_{n1} over the grid; a table of all n1 + 1
-    # rows at 256 x 102 points would be 42 MB
-    gauss_hermite(256)
-    gauss_legendre(102)
-    clear_caches()
+def test_coulomb_quadrature_keeps_one_row_in_memory():
+    # the sum needs only phi_{n1} over the grid; a table of all n1 + 1 rows
+    # at its 101 x 201 points would be 65 MB
+    hermite_half(201)
+    gauss_legendre(201)
     tracemalloc.start()
     try:
-        _angular_moment(200, 256, 102)
+        coulomb_quadrature(400, CFG)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        clear_caches()
     assert peak < 8 * 2 ** 20
 
 
@@ -508,10 +513,12 @@ def test_axis_tables_grow_by_doubling_and_agree():
 
 def test_parity_zero_builds_nothing():
     clear_caches()
+    asked = hermite_half.cache_info()
     for route in (g_sharp, g_proper_time):
         v = route((1, 2, 0), (0, 0, 3), 0.123456789, CFG)
         assert v == GreensValue(complex(1j * 0.0), 0.0)
-    assert greens.scaled_rule.cache_info().currsize == 0
+    # no rule is asked for, not even a cached one
+    assert hermite_half.cache_info()[:2] == asked[:2]
     assert _axis_table.cache_info().currsize == 0
     clear_caches()
 
@@ -582,14 +589,16 @@ def test_clear_caches_empties_every_cache():
     g_sharp_axis(4, 0.5, CFG)
     coulomb_quadrature(2, CFG)
     continuum_yukawa_oracle(1.0, 1.0)
-    # the module's own caches; the quadrature rules it imports stay
+    # the module's own caches; the quadrature rules it reads stay
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert _axis_table in caches and greens.scaled_rule in caches and greens._fourier_rule in caches
-    assert len(caches) >= 5
+    assert _axis_table in caches and greens._fourier_rule in caches and hermite_half not in caches
+    assert len(caches) >= 3
     assert all(f.cache_info().currsize > 0 for f in caches)
+    rules = hermite_half.cache_info().currsize
     clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
+    assert hermite_half.cache_info().currsize == rules > 0
 
 
 def test_g_sharp_does_not_depend_on_what_ran_before():

@@ -126,9 +126,12 @@ def _kinematics(m=1.0, mu=1.0, g=1.0):
 
 
 BOX = hermgrid.GridBox((3, 3, 3))
+WIDE = hermgrid.GridBox((5, 5, 5))
+FAR = (1e200, 0.0, 0.0)
 
-# out-of-range physics inputs, each with the typed error it raises: never an
-# OverflowError, IndexError, AttributeError or a numpy warning
+# out-of-range physics inputs, each with the typed error it raises, or None
+# where a finite value exists and comes back: never an OverflowError,
+# IndexError, AttributeError or a numpy warning
 OUT_OF_RANGE = {
     "spin_sum-nan": (lambda: hermgrid.spin_sum((math.nan, 0, 0), 1.0), hermgrid.DomainError),
     "element-m": (lambda: hermgrid.moller_reduced_element(
@@ -141,6 +144,14 @@ OUT_OF_RANGE = {
     "mode_function": (lambda: hermgrid.mode_function(BOX, (0.1, 0.2)), hermgrid.DomainError),
     "kg_mode_residual": (lambda: hermgrid.kg_mode_residual((0.1, 0.2), 1.0, BOX), hermgrid.DomainError),
     "GridFunction": (lambda: hermgrid.GridFunction(BOX, np.zeros((3, 3, 3)).tolist()), ValueError),
+    # the mode underflows to zero, which solves the equation exactly
+    "kg_mode_residual-far": (lambda: hermgrid.kg_mode_residual(FAR, 1.0, WIDE), None),
+    "kg_mode_residual-mu": (lambda: hermgrid.kg_mode_residual((0.1, 0, 0), 1e200, WIDE), hermgrid.DomainError),
+    "low_momentum_u-far": (lambda: hermgrid.low_momentum_u(1, FAR, 1.0), hermgrid.DomainError),
+    "low_momentum_u-nan-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), math.nan), hermgrid.DomainError),
+    "low_momentum_u-negative-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), -1.0), hermgrid.DomainError),
+    "continuum_moller_reduced-far": (lambda: hermgrid.continuum_moller_reduced(
+        hermgrid.MollerKinematics(FAR, (0, 0, 0), (0, 0, 0), (0, 0, 0), m=1.0, mu=1.0, g=1.0)), None),
 }
 
 
@@ -149,10 +160,35 @@ def test_out_of_range_physics_inputs_raise_typed_errors(name):
     call, error = OUT_OF_RANGE[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error):
-            call()
+        if error is None:
+            assert np.isfinite(call())
+        else:
+            with pytest.raises(error):
+                call()
 
 
 def test_large_momenta_give_finite_energies_and_spinors():
     assert hermgrid.energy((1e200, 0, 0), 1.0) == 1e200
     assert np.all(np.isfinite(hermgrid.spinor_u(1, (1e200, 0, 0), 1.0)))
+    # each inner product cancels two terms of size E/m, and the check is
+    # relative to that size: a few ulps at any momentum
+    assert hermgrid.orthonormality_check(FAR, 1.0) <= 1e-15
+
+
+# the physics modules build on the base layer alone, never on each other
+BASE_LAYER = {"errors", "hermite", "quadrature"}
+
+
+@pytest.mark.parametrize("module", ["dirac", "greens", "grid", "scattering"])
+def test_physics_modules_import_only_the_base_layer(module):
+    path = pathlib.Path(hermgrid.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hermgrid":
+            imported.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.partition(".")[2] for a in node.names if a.name.split(".")[0] == "hermgrid")
+    assert imported <= BASE_LAYER, sorted(imported - BASE_LAYER)
