@@ -49,7 +49,6 @@ from .quadrature import (
     GH_RULE_MAX,
     PT_ERROR,
     QuadratureConfig,
-    gauss_legendre,
     hermite_half,
     index3,
     pt_lattice,
@@ -313,21 +312,21 @@ def coulomb_even(n1: int) -> float:
 
 
 def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
-    """Massless axis values by direct 2D quadrature (radius times angle).
+    """Massless axis values by direct quadrature, the check on coulomb_even.
 
-    Takes the full grid index: even indices reproduce coulomb_even(index/2),
-    odd indices integrate to zero by angular parity.  The mass-zero
-    denominator cancels against the radial Jacobian, so the integrand is
-    phi_{n1}(k y), a polynomial of degree n1, against e^{-k^2} dk dy: the
-    product of the (n1 // 2 + 1)-point Gauss-Hermite rule in k and
-    Gauss-Legendre rule in y = cos(theta) is exact, and runs once.  The
-    integrand is even under (k, y) -> (-k, -y), so the sum runs on the
-    rule's half k >= 0 with its folded scaled weights W
-    (quadrature.hermite_half), as W e^{-k^2 (1 - y^2/2)} psi_{n1}(k y) with
-    psi = phi e^{-z^2/2}: both factors stay in range at every node.
+    Takes the full grid index: even indices reproduce coulomb_even(index/2);
+    odd indices integrate to zero by angular parity and return the exact
+    zero.  The mass-zero denominator cancels against the radial Jacobian,
+    so the integrand is phi_{n1}(k y) against e^{-k^2} dk dy, y = cos(theta).
+    As phi_{n+1}' = sqrt(2(n+1)) phi_n, its angle integral is
+    2 phi_{n1+1}(k) / (k sqrt(2(n1+1))), an even polynomial of degree n1,
+    which the half of the Gauss-Hermite rule of nodes + nodes % 2 points,
+    nodes = n1 // 2 + 1 (an even rule, no node at k = 0), sums exactly as
+    (2 / sqrt(2(n1+1))) sum_i W_i e^{-k_i^2/2} psi_{n1+1}(k_i) / k_i, W the
+    folded scaled weights (quadrature.hermite_half), psi = phi e^{-k^2/2}.
     err_estimate is the rounding bound (n1 + 8) 2^-52 sum |terms|; against
-    the exact integer ratio at n1 = 0..300, 726 and 1454 no value comes
-    within a fifth of it.  A bound above 100 * cfg.tol raises
+    the exact integer ratio at n1 = 0..300, 726, 1000, 1452 and 1454 no
+    value comes within a fifth of it.  A bound above 100 * cfg.tol raises
     NonconvergenceError, and an order whose rule would pass GH_RULE_MAX
     (n1 >= 1456) raises OrderTooLargeError before any rule is built.
     """
@@ -336,14 +335,13 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
     if nodes > GH_RULE_MAX:
         raise OrderTooLargeError(f"massless quadrature at index {n1} needs {nodes} "
                                  f"Gauss-Hermite nodes, at most {GH_RULE_MAX}")
-    k, weights, _ = hermite_half(nodes)
-    y, wy = gauss_legendre(nodes)
-    z = np.outer(k, y)
-    terms = phi_at((n1,), z, np.exp(-0.5 * z * z))[n1]
-    terms *= np.exp(np.outer(-k * k, 1.0 - 0.5 * y * y))
-    terms *= wy
-    value = weights @ terms.sum(axis=1)
-    err = (n1 + 8) * 2.0 ** -52 * float(weights @ np.abs(terms).sum(axis=1))
+    if n1 % 2:
+        return GreensValue(0j, 0.0)
+    k, weights, _ = hermite_half(nodes + nodes % 2)
+    seed = np.exp(-0.5 * k * k)
+    terms = phi_at((n1 + 1,), k, seed)[n1 + 1] * seed * weights / k * (2.0 / math.sqrt(2.0 * (n1 + 1)))
+    value = terms.sum()
+    err = (n1 + 8) * 2.0 ** -52 * float(np.abs(terms).sum())
     if not err <= 100.0 * cfg.tol:
         raise NonconvergenceError(f"massless quadrature at index {n1}: rounding bound "
                                   f"{err:.3e} exceeds the gate {100.0 * cfg.tol:.3e}")

@@ -98,9 +98,12 @@ def phi_fill(rows, x: np.ndarray, seed=1.0) -> None:
 
 def _scalar_rows(count: int, k: float) -> list[float]:
     """e^{-k^2/2} phi_j(k) / pi^{1/4} for j < count at one float k: the steps
-    of phi_fill on floats, from the same coefficient table."""
+    of phi_fill on floats, from the same coefficient table; zeros where the
+    seed underflows (past |k| = 1.27e308 a step would form inf * 0)."""
     _, a, b = _steps(count)
     prev, cur = 0.0, math.exp(-0.5 * k * k) / _PI_QUARTER
+    if cur == 0.0:
+        return [0.0] * count
     out = [cur]
     for j in range(count - 1):
         prev, cur = cur, a[j] * k * cur - b[j] * prev

@@ -103,8 +103,8 @@ class MollerKinematics:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p1_out", "p2_out"):
             object.__setattr__(self, name, momentum(getattr(self, name)))
-        if not (self.m > 0 and math.isfinite(self.m)):
-            raise DomainError(f"m must be positive and finite, got {self.m}")
+        if not (self.m > 0 and math.isfinite(self.m * self.m)):
+            raise DomainError(f"m must be positive with a finite square, got {self.m}")
         if not (self.mu >= 0 and math.isfinite(self.mu)):
             raise DomainError(f"mu must be nonnegative and finite, got {self.mu}")
         if not math.isfinite(self.g):
@@ -113,14 +113,11 @@ class MollerKinematics:
             if getattr(self, name) not in (1, 2):
                 raise ValueError(f"{name} must be 1 or 2, got {getattr(self, name)}")
 
-    def _energy(self, p: tuple[float, float, float]) -> float:
-        return math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + self.m * self.m)
-
     @property
     def energies(self) -> tuple[float, float, float, float]:
-        """(E1, E2, E1', E2')."""
-        return (self._energy(self.p1), self._energy(self.p2),
-                self._energy(self.p1_out), self._energy(self.p2_out))
+        """(E1, E2, E1', E2'), each sqrt(p.p + m^2) by math.hypot, so no
+        square overflows."""
+        return tuple(math.hypot(*p, self.m) for p in (self.p1, self.p2, self.p1_out, self.p2_out))
 
     @property
     def conservation_defect(self) -> float:
@@ -148,9 +145,9 @@ class MollerKinematics:
 
     @property
     def prefactor(self) -> float:
-        """(g^2 / 4 pi) m^2 / sqrt(E1' E2' E1 E2)."""
-        e1, e2, e1o, e2o = self.energies
-        return (self.g * self.g / (4.0 * math.pi)) * (self.m * self.m) / math.sqrt(e1o * e2o * e1 * e2)
+        """(g^2 / 4 pi) m^2 / sqrt(E1' E2' E1 E2), as (g^2 / 4 pi) times the
+        product of the sqrt(m / E), so no product of energies overflows."""
+        return (self.g * self.g / (4.0 * math.pi)) * math.prod(math.sqrt(self.m / e) for e in self.energies)
 
 
 # Largest vertex cutoff of the exchange element.  Its basis table

@@ -229,19 +229,20 @@ def test_coulomb_quadrature_examples():
 
 
 def test_coulomb_quadrature_derives_its_node_count(monkeypatch):
-    # one product rule of n1 // 2 + 1 nodes on each axis, exact for the
-    # degree-n1 integrand, evaluated once: no second level and no floor of
-    # 64 nodes (with 64 and 128 the old two-level form failed at order 200)
+    # one half Gauss-Hermite rule of nodes + nodes % 2 points, nodes =
+    # n1 // 2 + 1, exact for the closed angle integral of degree n1 and free
+    # of a node at k = 0, evaluated once; an odd order builds no rule
     asked = []
-    for name in ("hermite_half", "gauss_legendre"):
-        rule = getattr(greens, name)
-        monkeypatch.setattr(greens, name, lambda n, rule=rule, name=name: asked.append((name, n)) or rule(n))
-    for n1 in (0, 3, 126, 200, 400):
+    monkeypatch.setattr(greens, "hermite_half", lambda n, rule=hermite_half: asked.append(n) or rule(n))
+    for n1 in (0, 2, 3, 126, 200, 400):
         asked.clear()
         got = coulomb_quadrature(n1, CFG)
-        assert asked == [("hermite_half", n1 // 2 + 1), ("gauss_legendre", n1 // 2 + 1)], n1
-        want = coulomb_even(n1 // 2) if n1 % 2 == 0 else 0.0
-        assert 0.0 < got.err_estimate <= 1e-13 and abs(got.value - want) <= got.err_estimate, n1
+        if n1 % 2:
+            assert asked == [] and got == GreensValue(0j, 0.0), n1
+            continue
+        nodes = n1 // 2 + 1
+        assert asked == [nodes + nodes % 2], n1
+        assert 0.0 < got.err_estimate <= 1e-13 and abs(got.value - coulomb_even(n1 // 2)) <= got.err_estimate, n1
 
 
 def test_coulomb_quadrature_refuses_an_order_past_the_cap():
@@ -262,7 +263,7 @@ def test_coulomb_quadrature_values_lie_within_their_estimates():
     mp = pytest.importorskip("mpmath")
     worst = 0.0
     with mp.workdps(40):
-        for n1 in [*range(301), 726, 1454]:
+        for n1 in [*range(301), 726, 1000, 1452, 1454, 1455]:
             got = coulomb_quadrature(n1, CFG)
             h = n1 // 2
             want = 0 if n1 % 2 else mp.sqrt(mp.mpf(4 ** (h + 1)) / ((2 * h + 1) ** 2 * math.comb(2 * h, h)))
@@ -391,10 +392,9 @@ def test_refinement_gate_takes_the_largest_entry_defect():
 
 
 def test_coulomb_quadrature_keeps_one_row_in_memory():
-    # the sum needs only phi_{n1} over the grid; a table of all n1 + 1 rows
-    # at its 101 x 201 points would be 65 MB
-    hermite_half(201)
-    gauss_legendre(201)
+    # the sum needs only phi_{n1 + 1} on the rule; a table of all rows of
+    # the old 101 x 201 radius-angle grid would be 65 MB
+    hermite_half(202)
     tracemalloc.start()
     try:
         coulomb_quadrature(400, CFG)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ def test_xi_amplitude_bound():
     for n in (0, 1, 7, 33, 60, 200):
         vals = np.exp(-0.5 * ks * ks) * phi_row(n, ks)[n] / PI4
         assert np.max(np.abs(vals)) <= 1.0
+
+
+def test_basis_underflows_to_zero_at_the_largest_momenta():
+    # past |k| = 1.27e308, a_j k overflows while the seed e^{-k^2/2} is 0:
+    # the values are zeros, not inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1.3e308, -1.3e308):
+            assert xi(1, k) == 0
+            assert not np.any(xi_axis(6, k))
 
 
 def test_negative_order_rejected():

@@ -195,6 +195,18 @@ def test_continuum_element():
         continuum_moller_reduced(kz0)
 
 
+def test_continuum_element_at_large_momenta():
+    # E1 = E1' = 1e200 at zero transfer: the prefactor (1 / 4 pi) m^2 /
+    # sqrt(E1 E1') is 1e-200 / 4 pi, not 0; no energy or product overflows
+    far = (1e200, 0.0, 0.0)
+    kin = MollerKinematics(far, (0, 0, 0), far, (0, 0, 0), m=1.0, mu=1.0, g=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kin.energies == (1e200, 1.0, 1e200, 1.0)
+        value = continuum_moller_reduced(kin)
+    assert value.real == pytest.approx(1e-200 / (4.0 * math.pi), rel=1e-15) and value.imag == 0.0
+
+
 def _element(kin, n_max, cfg=CFG):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

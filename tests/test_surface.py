@@ -146,6 +146,8 @@ OUT_OF_RANGE = {
     "GridFunction": (lambda: hermgrid.GridFunction(BOX, np.zeros((3, 3, 3)).tolist()), ValueError),
     # the mode underflows to zero, which solves the equation exactly
     "kg_mode_residual-far": (lambda: hermgrid.kg_mode_residual(FAR, 1.0, WIDE), None),
+    # past |k| = 1.27e308 the basis recurrence would form inf * 0
+    "kg_mode_residual-huge": (lambda: hermgrid.kg_mode_residual((1.3e308, 0, 0), 1.0, WIDE), None),
     "kg_mode_residual-mu": (lambda: hermgrid.kg_mode_residual((0.1, 0, 0), 1e200, WIDE), hermgrid.DomainError),
     "low_momentum_u-far": (lambda: hermgrid.low_momentum_u(1, FAR, 1.0), hermgrid.DomainError),
     "low_momentum_u-nan-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), math.nan), hermgrid.DomainError),
