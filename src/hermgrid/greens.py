@@ -63,10 +63,16 @@ class GreensValue:
     """A Green's function sample plus the honest error bar: a stated
     rounding bound for every route, g_sharp, g_sharp_axis, g_proper_time and
     coulomb_quadrature, each of which evaluates an exact form or an exact
-    rule once (0.0 for exact zeros only)."""
+    rule once (0.0 for exact zeros only).  Frozen, so the axis tables'
+    entries and the exact zeros are shared by every caller, never copied."""
 
     value: complex
     err_estimate: float
+
+
+# phase * 0.0 by the phase exponent (sum n - sum nhat) % 4, signed zeros
+# kept: the exact zero of a pair that violates parity (0j for an odd axis)
+_PARITY_ZEROS = tuple(GreensValue(complex(1j ** k * 0.0), 0.0) for k in range(4))
 
 
 def clear_caches() -> None:
@@ -86,8 +92,8 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...],
         raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
     if not math.isfinite(float(mu) * float(mu)):
         raise DomainError(f"mu^2 must be finite for the proper-time sum, got mu = {mu}")
-    odd = any((a + b) % 2 for a, b in zip(n, nhat))
-    return n, nhat, GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * 0.0), 0.0) if odd else None
+    (a, b, c), (p, q, r) = n, nhat
+    return n, nhat, _PARITY_ZEROS[(a + b + c - p - q - r) % 4] if (a + p | b + q | c + r) & 1 else None
 
 
 def _axis_laplace(p: int, q: int, s: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,16 +144,19 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """G(n, nhat; mu) by the one route for its kind of pair.  A pair that
     violates parity on some axis is the exact zero phase * 0.0,
     err_estimate 0.0.  An axis pair, (0,0,0) against an index with at most
-    one nonzero component n1, on any axis and in either order, is
-    g_sharp_axis(n1): one entry of the per-mass table (module docstring),
-    the coincidence value at n1 = 0, whatever cfg holds.  Every other pair
-    is g_proper_time, with its own bound, gated at 100 * cfg.tol.
+    one nonzero component n1, on any axis and in either order, is read
+    straight from the per-mass table (module docstring): the shared entry
+    g_sharp_axis(n1) returns, the coincidence value at n1 = 0, whatever cfg
+    holds.  Every other pair is g_proper_time, with its own bound, gated at
+    100 * cfg.tol.  The pair and mass are checked once (_checked_pair).
     """
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
-    if sum(map(bool, n + nhat)) <= 1:
-        return g_sharp_axis(max(n + nhat), mu, cfg)
+    both = n + nhat
+    if both.count(0) >= 5:
+        j = sum(both) // 2
+        return _axis_entries(mu, j + 1)[j]
     return g_proper_time(n, nhat, mu, cfg)
 
 
@@ -170,8 +179,10 @@ def _table_steps(size: int) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=128)
-def _axis_table(mu: float, size: int) -> tuple[float, ...]:
-    """g_j = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2) for j < size, mu > 0, as
+def _axis_table(mu: float, size: int) -> tuple[GreensValue, ...]:
+    """G((2j,0,0),(0,0,0); mu) for j < size, mu > 0, as finished values
+    shared by every caller, with g_sharp_axis' bound on each
+    g_j = (sqrt((2j)!) / 2^j) U(j+1, 1/2, mu^2), built as
     g_0 = yukawa_coincidence(mu) (the same float) and g_j = g_{j-1}
     sqrt(j (j - 1/2)) / d_j, so the prefactor never overflows.  The
     d_j = U(j)/U(j+1) come from _gamma_cf_levels once x = mu^2 times size
@@ -191,10 +202,12 @@ def _axis_table(mu: float, size: int) -> tuple[float, ...]:
         for j in range(1, size):
             e = (j + 0.5) * (e - x) / (j + x - e)
             d.append(j + 0.5 + e)
-    return tuple(accumulate(map(truediv, _table_steps(size), d[1:]), mul, initial=g))
+    values = accumulate(map(truediv, _table_steps(size), d[1:]), mul, initial=g)
+    return tuple(GreensValue(complex(v), (4 * j + 64) * (2.0 ** -52 * v + 2.0 ** -1074))
+                 for j, v in enumerate(values))
 
 
-def _axis_entries(mu: float, count: int) -> tuple[float, ...]:
+def _axis_entries(mu: float, count: int) -> tuple[GreensValue, ...]:
     """The axis table at mu with at least count entries: the default size,
     doubled as often as needed."""
     size = _AXIS_TABLE
@@ -205,8 +218,8 @@ def _axis_entries(mu: float, count: int) -> tuple[float, ...]:
 
 def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """Green's function along one axis, G((n1,0,0),(0,0,0); mu), in closed
-    form (module docstring): an exact zero for odd n1, and for even n1 = 2j
-    entry j of the per-mass table _axis_table.
+    form (module docstring): the exact zero 0j for odd n1, and for even
+    n1 = 2j entry j of the per-mass table _axis_table, shared and frozen.
 
     At n1 = 0 that is the float yukawa_coincidence(mu).  err_estimate is
     the rounding bound (4 j + 64)(2^-52 |value| + 2^-1074) at every even
@@ -214,18 +227,16 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     seed, which covers the growth of the forward recurrence and the
     truncation of the backward one (the seed itself, the coincidence value,
     is up to about 1.2 ulps off); 1.0e-13 relative at n1 = 200, and
-    measured against mpmath never reached.
+    measured against mpmath never reached.  Every finite mu > 0 answers.
     No quadrature runs, so cfg is not read; it keeps the routes' call shape.
     """
     n1 = whole(n1, "order")
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu}")
     if n1 % 2:
-        return GreensValue(0j, 0.0)
+        return _PARITY_ZEROS[0]
     j = n1 // 2
-    value = _axis_entries(mu, j + 1)[j]
-    err = (4 * j + 64) * (2.0 ** -52 * value + 2.0 ** -1074)
-    return GreensValue(complex(value), err)
+    return _axis_entries(mu, j + 1)[j]
 
 
 # Margin c of the depth N = ceil((sqrt(count) + c / sqrt(x))^2) + 2 of
@@ -281,10 +292,10 @@ def yukawa_coincidence(mu: float) -> float:
     Below mu = 1 it is 2 (1 - sqrt(pi) mu e^{mu^2} erfc(mu)), within 16 ulps
     (12 near mu = 1, where it cancels); from mu = 1 on, 1/d_0 of the
     continued fraction (_gamma_cf_levels at x = mu^2), in which e^{mu^2}
-    has cancelled, so nothing overflows at large mu.
+    has cancelled, so nothing overflows at any finite mu.
     """
-    if not mu > 0:
-        raise DomainError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu}")
     if mu >= 1.0:
         return 1.0 / _gamma_cf_levels(mu * mu, 1)[0]
     return 2.0 * (1.0 - _SQRT_PI * mu * math.exp(mu * mu) * math.erfc(mu))
@@ -432,8 +443,8 @@ def w_sharp(n1: int, mu: float, cfg: QuadratureConfig) -> float:
     """Static potential profile along one axis: the (n1,0,0) vs origin
     Green's value, g_sharp_axis for mu > 0 and coulomb_even at mu = 0."""
     n1 = whole(n1, "order")
-    if not mu >= 0:
-        raise DomainError(f"mu must be nonnegative, got {mu}")
+    if not 0 <= mu < math.inf:
+        raise DomainError(f"mu must be nonnegative and finite, got {mu}")
     if mu > 0:
         return g_sharp_axis(n1, mu, cfg).value.real
     if n1 % 2 == 1:

@@ -103,8 +103,8 @@ class MollerKinematics:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p1_out", "p2_out"):
             object.__setattr__(self, name, momentum(getattr(self, name)))
-        if not (self.m > 0 and math.isfinite(self.m * self.m)):
-            raise DomainError(f"m must be positive with a finite square, got {self.m}")
+        if not (self.m > 0 and math.isfinite(self.m)):
+            raise DomainError(f"m must be positive and finite, got {self.m}")
         if not (self.mu >= 0 and math.isfinite(self.mu)):
             raise DomainError(f"mu must be nonnegative and finite, got {self.mu}")
         if not math.isfinite(self.g):

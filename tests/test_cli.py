@@ -82,17 +82,30 @@ def test_non_finite_flags_exit_2(capsys, argv, flag):
     assert err.startswith(f"error: {flag}: accepted range is ")
 
 
-@pytest.mark.parametrize("flag", ["--m", "--mu"])
+@pytest.mark.parametrize("flag", ["--mu"])
 def test_overflowing_mass_exits_2_with_one_line(flag):
-    # 1e300 is finite, but its square is not: the element is not finite
-    # (--m) or its lattice is refused (--mu).  A fresh interpreter shows any
-    # numpy warning printed on the way.
+    # 1e300 is finite, but its square is not: the boson's proper-time
+    # lattice is refused.  A fresh interpreter shows any numpy warning
+    # printed on the way.
     run = _run_fresh("moller", *MOLLER_KINEMATICS, "--mu", "1",
                      "--vertex-n-max", "8", flag, "1e300")
     assert run.returncode == 2
     assert run.stdout == ""
     (line,) = run.stderr.splitlines()
     assert line.startswith("error: DomainError: ")
+
+
+def test_huge_fermion_mass_prints_a_finite_element():
+    # nothing forms m^2, so a finite fermion mass whose square overflows
+    # still has a finite element; the only stderr line is the truncation
+    # warning at this cutoff
+    run = _run_fresh("moller", *MOLLER_KINEMATICS, "--mu", "1",
+                     "--vertex-n-max", "8", "--m", "1e300")
+    assert run.returncode == 0
+    _, _, (row,) = parse_table(run.stdout)
+    assert math.isfinite(float(row["element_re"])) and float(row["element_re"]) > 0.0
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("warning: TruncationWarning: ")
 
 
 def test_overflowing_exchange_coefficients_exit_2_with_one_line():

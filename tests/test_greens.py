@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -506,9 +507,44 @@ def test_axis_tables_grow_by_doubling_and_agree():
     big = g_sharp_axis(2 * size, 0.8, CFG)
     assert _axis_table.cache_info().currsize == 2 and big.err_estimate > 0.0
     for j, v in enumerate(small):
-        again = _axis_table(0.8, 2 * size)[j]
+        again = _axis_table(0.8, 2 * size)[j].value.real
         assert abs(again - v.value.real) <= v.err_estimate + 1e-15 * abs(again), j
     clear_caches()
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("axis_first", [True, False], ids=["axis-first", "origin-first"])
+def test_axis_pairs_read_the_shared_table_entries(axis, axis_first):
+    # n1 = 42 and 44 pass the default table, so a table of twice the size is
+    # built; once both are, no call at that mass builds another
+    clear_caches()
+    mu = 0.6
+    for rounds in range(2):
+        for n1 in range(45):
+            index = tuple(n1 if a == axis else 0 for a in range(3))
+            pair = (index, (0, 0, 0)) if axis_first else ((0, 0, 0), index)
+            want = g_sharp_axis(n1, mu, CFG)
+            got = g_sharp(*pair, mu, CFG)
+            assert (got.value, got.err_estimate) == (want.value, want.err_estimate), n1
+            if n1 % 2 == 0:
+                assert got is want, n1
+        if rounds == 0:
+            misses = _axis_table.cache_info().misses
+    assert _axis_table.cache_info().misses == misses == 2
+    clear_caches()
+
+
+def test_shared_values_are_frozen():
+    # every caller at a mass gets the same instance, which is safe only
+    # because no caller can change it
+    value = g_sharp_axis(4, 0.6, CFG)
+    assert g_sharp_axis(4, 0.6, CFG) is value
+    for shared in (value, g_sharp_axis(3, 0.6, CFG), g_sharp((1, 0, 0), (0, 0, 0), 0.6, CFG)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.value = 1j
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.err_estimate = 1.0
+    assert g_sharp_axis(4, 0.6, CFG) == value and g_sharp_axis(3, 0.6, CFG) == GreensValue(0j, 0.0)
 
 
 def test_parity_zero_builds_nothing():

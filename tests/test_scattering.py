@@ -207,6 +207,19 @@ def test_continuum_element_at_large_momenta():
     assert value.real == pytest.approx(1e-200 / (4.0 * math.pi), rel=1e-15) and value.imag == 0.0
 
 
+def test_element_at_rest_is_the_same_at_a_huge_fermion_mass():
+    # at rest every E is m, so the prefactor is g^2 / 4 pi whatever m is,
+    # and no m^2 forms on the way: m = 1e300 gives m = 1's bits
+    zero = (0.0, 0.0, 0.0)
+    light, heavy = (MollerKinematics(zero, zero, zero, zero, m=m, mu=0.5, g=1.5) for m in (1.0, 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert light.prefactor == heavy.prefactor == 1.5 * 1.5 / (4.0 * math.pi)
+        want = moller_reduced_element(light, VertexTruncation(8), CFG)
+        got = moller_reduced_element(heavy, VertexTruncation(8), CFG)
+    assert got.real.hex() == want.real.hex() and got.imag.hex() == want.imag.hex()
+
+
 def _element(kin, n_max, cfg=CFG):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

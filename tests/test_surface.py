@@ -135,7 +135,7 @@ FAR = (1e200, 0.0, 0.0)
 OUT_OF_RANGE = {
     "spin_sum-nan": (lambda: hermgrid.spin_sum((math.nan, 0, 0), 1.0), hermgrid.DomainError),
     "element-m": (lambda: hermgrid.moller_reduced_element(
-        _kinematics(m=1e300), hermgrid.VertexTruncation(8), CFG), hermgrid.DomainError),
+        _kinematics(m=math.inf), hermgrid.VertexTruncation(8), CFG), hermgrid.DomainError),
     "element-g": (lambda: hermgrid.moller_reduced_element(
         _kinematics(g=1e200), hermgrid.VertexTruncation(8), CFG), hermgrid.DomainError),
     "kinematics-m": (lambda: _kinematics(m=-1.0), hermgrid.DomainError),
@@ -152,6 +152,10 @@ OUT_OF_RANGE = {
     "low_momentum_u-far": (lambda: hermgrid.low_momentum_u(1, FAR, 1.0), hermgrid.DomainError),
     "low_momentum_u-nan-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), math.nan), hermgrid.DomainError),
     "low_momentum_u-negative-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), -1.0), hermgrid.DomainError),
+    # an infinite mass on the axis route, as on every other route
+    "g_sharp_axis-inf": (lambda: hermgrid.g_sharp_axis(2, math.inf, CFG), hermgrid.DomainError),
+    "w_sharp-inf": (lambda: hermgrid.w_sharp(2, math.inf, CFG), hermgrid.DomainError),
+    "yukawa_coincidence-inf": (lambda: hermgrid.yukawa_coincidence(math.inf), hermgrid.DomainError),
     "continuum_moller_reduced-far": (lambda: hermgrid.continuum_moller_reduced(
         hermgrid.MollerKinematics(FAR, (0, 0, 0), (0, 0, 0), (0, 0, 0), m=1.0, mu=1.0, g=1.0)), None),
 }
