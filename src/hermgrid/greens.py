@@ -28,9 +28,10 @@ recurrence forward instead where mu^2 j is small.
 Proper-time sum.  Every other pair (g_sharp) takes the proper-time
 integral as a trapezoid rule in log t (quadrature.pt_lattice), each axis'
 Gaussian integral an exact sum on the half of a Gauss-Hermite rule with its
-folded scaled weights (quadrature.hermite_half, g_proper_time).  The
-exchange element (scattering.moller_reduced_element) sums on the same
-lattice, with the same rule for its per-axis factors.
+folded scaled weights (quadrature.hermite_half, g_proper_time), cached
+per mass and axis pair on one lattice per mass.  The exchange element
+(scattering.moller_reduced_element) sums on the same lattice, with the
+same rule for its per-axis factors.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .quadrature import (
     QuadratureConfig,
     hermite_half,
     index3,
+    pt_first,
     pt_lattice,
     read_only,
 )
@@ -58,13 +60,14 @@ from .quadrature import (
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GreensValue:
     """A Green's function sample plus the honest error bar: a stated
     rounding bound for every route, g_sharp, g_sharp_axis, g_proper_time and
     coulomb_quadrature, each of which evaluates an exact form or an exact
     rule once (0.0 for exact zeros only).  Frozen, so the axis tables'
-    entries and the exact zeros are shared by every caller, never copied."""
+    entries and the exact zeros are shared by every caller, never copied;
+    slotted, so no entry carries an instance dict."""
 
     value: complex
     err_estimate: float
@@ -76,48 +79,92 @@ _PARITY_ZEROS = tuple(GreensValue(complex(1j ** k * 0.0), 0.0) for k in range(4)
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module: axis tables and the continuum
+    """Drop every cache of this module: the axis tables, the proper-time
+    lattices and per-axis factors of g_proper_time, and the continuum
     oracle's Fourier rule (the quadrature rules it reads stay)."""
-    for cached in (_axis_table, _table_steps, _fourier_rule):
+    for cached in (_axis_table, _table_steps, _mass_lattice, _axis_laplace, _fourier_rule):
         cached.cache_clear()
 
 
 def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...], GreensValue | None]:
     """The index triples of a Green's value as ints, once they and the mass
     are valid (mu > 0 with a finite square), and the exact zero phase * 0.0
-    of a pair that violates parity on some axis (None for one that does not)."""
-    n = index3(n)
-    nhat = index3(nhat)
-    if not mu > 0:
-        raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
-    if not math.isfinite(float(mu) * float(mu)):
-        raise DomainError(f"mu^2 must be finite for the proper-time sum, got mu = {mu}")
-    (a, b, c), (p, q, r) = n, nhat
+    of a pair that violates parity on some axis (None for one that does not).
+    Two tuples of plain nonnegative ints and a float mass pass in one test
+    of the seven types, one of the ints' sign (as in quadrature.index3) and
+    one of the mass; any other input takes index3 and the two mass checks,
+    with their errors."""
+    plain = type(n) is type(nhat) is tuple and len(n) == len(nhat) == 3
+    if plain:
+        (a, b, c), (p, q, r) = n, nhat
+        plain = (type(a) is type(b) is type(c) is type(p) is type(q) is type(r) is int
+                 and a | b | c | p | q | r >= 0 and type(mu) is float and 0.0 < mu and mu * mu < math.inf)
+    if not plain:
+        (a, b, c), (p, q, r) = n, nhat = index3(n), index3(nhat)
+        if not mu > 0:
+            raise DomainError(f"mu must be positive here (massless goes through coulomb paths), got {mu}")
+        if not math.isfinite(float(mu) * float(mu)):
+            raise DomainError(f"mu^2 must be finite for the proper-time sum, got mu = {mu}")
     return n, nhat, _PARITY_ZEROS[(a + b + c - p - q - r) % 4] if (a + p | b + q | c + r) & 1 else None
 
 
-def _axis_laplace(p: int, q: int, s: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J = pi^{-1/2} integral phi_p phi_q e^{-(1+t) x^2} dx at s = 1/(1+t),
-    tau = t s, and J with phi_p phi_q replaced by 1.  In x = y sqrt(s) it is
-    an even polynomial of degree p + q against e^{-y^2}, so exactly
-    sqrt(s) sum_j W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)), W_j the
-    folded scaled weights of quadrature.hermite_half."""
+# Largest D = sum n + sum nhat that g_proper_time answers: n_a + nhat_a <=
+# 1454 on each axis (a rule of at most GH_RULE_MAX nodes)
+_D_MAX = 3 * (2 * GH_RULE_MAX - 2)
+
+
+# An entry holds 3 doubles per lattice term: 190 to 286 terms for mu in
+# [1e-3, 1e3], at most 3,117 (mu below 2^-500), so 75 kB, and eight
+# entries at most 0.6 MB.  A mass serves a run of pairs before the next
+# one comes.
+@lru_cache(maxsize=8)
+def _mass_lattice(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """g_proper_time's lattice at mu, long enough for every pair it
+    answers: the weights w_m of pt_lattice for y in [mu^2, mu^2 + 2 _D_MAX
+    + 16], s_m = 1/(1 + t_m), tau_m = t_m s_m, and the index of its first
+    node (quadrature.pt_first).  Cached read-only."""
+    y_max = mu * mu + 2.0 * _D_MAX + 16.0
+    t, w = pt_lattice(mu, mu * mu, y_max)
+    s = 1.0 / (1.0 + t)
+    return (*read_only(w, s, t * s), pt_first(y_max))
+
+
+# An entry holds 2 doubles per lattice term, 3-4.6 kB for mu in [1e-3,
+# 1e3] and at most 50 kB (mu below 2^-500): 12.8 MB at most for 256
+# entries.  check full's residual box asks for 7 a mass, `greens --n-max
+# 200` for 101.
+@lru_cache(maxsize=256)
+def _axis_laplace(mu: float, p: int, q: int) -> np.ndarray:
+    """Rows J and ones on _mass_lattice(mu), p <= q: J = pi^{-1/2} integral
+    phi_p phi_q e^{-(1+t) x^2} dx at s = 1/(1+t), tau = t s, and J with
+    phi_p phi_q replaced by 1.  In x = y sqrt(s) it is an even polynomial
+    of degree p + q against e^{-y^2}, so exactly sqrt(s) sum_j W_j
+    e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)), W_j the folded scaled weights
+    of quadrature.hermite_half.  Each node's entries are those of any
+    shorter lattice at that node.  Cached read-only per (mu, p, q)."""
+    _, s, tau, _ = _mass_lattice(mu)
     y, weights, _ = hermite_half((p + q) // 2 + 1)
     root = np.sqrt(s)
     damped = np.exp(-np.outer(tau, y * y)) * weights
     z = np.outer(root, y)
     psi = phi_at((p, q), z, np.exp(-0.5 * z * z))
-    return root * np.sum(psi[p] * psi[q] * damped, axis=1), root * np.sum(damped, axis=1)
+    rows = np.stack([np.sum(psi[p] * psi[q] * damped, axis=1), np.sum(damped, axis=1)])
+    rows *= root
+    return read_only(rows)[0]
 
 
 def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """G(n, nhat; mu) = i^(sum n - sum nhat) sum_m w_m prod_a J_a(t_m) on
     pt_lattice's lattice for y in [mu^2, mu^2 + 2D + 16], D = sum n +
-    sum nhat (190 to 260 terms for mu in [1e-3, 1e4]), each J_a exact
-    (_axis_laplace); a parity zero as in g_sharp.  prod_a J_a(t) is a
-    Laplace transform in t of the integrand over k.k, so the rule's bound
-    for 1/y holds.  err_estimate is (2^-52 (max order + 2) + 2^-53 (L + 4)
-    + PT_ERROR) times the sum with every basis value 1: rounding in the
+    sum nhat (190 to 260 terms for mu in [1e-3, 1e4]), each J_a exact; a
+    parity zero as in g_sharp.  The lattice is the tail of one per mass,
+    cut for the largest D answered, D_max = 3 * 1454 (_mass_lattice), and
+    each axis' J_a is cached on it per (mu, min, max) of the axis' pair
+    (_axis_laplace), so a warm pair is three lookups, a product and a dot,
+    with the bits of a sum on its own lattice.  prod_a J_a(t) is a Laplace
+    transform in t of the integrand over k.k, so the rule's bound for 1/y
+    holds.  err_estimate is (2^-52 (max order + 2) + 2^-53 (L + 4) +
+    PT_ERROR) times the sum with every basis value 1: rounding in the
     recurrence and sums, in the nodes v_m = m h (2^-53 |v_m|, the terms
     mattering where |v| <= L + 4, L = max |ln y|), and the rule's error.
     Absolute terms alone bound nothing: the recurrence cancels near s = 1.
@@ -127,17 +174,22 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
-    y_min, y_max = max(mu * mu, 2.0 ** -1000), mu * mu + 2.0 * (sum(n) + sum(nhat)) + 16.0
-    t, w = pt_lattice(mu, y_min, y_max)
-    s = 1.0 / (1.0 + t)
-    axes = {pair: _axis_laplace(*pair, s, t * s) for pair in set(zip(n, nhat))}
-    value, ones = (w @ math.prod(axes[pair][k] for pair in zip(n, nhat)) for k in (0, 1))
+    x = float(mu)
+    (a, b, c), (p, q, r) = n, nhat
+    y_min, y_max = max(x * x, 2.0 ** -1000), x * x + 2.0 * (a + b + c + p + q + r) + 16.0
+    lattice, _, _, start = _mass_lattice(x)
+    # the pair's own lattice: the tail from its first node on
+    own = pt_first(y_max) - start
+    w = lattice[own:]
+    prod = (_axis_laplace(x, min(a, p), max(a, p)) * _axis_laplace(x, min(b, q), max(b, q))
+            * _axis_laplace(x, min(c, r), max(c, r)))
+    value, ones = w.dot(prod[0, own:]), w.dot(prod[1, own:])
     big_log = max(-math.log(y_min), math.log(y_max))
-    err = float((2.0 ** -52 * (max(n + nhat) + 4 + 0.5 * big_log) + PT_ERROR) * ones)
+    err = float((2.0 ** -52 * (max(a, b, c, p, q, r) + 4 + 0.5 * big_log) + PT_ERROR) * ones)
     if not err <= 100.0 * cfg.tol:
         raise NonconvergenceError(f"Green's function at n={n}, nhat={nhat}, mu={mu}: rounding "
                                   f"bound {err:.3e} exceeds the gate {100.0 * cfg.tol:.3e}")
-    return GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * value), err)
+    return GreensValue(complex(1j ** ((a + b + c - p - q - r) % 4) * value), err)
 
 
 def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
@@ -148,14 +200,19 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     straight from the per-mass table (module docstring): the shared entry
     g_sharp_axis(n1) returns, the coincidence value at n1 = 0, whatever cfg
     holds.  Every other pair is g_proper_time, with its own bound, gated at
-    100 * cfg.tol.  The pair and mass are checked once (_checked_pair).
+    100 * cfg.tol.  The pair and mass are checked once (_checked_pair), in
+    one pass for plain int triples and a float mass.
     """
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
-    both = n + nhat
-    if both.count(0) >= 5:
-        j = sum(both) // 2
+    six = n + nhat
+    twice = sum(six)
+    # five of the six are 0 exactly when one of them is their sum
+    if twice in six:
+        j = twice >> 1
+        if j < _AXIS_TABLE:
+            return _axis_table(mu, _AXIS_TABLE)[j]
         return _axis_entries(mu, j + 1)[j]
     return g_proper_time(n, nhat, mu, cfg)
 
@@ -190,6 +247,9 @@ def _axis_table(mu: float, size: int) -> tuple[GreensValue, ...]:
     e_j = (j + 1/2)(e_{j-1} - x) / (j + x - e_{j-1}), d_j = j + 1/2 + e_j,
     from e_0 = 1/g_0 - 1/2: d_j stays exact at x = 0, where the plain
     three-term step lost up to j^2/8 ulps by j = 100."""
+    # a numpy float32 mass is the key of its float value too, so the table
+    # is built in double precision whatever type the mass comes in
+    mu = float(mu)
     x = mu * mu
     if x * size > _FORWARD_MAX:
         d = _gamma_cf_levels(x, size)
@@ -347,7 +407,7 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
         raise OrderTooLargeError(f"massless quadrature at index {n1} needs {nodes} "
                                  f"Gauss-Hermite nodes, at most {GH_RULE_MAX}")
     if n1 % 2:
-        return GreensValue(0j, 0.0)
+        return _PARITY_ZEROS[0]
     k, weights, _ = hermite_half(nodes + nodes % 2)
     seed = np.exp(-0.5 * k * k)
     terms = phi_at((n1 + 1,), k, seed)[n1 + 1] * seed * weights / k * (2.0 / math.sqrt(2.0 * (n1 + 1)))

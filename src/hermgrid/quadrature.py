@@ -54,7 +54,14 @@ class QuadratureConfig:
 
 
 def index3(n) -> tuple[int, int, int]:
-    """A grid index triple as three nonnegative ints; ValueError otherwise."""
+    """A grid index triple as three nonnegative ints; ValueError otherwise.
+    A tuple of three plain nonnegative ints is returned as it is, after one
+    test of its types and one of its sign (an | of ints is negative exactly
+    when one of them is); every other input takes the checks by whole."""
+    if type(n) is tuple and len(n) == 3:
+        a, b, c = n
+        if type(a) is type(b) is type(c) is int and a | b | c >= 0:
+            return n
     t = tuple(n)
     if len(t) != 3:
         raise ValueError(f"grid index needs three components, got {n!r}")
@@ -86,14 +93,20 @@ def refined(evaluate, gate: float, where: str, *where_args):
     return fine, err
 
 
+def pt_first(y_max: float) -> int:
+    """The first m of pt_lattice's nodes t_m = e^{m h} cut at y_max."""
+    return math.floor((-60.0 * math.log(2.0) - math.log(y_max)) / _PT_STEP)
+
+
 def pt_lattice(mu: float, y_min: float, y_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Proper times t_m = e^{m h} and weights h t_m e^{-t_m mu^2} of the
     trapezoid rule for 1/y = integral e^{v - y e^v} dv, y = k.k + mu^2, cut
-    to v in [ln(2^-60/y_max), ln(40/y_min)], y_min held at >= 2^-1000."""
+    to v in [ln(2^-60/y_max), ln(40/y_min)], y_min held at >= 2^-1000.
+    Node m is the same float whatever the cut, so a lattice cut at a
+    smaller y_max is the tail of this one from pt_first(y_max) on."""
     y_min = max(y_min, 2.0 ** -1000)
-    lo = math.floor((-60.0 * math.log(2.0) - math.log(y_max)) / _PT_STEP)
     hi = math.ceil((math.log(40.0) - math.log(y_min)) / _PT_STEP)
-    t = np.exp(_PT_STEP * np.arange(lo, hi + 1))
+    t = np.exp(_PT_STEP * np.arange(pt_first(y_max), hi + 1))
     return t, _PT_STEP * t * np.exp(-t * (mu * mu))
 
 

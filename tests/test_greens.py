@@ -31,12 +31,14 @@ from hermgrid.greens import (
     w_sharp,
     yukawa_coincidence,
 )
-from hermgrid.hermite import phi_row
+from hermgrid.hermite import phi_at, phi_row
 from hermgrid.quadrature import (
+    PT_ERROR,
     QuadratureConfig,
     gauss_hermite,
     gauss_legendre,
     hermite_half,
+    pt_lattice,
     refined,
 )
 
@@ -629,7 +631,8 @@ def test_clear_caches_empties_every_cache():
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
     assert _axis_table in caches and greens._fourier_rule in caches and hermite_half not in caches
-    assert len(caches) >= 3
+    assert greens._mass_lattice in caches and greens._axis_laplace in caches
+    assert len(caches) >= 5
     assert all(f.cache_info().currsize > 0 for f in caches)
     rules = hermite_half.cache_info().currsize
     clear_caches()
@@ -637,21 +640,192 @@ def test_clear_caches_empties_every_cache():
     assert hermite_half.cache_info().currsize == rules > 0
 
 
+def _bits(v):
+    # a GreensValue to the bit, signed zeros and the bound's type included
+    return v.value.real.hex(), v.value.imag.hex(), float(v.err_estimate).hex(), type(v.err_estimate)
+
+
 def test_g_sharp_does_not_depend_on_what_ran_before():
-    # the proper-time lattice depends on the mass and the pair alone, so a
-    # value computed first in a clean process equals the value computed
-    # after other pairs at the same mass have run
+    # the proper-time lattice and its per-axis factors depend on the mass
+    # and the axis' pair alone, so a value computed first in a clean
+    # process equals, bit for bit, the value computed after other pairs ran
+    # at this mass and at another, and after the pairs with each axis'
+    # orders swapped filled the factor cache
     mu = 1.37
-    pairs = (((2, 1, 0), (0, 1, 2)), ((8, 8, 8), (8, 8, 8)))
+    pairs = (((2, 1, 0), (0, 1, 2)), ((8, 8, 8), (8, 8, 8)), ((40, 0, 0), (0, 20, 20)))
     clear_caches()
-    first = [(g_sharp(*pair, mu, CFG), g_proper_time(*pair, mu, CFG)) for pair in pairs]
+    first = [(_bits(g_sharp(*pair, mu, CFG)), _bits(g_proper_time(*pair, mu, CFG))) for pair in pairs]
     clear_caches()
-    for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2)),
-                  ((10, 8, 8), (8, 8, 6))):
-        g_sharp(*other, mu, CFG)
-        g_proper_time(*other, mu, CFG)
-    assert [(g_sharp(*pair, mu, CFG), g_proper_time(*pair, mu, CFG)) for pair in pairs] == first
+    for other_mu in (0.77, mu):
+        for other in (((0, 0, 0), (0, 0, 0)), ((6, 0, 0), (0, 0, 0)), ((4, 2, 2), (2, 0, 2)),
+                      ((10, 8, 8), (8, 8, 6)), ((0, 1, 2), (2, 1, 0)), ((0, 20, 20), (40, 0, 0))):
+            g_sharp(*other, other_mu, CFG)
+            g_proper_time(*other, other_mu, CFG)
+    assert [(_bits(g_sharp(*pair, mu, CFG)), _bits(g_proper_time(*pair, mu, CFG))) for pair in pairs] == first
     clear_caches()
+
+
+def test_axis_tables_are_double_precision_whatever_the_mass_type():
+    # a numpy float32 mass is the cache key of its float value too; the
+    # table is built from float(mu), so whichever type comes first, every
+    # caller at that mass gets the double-precision entries and bounds
+    single = np.float32(0.77)
+    clear_caches()
+    want = [_bits(g_sharp_axis(n1, float(single), CFG)) for n1 in range(0, 41, 2)]
+    clear_caches()
+    for mu in (single, float(single), np.float64(single)):
+        assert [_bits(g_sharp_axis(n1, mu, CFG)) for n1 in range(0, 41, 2)] == want, type(mu)
+        assert _bits(g_sharp((0, 4, 0), (0, 0, 0), mu, CFG)) == want[2]
+    clear_caches()
+
+
+def _own_lattice_sum(n, nhat, mu):
+    # the proper-time sum on the pair's own lattice, y in [mu^2, mu^2 + 2D
+    # + 16], each axis' factor built for the pair: the route before the
+    # per-mass caches, which hold the same floats at every node
+    y_max = mu * mu + 2.0 * (sum(n) + sum(nhat)) + 16.0
+    t, w = pt_lattice(mu, mu * mu, y_max)
+    s = 1.0 / (1.0 + t)
+    rows = []
+    for p, q in zip(n, nhat):
+        y, weights, _ = hermite_half((p + q) // 2 + 1)
+        damped = np.exp(-np.outer(t * s, y * y)) * weights
+        z = np.outer(np.sqrt(s), y)
+        psi = phi_at((p, q), z, np.exp(-0.5 * z * z))
+        rows.append((np.sqrt(s) * np.sum(psi[p] * psi[q] * damped, axis=1), np.sqrt(s) * np.sum(damped, axis=1)))
+    value, ones = (w @ (rows[0][k] * rows[1][k] * rows[2][k]) for k in (0, 1))
+    big_log = max(-math.log(max(mu * mu, 2.0 ** -1000)), math.log(y_max))
+    err = float((2.0 ** -52 * (max(n + nhat) + 4 + 0.5 * big_log) + PT_ERROR) * ones)
+    return GreensValue(complex(1j ** ((sum(n) - sum(nhat)) % 4) * value), err)
+
+
+def test_proper_time_sums_on_the_pairs_own_lattice_bit_for_bit():
+    # the per-mass lattice is cut for the largest order; a pair sums on its
+    # own tail of it, so the cached factors change no bit of any value or
+    # bound, on the call that builds them or on a later one, in either
+    # order of the pair (which swaps each axis' orders)
+    pairs = (((2, 1, 0), (0, 1, 2)), ((8, 8, 8), (8, 8, 8)), ((40, 0, 0), (0, 20, 20)),
+             ((12, 0, 0), (0, 6, 6)), ((3, 1, 2), (1, 1, 0)), ((4, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 0)))
+    clear_caches()
+    for mu in (1e-300, 1e-6, 1e-3, 0.5, 0.77, 1.0, 3.1, 30.0, 1e3, 1e150):
+        for n, nhat in pairs:
+            for pair in ((n, nhat), (nhat, n)):
+                want = _bits(_own_lattice_sum(*pair, mu))
+                assert [_bits(g_proper_time(*pair, mu, CFG)) for _ in range(2)] == [want] * 2, (pair, mu)
+    clear_caches()
+
+
+def test_a_warm_general_pair_builds_nothing():
+    # after one pair at a mass, the pair and every pair made of the same
+    # axis pairs, in either order, are three lookups: no miss in any cache
+    clear_caches()
+    mu = 0.77
+    g_sharp((2, 1, 0), (0, 1, 2), mu, CFG)
+    caches = (greens._mass_lattice, greens._axis_laplace, hermite_half, _axis_table)
+    misses = [c.cache_info().misses for c in caches]
+    for pair in (((2, 1, 0), (0, 1, 2)), ((0, 1, 2), (2, 1, 0)), ((0, 1, 0), (2, 1, 2)), ((2, 1, 2), (0, 1, 0))):
+        g_sharp(*pair, mu, CFG)
+        g_proper_time(*pair, mu, CFG)
+    assert [c.cache_info().misses for c in caches] == misses
+    assert greens._axis_laplace.cache_info().currsize == 2 and greens._mass_lattice.cache_info().currsize == 1
+    clear_caches()
+
+
+def test_cached_lattices_and_factors_are_read_only():
+    clear_caches()
+    g_proper_time((2, 1, 0), (0, 1, 2), 0.77, CFG)
+    lattice = greens._mass_lattice(0.77)
+    arrays = [*lattice[:3], greens._axis_laplace(0.77, 0, 2), greens._axis_laplace(0.77, 1, 1)]
+    assert isinstance(lattice[3], int)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # the factors hold J and its ones row on the whole lattice
+    assert all(a.shape == (2, lattice[0].size) for a in arrays[3:])
+    clear_caches()
+
+
+def _pair_routes():
+    # each pair route with the messages of its two mass checks
+    greens_mass = ("mu must be positive here (massless goes through coulomb paths), got {}",
+                   "mu^2 must be finite for the proper-time sum, got mu = {}")
+    spinor_mass = ("mass must be positive with a finite square, got {}",) * 2
+    return {
+        "g_sharp": (lambda n, nhat, mu: g_sharp(n, nhat, mu, CFG), greens_mass),
+        "g_proper_time": (lambda n, nhat, mu: g_proper_time(n, nhat, mu, CFG), greens_mass),
+        "s_plus_green": (lambda n, nhat, m: s_plus_green(n, nhat, 0.4, m, CFG), spinor_mass),
+        "difference_equation_residual": (lambda n, nhat, mu: difference_equation_residual(n, nhat, mu, CFG),
+                                         greens_mass),
+    }
+
+
+def _outcome_bits(result):
+    if isinstance(result, GreensValue):
+        return _bits(result)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    # the residual is a numpy float where mu is one, as it always was
+    return float(result).hex()
+
+
+@pytest.mark.parametrize("route", ["g_sharp", "g_proper_time", "s_plus_green", "difference_equation_residual"])
+def test_the_one_pass_check_changes_no_value(route):
+    # indices given as lists, numpy ints, bools or whole floats, and masses
+    # given as numpy floats, ints or a bool, take the full checks; each
+    # gives the value of its plain form bit for bit, on the axis branch too
+    call, _ = _pair_routes()[route]
+    i64 = np.int64
+    forms = {
+        ((2, 1, 0), (0, 1, 2)): ([[2, 1, 0], (0, 1, 2)], [(2, 1, 0), [0, 1, 2]], [(2.0, 1, 0), (0, 1.0, 2)],
+                                 [(i64(2), i64(1), i64(0)), (0, i64(1), 2)], [(2, True, 0), (0, 1, 2)]),
+        ((2, 0, 0), (0, 0, 0)): ([[2, 0, 0], (0, 0, 0)], [(i64(2), 0, 0), (0, 0, 0)], [(2.0, 0, 0), (False, 0, 0)]),
+        ((0, 0, 0), (0, 0, 2)): ([(0, 0, 0), [0, 0, 2]], [(0, 0, 0), (0, 0, i64(2))]),
+        ((1, 0, 0), (1, 0, 0)): ([(True, 0, 0), (1, 0, 0)], [(1, 0, 0), (True, False, False)]),
+    }
+    for plain, odd in forms.items():
+        for mu, plain_mu in ((0.77, 0.77), (np.float64(0.77), 0.77), (1, 1.0), (True, 1.0)):
+            want = _outcome_bits(call(*plain, plain_mu))
+            assert _outcome_bits(call(*plain, mu)) == want, (plain, mu)
+            for n, nhat in odd:
+                assert _outcome_bits(call(n, nhat, mu)) == want, (n, nhat, mu)
+
+
+@pytest.mark.parametrize("route", ["g_sharp", "g_proper_time", "s_plus_green", "difference_equation_residual"])
+def test_the_one_pass_check_changes_no_error(route):
+    # a bad index raises before a bad mass, with the type and message of
+    # the full checks (quadrature.index3, errors.whole), in either place of
+    # the pair; a good pair at a bad mass raises the route's mass error
+    call, (not_positive, not_finite) = _pair_routes()[route]
+    component = "a grid index component must be an integer >= 0, got {}"
+    length = "grid index needs three components, got {}"
+    bad_indices = (
+        ((2.5, 1, 0), ValueError, component.format(2.5)),
+        ((-1, 1, 0), ValueError, component.format(-1)),
+        ([2, -1, 0], ValueError, component.format(-1)),
+        ((2, 1, None), ValueError, component.format(None)),
+        ((2, 1), ValueError, length.format((2, 1))),
+        ((2, 1, 0, 0), ValueError, length.format((2, 1, 0, 0))),
+        ([2, 1], ValueError, length.format([2, 1])),
+        (None, TypeError, "'NoneType' object is not iterable"),
+    )
+    bad_masses = ((0, not_positive.format(0)), (-1, not_positive.format(-1)), (-1.0, not_positive.format(-1.0)),
+                  (math.nan, not_positive.format(math.nan)), (math.inf, not_finite.format(math.inf)),
+                  (1e200, not_finite.format(1e200)), (np.float64(1e200), not_finite.format(np.float64(1e200))))
+    good = (0, 1, 2)
+    for index, kind, message in bad_indices:
+        for mu in (0.77, 0, math.nan, math.inf, 1e200):
+            for pair in ((index, good), (good, index)):
+                with pytest.raises(kind) as info:
+                    call(*pair, mu)
+                assert type(info.value) is kind and str(info.value) == message, (pair, mu)
+    for mu, message in bad_masses:
+        for pair in ((good, (2, 1, 0)), ((2, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 0)), ([2, 1, 0], good)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError) as info:
+                    call(*pair, mu)
+            assert str(info.value) == message, (pair, mu)
 
 
 def test_origin_rows_are_the_taylor_data_of_the_basis():
