@@ -129,10 +129,10 @@ def low_momentum_u(r: int, p: tuple[float, float, float], m: float) -> np.ndarra
     if not (m > 0 and math.isfinite(m)):
         raise DomainError(f"mass must be positive and finite, got {m}")
     p = momentum(p)
-    norm2 = p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
-    if norm2 >= m * m:
-        raise DomainError(f"|p| = {math.sqrt(norm2)} not below m = {m}")
-    t = norm2 / (4.0 * m * m)
+    norm = math.hypot(*p)
+    if norm >= m:
+        raise DomainError(f"|p| = {norm} not below m = {m}")
+    t = (norm / (2.0 * m)) ** 2
     chi = _chi(r)
     out = np.empty(4, dtype=complex)
     out[:2] = chi * (1.0 + 0.5 * t)

@@ -26,12 +26,12 @@ coincidence value and the axis table (_axis_table), which runs the
 recurrence forward instead where mu^2 j is small.
 
 Proper-time sum.  Every other pair (g_sharp) takes the proper-time
-integral as a trapezoid rule in log t (quadrature.pt_lattice), each axis'
+integral as a trapezoid rule in log t (quadrature.pt_tail), each axis'
 Gaussian integral an exact sum on the half of a Gauss-Hermite rule with its
 folded scaled weights (quadrature.hermite_half, g_proper_time), cached
 per mass and axis pair on one lattice per mass.  The exchange element
-(scattering.moller_reduced_element) sums on the same lattice, with the
-same rule for its per-axis factors.
+(scattering.moller_reduced_element) sums on a tail of the same lattice,
+with the same rule for its per-axis factors.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ from .errors import DomainError, NonconvergenceError, OrderTooLargeError, whole
 from .hermite import phi_at
 from .quadrature import (
     GH_RULE_MAX,
+    PT_DEGREE_MAX,
     PT_ERROR,
     QuadratureConfig,
     hermite_half,
     index3,
-    pt_first,
-    pt_lattice,
+    pt_tail,
     read_only,
 )
 
@@ -79,10 +79,10 @@ _PARITY_ZEROS = tuple(GreensValue(complex(1j ** k * 0.0), 0.0) for k in range(4)
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module: the axis tables, the proper-time
-    lattices and per-axis factors of g_proper_time, and the continuum
-    oracle's Fourier rule (the quadrature rules it reads stay)."""
-    for cached in (_axis_table, _table_steps, _mass_lattice, _axis_laplace, _fourier_rule):
+    """Drop every cache of this module: the axis tables, the per-axis
+    factors of g_proper_time, and the continuum oracle's Fourier rule (the
+    quadrature rules and proper-time lattices it reads stay)."""
+    for cached in (_axis_table, _table_steps, _axis_laplace, _fourier_rule):
         cached.cache_clear()
 
 
@@ -108,41 +108,20 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...],
     return n, nhat, _PARITY_ZEROS[(a + b + c - p - q - r) % 4] if (a + p | b + q | c + r) & 1 else None
 
 
-# Largest D = sum n + sum nhat that g_proper_time answers: n_a + nhat_a <=
-# 1454 on each axis (a rule of at most GH_RULE_MAX nodes)
-_D_MAX = 3 * (2 * GH_RULE_MAX - 2)
-
-
-# An entry holds 3 doubles per lattice term: 190 to 286 terms for mu in
-# [1e-3, 1e3], at most 3,117 (mu below 2^-500), so 75 kB, and eight
-# entries at most 0.6 MB.  A mass serves a run of pairs before the next
-# one comes.
-@lru_cache(maxsize=8)
-def _mass_lattice(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """g_proper_time's lattice at mu, long enough for every pair it
-    answers: the weights w_m of pt_lattice for y in [mu^2, mu^2 + 2 _D_MAX
-    + 16], s_m = 1/(1 + t_m), tau_m = t_m s_m, and the index of its first
-    node (quadrature.pt_first).  Cached read-only."""
-    y_max = mu * mu + 2.0 * _D_MAX + 16.0
-    t, w = pt_lattice(mu, mu * mu, y_max)
-    s = 1.0 / (1.0 + t)
-    return (*read_only(w, s, t * s), pt_first(y_max))
-
-
 # An entry holds 2 doubles per lattice term, 3-4.6 kB for mu in [1e-3,
 # 1e3] and at most 50 kB (mu below 2^-500): 12.8 MB at most for 256
 # entries.  check full's residual box asks for 7 a mass, `greens --n-max
 # 200` for 101.
 @lru_cache(maxsize=256)
 def _axis_laplace(mu: float, p: int, q: int) -> np.ndarray:
-    """Rows J and ones on _mass_lattice(mu), p <= q: J = pi^{-1/2} integral
-    phi_p phi_q e^{-(1+t) x^2} dx at s = 1/(1+t), tau = t s, and J with
-    phi_p phi_q replaced by 1.  In x = y sqrt(s) it is an even polynomial
-    of degree p + q against e^{-y^2}, so exactly sqrt(s) sum_j W_j
-    e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)), W_j the folded scaled weights
-    of quadrature.hermite_half.  Each node's entries are those of any
-    shorter lattice at that node.  Cached read-only per (mu, p, q)."""
-    _, s, tau, _ = _mass_lattice(mu)
+    """Rows J and ones on pt_tail(mu, PT_DEGREE_MAX), p <= q: J = pi^{-1/2}
+    integral phi_p phi_q e^{-(1+t) x^2} dx at s = 1/(1+t), tau = t s, and
+    J with phi_p phi_q replaced by 1.  In x = y sqrt(s) it is an even
+    polynomial of degree p + q against e^{-y^2}, so exactly sqrt(s) sum_j
+    W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)), W_j the folded scaled
+    weights of quadrature.hermite_half.  Each node's entries are those of
+    any tail at that node.  Cached read-only per (mu, p, q)."""
+    _, s, tau, _ = pt_tail(mu, PT_DEGREE_MAX)
     y, weights, _ = hermite_half((p + q) // 2 + 1)
     root = np.sqrt(s)
     damped = np.exp(-np.outer(tau, y * y)) * weights
@@ -155,18 +134,18 @@ def _axis_laplace(mu: float, p: int, q: int) -> np.ndarray:
 
 def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """G(n, nhat; mu) = i^(sum n - sum nhat) sum_m w_m prod_a J_a(t_m) on
-    pt_lattice's lattice for y in [mu^2, mu^2 + 2D + 16], D = sum n +
-    sum nhat (190 to 260 terms for mu in [1e-3, 1e4]), each J_a exact; a
-    parity zero as in g_sharp.  The lattice is the tail of one per mass,
-    cut for the largest D answered, D_max = 3 * 1454 (_mass_lattice), and
-    each axis' J_a is cached on it per (mu, min, max) of the axis' pair
-    (_axis_laplace), so a warm pair is three lookups, a product and a dot,
-    with the bits of a sum on its own lattice.  prod_a J_a(t) is a Laplace
-    transform in t of the integrand over k.k, so the rule's bound for 1/y
-    holds.  err_estimate is (2^-52 (max order + 2) + 2^-53 (L + 4) +
-    PT_ERROR) times the sum with every basis value 1: rounding in the
-    recurrence and sums, in the nodes v_m = m h (2^-53 |v_m|, the terms
-    mattering where |v| <= L + 4, L = max |ln y|), and the rule's error.
+    pt_tail(mu, D), the lattice for y in [mu^2, mu^2 + 2D + 16], D = sum n
+    + sum nhat (190 to 260 terms for mu in [1e-3, 1e4]), each J_a exact; a
+    parity zero as in g_sharp.  It is the tail of one lattice per mass, on
+    the whole of which each axis' J_a is cached per (mu, min, max) of the
+    axis' pair (_axis_laplace) and sliced to its last len(w) nodes, so a
+    warm pair is three lookups, a product and a dot, with the bits of a sum
+    on its own lattice.  prod_a J_a(t) is a Laplace transform in t of the
+    integrand over k.k, so the rule's bound for 1/y holds.  err_estimate
+    is (2^-52 (max order + 2) + 2^-53 (L + 4) + PT_ERROR) times the sum
+    with every basis value 1: rounding in the recurrence and sums, in the
+    nodes v_m = m h (2^-53 |v_m|, the terms mattering where |v| <= L + 4,
+    L = max |ln y|), and the rule's error.
     Absolute terms alone bound nothing: the recurrence cancels near s = 1.
     It raises NonconvergenceError above 100 * cfg.tol and
     OrderTooLargeError past n_a + nhat_a = 1454 (quadrature.GH_RULE_MAX).
@@ -176,15 +155,11 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
         return zero
     x = float(mu)
     (a, b, c), (p, q, r) = n, nhat
-    y_min, y_max = max(x * x, 2.0 ** -1000), x * x + 2.0 * (a + b + c + p + q + r) + 16.0
-    lattice, _, _, start = _mass_lattice(x)
-    # the pair's own lattice: the tail from its first node on
-    own = pt_first(y_max) - start
-    w = lattice[own:]
     prod = (_axis_laplace(x, min(a, p), max(a, p)) * _axis_laplace(x, min(b, q), max(b, q))
             * _axis_laplace(x, min(c, r), max(c, r)))
-    value, ones = w.dot(prod[0, own:]), w.dot(prod[1, own:])
-    big_log = max(-math.log(y_min), math.log(y_max))
+    w, _, _, big_log = pt_tail(x, a + b + c + p + q + r)
+    # the factors on the pair's own lattice: its last len(w) nodes
+    value, ones = w.dot(prod[0, -w.size:]), w.dot(prod[1, -w.size:])
     err = float((2.0 ** -52 * (max(a, b, c, p, q, r) + 4 + 0.5 * big_log) + PT_ERROR) * ones)
     if not err <= 100.0 * cfg.tol:
         raise NonconvergenceError(f"Green's function at n={n}, nhat={nhat}, mu={mu}: rounding "
@@ -421,10 +396,10 @@ def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:
 
 def continuum_yukawa(r: float, mu: float, g: float) -> float:
     """The continuum potential -(g^2 / 4 pi) e^{-mu r} / r; singular at r = 0."""
-    if not r > 0:
-        raise DomainError(f"r must be positive, got {r}")
-    if mu < 0:
-        raise DomainError(f"mu must be nonnegative, got {mu}")
+    if not 0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
+    if not 0 <= mu < math.inf:
+        raise DomainError(f"mu must be nonnegative and finite, got {mu}")
     val = -(g * g) / (4.0 * math.pi) * math.exp(-mu * r) / r
     if not math.isfinite(val):
         raise DomainError(f"potential at r={r}, mu={mu}, g={g} is not a finite double: {val}")
@@ -461,10 +436,10 @@ def continuum_yukawa_oracle(r: float, mu: float) -> float:
     (2.3e-15 at mu r = 0.5, 1.4e-15 at mu = 1e-100) and 2.2e-16 absolute
     beyond.  Exists purely as an independent check on continuum_yukawa.
     """
-    if not r > 0:
-        raise DomainError(f"r must be positive, got {r}")
-    if not (mu > 0 and mu * mu > 0):
-        raise DomainError(f"mu must be positive with a nonzero square, got {mu}")
+    if not 0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
+    if not (0 < mu < math.inf and mu * mu > 0):
+        raise DomainError(f"mu must be positive and finite with a nonzero square, got {mu}")
     u, w = _fourier_rule()
     a = float(mu) * float(r)
     return -float(w @ (u / (u * u + a * a))) / (2.0 * math.pi ** 2 * r)

@@ -5,6 +5,8 @@ first-touch cost of large allocations on this class of host is significant,
 so every integral in the package contracts against these shared tables
 instead of rebuilding them.  Every rule is built in numpy, the Gauss-Hermite
 and Gauss-Legendre rules from a start polished on the three-term recurrence.
+The proper-time lattice is built once per mass and each sum reads its tail
+(pt_tail), so its cut rule is written here alone.
 A route whose rule is exact evaluates it once and states a rounding bound;
 s_plus_green, whose rule is not, passes the one refinement gate, refined,
 which always evaluates both node levels.  Each route works its node counts
@@ -32,6 +34,8 @@ PT_ERROR = 4.1e-17
 
 # Most nodes of a Gauss-Hermite rule: at 729, x reaches 37.65, where e^{-x^2/2} is subnormal
 GH_RULE_MAX = 728
+# Largest degree D = sum n + sum nhat of a proper-time sum: n_a + nhat_a <= 1454 on each axis
+PT_DEGREE_MAX = 3 * (2 * GH_RULE_MAX - 2)
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,8 @@ class QuadratureConfig:
     difference, its error estimate, is gated at tol (see refined);
     g_proper_time and coulomb_quadrature gate their rounding bounds at
     100 tol.  No node count is settable: s_plus_green alone reads gh_nodes,
-    a class constant, as the floor of its radial rule.
+    a class constant, as the floor of its radial rule, and the benchmark's
+    Tracer.call (perfbench/tracing.py) as the key of a cold g_sharp span.
     """
 
     gh_nodes: ClassVar[int] = 64
@@ -115,6 +120,28 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+# 3 doubles a term, 190 to 286 terms for mu in [1e-3, 1e3] and at most 3,117
+# (mu below 2^-500): 75 kB.  A mass serves a run of sums before the next.
+@lru_cache(maxsize=8)
+def _pt_mass(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """pt_tail's whole lattice at mu, read-only, and its first node's m."""
+    y_max = mu * mu + 2.0 * PT_DEGREE_MAX + 16.0
+    t, w = pt_lattice(mu, mu * mu, y_max)
+    s = 1.0 / (1.0 + t)
+    return (*read_only(w, s, t * s), pt_first(y_max))
+
+
+def pt_tail(mu: float, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Read-only views w_m, s_m = 1/(1 + t_m), tau_m = t_m s_m of pt_lattice
+    for y in [mu^2, mu^2 + 2 degree + 16], degree <= PT_DEGREE_MAX: the tail
+    of one cached lattice per mass, cut for PT_DEGREE_MAX; and the span
+    L = max |ln y| of that cut, y held at >= 2^-1000."""
+    w, s, tau, first = _pt_mass(mu)
+    y_max = mu * mu + 2.0 * degree + 16.0
+    own = pt_first(y_max) - first
+    return w[own:], s[own:], tau[own:], max(-math.log(max(mu * mu, 2.0 ** -1000)), math.log(y_max))
 
 
 def _mirrored(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -19,8 +19,8 @@ k of per-axis profile polynomials against the shared denominator; that is
 an exact algebraic identity, not an approximation, and turns an O(n_max^6)
 sum into a 3D integral.  Written in proper time t, with s = 1/(1 + t), the
 integral over each axis is sqrt(s) times a polynomial Q_a(s) of degree
-n_max, and the element is a sum over the proper-time lattice of the Green's
-values (greens.g_proper_time) of prod_a Q_a(s).
+n_max, and the element is a sum of prod_a Q_a(s) over a tail of the
+Green's values' lattice per mass (quadrature.pt_tail).
 
 Each Q_a, for the element and for its copy with the top coefficient shell
 dropped (which measures truncation), is an exact scaled Gauss-Hermite sum
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, OrderTooLargeError, TruncationWarning, momentum, whole
 from .hermite import phi_fill, phi_row, xi_axis
-from .quadrature import QuadratureConfig, hermite_half, pt_lattice, read_only
+from .quadrature import QuadratureConfig, hermite_half, pt_tail, read_only
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -135,13 +135,10 @@ class MollerKinematics:
 
     @property
     def low_momentum_ok(self) -> bool:
-        """True when every external momentum satisfies ||p|| < m/5, the
-        validity window of the static-limit reduction."""
+        """True when every external ||p|| (math.hypot: no square overflows)
+        is below m/5, the validity window of the static-limit reduction."""
         lim = self.m / 5.0
-        return all(
-            math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2]) < lim
-            for p in (self.p1, self.p2, self.p1_out, self.p2_out)
-        )
+        return all(math.hypot(*p) < lim for p in (self.p1, self.p2, self.p1_out, self.p2_out))
 
     @property
     def prefactor(self) -> float:
@@ -236,15 +233,14 @@ def _profiles(momenta: tuple[float, ...], n_max: int) -> np.ndarray:
 # sweep over masses gains nothing from more entries.
 @lru_cache(maxsize=4)
 def _lattice_map(mu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lattice of greens.g_proper_time for y in [mu^2, mu^2 + 12 n_max
-    + 16] (pt_lattice, D = 6 n_max), as the matrix of the second-form
+    """The tail pt_tail(mu, 6 n_max) of the Green's values' lattice, y in
+    [mu^2, mu^2 + 12 n_max + 16], as the matrix of the second-form
     barycentric formula from the Chebyshev points (_chebyshev) to its
     s_m = 1/(1 + t_m), transposed, and the weights w_m s_m^{3/2}.  The
     formula carries a polynomial of degree n_max from those points exactly
     up to rounding, and stably (Berrut and Trefethen, SIAM Rev. 46, 2004).
     Cached read-only per mass and cutoff."""
-    t, w = pt_lattice(mu, mu * mu, mu * mu + 12.0 * n_max + 16.0)
-    s = 1.0 / (1.0 + t)
+    w, s, _, _ = pt_tail(mu, 6 * n_max)
     weights = np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
     d = s[:, None] - _chebyshev(n_max)

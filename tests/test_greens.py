@@ -13,7 +13,7 @@ import pytest
 
 import grid_route
 from grid_route import _ball_exact, green_contract
-from hermgrid import MollerKinematics, VertexTruncation, greens, moller_reduced_element
+from hermgrid import MollerKinematics, VertexTruncation, greens, moller_reduced_element, quadrature
 from hermgrid.dirac import s_plus_green
 from hermgrid.errors import DomainError, NonconvergenceError, OrderTooLargeError
 from hermgrid.greens import (
@@ -33,12 +33,14 @@ from hermgrid.greens import (
 )
 from hermgrid.hermite import phi_at, phi_row
 from hermgrid.quadrature import (
+    PT_DEGREE_MAX,
     PT_ERROR,
     QuadratureConfig,
     gauss_hermite,
     gauss_legendre,
     hermite_half,
     pt_lattice,
+    pt_tail,
     refined,
 )
 
@@ -631,13 +633,14 @@ def test_clear_caches_empties_every_cache():
     caches = [f for f in vars(greens).values()
               if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
     assert _axis_table in caches and greens._fourier_rule in caches and hermite_half not in caches
-    assert greens._mass_lattice in caches and greens._axis_laplace in caches
-    assert len(caches) >= 5
+    assert greens._axis_laplace in caches and quadrature._pt_mass not in caches
+    assert len(caches) >= 4
     assert all(f.cache_info().currsize > 0 for f in caches)
-    rules = hermite_half.cache_info().currsize
+    rules, lattices = hermite_half.cache_info().currsize, quadrature._pt_mass.cache_info().currsize
     clear_caches()
     assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
     assert hermite_half.cache_info().currsize == rules > 0
+    assert quadrature._pt_mass.cache_info().currsize == lattices > 0
 
 
 def _bits(v):
@@ -719,30 +722,35 @@ def test_a_warm_general_pair_builds_nothing():
     # after one pair at a mass, the pair and every pair made of the same
     # axis pairs, in either order, are three lookups: no miss in any cache
     clear_caches()
+    quadrature._pt_mass.cache_clear()
     mu = 0.77
     g_sharp((2, 1, 0), (0, 1, 2), mu, CFG)
-    caches = (greens._mass_lattice, greens._axis_laplace, hermite_half, _axis_table)
+    caches = (quadrature._pt_mass, greens._axis_laplace, hermite_half, _axis_table)
     misses = [c.cache_info().misses for c in caches]
     for pair in (((2, 1, 0), (0, 1, 2)), ((0, 1, 2), (2, 1, 0)), ((0, 1, 0), (2, 1, 2)), ((2, 1, 2), (0, 1, 0))):
         g_sharp(*pair, mu, CFG)
         g_proper_time(*pair, mu, CFG)
     assert [c.cache_info().misses for c in caches] == misses
-    assert greens._axis_laplace.cache_info().currsize == 2 and greens._mass_lattice.cache_info().currsize == 1
+    assert greens._axis_laplace.cache_info().currsize == 2 and quadrature._pt_mass.cache_info().currsize == 1
     clear_caches()
 
 
 def test_cached_lattices_and_factors_are_read_only():
     clear_caches()
     g_proper_time((2, 1, 0), (0, 1, 2), 0.77, CFG)
-    lattice = greens._mass_lattice(0.77)
-    arrays = [*lattice[:3], greens._axis_laplace(0.77, 0, 2), greens._axis_laplace(0.77, 1, 1)]
-    assert isinstance(lattice[3], int)
+    lattice = pt_tail(0.77, PT_DEGREE_MAX)
+    tail = pt_tail(0.77, 6)
+    arrays = [*lattice[:3], *tail[:3], greens._axis_laplace(0.77, 0, 2), greens._axis_laplace(0.77, 1, 1)]
+    assert isinstance(lattice[3], float)
+    # a tail is a view of the whole lattice, from the node its degree needs
+    assert 0 < tail[0].size < lattice[0].size
+    assert all(np.shares_memory(t, a) and np.array_equal(t, a[-t.size:]) for t, a in zip(tail[:3], lattice))
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
     # the factors hold J and its ones row on the whole lattice
-    assert all(a.shape == (2, lattice[0].size) for a in arrays[3:])
+    assert all(a.shape == (2, lattice[0].size) for a in arrays[6:])
     clear_caches()
 
 

@@ -7,7 +7,7 @@ in-place kernels round each step as the allocating ones did, in the same
 order.  The Gauss rules are rebuilt on the allocating kernels by patching
 them into the quadrature module.  The exchange table's cold build must
 also stay near the size of what it keeps, and the barycentric maps' cache
-within its stated bound.
+and the per-mass proper-time lattice within their stated bounds.
 """
 
 import tracemalloc
@@ -127,13 +127,21 @@ def test_radius_search_matches_the_full_scan():
 
 def test_lattice_map_cache_stays_within_its_bound():
     # four entries at most, each at most 129 x 3,110 doubles (3.2 MB) at
-    # the largest cutoff and the smallest masses
+    # the largest cutoff and the smallest masses, in arrays of its own: no
+    # entry keeps a view of the per-mass lattice it was built on
     cache = scattering._lattice_map
     assert cache.cache_info().maxsize == 4
     cache.cache_clear()
-    worst = sum(a.nbytes for a in cache(1e-160, scattering._ELEMENT_N_MAX))
+    worst = cache(1e-160, scattering._ELEMENT_N_MAX)
+    assert all(a.base is None for a in worst)
+    worst = sum(a.nbytes for a in worst)
     assert worst <= (scattering._ELEMENT_N_MAX + 2) * 3110 * 8
     assert 4 * worst <= 13.5e6
+    # that lattice, shared with the Green's values: eight masses at most,
+    # each 3 doubles a term and at most 3,117 terms (75 kB)
+    lattice = quadrature._pt_mass
+    assert lattice.cache_info().maxsize == 8
+    assert sum(a.nbytes for a in lattice(1e-160)[:3]) <= 3 * 3117 * 8
     for mu in (1e-3, 0.5, 1.0, 2.0, 7.0, 30.0):
         cache(mu, 8)
     assert cache.cache_info().currsize == 4

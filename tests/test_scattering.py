@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hermgrid.checks import moller_oracle_element
-from hermgrid import scattering
+from hermgrid import greens, quadrature, scattering
 from hermgrid.errors import DomainError, OrderTooLargeError, TruncationWarning
 from hermgrid.hermite import xi
 from hermgrid.quadrature import QuadratureConfig, gauss_hermite
@@ -131,6 +131,9 @@ def test_kinematics_properties():
     assert kin.momentum_defect == 0.0
     assert not kin.low_momentum_ok
     assert KIN.low_momentum_ok
+    # |p| = 1e200 is far below m / 5 at m = 1e300, though p.p overflows
+    far = (1e200, 0.0, 0.0)
+    assert MollerKinematics(far, far, far, far, m=1e300, mu=1.0, g=1.0).low_momentum_ok
     assert kin.prefactor == pytest.approx(
         (4.0 / (4.0 * math.pi)) / math.sqrt(e1 * e2 * e1o * e2o), rel=1e-15)
 
@@ -412,7 +415,7 @@ def test_cutoff_past_the_cap_raises_before_any_table():
     # the basis table grows as n_max^3 / 2 doubles, so a cutoff past the
     # cap is refused before anything is built or cached
     tracemalloc = pytest.importorskip("tracemalloc")
-    caches = (_profiles, scattering._scaled_table, scattering._lattice_map)
+    caches = (_profiles, scattering._scaled_table, scattering._lattice_map, quadrature._pt_mass)
     for cache in caches:
         cache.cache_clear()
     cap = scattering._ELEMENT_N_MAX
@@ -427,6 +430,30 @@ def test_cutoff_past_the_cap_raises_before_any_table():
     assert all(cache.cache_info().currsize == 0 for cache in caches)
     # the cap itself is accepted
     assert math.isfinite(_element(KIN, cap)[0].real)
+
+
+def test_element_and_green_values_share_one_lattice_per_mass(monkeypatch):
+    # the element sums on a tail of the lattice the Green's values read, so
+    # at a mass where either has run, the other builds no lattice; the
+    # masses are fresh, so each first call builds one
+    built = []
+
+    def counted(*args, build=quadrature.pt_lattice):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(quadrature, "pt_lattice", counted)
+    pair = ((2, 1, 0), (0, 1, 2))
+    counts = []
+    greens.g_proper_time(*pair, 0.6180339887, CFG)
+    counts.append(len(built))
+    _element(_at(KIN, mu=0.6180339887), 16)
+    counts.append(len(built))
+    _element(_at(KIN, mu=1.6180339887), 16)
+    counts.append(len(built))
+    greens.g_proper_time(*pair, 1.6180339887, CFG)
+    counts.append(len(built))
+    assert counts == [1, 1, 2, 2]
 
 
 def test_overflowing_coefficients_raise_domain_error():

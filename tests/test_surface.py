@@ -57,6 +57,24 @@ def test_no_module_imports_another_modules_private_name():
     assert offenders == []
 
 
+def test_only_quadrature_builds_or_cuts_the_proper_time_lattice():
+    # the cut rule of the proper-time lattice lives in one module: every
+    # other one reads its tail through quadrature.pt_tail
+    package = pathlib.Path(hermgrid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("pt_lattice", "pt_first"):
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
 def test_no_function_writes_into_its_arguments():
     # results come back by return: no function assigns to an attribute of
     # one of its parameters (a method's own self aside)
@@ -152,10 +170,17 @@ OUT_OF_RANGE = {
     "low_momentum_u-far": (lambda: hermgrid.low_momentum_u(1, FAR, 1.0), hermgrid.DomainError),
     "low_momentum_u-nan-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), math.nan), hermgrid.DomainError),
     "low_momentum_u-negative-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), -1.0), hermgrid.DomainError),
+    # |p| = 1e200 is far below m = 1e300, though p.p and m^2 overflow
+    "low_momentum_u-huge-m": (lambda: hermgrid.low_momentum_u(1, FAR, 1e300), None),
     # an infinite mass on the axis route, as on every other route
     "g_sharp_axis-inf": (lambda: hermgrid.g_sharp_axis(2, math.inf, CFG), hermgrid.DomainError),
     "w_sharp-inf": (lambda: hermgrid.w_sharp(2, math.inf, CFG), hermgrid.DomainError),
     "yukawa_coincidence-inf": (lambda: hermgrid.yukawa_coincidence(math.inf), hermgrid.DomainError),
+    # and on the continuum forms, at an infinite distance too
+    "continuum_yukawa-inf-mu": (lambda: hermgrid.continuum_yukawa(1.0, math.inf, 1.0), hermgrid.DomainError),
+    "continuum_yukawa-inf-r": (lambda: hermgrid.continuum_yukawa(math.inf, 1.0, 1.0), hermgrid.DomainError),
+    "continuum_yukawa_oracle-inf-mu": (lambda: hermgrid.continuum_yukawa_oracle(1.0, math.inf), hermgrid.DomainError),
+    "continuum_yukawa_oracle-inf-r": (lambda: hermgrid.continuum_yukawa_oracle(math.inf, 1.0), hermgrid.DomainError),
     "continuum_moller_reduced-far": (lambda: hermgrid.continuum_moller_reduced(
         hermgrid.MollerKinematics(FAR, (0, 0, 0), (0, 0, 0), (0, 0, 0), m=1.0, mu=1.0, g=1.0)), None),
 }
@@ -167,7 +192,7 @@ def test_out_of_range_physics_inputs_raise_typed_errors(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if error is None:
-            assert np.isfinite(call())
+            assert np.all(np.isfinite(call()))
         else:
             with pytest.raises(error):
                 call()
