@@ -222,8 +222,11 @@ def cmd_moller(args) -> int:
     )
     trunc = VertexTruncation(args.n_max)
     qcfg = QuadratureConfig(tol=args.tol)
-    # the truncation warning, like any other on the way, is one stderr line
+    # the truncation warning, like any other on the way, is one stderr line,
+    # whatever filter the caller set (python -W error included); the block
+    # restores that filter afterwards
     with warnings.catch_warnings():
+        warnings.simplefilter("always")
         warnings.showwarning = _warning_line
         element, shift = moller_element_and_shift(kin, trunc, qcfg)
     continuum = continuum_moller_reduced(kin)

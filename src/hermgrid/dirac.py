@@ -74,23 +74,29 @@ def _chi(r: int) -> np.ndarray:
 
 
 def spinor_u(r: int, p: tuple[float, float, float], m: float) -> np.ndarray:
-    """Particle bispinor; rest-frame limit is the r-th unit column."""
+    """Particle bispinor; rest-frame limit is the r-th unit column.  The
+    ratios take (m + E)/2, never m + E or 2m, so no mass or momentum up to
+    the largest double overflows them; halving a normal double is exact,
+    so the values keep the bits of the plain forms."""
     e = energy(p, m)
-    pref = math.sqrt((m + e) / (2.0 * m))
+    half = 0.5 * m + 0.5 * e
+    pref = math.sqrt(half / m)
     chi = _chi(r)
     out = np.empty(4, dtype=complex)
     out[:2] = pref * chi
-    out[2:] = pref * (-_I) * (_sigma_dot(p) @ chi) / (m + e)
+    out[2:] = pref * (-0.5j) * (_sigma_dot(p) @ chi) / half
     return out
 
 
 def spinor_v(r: int, p: tuple[float, float, float], m: float) -> np.ndarray:
-    """Antiparticle bispinor; rest-frame limit is the (2+r)-th unit column."""
+    """Antiparticle bispinor; rest-frame limit is the (2+r)-th unit column.
+    Formed as spinor_u is, from (m + E)/2."""
     e = energy(p, m)
-    pref = math.sqrt((m + e) / (2.0 * m))
+    half = 0.5 * m + 0.5 * e
+    pref = math.sqrt(half / m)
     chi = _chi(r)
     out = np.empty(4, dtype=complex)
-    out[:2] = pref * _I * (_sigma_dot(p) @ chi) / (m + e)
+    out[:2] = pref * 0.5j * (_sigma_dot(p) @ chi) / half
     out[2:] = pref * chi
     return out
 
@@ -132,11 +138,12 @@ def low_momentum_u(r: int, p: tuple[float, float, float], m: float) -> np.ndarra
     norm = math.hypot(*p)
     if norm >= m:
         raise DomainError(f"|p| = {norm} not below m = {m}")
-    t = (norm / (2.0 * m)) ** 2
+    # halves in place of 2m, which overflows from m = 2^1023 on
+    t = (0.5 * norm / m) ** 2
     chi = _chi(r)
     out = np.empty(4, dtype=complex)
     out[:2] = chi * (1.0 + 0.5 * t)
-    out[2:] = (-_I) * (_sigma_dot(p) @ chi) / (2.0 * m) * (1.0 - 0.5 * t)
+    out[2:] = (-0.5j) * (_sigma_dot(p) @ chi) / m * (1.0 - 0.5 * t)
     return out
 
 

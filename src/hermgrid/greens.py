@@ -108,6 +108,12 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...],
     return n, nhat, _PARITY_ZEROS[(a + b + c - p - q - r) % 4] if (a + p | b + q | c + r) & 1 else None
 
 
+# Elements of one block of _axis_laplace's arrays (256 KiB of doubles each,
+# which times best on a 2-core VM: 1.8-2.0 s at (0, 1454) and mu = 1e-300,
+# against 2.8 s at half and 4.1 s at four times the size)
+_BLOCK = 2 ** 15
+
+
 # An entry holds 2 doubles per lattice term, 3-4.6 kB for mu in [1e-3,
 # 1e3] and at most 50 kB (mu below 2^-500): 12.8 MB at most for 256
 # entries.  check full's residual box asks for 7 a mass, `greens --n-max
@@ -120,14 +126,24 @@ def _axis_laplace(mu: float, p: int, q: int) -> np.ndarray:
     polynomial of degree p + q against e^{-y^2}, so exactly sqrt(s) sum_j
     W_j e^{-tau y_j^2} psi_p psi_q(y_j sqrt(s)), W_j the folded scaled
     weights of quadrature.hermite_half.  Each node's entries are those of
-    any tail at that node.  Cached read-only per (mu, p, q)."""
+    any tail at that node.  The lattice terms go in blocks of _BLOCK
+    elements (terms times nodes), each row one sum as in a single block, so
+    the top order at the least mass peaks at 3 MiB (78 in one block); every
+    factor at mu >= 1e-3 up to p + q = 226 is one block.  Cached read-only
+    per (mu, p, q)."""
     _, s, tau, _ = pt_tail(mu, PT_DEGREE_MAX)
     y, weights, _ = hermite_half((p + q) // 2 + 1)
     root = np.sqrt(s)
-    damped = np.exp(-np.outer(tau, y * y)) * weights
-    z = np.outer(root, y)
-    psi = phi_at((p, q), z, np.exp(-0.5 * z * z))
-    rows = np.stack([np.sum(psi[p] * psi[q] * damped, axis=1), np.sum(damped, axis=1)])
+    square = y * y
+    rows = np.empty((2, root.size))
+    step = max(1, _BLOCK // y.size)
+    for i in range(0, root.size, step):
+        part = slice(i, i + step)
+        damped = np.exp(-np.outer(tau[part], square)) * weights
+        z = np.outer(root[part], y)
+        psi = phi_at((p, q), z, np.exp(-0.5 * z * z))
+        rows[0, part] = np.sum(psi[p] * psi[q] * damped, axis=1)
+        rows[1, part] = np.sum(damped, axis=1)
     rows *= root
     return read_only(rows)[0]
 
@@ -181,10 +197,10 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
-    six = n + nhat
-    twice = sum(six)
+    (a, b, c), (p, q, r) = n, nhat
+    twice = a + b + c + p + q + r
     # five of the six are 0 exactly when one of them is their sum
-    if twice in six:
+    if twice in (a, b, c, p, q, r):
         j = twice >> 1
         if j < _AXIS_TABLE:
             return _axis_table(mu, _AXIS_TABLE)[j]
@@ -265,24 +281,28 @@ def g_sharp_axis(n1: int, mu: float, cfg: QuadratureConfig) -> GreensValue:
     measured against mpmath never reached.  Every finite mu > 0 answers.
     No quadrature runs, so cfg is not read; it keeps the routes' call shape.
     """
-    n1 = whole(n1, "order")
+    if type(n1) is not int or n1 < 0:
+        n1 = whole(n1, "order")
     if not 0 < mu < math.inf:
         raise DomainError(f"mu must be positive and finite, got {mu}")
-    if n1 % 2:
+    if n1 & 1:
         return _PARITY_ZEROS[0]
-    j = n1 // 2
+    j = n1 >> 1
+    if j < _AXIS_TABLE:
+        return _axis_table(mu, _AXIS_TABLE)[j]
     return _axis_entries(mu, j + 1)[j]
 
 
 # Margin c of the depth N = ceil((sqrt(count) + c / sqrt(x))^2) + 2 of
-# _gamma_cf_levels: for c >= 8.0 every level below count is within one ulp
-# of a run twice as deep, measured for count 1 to 168 at 120 masses in
-# [0.2, 1e4] (9.0 from the plain start e = x).  The two extra levels serve
-# large x, where the square alone reaches less than one level past count.
-_CF_MARGIN = 8.5
+# _gamma_cf_levels: every level below count is within one ulp of a run twice
+# as deep for c above 5.59 at 120 masses in [0.2, 1e4] and count 1 to 168
+# (x count > 1), and above 6.24 at 5,000 masses (7.73 and 8.17 from the plain
+# fixed point).  The two extra levels serve large x, where the square alone
+# reaches less than one level past count.
+_CF_MARGIN = 6.8
 
 # level numbers as floats, enough for the default table at every mass where
-# it runs backward (at most 1,900 levels)
+# it runs backward (at most 1,280 levels)
 _LEVEL_K = tuple(map(float, range(2048)))
 
 
@@ -291,22 +311,37 @@ def _gamma_cf_levels(x: float, count: int) -> list[float]:
 
     With d_n = n + 1/2 + e_n, the recurrence of U in a (DLMF 13.3.7) reads
     e_n = x + (n+1) e_{n+1} / d_{n+1}, every term positive.  U is its
-    minimal solution, so the loop runs backward (Miller's algorithm), from
-    the step's fixed point e = h + sqrt(h^2 + x (N + 3/2)), h = (x - 1/2)/2,
-    at depth N = ceil((sqrt(max(count, _AXIS_TABLE)) + _CF_MARGIN /
-    sqrt(x))^2) + 2, about 72/x for small x.  As U(0) = 1, 1/d_0 =
-    U(1, 1/2, x) = x^{1/2} e^x Gamma(-1/2, x): the loop is Legendre's
-    continued fraction for Gamma(-1/2, x) (DLMF 8.9.2) evaluated bottom-up,
-    d_n its level-n denominator.  Every count up to _AXIS_TABLE runs at one
-    depth, so the coincidence value is the axis table's first entry to the
-    bit.  From x = 2^80 on, every d_n = x + 2n + 1/2 - O(n^2/x) rounds to x.
+    minimal solution, so the loop runs backward (Miller's algorithm) from
+    depth N = ceil((sqrt(max(count, _AXIS_TABLE)) + _CF_MARGIN / sqrt(x))^2)
+    + 2, about 46/x for small x.  It starts from the step's fixed point
+    corrected for the drift e_{N+1} - e_N of the tail (two rounds from the
+    plain fixed points at N, N+1 and N+2), close enough for a margin of 6.8
+    where the plain fixed point needs 8.5: a 21-entry table takes 1,013
+    levels at mu = 1/4 (1,491 from the plain start), and about 11,500
+    (16,100) over the 48 masses in [1/4, 4] of a benchmark round.  As
+    U(0) = 1, 1/d_0 = U(1, 1/2, x) = x^{1/2} e^x Gamma(-1/2, x): the loop
+    is Legendre's continued fraction for Gamma(-1/2, x) (DLMF 8.9.2)
+    evaluated bottom-up, d_n its level-n denominator.  Every count up to
+    _AXIS_TABLE runs at one depth, so the coincidence value is the axis
+    table's first entry to the bit.  From x = 2^80 on, every
+    d_n = x + 2n + 1/2 - O(n^2/x) rounds to x.
     """
     if x >= 2.0 ** 80:
         return [x] * count
     depth = math.ceil((math.sqrt(max(count, _AXIS_TABLE)) + _CF_MARGIN / math.sqrt(x)) ** 2) + 2
     ks = _LEVEL_K if depth < len(_LEVEL_K) else tuple(map(float, range(depth + 1)))
+    # the step's fixed points at depth, depth + 1 and depth + 2, then twice
+    # the root at level n if level n + 1 lies s above it:
+    # e = h - s/2 + sqrt(r_n + s (n + 5/4 + x/2 + s/4)), r_n = h^2 + x (n + 3/2)
     h = 0.5 * (x - 0.5)
-    e = h + math.sqrt(h * h + x * (depth + 1.5))
+    r = h * h + x * (depth + 1.5)
+    v = depth + 1.25 + 0.5 * x
+    e0, e1, e2 = h + math.sqrt(r), h + math.sqrt(r + x), h + math.sqrt(r + 2.0 * x)
+    s0, s1 = e1 - e0, e2 - e1
+    e0 = h - 0.5 * s0 + math.sqrt(r + s0 * (v + 0.25 * s0))
+    e1 = h - 0.5 * s1 + math.sqrt(r + x + s1 * (v + 1.0 + 0.25 * s1))
+    s0 = e1 - e0
+    e = h - 0.5 * s0 + math.sqrt(r + s0 * (v + 0.25 * s0))
     for k in ks[depth:count - 1:-1]:
         e = x + k * e / (k + 0.5 + e)
     out = []

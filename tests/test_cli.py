@@ -546,6 +546,19 @@ def test_tables_identical_across_thread_counts(capsys, argv):
     assert rc == 0 and out.encode() == outs[0]
 
 
+def test_readme_moller_under_error_filter_prints_one_warning_line(capsys):
+    # python -W error: the truncation warning is still one stderr line and
+    # no traceback, and the caller's filter is back in place afterwards
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters = list(warnings.filters)
+        rc, out, err = run_cli(capsys, *README_COMMANDS[1])
+        assert warnings.filters == filters
+    assert rc == 0 and parse_table(out)[2]
+    (line,) = err.splitlines()
+    assert line.startswith("warning: TruncationWarning: ")
+
+
 def test_import_builds_no_parser():
     run = _run_fresh(python=("-c", "import hermgrid.cli as cli; "
                                    "print(cli._build_parser.cache_info().currsize)"))

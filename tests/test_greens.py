@@ -409,6 +409,22 @@ def test_coulomb_quadrature_keeps_one_row_in_memory():
     assert peak < 8 * 2 ** 20
 
 
+def test_cold_axis_factor_at_the_least_mass_works_in_blocks():
+    # 3,117 lattice terms on 201 nodes: whole arrays of that shape peaked at
+    # 21.7 MiB, blocks of lattice terms at under 3
+    mu = 1e-300
+    quadrature.pt_tail(mu, quadrature.PT_DEGREE_MAX)
+    hermite_half(201)
+    greens.clear_caches()
+    tracemalloc.start()
+    try:
+        g_proper_time((400, 0, 0), (0, 0, 0), mu, CFG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 def _resting(mu):
     zero = (0.0, 0.0, 0.0)
     return MollerKinematics(zero, zero, zero, zero, m=1.0, mu=mu, g=1.0)
@@ -536,6 +552,75 @@ def test_axis_pairs_read_the_shared_table_entries(axis, axis_first):
             misses = _axis_table.cache_info().misses
     assert _axis_table.cache_info().misses == misses == 2
     clear_caches()
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_orders_in_the_default_table_skip_the_doubling(monkeypatch, axis):
+    # n1 < 42 reads entry n1 / 2 of the default table straight: on every
+    # axis route, in either order of the pair, with no other table built
+    clear_caches()
+    mu = 0.6
+    table = _axis_table(mu, greens._AXIS_TABLE)
+    calls = _axis_table.cache_info()
+    monkeypatch.setattr(greens, "_axis_entries", None)
+    for n1 in range(2 * greens._AXIS_TABLE):
+        index = tuple(n1 if a == axis else 0 for a in range(3))
+        routes = (g_sharp_axis(n1, mu, CFG), g_sharp(index, (0, 0, 0), mu, CFG),
+                  g_sharp((0, 0, 0), index, mu, CFG))
+        # an odd order is the exact zero, of its phase on g_sharp
+        zeros = greens._PARITY_ZEROS
+        wants = (zeros[0], zeros[n1 % 4], zeros[-n1 % 4]) if n1 % 2 else (table[n1 // 2],) * 3
+        for got, want in zip(routes, wants):
+            assert got is want, n1
+        assert w_sharp(n1, mu, CFG) == routes[0].value.real
+    after = _axis_table.cache_info()
+    assert after.currsize == calls.currsize == 1 and after.misses == calls.misses
+    clear_caches()
+
+
+@pytest.mark.parametrize("order, want", [(True, 1), (np.int64(4), 4), (2.0, 2), (2.5, None), (-1, None)],
+                         ids=["bool", "numpy-int", "whole-float", "fraction", "negative"])
+def test_axis_orders_of_other_types_take_the_full_check(order, want):
+    # anything but a plain nonnegative int goes through errors.whole: the
+    # value of the int it stands for, or its ValueError
+    if want is None:
+        message = f"order must be an integer >= 0, got {order!r}"
+        for route in (g_sharp_axis, w_sharp):
+            with pytest.raises(ValueError) as caught:
+                route(order, 0.6, CFG)
+            assert str(caught.value) == message
+        return
+    got = g_sharp_axis(order, 0.6, CFG)
+    assert got is g_sharp_axis(want, 0.6, CFG)
+    assert w_sharp(order, 0.6, CFG) == got.value.real
+
+
+def _levels_twice_as_deep(x, count):
+    # Miller's loop from the plain start e = x at twice the depth the
+    # module picks for count, written out here as an independent reference
+    size = max(count, greens._AXIS_TABLE)
+    depth = 2 * (math.ceil((math.sqrt(size) + greens._CF_MARGIN / math.sqrt(x)) ** 2) + 2)
+    e, out = x, []
+    for k in range(depth, 0, -1):
+        if k < count:
+            out.append(k + 0.5 + e)
+        e = x + k * e / (k + 0.5 + e)
+    out.append(0.5 + e)
+    return out[::-1]
+
+
+@pytest.mark.parametrize("count", [1, 21, 42, 84, 168])
+def test_miller_levels_hold_at_the_stated_margin(count):
+    # the protocol behind _CF_MARGIN: from the drift-corrected start, every
+    # level below count is within one ulp of a run twice as deep
+    for mu in np.geomspace(0.2, 1e4, 20):
+        x = float(mu) ** 2
+        if x * count <= 1.0:
+            continue
+        got, want = greens._gamma_cf_levels(x, count), _levels_twice_as_deep(x, count)
+        assert len(got) == len(want) == count
+        for n, (a, b) in enumerate(zip(got, want)):
+            assert abs(a - b) <= math.ulp(b), (float(mu), n)
 
 
 def test_shared_values_are_frozen():

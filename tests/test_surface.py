@@ -146,6 +146,7 @@ def _kinematics(m=1.0, mu=1.0, g=1.0):
 BOX = hermgrid.GridBox((3, 3, 3))
 WIDE = hermgrid.GridBox((5, 5, 5))
 FAR = (1e200, 0.0, 0.0)
+TOP_MASS = 1.5e308
 
 # out-of-range physics inputs, each with the typed error it raises, or None
 # where a finite value exists and comes back: never an OverflowError,
@@ -172,6 +173,9 @@ OUT_OF_RANGE = {
     "low_momentum_u-negative-m": (lambda: hermgrid.low_momentum_u(1, (0.1, 0, 0), -1.0), hermgrid.DomainError),
     # |p| = 1e200 is far below m = 1e300, though p.p and m^2 overflow
     "low_momentum_u-huge-m": (lambda: hermgrid.low_momentum_u(1, FAR, 1e300), None),
+    # past m = 2^1023, 2m and m + E overflow, though E itself does not
+    "spinor_u-top-m": (lambda: hermgrid.spinor_u(1, (1e300, 0, 0), TOP_MASS), None),
+    "spinor_v-top-m": (lambda: hermgrid.spinor_v(2, (1e300, 0, 0), TOP_MASS), None),
     # an infinite mass on the axis route, as on every other route
     "g_sharp_axis-inf": (lambda: hermgrid.g_sharp_axis(2, math.inf, CFG), hermgrid.DomainError),
     "w_sharp-inf": (lambda: hermgrid.w_sharp(2, math.inf, CFG), hermgrid.DomainError),
@@ -204,6 +208,15 @@ def test_large_momenta_give_finite_energies_and_spinors():
     # each inner product cancels two terms of size E/m, and the check is
     # relative to that size: a few ulps at any momentum
     assert hermgrid.orthonormality_check(FAR, 1.0) <= 1e-15
+
+
+def test_top_masses_keep_the_lower_components():
+    # -i p / (m + E) and -i p / 2m, both about -3.3e-9 i, not 0 or NaN
+    p = (1e300, 0.0, 0.0)
+    want = -0.5j * (1e300 / TOP_MASS)
+    for spinor in (hermgrid.spinor_u(1, p, TOP_MASS), hermgrid.low_momentum_u(1, p, TOP_MASS)):
+        assert spinor[0] == 1.0 and spinor[3] == pytest.approx(want, rel=1e-15)
+    assert hermgrid.spinor_v(1, p, TOP_MASS)[1] == pytest.approx(-want, rel=1e-15)
 
 
 # the physics modules build on the base layer alone, never on each other
