@@ -9,6 +9,7 @@ non-singular Yukawa and Coulomb potentials), and the second-order
 two-fermion exchange element, plus a CLI that tabulates everything as CSV.
 """
 
+import importlib as _importlib
 import os as _os
 
 # honor the documented thread-count knob before any numeric library spins
@@ -18,107 +19,41 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .errors import (
-    BoxTooSmallError,
-    DomainError,
-    HermgridError,
-    NonconvergenceError,
-    OrderTooLargeError,
-    TruncationWarning,
-)
-from .quadrature import QuadratureConfig
-from .hermite import hermite_poly, xi, xi_delta_sharp
-from .grid import (
-    GridBox,
-    GridFunction,
-    delta_bwd,
-    delta_circle,
-    delta_fwd,
-    delta_sharp,
-    kg_mode_residual,
-    laplacian_sharp,
-    mode_function,
-    restrict,
-)
-from .dirac import (
-    GammaSet,
-    dirac_adjoint,
-    energy,
-    gamma_set,
-    low_momentum_u,
-    orthonormality_check,
-    s_plus_green,
-    spin_sum,
-    spinor_u,
-    spinor_v,
-)
-from .greens import (
-    GreensValue,
-    continuum_yukawa,
-    continuum_yukawa_oracle,
-    coulomb_even,
-    coulomb_quadrature,
-    difference_equation_residual,
-    g_sharp,
-    g_sharp_axis,
-    w_sharp,
-    yukawa_coincidence,
-)
-from .scattering import (
-    MollerKinematics,
-    VertexTruncation,
-    continuum_moller_reduced,
-    moller_reduced_element,
-    vertex_axis_sum,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxTooSmallError",
-    "DomainError",
-    "HermgridError",
-    "NonconvergenceError",
-    "OrderTooLargeError",
-    "TruncationWarning",
-    "QuadratureConfig",
-    "hermite_poly",
-    "xi",
-    "xi_delta_sharp",
-    "GridBox",
-    "GridFunction",
-    "delta_bwd",
-    "delta_circle",
-    "delta_fwd",
-    "delta_sharp",
-    "kg_mode_residual",
-    "laplacian_sharp",
-    "mode_function",
-    "restrict",
-    "GammaSet",
-    "dirac_adjoint",
-    "energy",
-    "gamma_set",
-    "low_momentum_u",
-    "orthonormality_check",
-    "s_plus_green",
-    "spin_sum",
-    "spinor_u",
-    "spinor_v",
-    "GreensValue",
-    "continuum_yukawa",
-    "continuum_yukawa_oracle",
-    "coulomb_even",
-    "coulomb_quadrature",
-    "difference_equation_residual",
-    "g_sharp",
-    "g_sharp_axis",
-    "w_sharp",
-    "yukawa_coincidence",
-    "MollerKinematics",
-    "VertexTruncation",
-    "continuum_moller_reduced",
-    "moller_reduced_element",
-    "vertex_axis_sum",
-    "__version__",
-]
+# each exported name under the module that defines it
+_EXPORTS = {
+    "errors": ("BoxTooSmallError", "DomainError", "HermgridError", "NonconvergenceError",
+               "OrderTooLargeError", "TruncationWarning"),
+    "closed": ("QuadratureConfig", "GreensValue", "continuum_yukawa", "coulomb_even",
+               "g_sharp_axis", "yukawa_coincidence"),
+    "hermite": ("hermite_poly", "xi", "xi_delta_sharp"),
+    "grid": ("GridBox", "GridFunction", "delta_bwd", "delta_circle", "delta_fwd", "delta_sharp",
+             "kg_mode_residual", "laplacian_sharp", "mode_function", "restrict"),
+    "dirac": ("GammaSet", "dirac_adjoint", "energy", "gamma_set", "low_momentum_u",
+              "orthonormality_check", "s_plus_green", "spin_sum", "spinor_u", "spinor_v"),
+    "greens": ("continuum_yukawa_oracle", "coulomb_quadrature", "difference_equation_residual",
+               "g_sharp", "w_sharp"),
+    "scattering": ("MollerKinematics", "VertexTruncation", "continuum_moller_reduced",
+                   "moller_reduced_element", "vertex_axis_sum"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("checks", "cli", "closed", "dirac", "errors", "greens", "grid", "hermite",
+               "quadrature", "scattering")
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """An exported name or a submodule, imported on first use and kept in
+    the package's namespace, so `import hermgrid` loads no numpy and a
+    closed form loads only the module that defines it (PEP 562)."""
+    if name in _HOME:
+        value = getattr(_importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = _importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+

@@ -16,37 +16,28 @@ error (also any domain or arithmetic error the flags lead to), 3 numerical
 nonconvergence.  Warnings raised while the exchange element is computed
 go to stderr as one `warning:` line each.
 
-The argument parser is built on the first `main` call and reused for the
-life of the process; importing the module builds nothing.  Each subcommand's
-`cmd_*` handler is bound into the parser at that first call, so a caller
-that replaces a handler must do so before it.
+Each command's flags are registered by one function, listed with its help
+text in _COMMANDS.  A call whose argv starts with a command parses with
+that command's parser alone, built on its first call and reused for the
+life of the process.  The root parser, which holds every command as a
+subparser built from the same functions, is built only for an argv that
+does not start with a command (no arguments, --help, an unknown command,
+or a flag before the command), and to report arguments left unrecognized.
+Importing the module builds nothing, and each handler imports the modules
+it reads, so `yukawa` and `coulomb` run without numpy.  A command's `cmd_*`
+handler is bound into its parser when that parser is built, so a caller
+that replaces a handler must do so before the command's first call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
 from functools import lru_cache
 
 from .errors import HermgridError, NonconvergenceError
-from .greens import (
-    continuum_yukawa,
-    continuum_yukawa_oracle,
-    coulomb_even,
-    g_proper_time,
-    g_sharp_axis,
-    yukawa_coincidence,
-)
-from .quadrature import QuadratureConfig
-from .scattering import (
-    MollerKinematics,
-    VertexTruncation,
-    continuum_moller_reduced,
-    moller_element_and_shift,
-)
 
 
 class _UsageError(Exception):
@@ -113,6 +104,8 @@ def _x_of(args, index: int) -> float:
 
 
 def cmd_yukawa(args) -> int:
+    from .closed import QuadratureConfig, g_sharp_axis, yukawa_coincidence
+
     _require(args.mu > 0, "--mu", "mu > 0 (the massless table is `coulomb`)", args.mu)
     qcfg = QuadratureConfig()
     closed = yukawa_coincidence(args.mu)
@@ -138,6 +131,8 @@ plot "{data}" every ::1 using 2:3 with linespoints title "discrete lattice poten
 
 
 def cmd_coulomb(args) -> int:
+    from .closed import coulomb_even
+
     rows = []
     for half in range(args.n_max + 1):
         index = 2 * half
@@ -159,6 +154,9 @@ def cmd_coulomb(args) -> int:
 
 
 def cmd_continuum(args) -> int:
+    from .closed import continuum_yukawa
+    from .greens import continuum_yukawa_oracle
+
     _require(args.mu > 0, "--mu", "mu > 0 (the oscillatory oracle needs a massive tail)", args.mu)
     rows = []
     for n1 in range(args.n_max + 1):
@@ -174,6 +172,9 @@ def cmd_continuum(args) -> int:
 
 
 def cmd_greens(args) -> int:
+    from .closed import QuadratureConfig, g_sharp_axis
+    from .greens import g_proper_time
+
     _require(args.mu > 0, "--mu", "mu > 0", args.mu)
     qcfg = QuadratureConfig(tol=args.tol)
     rows = []
@@ -207,6 +208,14 @@ def _warning_line(message, category, *_) -> None:
 
 
 def cmd_moller(args) -> int:
+    from .closed import QuadratureConfig
+    from .scattering import (
+        MollerKinematics,
+        VertexTruncation,
+        continuum_moller_reduced,
+        moller_element_and_shift,
+    )
+
     _require(args.mu > 0, "--mu", "mu > 0", args.mu)
     spins = args.spins.split(",")
     _require(len(spins) == 4 and all(s in ("1", "2") for s in spins),
@@ -240,7 +249,8 @@ def cmd_moller(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # imported here: no table command pays for compiling the suite
+    import json
+
     from .checks import run_suite
 
     results = run_suite(args.suite)
@@ -280,36 +290,29 @@ def _add_output_flags(sub, x_map: bool = True) -> None:
     sub.add_argument("--format", choices=("csv", "tsv"), default="csv")
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """Built once, on the first main call; see the module docstring."""
-    parser = argparse.ArgumentParser(
-        prog="hermgrid",
-        description="Non-singular lattice potentials, Green's functions, and "
-                    "the one-boson-exchange element, tabulated as CSV.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("yukawa", help="massive axis potential table W(index; mu)")
+def _yukawa_flags(p) -> None:
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     _add_output_flags(p)
     p.set_defaults(func=cmd_yukawa)
 
-    p = subs.add_parser("coulomb", help="massless closed-form table with continuum comparison")
+
+def _coulomb_flags(p) -> None:
     p.add_argument("--n-max", type=int, default=10, dest="n_max",
                    help="largest half-index; rows run over even indices 0..2*n_max")
     _add_output_flags(p)
     p.set_defaults(func=cmd_coulomb)
 
-    p = subs.add_parser("continuum", help="continuum potential vs oscillatory-integral oracle")
+
+def _continuum_flags(p) -> None:
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--g", type=float, default=1.0, help="coupling")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     _add_output_flags(p)
     p.set_defaults(func=cmd_continuum)
 
-    p = subs.add_parser("greens", help="closed-form axis values vs the 3D proper-time sum")
+
+def _greens_flags(p) -> None:
     p.add_argument("--mu", type=float, required=True, help="boson mass (> 0)")
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
     p.add_argument("--tol", type=float, default=1e-8,
@@ -317,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, x_map=False)
     p.set_defaults(func=cmd_greens)
 
-    p = subs.add_parser("moller", help="one-boson-exchange reduced element at given kinematics")
+
+def _moller_flags(p) -> None:
     p.add_argument("--p1", required=True, help="incoming momentum 1, e.g. 0.1,0,0")
     p.add_argument("--p2", required=True, help="incoming momentum 2")
     p.add_argument("--p1-out", required=True, dest="p1_out", help="outgoing momentum 1")
@@ -333,16 +337,60 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, x_map=False)
     p.set_defaults(func=cmd_moller)
 
-    p = subs.add_parser("check", help="run the invariant suite")
+
+def _check_flags(p) -> None:
     p.add_argument("suite", choices=("fast", "full"))
     p.add_argument("--out", default="", help="report file (default: stdout)")
     p.set_defaults(func=cmd_check)
 
+
+# each command's help line and the function that registers its flags, in
+# the order the root parser lists them
+_COMMANDS = {
+    "yukawa": ("massive axis potential table W(index; mu)", _yukawa_flags),
+    "coulomb": ("massless closed-form table with continuum comparison", _coulomb_flags),
+    "continuum": ("continuum potential vs oscillatory-integral oracle", _continuum_flags),
+    "greens": ("closed-form axis values vs the 3D proper-time sum", _greens_flags),
+    "moller": ("one-boson-exchange reduced element at given kinematics", _moller_flags),
+    "check": ("run the invariant suite", _check_flags),
+}
+
+
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, built on its first call; see the module docstring."""
+    parser = argparse.ArgumentParser(prog=f"hermgrid {name}")
+    _COMMANDS[name][1](parser)
     return parser
 
 
+def _root_parser() -> argparse.ArgumentParser:
+    """Every command as a subparser, built anew for each argv that names
+    none first, and for each report of unrecognized arguments."""
+    parser = argparse.ArgumentParser(
+        prog="hermgrid",
+        description="Non-singular lattice potentials, Green's functions, and "
+                    "the one-boson-exchange element, tabulated as CSV.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (text, register) in _COMMANDS.items():
+        register(subs.add_parser(name, help=text))
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        args, rest = _command_parser(name).parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if rest:
+            # the root parser's message, as for any command's subparser
+            _root_parser().error(f"unrecognized arguments: {' '.join(rest)}")
+        return args
+    return _root_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         _check_ranges(args)
         return args.func(args)

@@ -16,13 +16,11 @@ out from its input; QuadratureConfig holds the tolerance alone.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
+from .closed import QuadratureConfig  # re-exported: every route's tolerance
 from .errors import NonconvergenceError, OrderTooLargeError, whole
 from .hermite import phi_at, phi_row
 
@@ -36,26 +34,6 @@ PT_ERROR = 4.1e-17
 GH_RULE_MAX = 728
 # Largest degree D = sum n + sum nhat of a proper-time sum: n_a + nhat_a <= 1454 on each axis
 PT_DEGREE_MAX = 3 * (2 * GH_RULE_MAX - 2)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """The tolerance tol, a finite positive real, of every gate.
-
-    s_plus_green runs at its node counts and at double them, and the
-    difference, its error estimate, is gated at tol (see refined);
-    g_proper_time and coulomb_quadrature gate their rounding bounds at
-    100 tol.  No node count is settable: s_plus_green alone reads gh_nodes,
-    a class constant, as the floor of its radial rule, and the benchmark's
-    Tracer.call (perfbench/tracing.py) as the key of a cold g_sharp span.
-    """
-
-    gh_nodes: ClassVar[int] = 64
-    tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
-            raise ValueError(f"tol must be a finite positive real, got {self.tol!r}")
 
 
 def index3(n) -> tuple[int, int, int]:
@@ -125,12 +103,21 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 # 3 doubles a term, 190 to 286 terms for mu in [1e-3, 1e3] and at most 3,117
 # (mu below 2^-500): 75 kB.  A mass serves a run of sums before the next.
 @lru_cache(maxsize=8)
-def _pt_mass(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """pt_tail's whole lattice at mu, read-only, and its first node's m."""
+def _pt_mass(mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+    """pt_tail's whole lattice at mu, read-only, its first node's m, and
+    -ln y_min of every cut, y_min = mu^2 held at >= 2^-1000."""
     y_max = mu * mu + 2.0 * PT_DEGREE_MAX + 16.0
     t, w = pt_lattice(mu, mu * mu, y_max)
     s = 1.0 / (1.0 + t)
-    return (*read_only(w, s, t * s), pt_first(y_max))
+    return (*read_only(w, s, t * s), pt_first(y_max), -math.log(max(mu * mu, 2.0 ** -1000)))
+
+
+def pt_weights(mu: float, degree: int) -> tuple[np.ndarray, float]:
+    """The weights w_m and the span L of pt_tail(mu, degree), without its
+    s and tau views: all a Green's value's sum reads."""
+    w, _, _, first, low_log = _pt_mass(mu)
+    y_max = mu * mu + 2.0 * degree + 16.0
+    return w[pt_first(y_max) - first:], max(low_log, math.log(y_max))
 
 
 def pt_tail(mu: float, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -138,10 +125,9 @@ def pt_tail(mu: float, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     for y in [mu^2, mu^2 + 2 degree + 16], degree <= PT_DEGREE_MAX: the tail
     of one cached lattice per mass, cut for PT_DEGREE_MAX; and the span
     L = max |ln y| of that cut, y held at >= 2^-1000."""
-    w, s, tau, first = _pt_mass(mu)
-    y_max = mu * mu + 2.0 * degree + 16.0
-    own = pt_first(y_max) - first
-    return w[own:], s[own:], tau[own:], max(-math.log(max(mu * mu, 2.0 ** -1000)), math.log(y_max))
+    w, big_log = pt_weights(mu, degree)
+    _, s, tau, _, _ = _pt_mass(mu)
+    return w, s[-w.size:], tau[-w.size:], big_log
 
 
 def _mirrored(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:

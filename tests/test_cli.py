@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -284,10 +285,14 @@ _NON_DEFAULT = {"--p1": "0.1,0,0", "--p2": "-0.1,0,0", "--p1-out": "0.08,0.06,0"
 
 
 def _registered_flags(command):
-    (subs,) = [a for a in cli._build_parser()._actions
+    flags = [(a.option_strings[0], a.dest) for a in cli._command_parser(command)._actions
+             if a.option_strings and a.dest != "help"]
+    # the root parser's subparser registers the same flags
+    (subs,) = [a for a in cli._root_parser()._actions
                if isinstance(a, argparse._SubParsersAction)]
-    return [(a.option_strings[0], a.dest) for a in subs.choices[command]._actions
-            if a.option_strings and a.dest != "help"]
+    assert flags == [(a.option_strings[0], a.dest) for a in subs.choices[command]._actions
+                     if a.option_strings and a.dest != "help"]
+    return flags
 
 
 @pytest.mark.parametrize("command", sorted(REQUIRED))
@@ -526,7 +531,7 @@ README_COMMANDS = (
 def test_tables_identical_across_thread_counts(capsys, argv):
     # the 3D contractions go through BLAS, whose reduction order could
     # follow the thread count; the tables must not.  The in-process call,
-    # on the process's one parser, prints the same bytes as a fresh process.
+    # on the command's one parser, prints the same bytes as a fresh process.
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env.pop(var, None)
@@ -561,8 +566,57 @@ def test_readme_moller_under_error_filter_prints_one_warning_line(capsys):
 
 def test_import_builds_no_parser():
     run = _run_fresh(python=("-c", "import hermgrid.cli as cli; "
-                                   "print(cli._build_parser.cache_info().currsize)"))
+                                   "print(cli._command_parser.cache_info().currsize)"))
     assert run.returncode == 0 and run.stdout == "0\n"
+
+
+def _numpy_after(code):
+    run = _run_fresh(python=("-c", "import sys\n" + code + "\nprint('numpy' in sys.modules)"))
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["yukawa", "--mu", "1", "--n-max", "8"], ["coulomb", "--n-max", "10"]],
+                         ids=lambda a: a[0])
+def test_closed_form_commands_load_no_numpy(argv):
+    # the closed forms read only math: neither the command nor the package
+    # it runs in imports numpy
+    code = ("import contextlib, io\n"
+            "import hermgrid.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+    assert _numpy_after(code) == "False"
+
+
+def test_package_import_loads_no_numpy():
+    assert _numpy_after("import hermgrid, hermgrid.cli") == "False"
+
+
+def test_every_export_and_submodule_resolves_lazily():
+    # in a fresh process: each name of __all__ and each module of the
+    # package is an attribute of hermgrid, the defining module's own object,
+    # kept in the package's namespace once resolved
+    code = """
+import importlib, pathlib, sys, types
+import hermgrid
+modules = sorted(p.stem for p in pathlib.Path(hermgrid.__file__).parent.glob("*.py") if p.stem != "__init__")
+for name in modules:
+    value = getattr(hermgrid, name)
+    assert value is sys.modules[f"hermgrid.{name}"] and isinstance(value, types.ModuleType), name
+for name in hermgrid.__all__:
+    value = getattr(hermgrid, name)
+    assert vars(hermgrid)[name] is value, name
+    if name != "__version__":
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+try:
+    hermgrid.no_such_name
+except AttributeError as exc:
+    print(exc)
+print(len(modules), len(hermgrid.__all__))
+"""
+    run = _run_fresh(python=("-c", code))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["module 'hermgrid' has no attribute 'no_such_name'", "10 46"]
 
 
 def test_fresh_process_loads_no_scipy(tmp_path):
@@ -589,27 +643,40 @@ def test_fresh_process_loads_no_scipy(tmp_path):
 
 
 def test_main_calls_share_one_parser(capsys, monkeypatch):
-    used = []
-    parse_args = argparse.ArgumentParser.parse_args
+    # repeat calls of one command parse with that command's one parser, and
+    # a call builds no other command's flags: no root parser either
+    cli._command_parser.cache_clear()
+    used, added = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    add_argument = argparse.ArgumentParser.add_argument
 
-    def spy(self, *args, **kwargs):
+    def parse_spy(self, *args, **kwargs):
         used.append(self)
-        return parse_args(self, *args, **kwargs)
+        return parse_known_args(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
-    for argv in (("coulomb", "--n-max", "2"), ("yukawa", "--mu", "1", "--n-max", "2")):
+    def add_spy(self, *args, **kwargs):
+        added.append(args[0])
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", add_spy)
+    calls = (("coulomb", "--n-max", "2"), ("yukawa", "--mu", "1", "--n-max", "2")) * 2
+    for argv in calls:
         rc, _, _ = run_cli(capsys, *argv)
         assert rc == 0
-    assert len(used) == 2
-    assert used[0] is used[1] is cli._build_parser()
+    coulomb, yukawa = cli._command_parser("coulomb"), cli._command_parser("yukawa")
+    assert used == [coulomb, yukawa, coulomb, yukawa]
+    assert added == ["-h", "--n-max", "--out", "--x-map", "--format",
+                     "-h", "--mu", "--n-max", "--out", "--x-map", "--format"]
+    assert cli._command_parser.cache_info().currsize == 2
 
 
 def _first_call(capsys, argv):
     # the reference: the same command on a parser built for it
-    cli._build_parser.cache_clear()
+    cli._command_parser.cache_clear()
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0 and err == ""
-    return out, cli._build_parser()
+    return out, cli._command_parser(argv[0])
 
 
 @pytest.mark.parametrize("failing, code, good", [
@@ -632,14 +699,14 @@ def test_failed_call_leaves_the_next_table_unchanged(capsys, failing, code, good
     rc, out, err = run_cli(capsys, *good)
     assert rc == 0 and err == ""
     assert out == first
-    assert cli._build_parser() is parser
+    assert cli._command_parser(good[0]) is parser
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["greens", "--help"], ["yukawa", "--help"]])
 def test_help_prints_after_other_calls(capsys, monkeypatch, argv):
     # a fixed width, so every help wraps alike
     monkeypatch.setenv("COLUMNS", "80")
-    cli._build_parser.cache_clear()
+    cli._command_parser.cache_clear()
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0
@@ -653,6 +720,25 @@ def test_help_prints_after_other_calls(capsys, monkeypatch, argv):
     assert out == first and out.startswith("usage: hermgrid")
     if argv == ["--help"]:
         assert "closed-form axis values vs the 3D proper-time sum" in out
+
+
+# stdout, stderr and exit code of each argv, captured in process at a
+# fixed width of 80 columns from the CLI at 4d3de2e, which parsed every call
+# with one parser holding all six commands
+TRANSCRIPTS = json.loads((pathlib.Path(__file__).parent / "cli_transcripts.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", TRANSCRIPTS, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+def test_cli_prints_the_recorded_transcript(capsys, monkeypatch, case):
+    # help, usage errors, misplaced and abbreviated flags and a few tables
+    # keep their bytes, whichever parsers earlier tests built
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        rc = cli.main(list(case["argv"]))
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300)

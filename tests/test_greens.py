@@ -13,12 +13,12 @@ import pytest
 
 import grid_route
 from grid_route import _ball_exact, green_contract
-from hermgrid import MollerKinematics, VertexTruncation, greens, moller_reduced_element, quadrature
+from hermgrid import MollerKinematics, VertexTruncation, closed, greens, moller_reduced_element, quadrature
 from hermgrid.dirac import s_plus_green
 from hermgrid.errors import DomainError, NonconvergenceError, OrderTooLargeError
+from hermgrid.closed import axis_table
 from hermgrid.greens import (
     GreensValue,
-    _axis_table,
     clear_caches,
     continuum_yukawa,
     continuum_yukawa_oracle,
@@ -521,13 +521,13 @@ def test_axis_tables_grow_by_doubling_and_agree():
     # an order past the default table asks for a table twice as large; its
     # entries agree with the smaller table's to rounding
     clear_caches()
-    size = greens._AXIS_TABLE
+    size = closed.AXIS_TABLE
     small = [g_sharp_axis(2 * j, 0.8, CFG) for j in range(size)]
-    assert _axis_table.cache_info().currsize == 1
+    assert axis_table.cache_info().currsize == 1
     big = g_sharp_axis(2 * size, 0.8, CFG)
-    assert _axis_table.cache_info().currsize == 2 and big.err_estimate > 0.0
+    assert axis_table.cache_info().currsize == 2 and big.err_estimate > 0.0
     for j, v in enumerate(small):
-        again = _axis_table(0.8, 2 * size)[j].value.real
+        again = axis_table(0.8, 2 * size)[j].value.real
         assert abs(again - v.value.real) <= v.err_estimate + 1e-15 * abs(again), j
     clear_caches()
 
@@ -549,8 +549,8 @@ def test_axis_pairs_read_the_shared_table_entries(axis, axis_first):
             if n1 % 2 == 0:
                 assert got is want, n1
         if rounds == 0:
-            misses = _axis_table.cache_info().misses
-    assert _axis_table.cache_info().misses == misses == 2
+            misses = axis_table.cache_info().misses
+    assert axis_table.cache_info().misses == misses == 2
     clear_caches()
 
 
@@ -560,20 +560,21 @@ def test_orders_in_the_default_table_skip_the_doubling(monkeypatch, axis):
     # axis route, in either order of the pair, with no other table built
     clear_caches()
     mu = 0.6
-    table = _axis_table(mu, greens._AXIS_TABLE)
-    calls = _axis_table.cache_info()
-    monkeypatch.setattr(greens, "_axis_entries", None)
-    for n1 in range(2 * greens._AXIS_TABLE):
+    table = axis_table(mu, closed.AXIS_TABLE)
+    calls = axis_table.cache_info()
+    for module in (closed, greens):
+        monkeypatch.setattr(module, "axis_entries", None)
+    for n1 in range(2 * closed.AXIS_TABLE):
         index = tuple(n1 if a == axis else 0 for a in range(3))
         routes = (g_sharp_axis(n1, mu, CFG), g_sharp(index, (0, 0, 0), mu, CFG),
                   g_sharp((0, 0, 0), index, mu, CFG))
         # an odd order is the exact zero, of its phase on g_sharp
-        zeros = greens._PARITY_ZEROS
+        zeros = closed.PARITY_ZEROS
         wants = (zeros[0], zeros[n1 % 4], zeros[-n1 % 4]) if n1 % 2 else (table[n1 // 2],) * 3
         for got, want in zip(routes, wants):
             assert got is want, n1
         assert w_sharp(n1, mu, CFG) == routes[0].value.real
-    after = _axis_table.cache_info()
+    after = axis_table.cache_info()
     assert after.currsize == calls.currsize == 1 and after.misses == calls.misses
     clear_caches()
 
@@ -598,8 +599,8 @@ def test_axis_orders_of_other_types_take_the_full_check(order, want):
 def _levels_twice_as_deep(x, count):
     # Miller's loop from the plain start e = x at twice the depth the
     # module picks for count, written out here as an independent reference
-    size = max(count, greens._AXIS_TABLE)
-    depth = 2 * (math.ceil((math.sqrt(size) + greens._CF_MARGIN / math.sqrt(x)) ** 2) + 2)
+    size = max(count, closed.AXIS_TABLE)
+    depth = 2 * (math.ceil((math.sqrt(size) + closed._CF_MARGIN / math.sqrt(x)) ** 2) + 2)
     e, out = x, []
     for k in range(depth, 0, -1):
         if k < count:
@@ -617,7 +618,7 @@ def test_miller_levels_hold_at_the_stated_margin(count):
         x = float(mu) ** 2
         if x * count <= 1.0:
             continue
-        got, want = greens._gamma_cf_levels(x, count), _levels_twice_as_deep(x, count)
+        got, want = closed._gamma_cf_levels(x, count), _levels_twice_as_deep(x, count)
         assert len(got) == len(want) == count
         for n, (a, b) in enumerate(zip(got, want)):
             assert abs(a - b) <= math.ulp(b), (float(mu), n)
@@ -644,7 +645,7 @@ def test_parity_zero_builds_nothing():
         assert v == GreensValue(complex(1j * 0.0), 0.0)
     # no rule is asked for, not even a cached one
     assert hermite_half.cache_info()[:2] == asked[:2]
-    assert _axis_table.cache_info().currsize == 0
+    assert axis_table.cache_info().currsize == 0
     clear_caches()
 
 
@@ -714,10 +715,11 @@ def test_clear_caches_empties_every_cache():
     g_sharp_axis(4, 0.5, CFG)
     coulomb_quadrature(2, CFG)
     continuum_yukawa_oracle(1.0, 1.0)
-    # the module's own caches; the quadrature rules it reads stay
-    caches = [f for f in vars(greens).values()
-              if hasattr(f, "cache_info") and f.__module__ == greens.__name__]
-    assert _axis_table in caches and greens._fourier_rule in caches and hermite_half not in caches
+    # the caches of the module and of the closed forms; the quadrature
+    # rules it reads stay
+    caches = [f for module in (closed, greens) for f in vars(module).values()
+              if hasattr(f, "cache_info") and f.__module__ == module.__name__]
+    assert axis_table in caches and greens._fourier_rule in caches and hermite_half not in caches
     assert greens._axis_laplace in caches and quadrature._pt_mass not in caches
     assert len(caches) >= 4
     assert all(f.cache_info().currsize > 0 for f in caches)
@@ -810,7 +812,7 @@ def test_a_warm_general_pair_builds_nothing():
     quadrature._pt_mass.cache_clear()
     mu = 0.77
     g_sharp((2, 1, 0), (0, 1, 2), mu, CFG)
-    caches = (quadrature._pt_mass, greens._axis_laplace, hermite_half, _axis_table)
+    caches = (quadrature._pt_mass, greens._axis_laplace, hermite_half, axis_table)
     misses = [c.cache_info().misses for c in caches]
     for pair in (((2, 1, 0), (0, 1, 2)), ((0, 1, 2), (2, 1, 0)), ((0, 1, 0), (2, 1, 2)), ((2, 1, 2), (0, 1, 0))):
         g_sharp(*pair, mu, CFG)

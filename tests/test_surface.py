@@ -220,7 +220,7 @@ def test_top_masses_keep_the_lower_components():
 
 
 # the physics modules build on the base layer alone, never on each other
-BASE_LAYER = {"errors", "hermite", "quadrature"}
+BASE_LAYER = {"errors", "closed", "hermite", "quadrature"}
 
 
 @pytest.mark.parametrize("module", ["dirac", "greens", "grid", "scattering"])
