@@ -55,11 +55,19 @@ def _check_ranges(args) -> None:
     flags = vars(args)
     # moller's --vertex-n-max fills n_max, so the header echoes the cutoff
     order_flag, order_min = ("--vertex-n-max", 1) if args.command == "moller" else ("--n-max", 0)
+    order = (f"n_max >= {order_min}", lambda v: v >= order_min)
+    if args.command == "greens":
+        # row n1's proper-time column needs an (n1 // 2 + 1)-node rule: refuse
+        # a row past the rule's cap before the rows below it are computed
+        from .quadrature import GH_RULE_MAX
+
+        top = 2 * GH_RULE_MAX - 1
+        order = (f"0 <= n_max <= {top}", lambda v: 0 <= v <= top)
     checks = (
         *((f"--{key}", key, "a finite real", math.isfinite) for key in ("mu", "m", "g", "tol")),
         ("--mu", "mu", "mu >= 0", lambda v: v >= 0),
         ("--m", "m", "m > 0", lambda v: v > 0),
-        (order_flag, "n_max", f"n_max >= {order_min}", lambda v: v >= order_min),
+        (order_flag, "n_max", *order),
         ("--tol", "tol", "tol > 0", lambda v: v > 0),
     )
     for flag, key, accepted, ok in checks:

@@ -72,7 +72,8 @@ def _checked_pair(n, nhat, mu: float) -> tuple[tuple[int, ...], tuple[int, ...],
     Two tuples of plain nonnegative ints and a float mass pass in one test
     of the seven types, one of the ints' sign (as in quadrature.index3) and
     one of the mass; any other input takes index3 and the two mass checks,
-    with their errors."""
+    with their errors.  g_proper_time calls it, and so does g_sharp for the
+    inputs its own one-pass route does not take."""
     plain = type(n) is type(nhat) is tuple and len(n) == len(nhat) == 3
     if plain:
         (a, b, c), (p, q, r) = n, nhat
@@ -127,6 +128,11 @@ def _axis_laplace(mu: float, p: int, q: int) -> np.ndarray:
     return read_only(rows)[0]
 
 
+# The largest n_a + nhat_a on an axis whose factor's rule, of
+# (n_a + nhat_a) // 2 + 1 nodes, stays within GH_RULE_MAX
+_ORDER_MAX = 2 * GH_RULE_MAX - 1
+
+
 def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     """G(n, nhat; mu) = i^(sum n - sum nhat) sum_m w_m prod_a J_a(t_m) on
     pt_tail(mu, D), the lattice for y in [mu^2, mu^2 + 2D + 16], D = sum n
@@ -142,16 +148,30 @@ def g_proper_time(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     nodes v_m = m h (2^-53 |v_m|, the terms mattering where |v| <= L + 4,
     L = max |ln y|), and the rule's error.
     Absolute terms alone bound nothing: the recurrence cancels near s = 1.
-    It raises NonconvergenceError above 100 * cfg.tol and
-    OrderTooLargeError past n_a + nhat_a = 1454 (quadrature.GH_RULE_MAX).
+    It raises NonconvergenceError above 100 * cfg.tol, and
+    OrderTooLargeError, naming the pair, past n_a + nhat_a = 1454 on some
+    axis, whose rule would pass GH_RULE_MAX nodes, before any rule is built.
     """
     n, nhat, zero = _checked_pair(n, nhat, mu)
     if zero is not None:
         return zero
-    x = float(mu)
+    return _proper_time_sum(n, nhat, mu, cfg)
+
+
+def _proper_time_sum(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, cfg: QuadratureConfig) -> GreensValue:
+    """g_proper_time's sum at a checked pair of ints that keeps parity on
+    every axis and a checked mass, which its errors name as given."""
     (a, b, c), (p, q, r) = n, nhat
-    prod = (_axis_laplace(x, min(a, p), max(a, p)) * _axis_laplace(x, min(b, q), max(b, q))
-            * _axis_laplace(x, min(c, r), max(c, r)))
+    if a + p > _ORDER_MAX or b + q > _ORDER_MAX or c + r > _ORDER_MAX:
+        widest = max(a + p, b + q, c + r)
+        raise OrderTooLargeError(f"Green's function at n={n}, nhat={nhat}: an axis of order {widest} needs "
+                                 f"{widest // 2 + 1} Gauss-Hermite nodes, at most {GH_RULE_MAX}")
+    x = float(mu)
+    # each axis' factor is cached under its pair in ascending order, set by a
+    # conditional: min() and max() took 0.7 us of a warm pair
+    prod = ((_axis_laplace(x, a, p) if a <= p else _axis_laplace(x, p, a))
+            * (_axis_laplace(x, b, q) if b <= q else _axis_laplace(x, q, b))
+            * (_axis_laplace(x, c, r) if c <= r else _axis_laplace(x, r, c)))
     w, big_log = pt_weights(x, a + b + c + p + q + r)
     # the factors on the pair's own lattice: its last len(w) nodes
     value, ones = w.dot(prod[0, -w.size:]), w.dot(prod[1, -w.size:])
@@ -169,22 +189,41 @@ def g_sharp(n, nhat, mu: float, cfg: QuadratureConfig) -> GreensValue:
     one nonzero component n1, on any axis and in either order, is read
     straight from the per-mass table of closed (axis_table): the shared entry
     g_sharp_axis(n1) returns, the coincidence value at n1 = 0, whatever cfg
-    holds.  Every other pair is g_proper_time, with its own bound, gated at
-    100 * cfg.tol.  The pair and mass are checked once (_checked_pair), in
-    one pass for plain int triples and a float mass.
+    holds.  Every other pair is g_proper_time's sum, with its bound and
+    errors, gated at 100 * cfg.tol.
+
+    Two tuples of three plain nonnegative ints and a float mass whose square
+    is positive and finite pass every check in one test, _checked_pair's,
+    made here on the six ints unpacked once; the route is picked on the
+    same six ints, and a general pair goes to the sum without a second
+    check.  Any other input (lists, numpy ints or bools, whole floats,
+    numpy or int masses, bad values) takes _checked_pair's full checks, with
+    their errors in their order, and then the same routes, so its value or
+    error is the one of its plain form.
     """
-    n, nhat, zero = _checked_pair(n, nhat, mu)
-    if zero is not None:
-        return zero
-    (a, b, c), (p, q, r) = n, nhat
+    plain = type(n) is type(nhat) is tuple and len(n) == len(nhat) == 3
+    if plain:
+        (a, b, c), (p, q, r) = n, nhat
+        plain = (type(a) is type(b) is type(c) is type(p) is type(q) is type(r) is int
+                 and a | b | c | p | q | r >= 0 and type(mu) is float and 0.0 < mu and mu * mu < math.inf)
+    if not plain:
+        # the parity zero _checked_pair returns is the one found below
+        n, nhat, _ = _checked_pair(n, nhat, mu)
+        (a, b, c), (p, q, r) = n, nhat
     twice = a + b + c + p + q + r
-    # five of the six are 0 exactly when one of them is their sum
-    if twice in (a, b, c, p, q, r):
+    # five of the six are 0 exactly when one of them is their sum (one
+    # comparison at a time, which builds no tuple), and such a pair keeps
+    # parity exactly when the sum is even
+    if twice == a or twice == b or twice == c or twice == p or twice == q or twice == r:
+        if twice & 1:
+            return PARITY_ZEROS[(a + b + c - p - q - r) & 3]
         j = twice >> 1
         if j < AXIS_TABLE:
             return axis_table(mu, AXIS_TABLE)[j]
         return axis_entries(mu, j + 1)[j]
-    return g_proper_time(n, nhat, mu, cfg)
+    if (a + p | b + q | c + r) & 1:
+        return PARITY_ZEROS[(a + b + c - p - q - r) & 3]
+    return _proper_time_sum(n, nhat, mu, cfg)
 
 
 def coulomb_quadrature(n1: int, cfg: QuadratureConfig) -> GreensValue:

@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -421,6 +422,18 @@ def test_moller_cutoff_past_the_cap_exits_2(capsys):
     assert rc == 2 and out == "" and "Traceback" not in err
     assert err.splitlines() == [f"error: OrderTooLargeError: vertex cutoff n_max = {cap + 1} "
                                 f"for the exchange element, at most {cap}"]
+
+
+@pytest.mark.parametrize("n_max", ["1456", "3000", "-1"])
+def test_greens_order_past_the_rule_cap_exits_2_before_any_row(capsys, n_max):
+    # row n1's proper-time column needs an (n1 // 2 + 1)-node rule, at most
+    # 728 nodes: an --n-max past 1455 is refused before the first row is
+    # computed
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "greens", "--mu", "1", "--n-max", n_max)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err == f"error: --n-max: accepted range is 0 <= n_max <= 1455, got {n_max}\n"
 
 
 @pytest.mark.parametrize("cutoff", ["0", "-1"])

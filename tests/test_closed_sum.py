@@ -261,7 +261,7 @@ def test_cross_method_check_compares_two_routes(monkeypatch):
     # check must hold it against another route: off by 1e-9, it fails
     ok, _, obs, _ = _check_greens_cross_method()
     assert ok and obs <= 0.0
-    exact = greens.g_proper_time
+    exact = greens._proper_time_sum
 
     def shifted(n, nhat, mu, cfg):
         got = exact(n, nhat, mu, cfg)
@@ -269,7 +269,7 @@ def test_cross_method_check_compares_two_routes(monkeypatch):
             return got
         return greens.GreensValue(got.value + 1e-9, got.err_estimate)
 
-    monkeypatch.setattr(greens, "g_proper_time", shifted)
+    monkeypatch.setattr(greens, "_proper_time_sum", shifted)
     ok, tol, obs, _ = _check_greens_cross_method()
     assert not ok and obs > tol
 

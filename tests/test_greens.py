@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -921,6 +922,68 @@ def test_the_one_pass_check_changes_no_error(route):
                 with pytest.raises(DomainError) as info:
                     call(*pair, mu)
             assert str(info.value) == message, (pair, mu)
+
+
+# every pair with components in 0..4, and one axis pair past the default table
+_ROUTE_PAIRS = [(n[:3], n[3:]) for n in itertools.product(range(5), repeat=6)] + [((84, 0, 0), (0, 0, 0))]
+
+
+def test_each_route_of_g_sharp_returns_what_it_always_did():
+    # a parity zero is the shared PARITY_ZEROS entry of its phase, an axis
+    # pair the shared axis-table entry, in the plain form and through the
+    # full checks alike; a general pair is g_proper_time's value and bound
+    # to the bit
+    kinds = collections.Counter()
+    for mu in (1e-3, 0.77, 1.0, 7.5, 1e3):
+        for n, nhat in _ROUTE_PAIRS:
+            got = g_sharp(n, nhat, mu, CFG)
+            if any((a + b) % 2 for a, b in zip(n, nhat)):
+                kinds["zero"] += 1
+                want = closed.PARITY_ZEROS[(sum(n) - sum(nhat)) % 4]
+            elif sum(map(bool, n + nhat)) <= 1:
+                kinds["axis"] += 1
+                j = (sum(n) + sum(nhat)) // 2
+                want = closed.axis_entries(mu, j + 1)[j]
+            else:
+                kinds["general"] += 1
+                assert _bits(got) == _bits(g_proper_time(n, nhat, mu, CFG)), (n, nhat, mu)
+                assert _bits(g_sharp(list(n), nhat, mu, CFG)) == _bits(got), (n, nhat, mu)
+                continue
+            assert got is want, (n, nhat, mu)
+            assert g_sharp(list(n), nhat, mu, CFG) is want, (n, nhat, mu)
+    assert kinds == {"zero": 5 * 13428, "axis": 5 * 14, "general": 5 * 2184}
+
+
+def test_a_general_pair_is_checked_once(monkeypatch):
+    # the plain form passes g_sharp's own one-pass test and goes straight to
+    # the sum; any other form takes _checked_pair's full checks, once
+    calls = []
+    checked = greens._checked_pair
+    monkeypatch.setattr(greens, "_checked_pair", lambda *args: calls.append(args) or checked(*args))
+    want = _bits(g_proper_time((2, 1, 0), (0, 1, 2), 0.77, CFG))
+    assert len(calls) == 1
+    assert _bits(g_sharp((2, 1, 0), (0, 1, 2), 0.77, CFG)) == want and len(calls) == 1
+    assert _bits(g_sharp([2, 1, 0], (0, 1, 2), 0.77, CFG)) == want and len(calls) == 2
+    assert _bits(g_sharp((2, 1, 0), (0, 1, 2), np.float64(0.77), CFG)) == want and len(calls) == 3
+
+
+def test_proper_time_order_past_the_cap_names_the_pair():
+    # an axis whose n_a + nhat_a needs a rule past 728 nodes is refused
+    # before any lattice or rule is built, through either route
+    caches = (hermite_half, quadrature._pt_mass, greens._axis_laplace)
+    clear_caches()
+    quadrature._pt_mass.cache_clear()
+    before = [c.cache_info().currsize for c in caches]
+    for n, nhat in (((1456, 0, 0), (0, 0, 0)), ((2, 0, 0), (0, 1500, 0)), ((1, 0, 1455), (1, 0, 1))):
+        widest = max(a + b for a, b in zip(n, nhat))
+        message = (f"Green's function at n={n}, nhat={nhat}: an axis of order {widest} needs "
+                   f"{widest // 2 + 1} Gauss-Hermite nodes, at most 728")
+        # g_sharp reads an axis pair from its table at any order
+        for route in (g_sharp, g_proper_time)[sum(map(bool, n + nhat)) <= 1:]:
+            with pytest.raises(OrderTooLargeError) as info:
+                route(n, nhat, 1.0, CFG)
+            assert str(info.value) == message
+    assert [c.cache_info().currsize for c in caches] == before
 
 
 def test_origin_rows_are_the_taylor_data_of_the_basis():
