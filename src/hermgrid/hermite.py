@@ -11,6 +11,10 @@ overflow long before that, which is why all evaluation goes through one
 normalized three-term recurrence, run in place by phi_fill on preallocated
 rows with its step coefficients read from one cached table (_steps).  The
 scalar paths xi and xi_axis run the same steps on floats from that table.
+Per-call ufunc overhead prices a step: on 32 elements a multiply takes 0.4
+us with a 0-d array operand, 0.6 us with a float and 0.9 us as an in-place
+operator, so steps take 0-d coefficients from the table through out=.  Full
+rows of a coefficient cost more: 1.8 us against 1.3 us at 2,145 elements.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OrderTooLargeError, whole
+from .errors import DomainError, OrderTooLargeError, whole
 
 _PI_QUARTER = math.pi ** 0.25
 
@@ -50,16 +54,16 @@ def hermite_poly(n: int, k: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _step_table(size: int) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...]]:
-    """The step coefficients a_j = sqrt(2/(j+1)) (as an array and as floats)
-    and b_j = sqrt(j/(j+1)) for j < size."""
+def _step_table(size: int) -> tuple:
+    """The step coefficients a_j = sqrt(2/(j+1)) and b_j = sqrt(j/(j+1)) for
+    j < size: a as an array, both as floats, both as read-only 0-d arrays."""
     j = np.arange(size, dtype=float)
-    a = np.sqrt(2.0 / (j + 1.0))
-    a.setflags(write=False)
-    return a, tuple(a.tolist()), tuple(np.sqrt(j / (j + 1.0)).tolist())
+    ab = np.sqrt([2.0 / (j + 1.0), j / (j + 1.0)])
+    ab.setflags(write=False)
+    return ab[0], *(tuple(v.tolist()) for v in ab), *(tuple(v[i, ...] for i in range(size)) for v in ab)
 
 
-def _steps(count: int) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...]]:
+def _steps(count: int) -> tuple:
     """_step_table for at least count steps, cached per power of two (from 64)."""
     return _step_table(max(64, 1 << max(count - 1, 0).bit_length()))
 
@@ -75,10 +79,11 @@ def phi_fill(rows, x: np.ndarray, seed=1.0) -> None:
     whose rows past the first take a_j x in one pass up front, or a list of
     arrays of x's shape, which may repeat an array three rows on (phi_at
     streams so).  The seed broadcasts to the rows.  Each step rounds as the
-    expression above, in the order written, whatever holds the rows.
+    expression above, in the order written, whatever holds the rows, with
+    a_j and b_j as 0-d arrays (the module docstring says why).
     """
     count = len(rows)
-    a, a_list, b_list = _steps(count)
+    a, _, _, a_0d, b_0d = _steps(count)
     mul, sub = np.multiply, np.subtract
     filled = isinstance(rows, np.ndarray)
     if filled:
@@ -89,21 +94,24 @@ def phi_fill(rows, x: np.ndarray, seed=1.0) -> None:
     for j in range(count - 1):
         nxt = rows[j + 1]
         if not filled:
-            mul(x, a_list[j], nxt)
+            mul(x, a_0d[j], nxt)
         mul(nxt, rows[j], nxt)
         if j:
-            mul(rows[j - 1], b_list[j], tmp)
+            mul(rows[j - 1], b_0d[j], tmp)
             sub(nxt, tmp, nxt)
 
 
 def _scalar_rows(count: int, k: float) -> list[float]:
     """e^{-k^2/2} phi_j(k) / pi^{1/4} for j < count at one float k: the steps
     of phi_fill on floats, from the same coefficient table; zeros where the
-    seed underflows (past |k| = 1.27e308 a step would form inf * 0)."""
-    _, a, b = _steps(count)
+    seed underflows (past |k| = 1.27e308 a step would form inf * 0) and at
+    an infinite k; DomainError at NaN."""
+    _, a, b, _, _ = _steps(count)
     prev, cur = 0.0, math.exp(-0.5 * k * k) / _PI_QUARTER
     if cur == 0.0:
         return [0.0] * count
+    if cur != cur:
+        raise DomainError(f"a basis function's momentum must not be NaN, got {k}")
     out = [cur]
     for j in range(count - 1):
         prev, cur = cur, a[j] * k * cur - b[j] * prev

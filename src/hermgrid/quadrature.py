@@ -117,7 +117,8 @@ def pt_weights(mu: float, degree: int) -> tuple[np.ndarray, float]:
     s and tau views: all a Green's value's sum reads."""
     w, _, _, first, low_log = _pt_mass(mu)
     y_max = mu * mu + 2.0 * degree + 16.0
-    return w[pt_first(y_max) - first:], max(low_log, math.log(y_max))
+    top_log = math.log(y_max)  # a conditional, not max(): 0.1 us of a warm value
+    return w[pt_first(y_max) - first:], (low_log if low_log >= top_log else top_log)
 
 
 def pt_tail(mu: float, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -178,17 +179,19 @@ def gauss_hermite(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return _mirrored(x, w)
 
 
-def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_pair(n: int, x: np.ndarray, ints: tuple) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_{n-1}(x) by the three-term recurrence
     (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, rounded in that order, in
-    place through three rotating buffers."""
+    place through three rotating buffers, with 2k+1, k and k+1 the 0-d
+    arrays ints[j] = j (j < 2n), which cost a ufunc call least (the hermite
+    module docstring has the figures)."""
     prev, cur, nxt, tmp = np.ones_like(x), x.copy(), np.empty_like(x), np.empty_like(x)
     for k in range(1, n):
-        np.multiply(x, 2 * k + 1, out=nxt)
-        nxt *= cur
-        np.multiply(prev, k, out=tmp)
-        nxt -= tmp
-        nxt /= k + 1
+        np.multiply(x, ints[2 * k + 1], nxt)
+        np.multiply(nxt, cur, nxt)
+        np.multiply(prev, ints[k], tmp)
+        np.subtract(nxt, tmp, nxt)
+        np.divide(nxt, ints[k + 1], nxt)
         prev, cur, nxt = cur, nxt, prev
     return cur, prev
 
@@ -217,8 +220,10 @@ def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x = (1.0 - (n_nodes - 1) / (8.0 * n_nodes ** 3)
          - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n_nodes ** 4)) * np.cos(t)
     x[:n_nodes % 2] = 0.0  # an odd rule's centre node
+    ints = np.arange(2.0 * n_nodes)  # as 0-d arrays, once for both passes
+    ints = tuple(ints[j, ...] for j in range(ints.size))
     while True:
-        p, q = _legendre_pair(n_nodes, x)
+        p, q = _legendre_pair(n_nodes, x, ints)
         slope, gap = n_nodes * (q - x * p), (1.0 - x) * (1.0 + x)
         d = -p * gap / slope
         step = d / (1.0 + d * (x + 0.5 * n_nodes * (n_nodes + 1) * d) / gap)

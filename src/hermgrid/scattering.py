@@ -239,15 +239,21 @@ def _lattice_map(mu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     s_m = 1/(1 + t_m), transposed, and the weights w_m s_m^{3/2}.  The
     formula carries a polynomial of degree n_max from those points exactly
     up to rounding, and stably (Berrut and Trefethen, SIAM Rev. 46, 2004).
-    Cached read-only per mass and cutoff."""
+    Cached read-only per mass and cutoff.  Built in two full-size arrays, not
+    an np.where form's ten, to the same floats (rows sum along contiguous
+    memory); weights and sums broadcast as a row and a column, not full
+    arrays, which cost more per call (the hermite module docstring)."""
     w, s, _, _ = pt_tail(mu, 6 * n_max)
     weights = np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
     weights[[0, -1]] *= 0.5
-    d = s[:, None] - _chebyshev(n_max)
-    # t below 2^-53 gives s = 1, the last point: its row is that point's value
-    hit = d == 0.0
-    k = np.where(hit.any(axis=1, keepdims=True), hit, weights / np.where(hit, 1.0, d))
-    return read_only(np.ascontiguousarray((k / k.sum(axis=1, keepdims=True)).T), w * s ** 1.5)
+    k = np.subtract.outer(s, _chebyshev(n_max))
+    with np.errstate(divide="ignore"):
+        np.divide(weights, k, out=k)
+    total = k.sum(axis=1, keepdims=True)
+    # t below 2^-53 gives s = 1, the last point: a row whose sum is inf takes its value
+    hit = ~np.isfinite(total[:, 0])
+    k[hit], total[hit] = np.isinf(k[hit]), 1.0
+    return read_only(np.ascontiguousarray(np.divide(k, total, out=k).T), w * s ** 1.5)
 
 
 def _element_and_shift(kin: MollerKinematics, trunc: VertexTruncation,

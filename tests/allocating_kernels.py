@@ -7,8 +7,10 @@ roots taken at each step.  phi_row, phi_at and xi_axis build on it as the
 package's functions did before they ran the recurrence in place;
 legendre_pair allocates each Legendre order, scaled_table builds the
 exchange element's table from all rows at once, and radius scans all 50
-points of its t grid with 20 fixed-point steps each.  The in-place forms
-must give the same floats, bit for bit.
+points of its t grid with 20 fixed-point steps each.  lattice_map is the
+barycentric map's np.where form, and shell_profile the projector's profile
+with an allocating Laguerre recurrence on Python numbers.  The in-place
+forms must give the same floats, bit for bit.
 """
 
 import math
@@ -16,8 +18,8 @@ from itertools import islice
 
 import numpy as np
 
-from hermgrid.dirac import _TAIL
-from hermgrid.quadrature import hermite_half
+from hermgrid.dirac import _TAIL, _axis_overlaps, _radial_rule
+from hermgrid.quadrature import hermite_half, pt_tail
 from hermgrid.scattering import _chebyshev
 
 _PI_QUARTER = math.pi ** 0.25
@@ -55,7 +57,8 @@ def xi_axis(n_max: int, k: float) -> np.ndarray:
     return vals * np.array(_I_POW)[np.arange(count) % 4]
 
 
-def legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def legendre_pair(n: int, x: np.ndarray, _ints=None) -> tuple[np.ndarray, np.ndarray]:
+    # _ints, the package's 0-d whole numbers, is not read: k enters as an int
     prev, cur = np.ones_like(x), x
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
@@ -83,3 +86,31 @@ def radius(pair_degree: int) -> float:
             r = math.sqrt((log_c + math.log(r)) / b)
         best = min(best, r)
     return best
+
+
+def lattice_map(mu: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    w, s, _, _ = pt_tail(mu, 6 * n_max)
+    weights = np.where(np.arange(n_max + 1) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    d = s[:, None] - _chebyshev(n_max)
+    hit = d == 0.0
+    k = np.where(hit.any(axis=1, keepdims=True), hit, weights / np.where(hit, 1.0, d))
+    return np.ascontiguousarray((k / k.sum(axis=1, keepdims=True)).T), w * s ** 1.5
+
+
+def shell_profile(n, nhat, odd, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    g = [_axis_overlaps(min(p, q), max(p, q), int(a in odd)) for a, (p, q) in enumerate(zip(n, nhat))]
+    coef = np.convolve(np.convolve(g[0], g[1]), g[2]).tolist()
+    r, w, gauss, exponent = _radial_rule(n_nodes, sum(n) + sum(nhat))
+    x = 2.0 * r * r
+    prev, cur = 0.0, gauss
+    total = coef[0] * cur
+    shift = -exponent
+    for k in range(len(coef) - 1):
+        prev, cur = cur, ((x - (2 * k + 1.5)) * cur - k * prev) / (k + 1.5)
+        total += coef[k + 1] * cur
+        if abs(cur).max() > 2.0 ** 256:
+            e = np.where(abs(cur) > 1.0, np.frexp(cur)[1], 0)
+            prev, cur, total = (np.ldexp(v, -e) for v in (prev, cur, total))
+            shift = shift + e
+    return r, (4.0 * math.pi) * w * np.ldexp(total, shift)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hermgrid.errors import OrderTooLargeError
+from hermgrid.errors import DomainError, OrderTooLargeError
 from hermgrid.hermite import (
     hermite_poly,
     phi_at,
@@ -117,6 +117,21 @@ def test_basis_underflows_to_zero_at_the_largest_momenta():
         for k in (1.3e308, -1.3e308):
             assert xi(1, k) == 0
             assert not np.any(xi_axis(6, k))
+
+
+def test_a_nan_momentum_raises_and_an_infinite_one_gives_zero():
+    # a NaN used to come back as nan+nanj; an infinite momentum keeps the
+    # exact zero of the Gaussian's limit
+    for n in (0, 1, 2, 7):
+        with pytest.raises(DomainError, match="NaN"):
+            xi(n, math.nan)
+        with pytest.raises(DomainError, match="NaN"):
+            xi_delta_sharp(n, math.nan)
+        with pytest.raises(DomainError, match="NaN"):
+            xi_axis(n, math.nan)
+        for k in (math.inf, -math.inf):
+            assert xi(n, k) == 0 and xi_delta_sharp(n, k) == 0
+            assert not np.any(xi_axis(n, k))
 
 
 def test_negative_order_rejected():

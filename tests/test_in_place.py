@@ -1,15 +1,18 @@
 """The in-place recurrences give the floats of their allocating forms.
 
 allocating_kernels holds the generator form of the Hermite recurrence, the
-allocating Legendre recurrence, the all-rows exchange table and the full
-50-point radius scan.  Every value here must match it bit for bit: the
-in-place kernels round each step as the allocating ones did, in the same
-order.  The Gauss rules are rebuilt on the allocating kernels by patching
-them into the quadrature module.  The exchange table's cold build must
-also stay near the size of what it keeps, and the barycentric maps' cache
-and the per-mass proper-time lattice within their stated bounds.
+allocating Legendre recurrence, the all-rows exchange table, the full
+50-point radius scan, the np.where form of the barycentric map and the
+projector's profile on an allocating Laguerre recurrence.  Every value
+here must match it bit for bit: the in-place kernels round each step as
+the allocating ones did, in the same order.  The Gauss rules are rebuilt
+on the allocating kernels by patching them into the quadrature module.
+The exchange table's cold build must also stay near the size of what it
+keeps, and the barycentric maps' cache and the per-mass proper-time
+lattice within their stated bounds.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -111,6 +114,35 @@ def test_gauss_legendre_matches_the_allocating_recurrence(monkeypatch, n_nodes):
     monkeypatch.setattr(quadrature, "_legendre_pair", ref.legendre_pair)
     want = quadrature.gauss_legendre.__wrapped__(n_nodes)
     assert all(_same(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 8, 32, 64, 65, 128])
+def test_lattice_map_matches_the_where_form(n_max):
+    # the tiny masses reach the longest lattices, every mass has rows at
+    # s = 1 exactly (t below 2^-53), and 1e150 is near the largest mass
+    # with a finite square
+    for mu in (1e-300, 1e-160, 2.0 ** -520, 1e-20, 1e-3, 0.5, 0.77, 1.0, 2.0, 7.5, 1e3, 1e150):
+        got = scattering._lattice_map.__wrapped__(mu, n_max)
+        want = ref.lattice_map(mu, n_max)
+        assert all(_same(g, w) for g, w in zip(got, want)), mu
+        assert all(g.base is None and not g.flags.writeable for g in got)
+
+
+@pytest.mark.parametrize("n_nodes", [64, 128, 256])
+def test_shell_profile_matches_the_allocating_recurrence(n_nodes):
+    # every pair of components 0..2 (the exchange workload's) that is even
+    # in all axes or odd in one; (100,0,0)^2 and (200,0,0)^2 take the overflow
+    # rescale once and twice, and (727,727,727)/(0,0,0) has the most steps
+    # the overlaps allow (1,089)
+    cases = [(n, nhat, [a for a in range(3) if (n[a] + nhat[a]) % 2])
+             for n in itertools.product(range(3), repeat=3) for nhat in itertools.product(range(3), repeat=3)]
+    cases = [case for case in cases if len(case[2]) <= 1]
+    cases += [((10, 4, 0), (2, 0, 0), []), ((40, 20, 1), (0, 8, 2), [2]), ((100, 0, 0), (100, 0, 0), []),
+              ((200, 0, 0), (200, 0, 0), []), ((727, 727, 727), (0, 0, 0), [])]
+    for n, nhat, odd in cases:
+        got = dirac._shell_profile(n, nhat, odd, n_nodes)
+        want = ref.shell_profile(n, nhat, odd, n_nodes)
+        assert all(_same(g, w) for g, w in zip(got, want)), (n, nhat)
 
 
 def test_weighted_phi_table_matches_the_generator():

@@ -55,6 +55,16 @@ def test_vertex_axis_sum_sign_validation():
         vertex_axis_sum(0.1, 0.2, 0.3, 1, 2, tr)
 
 
+def test_vertex_axis_sum_rejects_a_nan_momentum():
+    # each of its three momenta; an infinite one contributes exact zeros
+    tr = VertexTruncation(4)
+    for args in ((math.nan, 0.2, 0.3), (0.1, math.nan, 0.3), (0.1, 0.2, math.nan)):
+        with pytest.raises(DomainError, match="NaN"):
+            vertex_axis_sum(*args, -1, 1, tr)
+    assert vertex_axis_sum(math.inf, 0.2, 0.3, 1, 1, tr) == 0
+    assert vertex_axis_sum(0.1, -math.inf, 0.3, 1, -1, tr) == 0
+
+
 def test_vertex_sums_leave_their_truncation_alone():
     # the truncation is frozen: the vertex sum, the oracle built on it and
     # the exchange element read it, and the element's shift comes back by
