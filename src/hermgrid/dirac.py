@@ -19,8 +19,6 @@ from .hermite import phi_at, phi_fill
 from .quadrature import GH_RULE_MAX, QuadratureConfig, gauss_legendre, hermite_half, index3, read_only, refined
 
 _I = 1j
-# i/2: _shell_profile's 0-d operands 2k + 1.5, k, k + 1.5 at 4k + 3, 2k, 2k + 3 (k < 1.5 GH_RULE_MAX)
-_HALVES = read_only(np.arange(6.0 * GH_RULE_MAX) * 0.5)[0]
 
 
 def _gamma_matrices() -> tuple[np.ndarray, ...]:
@@ -286,23 +284,16 @@ def _shell_profile(n, nhat, odd, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     Gaussian's apply only at the end.
     """
     g = [_axis_overlaps(min(p, q), max(p, q), int(a in odd)) for a, (p, q) in enumerate(zip(n, nhat))]
-    coef = np.convolve(np.convolve(g[0], g[1]), g[2])
+    coef = np.convolve(np.convolve(g[0], g[1]), g[2]).tolist()
     r, w, gauss, exponent = _radial_rule(n_nodes, sum(n) + sum(nhat))
     x = 2.0 * r * r
-    # 0-d operands through out= (the hermite module docstring says why)
-    prev, cur, nxt, tmp = np.zeros(x.shape), gauss.copy(), np.empty(x.shape), np.empty(x.shape)
+    prev, cur = 0.0, gauss
     total = coef[0] * cur
     shift = -exponent
-    for k in range(coef.size - 1):
-        np.subtract(x, _HALVES[4 * k + 3, ...], nxt)
-        np.multiply(nxt, cur, nxt)
-        np.multiply(prev, _HALVES[2 * k, ...], tmp)
-        np.subtract(nxt, tmp, nxt)
-        np.divide(nxt, _HALVES[2 * k + 3, ...], nxt)
-        prev, cur, nxt = cur, nxt, prev
-        np.multiply(cur, coef[k + 1, ...], tmp)
-        np.add(total, tmp, total)
-        if np.abs(cur, tmp).max() > 2.0 ** 256:
+    for k in range(len(coef) - 1):
+        prev, cur = cur, ((x - (2 * k + 1.5)) * cur - k * prev) / (k + 1.5)
+        total += coef[k + 1] * cur
+        if abs(cur).max() > 2.0 ** 256:
             e = np.where(abs(cur) > 1.0, np.frexp(cur)[1], 0)
             prev, cur, total = (np.ldexp(v, -e) for v in (prev, cur, total))
             shift = shift + e

@@ -175,9 +175,7 @@ def _proper_time_sum(n: tuple[int, ...], nhat: tuple[int, ...], mu: float, cfg: 
     w, big_log = pt_weights(x, a + b + c + p + q + r)
     # the factors on the pair's own lattice: its last len(w) nodes
     value, ones = w.dot(prod[0, -w.size:]), w.dot(prod[1, -w.size:])
-    ab, cp, qr = (a if a > b else b), (c if c > p else p), (q if q > r else r)  # not max(): 0.2 us
-    top = ab if ab > cp and ab > qr else (cp if cp > qr else qr)
-    err = float((2.0 ** -52 * (top + 4 + 0.5 * big_log) + PT_ERROR) * ones)
+    err = float((2.0 ** -52 * (max(a, b, c, p, q, r) + 4 + 0.5 * big_log) + PT_ERROR) * ones)
     if not err <= 100.0 * cfg.tol:
         raise NonconvergenceError(f"Green's function at n={n}, nhat={nhat}, mu={mu}: rounding "
                                   f"bound {err:.3e} exceeds the gate {100.0 * cfg.tol:.3e}")

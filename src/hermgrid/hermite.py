@@ -13,8 +13,9 @@ rows with its step coefficients read from one cached table (_steps).  The
 scalar paths xi and xi_axis run the same steps on floats from that table.
 Per-call ufunc overhead prices a step: on 32 elements a multiply takes 0.4
 us with a 0-d array operand, 0.6 us with a float and 0.9 us as an in-place
-operator, so steps take 0-d coefficients from the table through out=.  Full
-rows of a coefficient cost more: 1.8 us against 1.3 us at 2,145 elements.
+operator, so steps take 0-d coefficients (zero_d) through out=, phi_fill's
+from the table and gauss_legendre's whole numbers alike.  Full rows of a
+coefficient cost more: 1.8 us against 1.3 us at 2,145 elements.
 """
 
 from __future__ import annotations
@@ -53,19 +54,31 @@ def hermite_poly(n: int, k: float) -> float:
     return h
 
 
+def zero_d(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entries of a 1-D array as 0-d views, the cheapest operands of a
+    ufunc call (the module docstring has the costs); each takes about 104
+    bytes, against 24 for a float."""
+    return tuple(values[i, ...] for i in range(values.size))
+
+
 @lru_cache(maxsize=None)
-def _step_table(size: int) -> tuple:
+def _step_table(size: int, views: bool) -> tuple:
     """The step coefficients a_j = sqrt(2/(j+1)) and b_j = sqrt(j/(j+1)) for
-    j < size: a as an array, both as floats, both as read-only 0-d arrays."""
+    j < size: as floats for the scalar steps, or with views (phi_fill's) as
+    the array of a_j and both as read-only 0-d arrays, which the scalar
+    steps' unbounded orders do not build."""
     j = np.arange(size, dtype=float)
-    ab = np.sqrt([2.0 / (j + 1.0), j / (j + 1.0)])
-    ab.setflags(write=False)
-    return ab[0], *(tuple(v.tolist()) for v in ab), *(tuple(v[i, ...] for i in range(size)) for v in ab)
+    a, b = np.sqrt(2.0 / (j + 1.0)), np.sqrt(j / (j + 1.0))
+    if not views:
+        return tuple(a.tolist()), tuple(b.tolist())
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, zero_d(a), zero_d(b)
 
 
-def _steps(count: int) -> tuple:
+def _steps(count: int, views: bool = False) -> tuple:
     """_step_table for at least count steps, cached per power of two (from 64)."""
-    return _step_table(max(64, 1 << max(count - 1, 0).bit_length()))
+    return _step_table(max(64, 1 << max(count - 1, 0).bit_length()), views)
 
 
 def phi_fill(rows, x: np.ndarray, seed=1.0) -> None:
@@ -83,7 +96,7 @@ def phi_fill(rows, x: np.ndarray, seed=1.0) -> None:
     a_j and b_j as 0-d arrays (the module docstring says why).
     """
     count = len(rows)
-    a, _, _, a_0d, b_0d = _steps(count)
+    a, a_0d, b_0d = _steps(count, True)
     mul, sub = np.multiply, np.subtract
     filled = isinstance(rows, np.ndarray)
     if filled:
@@ -106,7 +119,7 @@ def _scalar_rows(count: int, k: float) -> list[float]:
     of phi_fill on floats, from the same coefficient table; zeros where the
     seed underflows (past |k| = 1.27e308 a step would form inf * 0) and at
     an infinite k; DomainError at NaN."""
-    _, a, b, _, _ = _steps(count)
+    a, b = _steps(count)
     prev, cur = 0.0, math.exp(-0.5 * k * k) / _PI_QUARTER
     if cur == 0.0:
         return [0.0] * count

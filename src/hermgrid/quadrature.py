@@ -22,7 +22,7 @@ import numpy as np
 
 from .closed import QuadratureConfig  # re-exported: every route's tolerance
 from .errors import NonconvergenceError, OrderTooLargeError, whole
-from .hermite import phi_at, phi_row
+from .hermite import phi_at, phi_row, zero_d
 
 # Step h of the trapezoid rule in log proper time (pt_lattice), whose error
 # in 1/y is at most 2 |Gamma(1 - 2 pi i / h)| = 3.5e-17 relative for every
@@ -117,8 +117,7 @@ def pt_weights(mu: float, degree: int) -> tuple[np.ndarray, float]:
     s and tau views: all a Green's value's sum reads."""
     w, _, _, first, low_log = _pt_mass(mu)
     y_max = mu * mu + 2.0 * degree + 16.0
-    top_log = math.log(y_max)  # a conditional, not max(): 0.1 us of a warm value
-    return w[pt_first(y_max) - first:], (low_log if low_log >= top_log else top_log)
+    return w[pt_first(y_max) - first:], max(low_log, math.log(y_max))
 
 
 def pt_tail(mu: float, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -179,12 +178,12 @@ def gauss_hermite(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return _mirrored(x, w)
 
 
-def _legendre_pair(n: int, x: np.ndarray, ints: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_{n-1}(x) by the three-term recurrence
     (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, rounded in that order, in
-    place through three rotating buffers, with 2k+1, k and k+1 the 0-d
-    arrays ints[j] = j (j < 2n), which cost a ufunc call least (the hermite
-    module docstring has the figures)."""
+    place through three rotating buffers, with 2k+1, k and k+1 read from
+    0-d arrays of the whole numbers below 2n (hermite.zero_d says why)."""
+    ints = zero_d(np.arange(2.0 * n))
     prev, cur, nxt, tmp = np.ones_like(x), x.copy(), np.empty_like(x), np.empty_like(x)
     for k in range(1, n):
         np.multiply(x, ints[2 * k + 1], nxt)
@@ -220,10 +219,8 @@ def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x = (1.0 - (n_nodes - 1) / (8.0 * n_nodes ** 3)
          - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n_nodes ** 4)) * np.cos(t)
     x[:n_nodes % 2] = 0.0  # an odd rule's centre node
-    ints = np.arange(2.0 * n_nodes)  # as 0-d arrays, once for both passes
-    ints = tuple(ints[j, ...] for j in range(ints.size))
     while True:
-        p, q = _legendre_pair(n_nodes, x, ints)
+        p, q = _legendre_pair(n_nodes, x)
         slope, gap = n_nodes * (q - x * p), (1.0 - x) * (1.0 + x)
         d = -p * gap / slope
         step = d / (1.0 + d * (x + 0.5 * n_nodes * (n_nodes + 1) * d) / gap)

@@ -57,8 +57,7 @@ def xi_axis(n_max: int, k: float) -> np.ndarray:
     return vals * np.array(_I_POW)[np.arange(count) % 4]
 
 
-def legendre_pair(n: int, x: np.ndarray, _ints=None) -> tuple[np.ndarray, np.ndarray]:
-    # _ints, the package's 0-d whole numbers, is not read: k enters as an int
+def legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     prev, cur = np.ones_like(x), x
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
