@@ -9,8 +9,9 @@ legendre_pair allocates each Legendre order, scaled_table builds the
 exchange element's table from all rows at once, and radius scans all 50
 points of its t grid with 20 fixed-point steps each.  lattice_map is the
 barycentric map's np.where form, and shell_profile the projector's profile
-with an allocating Laguerre recurrence on Python numbers.  The in-place
-forms must give the same floats, bit for bit.
+with an allocating Laguerre recurrence on Python numbers (dirac runs the
+same loop today; the copy pins its floats).  The in-place forms must give
+the same floats, bit for bit.
 """
 
 import math
